@@ -5,7 +5,8 @@ check registry, strand removal counts, Garside normal forms, simple
 dual braid embeddings, SVG rendering and basis expansions.  Every
 verdict printed here is the unmodified result of a library call.
 
-Exit codes: 0 pass, 1 fail, 2 usage error, 3 resource limit.
+Exit codes: 0 pass, 1 fail, 2 usage error, 3 resource limit, 4 integrity
+error (an internal contradiction, never a verdict).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 from typing import Sequence
 
-from .coxeter import CoxeterGroup, ResourceError
+from .coxeter import CoxeterGroup, IntegrityError, ResourceError
 from .verify import CHECKS, Report, budget_guard, group_for, normalize_family, run_check
 
 
@@ -275,6 +276,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except IntegrityError as exc:
+        print(f"integrity error: {exc}", file=sys.stderr)
+        if getattr(args, "json", None):
+            _emit({"error": "IntegrityError", "message": str(exc)}, args.json)
+        return 4
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

@@ -550,7 +550,7 @@ class CoxeterGroup:
             self._mul = _perm_mul
             self._inv = _perm_inv
             self._length = _perm_length
-            self._rlen = lambda p: (n + 1) - _perm_cycle_count(p)
+            rlen = lambda p: (n + 1) - _perm_cycle_count(p)
             self._valid = lambda p: isinstance(p, tuple) and sorted(p) == list(ident)
         elif fam in ("B", "D"):
             ident = tuple(range(1, n + 1))
@@ -580,7 +580,7 @@ class CoxeterGroup:
                 )
             self._mul = _sp_mul
             self._inv = _sp_inv
-            self._rlen = lambda p: n - _sp_positive_cycles(p)
+            rlen = lambda p: n - _sp_positive_cycles(p)
         elif fam == "I2":
             m = ctype.m
             assert m is not None
@@ -589,7 +589,7 @@ class CoxeterGroup:
             self._mul = lambda p, q: _i2_mul(m, p, q)
             self._inv = lambda p: _i2_inv(m, p)
             self._length = lambda p: _i2_length(m, p)
-            self._rlen = _i2_rlen
+            rlen = _i2_rlen
             self._valid = lambda p: (
                 len(p) == 2 and 0 <= p[0] < m and p[1] in (0, 1)
             )
@@ -598,12 +598,12 @@ class CoxeterGroup:
                 ident = _h3_identity()
                 gens = list(_h3_generators())
                 self._mul = _pmat_mul
-                self._rlen = _moved_rank_h3
+                rlen = _moved_rank_h3
             else:
                 ident = _f4_identity()
                 gens = list(_f4_generators())
                 self._mul = _imat_mul
-                self._rlen = _moved_rank_f4
+                rlen = _moved_rank_f4
             lengths: dict = {ident: 0}
             invs: dict = {ident: ident}
             frontier = [(ident, ident)]
@@ -629,6 +629,8 @@ class CoxeterGroup:
             self._inv = invs.__getitem__
             self._valid = lengths.__contains__
 
+        # reflection length is computed at most once per element
+        self._rlen = cache(rlen)
         self._gen_payloads = tuple(gens)
         self.identity = CoxeterElement(self, ident)
         self.generators = tuple(CoxeterElement(self, g) for g in gens)
@@ -639,8 +641,6 @@ class CoxeterGroup:
         self._coxeter_matrix_cache: tuple | None = None
         self._orderings_cache: dict | None = None
         self._bruhat_cache: dict = {}
-        self._abs_search_cache: dict | None = None
-        self._len_search_cache: dict | None = None
 
     # -- element factories ---------------------------------------------
 
@@ -819,11 +819,9 @@ def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
     Absolute order has no left/right asymmetry since the reflection set is
     closed under conjugation.
     """
-    _same_group(x, y)
-    return (
-        x.reflection_length() + (x.inverse() * y).reflection_length()
-        == y.reflection_length()
-    )
+    g = _same_group(x, y)
+    rest = g._mul(g._inv(x.payload), y.payload)
+    return g._rlen(x.payload) + g._rlen(rest) == g._rlen(y.payload)
 
 
 def weak_meet_left(u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
@@ -928,85 +926,6 @@ def reflections_from_coxeter(
             out.add(power * t * inv)
         power = power * c
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# search fallbacks, used as oracles and for cross checks
-
-
-def length_by_search(w: CoxeterElement) -> int:
-    """Word length via breadth first search over the Cayley graph."""
-    g = w.group
-    if g._len_search_cache is None:
-        dist = {g.identity.payload: 0}
-        frontier = [g.identity.payload]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for gen in g._gen_payloads:
-                    q = g._mul(p, gen)
-                    if q not in dist:
-                        dist[q] = dist[p] + 1
-                        nxt.append(q)
-            frontier = nxt
-        g._len_search_cache = dist
-    return g._len_search_cache[w.payload]
-
-
-def reflection_length_by_search(w: CoxeterElement) -> int:
-    """Reflection length via breadth first search over the reflection Cayley graph."""
-    g = w.group
-    if g._abs_search_cache is None:
-        refl = [t.payload for t in g.reflections]
-        dist = {g.identity.payload: 0}
-        frontier = [g.identity.payload]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for t in refl:
-                    q = g._mul(p, t)
-                    if q not in dist:
-                        dist[q] = dist[p] + 1
-                        nxt.append(q)
-            frontier = nxt
-        g._abs_search_cache = dist
-    return g._abs_search_cache[w.payload]
-
-
-def fixed_space_corank(w: CoxeterElement) -> int:
-    """Codimension of the fixed space in the reflection representation.
-
-    Exact linear algebra over Q or Q(phi).  Available for every family
-    except the dihedral one, whose natural matrices are not rational.
-    """
-    fam = w.group.type.family
-    p = w.payload
-    if fam == "A":
-        n1 = len(p)
-        rows = [
-            [Fraction((1 if p[c] == r + 1 else 0) - (1 if r == c else 0)) for c in range(n1)]
-            for r in range(n1)
-        ]
-        return _rank_of_rows(rows, _Q_OPS)
-    if fam in ("B", "D"):
-        n = len(p)
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                e = 0
-                if abs(p[c]) == r + 1:
-                    e = 1 if p[c] > 0 else -1
-                if r == c:
-                    e -= 1
-                row.append(Fraction(e))
-            rows.append(row)
-        return _rank_of_rows(rows, _Q_OPS)
-    if fam == "H3":
-        return _moved_rank_h3(p)
-    if fam == "F4":
-        return _moved_rank_f4(p)
-    raise ValueError(f"family {fam} has no rational matrix model")
 
 
 def reduced_words(w: CoxeterElement) -> tuple[tuple[int, ...], ...]:

@@ -47,27 +47,33 @@ def _require_standard(c: CoxeterElement) -> None:
         raise ValueError("expected a standard Coxeter element")
 
 
+@cache
+def _reflection_ids(table: GarsideTable) -> tuple[int, ...]:
+    return tuple(table.id_of(t) for t in table.group.reflections)
+
+
 def divisors_of(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
     """The divisor set DIV(c) in absolute order, sorted by level.
 
     Breadth first search: level k+1 consists of the products x*t that gain
-    reflection length and still divide c.
+    reflection length and still divide c.  Ids run in sort_key order, so
+    each level is sorted by id.
     """
     _require_standard(c)
-    group = c.group
-    T = group.reflections
-    level: set[CoxeterElement] = {group.identity}
-    out = [group.identity]
-    for k in range(c.reflection_length()):
-        nxt: set[CoxeterElement] = set()
+    table = garside_table(c.group)
+    cid = table.id_of(c)
+    level = {table.e}
+    out = [table.e]
+    for k in range(table.rlen(cid)):
+        nxt: set[int] = set()
         for x in level:
-            for t in T:
-                y = x * t
-                if y.reflection_length() == k + 1 and abs_divides(y, c):
+            for t in _reflection_ids(table):
+                y = table.mul(x, t)
+                if table.rlen(y) == k + 1 and table.abs_divides(y, cid):
                     nxt.add(y)
         level = nxt
-        out.extend(sorted(nxt, key=lambda w: w.sort_key()))
-    return tuple(out)
+        out.extend(sorted(nxt))
+    return tuple(table.element(x) for x in out)
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +295,22 @@ class DualAtomTable:
         n = group.rank
         T = group.reflections
         words: dict[CoxeterElement, BraidWord] = {}
-        nfs: dict[CoxeterElement, tuple] = {}
-        hits: dict[CoxeterElement, int] = {}
+        nfs: dict[int, tuple] = {}  # keyed by table id
+        hits: dict[int, int] = {}
         for i in range(2 * len(T)):
             seq = [self.ordering[j % n] for j in range(i + 1)]
             letters = tuple(seq) + tuple(-l for l in reversed(seq[:-1]))
             t = group.from_word(abs(l) for l in letters)
             nf = _nf_ids(table, letters)
-            hits[t] = hits.get(t, 0) + 1
-            if t in nfs:
-                if nfs[t] != nf:
+            tid = table.id_of(t)
+            hits[tid] = hits.get(tid, 0) + 1
+            if tid in nfs:
+                if nfs[tid] != nf:
                     raise IntegrityError(
                         "rotation formula produced unequal braids for one reflection"
                     )
             else:
-                nfs[t] = nf
+                nfs[tid] = nf
                 words[t] = BraidWord(group, letters)
         if len(words) != len(T) or any(h != 2 for h in hits.values()):
             raise IntegrityError("rotation formula did not cover T twice over")
@@ -319,7 +326,7 @@ class DualAtomTable:
         return self._words[t]
 
     def normal_form_ids(self, t: CoxeterElement) -> tuple:
-        return self._nfs[t]
+        return self._nfs[self._table.id_of(t)]
 
     def all_rational(self) -> bool:
         return all(_rational_ids(nf) for nf in self._nfs.values())
@@ -344,8 +351,9 @@ class DualMonoid:
         self.ordering = tuple(ordering)
         self.atoms = DualAtomTable(c, self.ordering)
         self._table: GarsideTable = garside_table(c.group)
+        self._cid = self._table.id_of(c)
         self._divisors: tuple[CoxeterElement, ...] | None = None
-        self._embed_cache: dict[CoxeterElement, tuple] = {}
+        self._embed_cache: dict[int, tuple] = {}  # keyed by table id
 
     def divisors(self) -> tuple[CoxeterElement, ...]:
         if self._divisors is None:
@@ -353,18 +361,20 @@ class DualMonoid:
         return self._divisors
 
     def contains(self, x: CoxeterElement) -> bool:
-        return abs_divides(x, self.c)
+        return self._table.abs_divides(self._table.id_of(x), self._cid)
 
     def embed_nf_ids(self, x: CoxeterElement) -> tuple:
-        cached = self._embed_cache.get(x)
+        table = self._table
+        xid = table.id_of(x)
+        cached = self._embed_cache.get(xid)
         if cached is not None:
             return cached
         if not self.contains(x):
             raise ValueError("element is not a divisor of the Coxeter element")
         nf = (0, ())
-        for t in t_reduced_factorization(x):
-            nf = _nf_mul_ids(self._table, nf, self.atoms.normal_form_ids(t))
-        self._embed_cache[x] = nf
+        for t in _t_factor_ids(table, xid):
+            nf = _nf_mul_ids(table, nf, self.atoms._nfs[t])
+        self._embed_cache[xid] = nf
         return nf
 
     def embed(self, x: CoxeterElement) -> BraidWord:
@@ -376,24 +386,27 @@ def dual_monoid(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> D
     return DualMonoid(c, ordering)
 
 
+def _t_factor_ids(table: GarsideTable, x: int) -> list[int]:
+    out = []
+    while x != table.e:
+        for t in _reflection_ids(table):
+            if table.abs_divides(t, x):
+                out.append(t)
+                x = table.mul(t, x)
+                break
+        else:
+            raise IntegrityError("no reflection divides a nonidentity element")
+    return out
+
+
 def t_reduced_factorization(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
     """Greedy minimal reflection factorisation of x.
 
     At each step take the first reflection, in the fixed enumeration of T,
     that divides the remainder in absolute order.
     """
-    group = x.group
-    out = []
-    cur = x
-    while not cur.is_identity():
-        for t in group.reflections:
-            if abs_divides(t, cur):
-                out.append(t)
-                cur = t * cur
-                break
-        else:
-            raise IntegrityError("no reflection divides a nonidentity element")
-    return tuple(out)
+    table = garside_table(x.group)
+    return tuple(table.element(t) for t in _t_factor_ids(table, table.id_of(x)))
 
 
 def embed_simple(
@@ -414,19 +427,19 @@ def verify_dual_relations(
     """
     dm = dual_monoid(c, ordering)
     table = dm._table
-    atoms = dm.atoms
-    T = dm.group.reflections
+    nfs = dm.atoms._nfs
+    T = _reflection_ids(table)
     rows = []
     for t1 in T:
         for t2 in T:
             if t1 == t2:
                 continue
-            if not abs_divides(t1 * t2, c):
+            if not table.abs_divides(table.mul(t1, t2), dm._cid):
                 continue
-            t3 = t2 * t1 * t2
-            lhs = _nf_mul_ids(table, atoms.normal_form_ids(t1), atoms.normal_form_ids(t2))
-            rhs = _nf_mul_ids(table, atoms.normal_form_ids(t2), atoms.normal_form_ids(t3))
-            rows.append((t1, t2, t3, lhs == rhs))
+            t3 = table.mul(table.mul(t2, t1), t2)
+            lhs = _nf_mul_ids(table, nfs[t1], nfs[t2])
+            rhs = _nf_mul_ids(table, nfs[t2], nfs[t3])
+            rows.append((table.element(t1), table.element(t2), table.element(t3), lhs == rhs))
     return tuple(rows)
 
 

@@ -77,7 +77,7 @@ class GarsideTable:
 
     Element ids follow the deterministic order of group.elements().  The
     table is immutable after construction apart from the lazily filled
-    shortlex word cache, whose entries are write once.
+    shortlex words and reflection lengths, whose entries are write once.
     """
 
     def __init__(self, group: CoxeterGroup) -> None:
@@ -90,13 +90,14 @@ class GarsideTable:
         gens = group._gen_payloads
         self.payloads = payloads
         self.index = index
-        self.lmul = [[index[mul(g, p)] for p in payloads] for g in gens]
+        size = len(payloads)
         self.rmul = [[index[mul(p, g)] for p in payloads] for g in gens]
         self.length = [group._length(p) for p in payloads]
-        self.inv = [index[group._inv(p)] for p in payloads]
+        self.inv = inv = [index[group._inv(p)] for p in payloads]
+        # s x = (x^-1 s)^-1
+        self.lmul = [[inv[row[inv[x]]] for x in range(size)] for row in self.rmul]
         self.e = index[group.identity.payload]
         self.w0 = index[group.longest_element.payload]
-        size = len(payloads)
         ldesc = [0] * size
         rdesc = [0] * size
         for x in range(size):
@@ -108,14 +109,23 @@ class GarsideTable:
                     rdesc[x] |= 1 << s
         self.ldesc = ldesc
         self.rdesc = rdesc
-        w0p = group.longest_element.payload
-        self.tau = [index[mul(mul(w0p, p), w0p)] for p in payloads]
+        # tau(s) = w0 s w0 is the generator t with s w0 = w0 t; then
+        # tau(x) = tau(x s) tau(s) for a right descent s of x, and ids run
+        # in length order, so tau(x s) is already known
+        below_w0 = {row[self.w0]: t for t, row in enumerate(self.rmul)}
+        tau_gen = [below_w0[row[self.w0]] for row in self.lmul]
+        tau = [self.e] * size
+        for x in range(size):
+            if x != self.e:
+                mask = rdesc[x]
+                s = (mask & -mask).bit_length() - 1
+                tau[x] = self.rmul[tau_gen[s]][tau[self.rmul[s][x]]]
+        self.tau = tau
         self.gen_ids = [index[g] for g in gens]
         self.w0s = [self.rmul[s][self.w0] for s in range(self.n)]
-        self.tau_letters = tuple(
-            self.gen_ids.index(self.tau[self.gen_ids[s]]) + 1 for s in range(self.n)
-        )
+        self.tau_letters = tuple(t + 1 for t in tau_gen)
         self._words: list[tuple[int, ...] | None] = [None] * size
+        self._rlen = [-1] * size
 
     def element(self, x: int) -> CoxeterElement:
         return CoxeterElement(self.group, self.payloads[x])
@@ -137,6 +147,23 @@ class GarsideTable:
             cached = tuple(out)
             self._words[x] = cached
         return cached
+
+    def rlen(self, x: int) -> int:
+        """Reflection length of the element with id x, from the group's memo."""
+        r = self._rlen[x]
+        if r < 0:
+            r = self._rlen[x] = self.group._rlen(self.payloads[x])
+        return r
+
+    def mul(self, x: int, y: int) -> int:
+        """Id of the product x y, folding the word of y into x."""
+        for s in self.word(y):
+            x = self.rmul[s - 1][x]
+        return x
+
+    def abs_divides(self, x: int, y: int) -> bool:
+        """Whether x divides y in absolute order: l_T(x) + l_T(x^-1 y) = l_T(y)."""
+        return self.rlen(x) + self.rlen(self.mul(self.inv[x], y)) == self.rlen(y)
 
     def renorm(self, x: int, y: int) -> tuple[int, int]:
         """Slide left descents of y that are not right descents of x."""
@@ -217,13 +244,6 @@ def _letters_of_nf_ids(table: GarsideTable, nf: tuple[int, tuple[int, ...]]) -> 
     for f in F:
         out.extend(table.word(f))
     return tuple(out)
-
-
-def _nf_inv_ids(
-    table: GarsideTable, nf: tuple[int, tuple[int, ...]]
-) -> tuple[int, tuple[int, ...]]:
-    letters = _letters_of_nf_ids(table, nf)
-    return _nf_ids(table, tuple(-l for l in reversed(letters)))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,151 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 
-from coxbraid.coxeter import CoxeterElement, CoxeterGroup
+from coxbraid.coxeter import (
+    CoxeterElement,
+    CoxeterGroup,
+    IntegrityError,
+    _moved_rank_f4,
+    _moved_rank_h3,
+    _Q_OPS,
+    _rank_of_rows,
+    abs_divides,
+    standard_coxeter_elements,
+)
+
+
+# Every group the parametrized tests of the package cover, as
+# (family, rank, m); differential tests of the group tables run on all.
+COVERED_GROUPS = [
+    ("A", 1, None), ("A", 2, None), ("A", 3, None), ("A", 4, None), ("A", 5, None),
+    ("B", 2, None), ("B", 3, None), ("B", 4, None), ("D", 4, None),
+    ("I2", 2, 5), ("I2", 2, 6), ("I2", 2, 7), ("I2", 2, 8), ("I2", 2, 9),
+    ("H3", 3, None), ("F4", 4, None),
+]
+
+
+# ---------------------------------------------------------------------------
+# lengths by search and by linear algebra
+
+
+@lru_cache(maxsize=None)
+def _cayley_distances(group: CoxeterGroup, by_reflections: bool) -> dict:
+    """Distance from the identity in the Cayley graph of the generators
+    or of all reflections, by breadth first search over payloads."""
+    if by_reflections:
+        steps = [t.payload for t in group.reflections]
+    else:
+        steps = list(group._gen_payloads)
+    dist = {group.identity.payload: 0}
+    frontier = [group.identity.payload]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for step in steps:
+                q = group._mul(p, step)
+                if q not in dist:
+                    dist[q] = dist[p] + 1
+                    nxt.append(q)
+        frontier = nxt
+    return dist
+
+
+def length_by_search(w: CoxeterElement) -> int:
+    """Word length via breadth first search over the Cayley graph."""
+    return _cayley_distances(w.group, False)[w.payload]
+
+
+def reflection_length_by_search(w: CoxeterElement) -> int:
+    """Reflection length via breadth first search over the reflection Cayley graph."""
+    return _cayley_distances(w.group, True)[w.payload]
+
+
+def fixed_space_corank(w: CoxeterElement) -> int:
+    """Codimension of the fixed space in the reflection representation.
+
+    Exact linear algebra over Q or Q(phi).  Available for every family
+    except the dihedral one, whose natural matrices are not rational.
+    """
+    fam = w.group.type.family
+    p = w.payload
+    if fam == "A":
+        n1 = len(p)
+        rows = [
+            [Fraction((1 if p[c] == r + 1 else 0) - (1 if r == c else 0)) for c in range(n1)]
+            for r in range(n1)
+        ]
+        return _rank_of_rows(rows, _Q_OPS)
+    if fam in ("B", "D"):
+        n = len(p)
+        rows = []
+        for r in range(n):
+            row = []
+            for c in range(n):
+                e = 0
+                if abs(p[c]) == r + 1:
+                    e = 1 if p[c] > 0 else -1
+                if r == c:
+                    e -= 1
+                row.append(Fraction(e))
+            rows.append(row)
+        return _rank_of_rows(rows, _Q_OPS)
+    if fam == "H3":
+        return _moved_rank_h3(p)
+    if fam == "F4":
+        return _moved_rank_f4(p)
+    raise ValueError(f"family {fam} has no rational matrix model")
+
+
+# ---------------------------------------------------------------------------
+# absolute order on payloads
+
+
+def abs_divides_by_search(x: CoxeterElement, y: CoxeterElement) -> bool:
+    """The definition of absolute order, with reflection lengths by search."""
+    return (
+        reflection_length_by_search(x) + reflection_length_by_search(x.inverse() * y)
+        == reflection_length_by_search(y)
+    )
+
+
+def divisors_of_payload(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
+    """Divisors of c by breadth first search on payloads, sorted by level."""
+    if c not in standard_coxeter_elements(c.group):
+        raise ValueError("expected a standard Coxeter element")
+    group = c.group
+    T = group.reflections
+    level: set[CoxeterElement] = {group.identity}
+    out = [group.identity]
+    for k in range(c.reflection_length()):
+        nxt: set[CoxeterElement] = set()
+        for x in level:
+            for t in T:
+                y = x * t
+                if y.reflection_length() == k + 1 and abs_divides(y, c):
+                    nxt.add(y)
+        level = nxt
+        out.extend(sorted(nxt, key=lambda w: w.sort_key()))
+    return tuple(out)
+
+
+def t_reduced_factorization_payload(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
+    """Greedy minimal reflection factorisation of x on payloads: the first
+    reflection of T that divides the remainder, at each step."""
+    group = x.group
+    out = []
+    cur = x
+    while not cur.is_identity():
+        for t in group.reflections:
+            if abs_divides(t, cur):
+                out.append(t)
+                cur = t * cur
+                break
+        else:
+            raise IntegrityError("no reflection divides a nonidentity element")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

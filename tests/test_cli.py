@@ -270,3 +270,26 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["count", "--type", "A"])
+
+
+def test_integrity_error_exit(capsys, monkeypatch):
+    import dataclasses
+
+    from coxbraid.coxeter import IntegrityError
+    from coxbraid.verify import CHECKS
+
+    def broken(group, coxeter=None, workers=1):
+        raise IntegrityError("two paths disagree")
+
+    spec = CHECKS["thm-5.13"]
+    monkeypatch.setitem(CHECKS, "thm-5.13", dataclasses.replace(spec, fn=broken))
+    code, out, err = run(capsys, "verify", "thm-5.13", "--type", "A", "--rank", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "integrity error: two paths disagree\n"
+    code, out, err = run(
+        capsys, "verify", "thm-5.13", "--type", "A", "--rank", "2", "--json", "-"
+    )
+    assert code == 4
+    assert json.loads(out) == {"error": "IntegrityError", "message": "two paths disagree"}
+    assert err.count("\n") == 1

@@ -11,10 +11,7 @@ from coxbraid.coxeter import (
     bruhat_lower_interval,
     coxeter_element_orderings,
     coxeter_group,
-    fixed_space_corank,
-    length_by_search,
     reduced_words,
-    reflection_length_by_search,
     reflections_from_coxeter,
     standard_coxeter_elements,
     type_b_element_embedding,
@@ -79,8 +76,8 @@ def test_word_round_trips(family, rank, m):
 def test_descents_and_search_lengths(family, rank, m):
     group = coxeter_group(family, rank, m=m)
     for w in group.elements():
-        assert length_by_search(w) == w.length()
-        assert reflection_length_by_search(w) == w.reflection_length()
+        assert oracles.length_by_search(w) == w.length()
+        assert oracles.reflection_length_by_search(w) == w.reflection_length()
         for i in range(1, group.rank + 1):
             s = group.generator(i)
             assert (i in w.left_descents()) == ((s * w).length() < w.length())
@@ -192,7 +189,7 @@ def test_reduced_words_of_longest_element():
 def test_fixed_space_corank_is_reflection_length():
     for group in (coxeter_group("B", 3), coxeter_group("A", 3)):
         for w in group.elements():
-            assert fixed_space_corank(w) == w.reflection_length()
+            assert oracles.fixed_space_corank(w) == w.reflection_length()
 
 
 def test_type_b_embedding_is_a_homomorphism():

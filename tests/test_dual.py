@@ -24,7 +24,7 @@ from coxbraid.dual import (
     type_b_absolute_order_embedding_check,
     verify_dual_relations,
 )
-from coxbraid.garside import braid_equal, is_rational_permutation
+from coxbraid.garside import braid_equal, garside_table, is_rational_permutation
 
 import oracles
 
@@ -261,3 +261,34 @@ def test_type_b_absolute_order_embedding(rank):
     group = coxeter_group("B", rank)
     for c in standard_coxeter_elements(group):
         assert type_b_absolute_order_embedding_check(c)
+
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_id_divisibility_matches_definition(family, rank, m):
+    """Absolute order on table ids against reflection lengths by search:
+    all pairs in groups of at most 120 elements, all (x, c) otherwise."""
+    group = coxeter_group(family, rank, m=m)
+    table = garside_table(group)
+    els = group.elements()
+    if len(els) <= 120:
+        tops = els
+    else:
+        tops = standard_coxeter_elements(group)
+    for y in tops:
+        yid = table.id_of(y)
+        for xid, x in enumerate(els):
+            assert table.abs_divides(xid, yid) == oracles.abs_divides_by_search(x, y)
+    for c in standard_coxeter_elements(group):
+        dm = dual_monoid(c)
+        for x in els:
+            assert dm.contains(x) == oracles.abs_divides_by_search(x, c)
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_divisors_and_factorizations_match_payload_versions(family, rank, m):
+    group = coxeter_group(family, rank, m=m)
+    for c in standard_coxeter_elements(group):
+        assert divisors_of(c) == oracles.divisors_of_payload(c)
+    for x in group.elements():
+        assert t_reduced_factorization(x) == oracles.t_reduced_factorization_payload(x)

@@ -14,6 +14,7 @@ from coxbraid.garside import (
     delta_twist,
     embed_braid_b_to_a,
     fraction_form,
+    garside_table,
     is_rational_permutation,
     is_square_free,
     is_tau_fixed,
@@ -222,3 +223,39 @@ def test_braid_word_validation():
     with pytest.raises(ValueError):
         BraidWord(group, (1,)) * BraidWord(coxeter_group("A", 3), (1,))
     assert BraidWord.from_json(BraidWord(group, (1, -2)).to_json()).letters == (1, -2)
+
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_table_matches_payload_arithmetic(family, rank, m):
+    """The derived left products and twists equal products of payloads."""
+    group = coxeter_group(family, rank, m=m)
+    table = garside_table(group)
+    P = table.payloads
+    mul = group._mul
+    w0 = group.longest_element.payload
+    for x, p in enumerate(P):
+        for s, g in enumerate(group._gen_payloads):
+            assert P[table.lmul[s][x]] == mul(g, p)
+            assert P[table.rmul[s][x]] == mul(p, g)
+        assert P[table.tau[x]] == mul(mul(w0, p), w0)
+        assert P[table.inv[x]] == group._inv(p)
+    for s in range(rank):
+        assert table.gen_ids[table.tau_letters[s] - 1] == table.tau[table.gen_ids[s]]
+    rng = random.Random(rank * 31 + (m or 0))
+    size = len(P)
+    if size <= 120:
+        pairs = [(x, y) for x in range(size) for y in range(size)]
+    else:
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(3000)]
+    for x, y in pairs:
+        assert P[table.mul(x, y)] == mul(P[x], P[y])
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_table_reflection_length_matches_search(family, rank, m):
+    group = coxeter_group(family, rank, m=m)
+    table = garside_table(group)
+    for x, w in enumerate(group.elements()):
+        assert table.rlen(x) == oracles.reflection_length_by_search(w)
+        assert w.reflection_length() == table.rlen(x)
