@@ -1,24 +1,34 @@
 """The Temperley Lieb quotient of the type A Hecke algebra.
 
 Basis elements are planar diagrams: noncrossing perfect matchings of
-n+1 top and n+1 bottom points.  Multiplication stacks diagrams and each
-closed loop contributes a factor v + v^-1.  The generator image b_s is
-the cup and cap diagram, products b_w over reduced words of fully
-commutative elements are single diagrams, and those diagrams exhaust
-the matchings, which is how elements are expanded on the {b_w} basis.
+m = n+1 top and m bottom points.  Multiplication stacks diagrams and each
+closed loop contributes a factor v + v^-1.
+
+All products run on a diagram table per m, built on first use and never
+at import: the Catalan(m) noncrossing matchings, validated once and
+numbered, and the right action of every generator diagram b_s on them as
+(diagram id, closed loops).  The table also keeps, for every diagram, a
+shortest word in the generators whose product is that diagram with no
+loop, so stacking d on any diagram folds d along that word.  The images
+of T_s and of the braid generators are scalar plus scalar times b_s, so
+theta, theta_prime and omega fold along a word through the same action.
+The products b_w over reduced words of fully commutative elements are
+single diagrams and exhaust the matchings, which is how elements are
+expanded on the {b_w} basis.
 
 Two quotient maps from the Hecke algebra are provided, theta and
 theta_prime, together with the braid group map omega = theta_prime
 after a'.  The images of the simple dual braids of a standard Coxeter
 element assemble into the Zinno matrix, whose triangularity, unit
-determinant and sign alternating positivity are checked here.
+determinant and sign alternating positivity are checked here; its rows
+are computed once per Coxeter element and ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .coxeter import (
     CoxeterElement,
@@ -34,6 +44,7 @@ from .laurent import LaurentPolynomial
 
 _ZERO = LaurentPolynomial.zero()
 _ONE = LaurentPolynomial.one()
+_MINUS_ONE = LaurentPolynomial.constant(-1)
 _DELTA = LaurentPolynomial.of({1: 1, -1: 1})
 
 
@@ -83,55 +94,102 @@ def cup_cap_diagram(m: int, i: int) -> TLDiagram:
     return TLDiagram(2 * m, tuple(pairing))
 
 
-def _compose_diagrams(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, int]:
-    """Stack d1 over d2; returns the resulting diagram and the loop count."""
-    if d1.points != d2.points:
-        raise ValueError("diagrams of different sizes")
-    m = d1.points // 2
-    layers = (d1.pairing, d2.pairing)
+# ---------------------------------------------------------------------------
+# the diagram table
 
-    def glued(node: tuple[int, int]) -> tuple[int, int] | None:
-        layer, idx = node
-        if layer == 0 and idx >= m:
-            return (1, 2 * m - 1 - idx)
-        if layer == 1 and idx < m:
-            return (0, 2 * m - 1 - idx)
-        return None
 
-    ext_index = {}
-    for i in range(m):
-        ext_index[(0, i)] = i
-    for c in range(m, 2 * m):
-        ext_index[(1, c)] = c
+def _noncrossing(lo: int, hi: int) -> list[list[tuple[int, int]]]:
+    """Every noncrossing perfect matching of the points lo..hi-1, as chords."""
+    if lo == hi:
+        return [[]]
+    out = []
+    for j in range(lo + 1, hi, 2):
+        for inner in _noncrossing(lo + 1, j):
+            for outer in _noncrossing(j + 1, hi):
+                out.append([(lo, j), *inner, *outer])
+    return out
 
-    seen: set[tuple[int, int]] = set()
-    result = [-1] * (2 * m)
-    for start in ext_index:
-        if start in seen:
-            continue
-        seen.add(start)
-        cur = (start[0], layers[start[0]][start[1]])
-        while cur not in ext_index:
-            seen.add(cur)
-            mid = glued(cur)
-            seen.add(mid)
-            cur = (mid[0], layers[mid[0]][mid[1]])
-        seen.add(cur)
-        a, b = ext_index[start], ext_index[cur]
-        result[a], result[b] = b, a
-    loops = 0
-    for layer in (0, 1):
-        for idx in range(2 * m):
-            node = (layer, idx)
-            if node in seen or glued(node) is None:
-                continue
-            loops += 1
-            while node not in seen:
-                seen.add(node)
-                partner = (node[0], layers[node[0]][node[1]])
-                seen.add(partner)
-                node = glued(partner)
-    return TLDiagram(2 * m, tuple(result)), loops
+
+class _DiagramTable:
+    """The diagrams on 2m points, numbered, with the generator actions.
+
+    ``right[i - 1][d]`` is ``(d', loops)``: diagram d stacked over the
+    generator diagram at i gives d' and ``loops`` closed loops.
+    ``words[d]`` is a shortest word whose generator diagrams multiply to
+    d with no loop.
+    """
+
+    def __init__(self, m: int) -> None:
+        points = 2 * m
+        diagrams = []
+        for chords in _noncrossing(0, points):
+            pairing = [0] * points
+            for a, b in chords:
+                pairing[a], pairing[b] = b, a
+            diagrams.append(TLDiagram(points, tuple(pairing)))
+        self.m = m
+        self.diagrams = tuple(diagrams)
+        self._ids = {d.pairing: k for k, d in enumerate(diagrams)}
+        self.identity = self._ids[tuple(points - 1 - j for j in range(points))]
+        self.right = tuple(
+            tuple(self._stack_generator(d.pairing, i) for d in diagrams)
+            for i in range(1, m)
+        )
+        self.words = self._shortest_words()
+
+    def _stack_generator(self, p: tuple[int, ...], i: int) -> tuple[int, int]:
+        # the generator's top cup joins the bottom points of p at positions
+        # i-1 and i, and its bottom cap becomes the new chord between them
+        a, b = 2 * self.m - i, 2 * self.m - 1 - i
+        x, y = p[a], p[b]
+        if x == b:
+            return self._ids[p], 1
+        q = list(p)
+        q[x], q[y], q[a], q[b] = y, x, b, a
+        got = self._ids.get(tuple(q))
+        if got is None:
+            raise IntegrityError("a generator action left the diagram table")
+        return got, 0
+
+    def _shortest_words(self) -> tuple[tuple[int, ...], ...]:
+        words = {self.identity: ()}
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for d in frontier:
+                for i, act in enumerate(self.right, 1):
+                    e, loops = act[d]
+                    if not loops and e not in words:
+                        words[e] = words[d] + (i,)
+                        nxt.append(e)
+            frontier = nxt
+        if len(words) != len(self.diagrams):
+            raise IntegrityError("the generators do not reach every diagram")
+        return tuple(words[d] for d in range(len(self.diagrams)))
+
+    def id_of(self, d: TLDiagram) -> int:
+        if d.points != 2 * self.m:
+            raise ValueError("diagrams of different sizes")
+        return self._ids[d.pairing]
+
+    def fold(self, d: int, word: Iterable[int]) -> tuple[int, int]:
+        """Stack d over the generator diagrams of word: (diagram, loops)."""
+        loops = 0
+        for i in word:
+            d, k = self.right[i - 1][d]
+            loops += k
+        return d, loops
+
+
+@cache
+def _diagram_table(m: int) -> _DiagramTable:
+    return _DiagramTable(m)
+
+
+def _on_diagrams(
+    points: int, table: _DiagramTable, x: Mapping[int, LaurentPolynomial]
+) -> "TLElement":
+    return TLElement(points, {table.diagrams[d]: c for d, c in x.items()})
 
 
 class TLElement:
@@ -196,16 +254,18 @@ class TLElement:
 def tl_mul(a: TLElement, b: TLElement) -> TLElement:
     if a.points != b.points:
         raise ValueError("elements of different algebras")
-    acc: dict[TLDiagram, LaurentPolynomial] = {}
-    for d1, c1 in a.coeffs.items():
-        for d2, c2 in b.coeffs.items():
-            d, loops = _compose_diagrams(d1, d2)
+    table = _diagram_table(a.points // 2)
+    acc: dict[int, LaurentPolynomial] = {}
+    for d2, c2 in b.coeffs.items():
+        word = table.words[table.id_of(d2)]
+        for d1, c1 in a.coeffs.items():
+            d, loops = table.fold(table.id_of(d1), word)
             c = c1 * c2
             for _ in range(loops):
                 c = c * _DELTA
             got = acc.get(d)
             acc[d] = c if got is None else got + c
-    return TLElement(a.points, acc)
+    return _on_diagrams(a.points, table, acc)
 
 
 def j_tl(x: TLElement) -> TLElement:
@@ -237,89 +297,100 @@ def fully_commutative(n: int) -> tuple[CoxeterElement, ...]:
 
 
 @cache
-def _b_w_table(n: int) -> dict[CoxeterElement, TLDiagram]:
-    """The diagram of b_w for every fully commutative w, with both checks.
+def _b_w_table(n: int) -> dict[CoxeterElement, int]:
+    """The diagram id of b_w for every fully commutative w, with three checks.
 
     The product over a reduced word must come out as a single diagram
-    with coefficient one, and a second reduced word, when the element
-    has one, must reproduce it.
+    with no loop, a second reduced word, when the element has one, must
+    reproduce it, and distinct elements must give distinct diagrams.
     """
-    m = n + 1
-    table: dict[CoxeterElement, TLDiagram] = {}
+    table = _diagram_table(n + 1)
+    out: dict[CoxeterElement, int] = {}
     for w in fully_commutative(n):
-        words = reduced_words(w)
         diagrams = set()
-        for word in words[:2]:
-            el = TLElement.unit(m)
-            for i in word:
-                el = tl_mul(el, TLElement(2 * m, {cup_cap_diagram(m, i): _ONE}))
-            if len(el.coeffs) != 1 or next(iter(el.coeffs.values())) != _ONE:
+        for word in reduced_words(w)[:2]:
+            d, loops = table.fold(table.identity, word)
+            if loops:
                 raise IntegrityError("b_w is not a single bare diagram")
-            diagrams.add(next(iter(el.coeffs)))
+            diagrams.add(d)
         if len(diagrams) != 1:
             raise IntegrityError("b_w depends on the chosen reduced word")
-        table[w] = diagrams.pop()
-    if len(set(table.values())) != len(table):
+        out[w] = diagrams.pop()
+    if len(set(out.values())) != len(out):
         raise IntegrityError("distinct elements share a diagram")
-    return table
+    return out
 
 
 def b_w(w: CoxeterElement) -> TLElement:
     """The basis element of a fully commutative w."""
     if w.group.type.family != "A":
         raise ValueError("expected a type A element")
-    table = _b_w_table(w.group.rank)
-    if w not in table:
+    ids = _b_w_table(w.group.rank)
+    if w not in ids:
         raise ValueError("element is not fully commutative")
-    return TLElement(2 * (w.group.rank + 1), {table[w]: _ONE})
+    m = w.group.rank + 1
+    return _on_diagrams(2 * m, _diagram_table(m), {ids[w]: _ONE})
 
 
 @cache
-def _diagram_to_fc(n: int) -> dict[TLDiagram, CoxeterElement]:
-    return {d: w for w, d in _b_w_table(n).items()}
+def _fc_of_diagram(n: int) -> tuple[CoxeterElement, ...]:
+    """The fully commutative element of each diagram id."""
+    by_id = {d: w for w, d in _b_w_table(n).items()}
+    if len(by_id) != len(_diagram_table(n + 1).diagrams):
+        raise IntegrityError("diagram outside the b_w basis")
+    return tuple(by_id[d] for d in range(len(by_id)))
 
 
 def expand_in_b(x: TLElement) -> dict[CoxeterElement, LaurentPolynomial]:
     """Coordinates of a TL element on the {b_w} basis."""
-    n = x.points // 2 - 1
-    lookup = _diagram_to_fc(n)
-    out = {}
-    for d, c in x.coeffs.items():
-        w = lookup.get(d)
-        if w is None:
-            raise IntegrityError("diagram outside the b_w basis")
-        out[w] = c
-    return out
+    table = _diagram_table(x.points // 2)
+    fc = _fc_of_diagram(table.m - 1)
+    return {fc[table.id_of(d)]: c for d, c in x.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------
 # the quotient maps
 
+# The images of T_s under theta and theta_prime, and of the braid generator
+# and its inverse under omega, as (scalar, coefficient of b_s).
+_THETA_T = (_MINUS_ONE, LaurentPolynomial.v_power(-1))
+_THETA_PRIME_T = (LaurentPolynomial.v_power(-2), LaurentPolynomial.v_power(-1, -1))
+_OMEGA_POS = (LaurentPolynomial.v_power(-1), _MINUS_ONE)
+_OMEGA_NEG = (LaurentPolynomial.v_power(1), _MINUS_ONE)
+
+
+def _fold_word(
+    m: int, word: Iterable[tuple[int, tuple[LaurentPolynomial, LaurentPolynomial]]]
+) -> TLElement:
+    """The product of scalar + coeff * b_s over (s, (scalar, coeff)) in word."""
+    table = _diagram_table(m)
+    x = {table.identity: _ONE}
+    for i, (scalar, coeff) in word:
+        act = table.right[i - 1]
+        looped = coeff * _DELTA
+        out: dict[int, LaurentPolynomial] = {}
+        for d, c in x.items():
+            term = c * scalar
+            got = out.get(d)
+            out[d] = term if got is None else got + term
+            e, loops = act[d]
+            term = c * (looped if loops else coeff)
+            got = out.get(e)
+            out[e] = term if got is None else got + term
+        x = {d: c for d, c in out.items() if c}
+    return _on_diagrams(2 * m, table, x)
+
 
 @cache
 def _theta_t(w: CoxeterElement) -> TLElement:
     """theta(T_w), folded along a reduced word."""
-    m = w.group.rank + 1
-    el = TLElement.unit(m)
-    for i in w.reduced_word():
-        gen = TLElement(
-            2 * m, {cup_cap_diagram(m, i): LaurentPolynomial.v_power(-1)}
-        ) + TLElement.unit(m).scale(-1)
-        el = tl_mul(el, gen)
-    return el
+    return _fold_word(w.group.rank + 1, ((i, _THETA_T) for i in w.reduced_word()))
 
 
 @cache
 def _theta_prime_t(w: CoxeterElement) -> TLElement:
     """theta_prime(T_w), folded along a reduced word."""
-    m = w.group.rank + 1
-    el = TLElement.unit(m)
-    for i in w.reduced_word():
-        gen = TLElement.unit(m).scale(LaurentPolynomial.v_power(-2)) + TLElement(
-            2 * m, {cup_cap_diagram(m, i): LaurentPolynomial.of({-1: -1})}
-        )
-        el = tl_mul(el, gen)
-    return el
+    return _fold_word(w.group.rank + 1, ((i, _THETA_PRIME_T) for i in w.reduced_word()))
 
 
 def theta(h: HeckeElement) -> TLElement:
@@ -348,15 +419,10 @@ def omega(b: BraidWord) -> TLElement:
     """The braid group map sending a generator to v^-1 - b_s."""
     if b.group.type.family != "A":
         raise ValueError("expected a type A braid")
-    m = b.group.rank + 1
-    out = TLElement.unit(m)
-    for l in b.letters:
-        scalar = LaurentPolynomial.v_power(-1 if l > 0 else 1)
-        gen = TLElement.unit(m).scale(scalar) + TLElement(
-            2 * m, {cup_cap_diagram(m, abs(l)): LaurentPolynomial.constant(-1)}
-        )
-        out = tl_mul(out, gen)
-    return out
+    return _fold_word(
+        b.group.rank + 1,
+        ((abs(l), _OMEGA_POS if l > 0 else _OMEGA_NEG) for l in b.letters),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,27 +510,28 @@ def _greedy_pairing(
     return tuple(order)
 
 
-def zinno_matrix(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> ZinnoMatrix:
+@cache
+def _zinno_rows(
+    c: CoxeterElement, ordering: tuple[int, ...] | None
+) -> tuple[tuple[CoxeterElement, dict[CoxeterElement, LaurentPolynomial]], ...]:
+    """Each divisor x of c with the {b_w} coordinates of omega of its dual
+    braid, ordered by reflection length; shared by every Zinno check."""
     if c.group.type.family != "A":
         raise ValueError("expected a type A element")
-    n = c.group.rank
     dm = dual_monoid(c, ordering)
-    rows = tuple(
-        sorted(dm.divisors(), key=lambda x: (x.reflection_length(), x.sort_key()))
-    )
+    rows = sorted(dm.divisors(), key=lambda x: (x.reflection_length(), x.sort_key()))
+    return tuple((x, expand_in_b(omega(dm.embed(x)))) for x in rows)
+
+
+def zinno_matrix(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> ZinnoMatrix:
+    rows = _zinno_rows(c, ordering)
     cols = tuple(
-        sorted(fully_commutative(n), key=lambda w: (w.length(), w.sort_key()))
+        sorted(fully_commutative(c.group.rank), key=lambda w: (w.length(), w.sort_key()))
     )
-    col_index = {w: j for j, w in enumerate(cols)}
-    entries = []
-    for x in rows:
-        coeffs = expand_in_b(omega(dm.embed(x)))
-        row = [_ZERO] * len(cols)
-        for w, p in coeffs.items():
-            row[col_index[w]] = p
-        entries.append(tuple(row))
-    entries = tuple(entries)
-    return ZinnoMatrix(c, rows, cols, entries, _greedy_pairing(entries))
+    entries = tuple(tuple(coeffs.get(w, _ZERO) for w in cols) for _, coeffs in rows)
+    return ZinnoMatrix(
+        c, tuple(x for x, _ in rows), cols, entries, _greedy_pairing(entries)
+    )
 
 
 def triangularity_check(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> dict:
@@ -483,6 +550,7 @@ def triangularity_check(c: CoxeterElement, ordering: tuple[int, ...] | None = No
         "triangular": zm.pairing is not None,
         "unit_diagonal": zm.invertible_over_laurent(),
         "bruhat_refined": None,
+        "size": len(zm.rows),
     }
     n = c.group.rank
     linear = c == c.group.from_word(range(1, n + 1))
@@ -507,13 +575,9 @@ def positivity_tl_report(c: CoxeterElement, ordering: tuple[int, ...] | None = N
     The coefficient of b_w in the image of each simple dual braid must
     lie in (-1)^{l(w)} N[v, v^-1].
     """
-    if c.group.type.family != "A":
-        raise ValueError("expected a type A element")
-    dm = dual_monoid(c, ordering)
     items = []
     all_ok = True
-    for x in sorted(dm.divisors(), key=lambda u: (u.reflection_length(), u.sort_key())):
-        coeffs = expand_in_b(omega(dm.embed(x)))
+    for x, coeffs in _zinno_rows(c, ordering):
         ok = all(
             (p * ((-1) ** w.length())).is_nonneg() for w, p in coeffs.items()
         )
@@ -532,7 +596,7 @@ def positivity_tl_report(c: CoxeterElement, ordering: tuple[int, ...] | None = N
         all_ok = all_ok and ok
     return {
         "group": c.group.type.to_json(),
-        "coxeter_element": list(dm.ordering),
+        "coxeter_element": list(dual_monoid(c, ordering).ordering),
         "items": items,
         "positive": all_ok,
     }

@@ -24,6 +24,10 @@ from coxbraid.coxeter import (
     abs_divides,
     standard_coxeter_elements,
 )
+from coxbraid.garside import BraidWord
+from coxbraid.hecke import HeckeElement
+from coxbraid.laurent import LaurentPolynomial
+from coxbraid.tl import TLDiagram, TLElement, cup_cap_diagram
 
 
 # Every group the parametrized tests of the package cover, as
@@ -469,3 +473,112 @@ def reduced_factorizations_brute(
 
     extend((), group.identity)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Temperley-Lieb products by stacking diagrams
+
+
+def compose_diagrams(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, int]:
+    """Stack d1 over d2 by walking strands; the diagram and the loop count."""
+    if d1.points != d2.points:
+        raise ValueError("diagrams of different sizes")
+    m = d1.points // 2
+    layers = (d1.pairing, d2.pairing)
+
+    def glued(node: tuple[int, int]) -> tuple[int, int] | None:
+        layer, idx = node
+        if layer == 0 and idx >= m:
+            return (1, 2 * m - 1 - idx)
+        if layer == 1 and idx < m:
+            return (0, 2 * m - 1 - idx)
+        return None
+
+    ext_index = {}
+    for i in range(m):
+        ext_index[(0, i)] = i
+    for c in range(m, 2 * m):
+        ext_index[(1, c)] = c
+
+    seen: set[tuple[int, int]] = set()
+    result = [-1] * (2 * m)
+    for start in ext_index:
+        if start in seen:
+            continue
+        seen.add(start)
+        cur = (start[0], layers[start[0]][start[1]])
+        while cur not in ext_index:
+            seen.add(cur)
+            mid = glued(cur)
+            seen.add(mid)
+            cur = (mid[0], layers[mid[0]][mid[1]])
+        seen.add(cur)
+        a, b = ext_index[start], ext_index[cur]
+        result[a], result[b] = b, a
+    loops = 0
+    for layer in (0, 1):
+        for idx in range(2 * m):
+            node = (layer, idx)
+            if node in seen or glued(node) is None:
+                continue
+            loops += 1
+            while node not in seen:
+                seen.add(node)
+                partner = (node[0], layers[node[0]][node[1]])
+                seen.add(partner)
+                node = glued(partner)
+    return TLDiagram(2 * m, tuple(result)), loops
+
+
+def tl_mul_by_stacking(a: TLElement, b: TLElement) -> TLElement:
+    """The product of two TL elements, one diagram stacking per pair of terms."""
+    if a.points != b.points:
+        raise ValueError("elements of different algebras")
+    delta = LaurentPolynomial.of({1: 1, -1: 1})
+    acc: dict[TLDiagram, LaurentPolynomial] = {}
+    for d1, c1 in a.coeffs.items():
+        for d2, c2 in b.coeffs.items():
+            d, loops = compose_diagrams(d1, d2)
+            c = c1 * c2
+            for _ in range(loops):
+                c = c * delta
+            acc[d] = acc.get(d, LaurentPolynomial.zero()) + c
+    return TLElement(a.points, acc)
+
+
+def _fold_by_stacking(m: int, images) -> TLElement:
+    el = TLElement.unit(m)
+    for image in images:
+        el = tl_mul_by_stacking(el, image)
+    return el
+
+
+def _affine(m: int, i: int, scalar: LaurentPolynomial, coeff: LaurentPolynomial) -> TLElement:
+    """scalar + coeff * b_{s_i}, built from fresh diagrams."""
+    return TLElement.unit(m).scale(scalar) + TLElement(2 * m, {cup_cap_diagram(m, i): coeff})
+
+
+def omega_by_stacking(b: BraidWord) -> TLElement:
+    """omega with each generator v^-1 - b_s (its inverse v - b_s) stacked in turn."""
+    m = b.group.rank + 1
+    minus_one = LaurentPolynomial.constant(-1)
+    return _fold_by_stacking(
+        m,
+        (_affine(m, abs(l), LaurentPolynomial.v_power(-1 if l > 0 else 1), minus_one)
+         for l in b.letters),
+    )
+
+
+def theta_by_stacking(h: HeckeElement, prime: bool = False) -> TLElement:
+    """theta (T_s -> v^-1 b_s - 1) or theta_prime (T_s -> v^-2 - v^-1 b_s),
+    term by term along reduced words."""
+    m = h.group.rank + 1
+    if prime:
+        scalar, coeff = LaurentPolynomial.v_power(-2), LaurentPolynomial.v_power(-1, -1)
+    else:
+        scalar, coeff = LaurentPolynomial.constant(-1), LaurentPolynomial.v_power(-1)
+    out = TLElement(2 * m)
+    for w, c in h.coeffs.items():
+        image = _fold_by_stacking(m, (_affine(m, i, scalar, coeff) for i in w.reduced_word()))
+        out = out + image.scale(c)
+    return out

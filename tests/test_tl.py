@@ -1,5 +1,8 @@
 """Diagram algebra, the two quotient maps, and the change of basis matrix."""
 
+import math
+import random
+
 import pytest
 
 from coxbraid.coxeter import (
@@ -15,6 +18,7 @@ from coxbraid.laurent import LaurentPolynomial as L
 from coxbraid.tl import (
     TLDiagram,
     TLElement,
+    _diagram_table,
     b_w,
     cup_cap_diagram,
     expand_in_b,
@@ -26,6 +30,7 @@ from coxbraid.tl import (
     positivity_tl_report,
     theta,
     theta_prime,
+    tl_mul,
     triangularity_check,
     zinno_matrix,
 )
@@ -76,6 +81,65 @@ def test_tl_relations():
                 assert u(m, i) * u(m, j) == u(m, j) * u(m, i)
             elif abs(i - j) == 1:
                 assert ui * u(m, j) * ui == ui
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_diagram_table_holds_every_matching_once(n):
+    m = n + 1
+    table = _diagram_table(m)
+    catalan = math.comb(2 * m, m) // (m + 1)
+    assert len(table.diagrams) == catalan == len(fully_commutative(n))
+    assert len(set(table.diagrams)) == catalan
+    assert table.diagrams[table.identity] == identity_diagram(m)
+    for d, diagram in enumerate(table.diagrams):
+        assert table.id_of(diagram) == d
+        assert table.fold(table.identity, table.words[d]) == (d, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_generator_action_matches_stacking(n):
+    m = n + 1
+    table = _diagram_table(m)
+    for s in range(1, m):
+        gen = cup_cap_diagram(m, s)
+        for d, diagram in enumerate(table.diagrams):
+            e, loops = table.right[s - 1][d]
+            assert oracles.compose_diagrams(diagram, gen) == (table.diagrams[e], loops)
+
+
+def _random_letters(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
+    return tuple(rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(length))
+
+
+def _random_element(rng: random.Random, m: int) -> TLElement:
+    """A sum of a few products of generator diagrams with random coefficients."""
+    out = TLElement(2 * m)
+    for _ in range(3):
+        term = TLElement.unit(m).scale(L.v_power(rng.randint(-2, 2), rng.choice((1, -2, 3))))
+        for _ in range(rng.randint(0, 4)):
+            term = oracles.tl_mul_by_stacking(term, u(m, rng.randint(1, m - 1)))
+        out = out + term
+    return out
+
+
+FIXED_WORDS = ((), (1,), (-1,), (1, 1), (1, 2, 1), (2, -1, 2), (-1, -2, -1, 1, 2, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_maps_match_the_stacking_fold(n):
+    group = coxeter_group("A", n)
+    m = n + 1
+    rng = random.Random(8000 + n)
+    words = list(FIXED_WORDS) + [_random_letters(rng, n, rng.randint(1, 8)) for _ in range(6)]
+    for word in words:
+        b = BraidWord(group, word)
+        assert omega(b) == oracles.omega_by_stacking(b)
+        h = braid_image_a(b)
+        assert theta(h) == oracles.theta_by_stacking(h)
+        assert theta_prime(h) == oracles.theta_by_stacking(h, prime=True)
+    for _ in range(4):
+        a, b = _random_element(rng, m), _random_element(rng, m)
+        assert tl_mul(a, b) == oracles.tl_mul_by_stacking(a, b)
 
 
 def test_element_arithmetic():
