@@ -186,38 +186,24 @@ def cmd_expand(args: argparse.Namespace) -> int:
         table = kl_table(group)
         coeffs = table.expand_in_C(braid_image_a(b))
         table.save_cache()
-        keyed = {
-            (",".join(map(str, w.reduced_word())) or "e"): str(p)
-            for w, p in sorted(
-                coeffs.items(), key=lambda kv: (kv[0].length(), kv[0].sort_key())
-            )
-        }
-        data = {
-            "group": group.type.to_json(),
-            "word": list(b.letters),
-            "basis": "C",
-            "coefficients": keyed,
-            "positive": all(p.is_nonneg() for p in coeffs.values()),
-        }
+        verdict = {"positive": all(p.is_nonneg() for p in coeffs.values())}
     else:
         from .tl import expand_in_b, omega
 
         coeffs = expand_in_b(omega(b))
-        keyed = {
+        verdict = {"sign_positive": all(
+            (p * ((-1) ** w.length())).is_nonneg() for w, p in coeffs.items()
+        )}
+    data = {
+        "group": group.type.to_json(),
+        "word": list(b.letters),
+        "basis": args.basis,
+        "coefficients": {
             (",".join(map(str, w.reduced_word())) or "e"): str(p)
-            for w, p in sorted(
-                coeffs.items(), key=lambda kv: (kv[0].length(), kv[0].sort_key())
-            )
-        }
-        data = {
-            "group": group.type.to_json(),
-            "word": list(b.letters),
-            "basis": "TL",
-            "coefficients": keyed,
-            "sign_positive": all(
-                (p * ((-1) ** w.length())).is_nonneg() for w, p in coeffs.items()
-            ),
-        }
+            for w, p in sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())
+        },
+        **verdict,
+    }
     _emit(data, args.json)
     return 0
 

@@ -1,16 +1,17 @@
 """The Iwahori Hecke algebra over Z[v, v^-1] and its canonical bases.
 
 Elements are stored on the standard basis {T_w} with exact Laurent
-coefficients, normalised by T_s^2 = (v^-2 - 1) T_s + v^-2.  The braid
-group maps in through a (generators to T_s) and its twist a', and the
-Kazhdan Lusztig machinery lives in KLTable: polynomials P_{y,w} in
-q = v^-2 computed by the classical recursion with mu corrections, the
-bases C'_w = v^{l(w)} sum P_{y,w}(v^-2) T_y and C_w = (-1)^{l(w)}
-j_H(C'_w), and triangular expansion of arbitrary elements in {C_w}.
+coefficients keyed by GarsideTable id, normalised by T_s^2 = (v^-2 - 1)
+T_s + v^-2.  Products fold through the table's rmul and length arrays on
+exponent -> coefficient int dicts updated in place.  The braid group maps
+in through a (generators to T_s) and its twist a', and the Kazhdan
+Lusztig machinery lives in KLTable: polynomials P_{y,w} in q = v^-2
+computed by the classical recursion with mu corrections, the bases
+C'_w = v^{l(w)} sum P_{y,w}(v^-2) T_y and C_w = (-1)^{l(w)} j_H(C'_w),
+and triangular expansion of arbitrary elements in {C_w} by id.
 
-Construction of a KLTable is single writer.  Sweeps that expand many
-elements in parallel should call prepare() with the support they will
-touch first; afterwards the table is only read.
+KLTable memos are written once per key with values any caller computes
+identically; prepare() builds the C_w a threaded sweep will read.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from functools import cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .coxeter import (
@@ -28,7 +30,7 @@ from .coxeter import (
     bruhat_leq,
     bruhat_lower_interval,
 )
-from .garside import BraidWord
+from .garside import BraidWord, garside_table
 from .laurent import LaurentPolynomial
 
 KL_GROUP_ORDER_CAP = 1200
@@ -38,16 +40,65 @@ KL_CACHE_VERSION = 1
 _ZERO = LaurentPolynomial.zero()
 _ONE = LaurentPolynomial.one()
 _Q = LaurentPolynomial.v_power(1)
-_V2 = LaurentPolynomial.v_power(2)
-_V2_MINUS_1 = LaurentPolynomial.of({2: 1, 0: -1})
-_VM2 = LaurentPolynomial.v_power(-2)
-_VM2_MINUS_1 = LaurentPolynomial.of({-2: 1, 0: -1})
 
+# id -> (exponent -> nonzero coefficient), without empty rows
+Rows = dict[int, dict[int, int]]
+
+# Coefficients of (T_ws, T_w) in T_w T_s^-1 for ws > w, and in T_w T_s
+# for ws < w: v^2 T_ws + (v^2 - 1) T_w and v^-2 T_ws + (v^-2 - 1) T_w.
+_UP_INVERSE = (((2, 1),), ((0, -1), (2, 1)))
+_DOWN = (((-2, 1),), ((-2, 1), (0, -1)))
+_UNIT = ((0, 1),)
+
+
+def _addmul(rows: Rows, x: int, p: Iterable, q: Iterable) -> None:
+    """rows[x] += p * q in place, dropping zero terms and empty rows."""
+    got = rows.get(x)
+    if got is None:
+        got = rows[x] = {}
+    for e1, c1 in p:
+        for e2, c2 in q:
+            e = e1 + e2
+            c = got.get(e, 0) + c1 * c2
+            if c:
+                got[e] = c
+            else:
+                del got[e]
+    if not got:
+        del rows[x]
+
+
+def _mul_gen(table, rows: Rows, s: int, inverse: bool) -> Rows:
+    """Right multiplication by T_s, or its inverse, for the 0-based generator s."""
+    step = table.rmul[s]
+    length = table.length
+    out: Rows = {}
+    for w, p in rows.items():
+        ws = step[w]
+        if (length[ws] > length[w]) == inverse:
+            to_ws, to_w = _UP_INVERSE if inverse else _DOWN
+            _addmul(out, ws, p.items(), to_ws)
+            _addmul(out, w, p.items(), to_w)
+        else:
+            _addmul(out, ws, p.items(), _UNIT)
+    return out
+
+
+def _fold(table, rows: Rows, letters: Iterable[int]) -> Rows:
+    """Right multiply by T_s for each letter s and by T_s^-1 for each -s."""
+    for l in letters:
+        rows = _mul_gen(table, rows, abs(l) - 1, l < 0)
+    return rows
+
+
+def _poly(p: dict[int, int]) -> LaurentPolynomial:
+    return LaurentPolynomial._trusted(tuple(sorted(p.items())))
 
 class HeckeElement:
-    """A finitely supported Z[v, v^-1] combination of standard basis terms."""
+    """A finitely supported Z[v, v^-1] combination of standard basis terms,
+    stored by GarsideTable id in rows and keyed by element in coeffs."""
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "table", "rows")
 
     def __init__(
         self,
@@ -55,9 +106,19 @@ class HeckeElement:
         coeffs: Mapping[CoxeterElement, LaurentPolynomial] | None = None,
     ) -> None:
         self.group = group
-        self.coeffs: dict[CoxeterElement, LaurentPolynomial] = {
-            w: c for w, c in (coeffs or {}).items() if c
+        self.table = garside_table(group)
+        self.rows: dict[int, LaurentPolynomial] = {
+            self.table.id_of(w): c for w, c in (coeffs or {}).items() if c
         }
+
+    @staticmethod
+    def _wrap(group: CoxeterGroup, rows: Mapping[int, LaurentPolynomial]) -> "HeckeElement":
+        h = HeckeElement(group)
+        h.rows = {x: c for x, c in rows.items() if c}
+        return h
+
+    def _int_rows(self) -> Rows:
+        return {x: dict(c.terms) for x, c in self.rows.items()}
 
     @staticmethod
     def unit(group: CoxeterGroup) -> "HeckeElement":
@@ -67,22 +128,28 @@ class HeckeElement:
     def t_basis(w: CoxeterElement) -> "HeckeElement":
         return HeckeElement(w.group, {w: _ONE})
 
+    @property
+    def coeffs(self) -> Mapping[CoxeterElement, LaurentPolynomial]:
+        """The coefficients keyed by group element, read only."""
+        element = self.table.element
+        return MappingProxyType({element(x): c for x, c in self.rows.items()})
+
     def coeff(self, w: CoxeterElement) -> LaurentPolynomial:
-        return self.coeffs.get(w, _ZERO)
+        return self.rows.get(self.table.id_of(w), _ZERO)
 
     def support(self) -> frozenset[CoxeterElement]:
-        return frozenset(self.coeffs)
+        return frozenset(map(self.table.element, self.rows))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if self.group is not other.group:
             raise ValueError("elements of different algebras")
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            acc[w] = acc.get(w, _ZERO) + c
-        return HeckeElement(self.group, acc)
+        acc = dict(self.rows)
+        for x, c in other.rows.items():
+            acc[x] = acc.get(x, _ZERO) + c
+        return HeckeElement._wrap(self.group, acc)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + other.scale(-1)
@@ -93,7 +160,7 @@ class HeckeElement:
     def scale(self, factor: Union[LaurentPolynomial, int]) -> "HeckeElement":
         if isinstance(factor, int):
             factor = LaurentPolynomial.constant(factor)
-        return HeckeElement(self.group, {w: c * factor for w, c in self.coeffs.items()})
+        return HeckeElement._wrap(self.group, {x: c * factor for x, c in self.rows.items()})
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         return hecke_mul(self, other)
@@ -102,66 +169,35 @@ class HeckeElement:
         return (
             isinstance(other, HeckeElement)
             and self.group is other.group
-            and self.coeffs == other.coeffs
+            and self.rows == other.rows
         )
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.rows:
             return "HeckeElement(0)"
         bits = []
-        for w in sorted(self.coeffs, key=lambda u: (u.length(), u.sort_key())):
-            word = ",".join(map(str, w.reduced_word())) or "e"
-            bits.append(f"({self.coeffs[w]})T[{word}]")
+        for x in sorted(self.rows):
+            word = ",".join(map(str, self.table.word(x))) or "e"
+            bits.append(f"({self.rows[x]})T[{word}]")
         return "HeckeElement(" + " + ".join(bits) + ")"
-
-
-def _acc(
-    out: dict[CoxeterElement, LaurentPolynomial], w: CoxeterElement, c: LaurentPolynomial
-) -> None:
-    got = out.get(w)
-    out[w] = c if got is None else got + c
-
-
-def _mul_gen(h: HeckeElement, i: int, inverse: bool = False) -> HeckeElement:
-    """Right multiplication by T_s or its inverse, one generator at a time."""
-    s = h.group.generator(i)
-    out: dict[CoxeterElement, LaurentPolynomial] = {}
-    for w, c in h.coeffs.items():
-        ws = w * s
-        if ws.length() > w.length():
-            if inverse:
-                _acc(out, ws, c * _V2)
-                _acc(out, w, c * _V2_MINUS_1)
-            else:
-                _acc(out, ws, c)
-        else:
-            if inverse:
-                _acc(out, ws, c)
-            else:
-                _acc(out, w, c * _VM2_MINUS_1)
-                _acc(out, ws, c * _VM2)
-    return HeckeElement(h.group, out)
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     if a.group is not b.group:
         raise ValueError("elements of different algebras")
-    total: dict[CoxeterElement, LaurentPolynomial] = {}
-    for w, c in b.coeffs.items():
-        cur = a
-        for i in w.reduced_word():
-            cur = _mul_gen(cur, i)
-        for x, p in cur.coeffs.items():
-            _acc(total, x, p * c)
-    return HeckeElement(a.group, total)
+    table, start = a.table, a._int_rows()
+    total: Rows = {}
+    for y, c in b.rows.items():
+        for x, p in _fold(table, start, table.word(y)).items():
+            _addmul(total, x, p.items(), c.terms)
+    return HeckeElement._wrap(a.group, {x: _poly(p) for x, p in total.items()})
 
 
 def braid_image_a(b: BraidWord) -> HeckeElement:
     """The group morphism into units sending each generator to T_s."""
-    cur = HeckeElement.unit(b.group)
-    for l in b.letters:
-        cur = _mul_gen(cur, abs(l), inverse=l < 0)
-    return cur
+    table = garside_table(b.group)
+    rows = _fold(table, {table.e: {0: 1}}, b.letters)
+    return HeckeElement._wrap(b.group, {x: _poly(p) for x, p in rows.items()})
 
 
 def braid_image_a_prime(b: BraidWord) -> HeckeElement:
@@ -171,34 +207,43 @@ def braid_image_a_prime(b: BraidWord) -> HeckeElement:
 
 def j_h(h: HeckeElement) -> HeckeElement:
     """The semilinear involution with T_s mapped to -v^2 T_s."""
-    return HeckeElement(
+    length = h.table.length
+    return HeckeElement._wrap(
         h.group,
         {
-            w: c.bar().shifted(2 * w.length()) * ((-1) ** w.length())
-            for w, c in h.coeffs.items()
+            x: c.bar().shifted(2 * length[x]) * ((-1) ** length[x])
+            for x, c in h.rows.items()
         },
     )
 
 
 @cache
-def _bar_t(w: CoxeterElement) -> HeckeElement:
-    """bar(T_w): the product of the inverse generators along a reduced word."""
-    cur = HeckeElement.unit(w.group)
-    for i in w.reduced_word():
-        cur = _mul_gen(cur, i, inverse=True)
-    return cur
+def _bar_t(group: CoxeterGroup, x: int) -> HeckeElement:
+    """bar(T_w) for the element with id x: the inverse generators along a reduced word."""
+    return braid_image_a(BraidWord(group, tuple(-s for s in garside_table(group).word(x))))
 
 
 def bar_involution(h: HeckeElement) -> HeckeElement:
-    out = HeckeElement(h.group)
-    for w, c in h.coeffs.items():
-        out = out + _bar_t(w).scale(c.bar())
-    return out
+    total: Rows = {}
+    for x, c in h.rows.items():
+        for y, d in _bar_t(h.group, x).rows.items():
+            _addmul(total, y, d.terms, c.bar().terms)
+    return HeckeElement._wrap(h.group, {x: _poly(p) for x, p in total.items()})
 
 
 def _word_key(w: CoxeterElement) -> str:
     word = w.reduced_word()
     return ",".join(map(str, word)) if word else "e"
+
+
+def _plausible_kl(y: CoxeterElement, w: CoxeterElement, p: LaurentPolynomial) -> bool:
+    """Necessary conditions on a cached P_{y,w}: P_{w,w} = 1, zero unless
+    y <= w, else constant term 1, no negative coefficient or q power, and
+    2 deg <= l(w) - l(y) - 1."""
+    if y == w or not bruhat_leq(y, w):
+        return p == (_ONE if y == w else _ZERO)
+    return (p.coeff(0) == 1 and p.min_exp() == 0 and p.is_nonneg()
+            and 2 * p.max_exp() <= w.length() - y.length() - 1)
 
 
 class KLTable:
@@ -208,7 +253,8 @@ class KLTable:
     HeckeElements over v with q = v^-2 substituted.  Everything is
     memoised; an optional on disk cache (directory named by the
     environment variable COXBRAID_KL_CACHE) persists the polynomials
-    between runs, keyed by group descriptor and format version.
+    between runs, keyed by group descriptor and format version, and is
+    read only when every entry passes the checks of _plausible_kl.
     """
 
     def __init__(self, group: CoxeterGroup, cap: int = KL_GROUP_ORDER_CAP) -> None:
@@ -217,6 +263,7 @@ class KLTable:
                 f"group of order {group.type.order()} exceeds the table cap {cap}"
             )
         self.group = group
+        self.table = garside_table(group)
         self._p: dict[tuple, LaurentPolynomial] = {}
         self._cprime: dict[CoxeterElement, HeckeElement] = {}
         self._c: dict[CoxeterElement, HeckeElement] = {}
@@ -232,20 +279,28 @@ class KLTable:
     # -- persistence -------------------------------------------------------
 
     def _load_cache(self) -> None:
+        """Read all cached polynomials, or none if any entry fails _plausible_kl."""
         if not self._cache_path or not os.path.exists(self._cache_path):
             return
+        loaded = {}
         try:
             with open(self._cache_path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            if (data.get("version"), data.get("group")) != (
+                KL_CACHE_VERSION, self.group.type.label()
+            ):
+                return
+            for key, terms in data.get("p", {}).items():
+                ypart, wpart = key.split("|")
+                y = self.group.from_word(int(t) for t in ypart.split(",") if t)
+                w = self.group.from_word(int(t) for t in wpart.split(",") if t)
+                poly = LaurentPolynomial.from_json(terms)
+                if not _plausible_kl(y, w, poly):
+                    return
+                loaded[(y.payload, w.payload)] = poly
+        except (OSError, AttributeError, TypeError, ValueError):
             return
-        if data.get("version") != KL_CACHE_VERSION or data.get("group") != self.group.type.label():
-            return
-        for key, terms in data.get("p", {}).items():
-            ypart, wpart = key.split("|")
-            y = self.group.from_word(int(t) for t in ypart.split(",") if t)
-            w = self.group.from_word(int(t) for t in wpart.split(",") if t)
-            self._p[(y.payload, w.payload)] = LaurentPolynomial.from_json(terms)
+        self._p.update(loaded)
 
     def save_cache(self) -> None:
         """Write the memoised polynomials to the cache directory, if set."""
@@ -345,19 +400,22 @@ class KLTable:
     # -- expansion ---------------------------------------------------------
 
     def expand_in_C(self, h: HeckeElement) -> dict[CoxeterElement, LaurentPolynomial]:
-        """Coordinates of h on the basis {C_w}, by triangular elimination."""
+        """Coordinates of h on the basis {C_w}, in increasing id order, by
+        triangular elimination of the largest id, i.e. (length, sort_key)."""
         if h.group is not self.group:
             raise ValueError("element of a different algebra")
-        out: dict[CoxeterElement, LaurentPolynomial] = {}
-        work = h
-        while not work.is_zero():
-            w = max(work.coeffs, key=lambda u: (u.length(), u.sort_key()))
-            gamma = work.coeffs[w].shifted(-w.length())
-            out[w] = gamma
-            work = work - self.c_basis(w).scale(gamma)
-            if w in work.coeffs:
+        length, element = self.table.length, self.table.element
+        work = h._int_rows()
+        out: Rows = {}
+        while work:
+            x = max(work)
+            gamma = out[x] = {e - length[x]: c for e, c in work[x].items()}
+            minus_gamma = [(e, -c) for e, c in gamma.items()]
+            for y, c in self.c_basis(element(x)).rows.items():
+                _addmul(work, y, minus_gamma, c.terms)
+            if x in work:
                 raise IntegrityError("triangular elimination failed to clear a term")
-        return out
+        return {element(x): _poly(out[x]) for x in sorted(out)}
 
     def expansion_is_positive(self, h: HeckeElement) -> bool:
         return all(c.is_nonneg() for c in self.expand_in_C(h).values())
@@ -380,14 +438,11 @@ def positivity_report(
     all_ok = True
     worst = None
     for u in dm.divisors():
-        h = braid_image_a(dm.embed(u))
-        expansion = table.expand_in_C(h)
+        expansion = table.expand_in_C(braid_image_a(dm.embed(u)))
         ok = all(p.is_nonneg() for p in expansion.values())
         item = {
             "divisor": list(u.reduced_word()),
-            "coefficients": {_word_key(w): str(p) for w, p in sorted(
-                expansion.items(), key=lambda kv: (kv[0].length(), kv[0].sort_key())
-            )},
+            "coefficients": {_word_key(w): str(p) for w, p in expansion.items()},
             "positive": ok,
         }
         items.append(item)

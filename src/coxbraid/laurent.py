@@ -2,7 +2,9 @@
 
 The Hecke and Temperley Lieb layers work over Z[v, v^-1] throughout, so
 this is a small exact implementation: a sorted tuple of (exponent,
-coefficient) pairs with no zero entries.  Positivity means every stored
+coefficient) pairs with no zero entries.  The public constructor and
+from_json check that form; results of the arithmetic below have it by
+construction and skip the check.  Positivity means every stored
 coefficient is nonnegative.  The bar map inverts the variable and the
 power substitution v -> v^k implements the passage between the q and v
 normalisations of the Kazhdan Lusztig polynomials.
@@ -26,8 +28,15 @@ class LaurentPolynomial:
             raise ValueError("zero coefficients must not be stored")
 
     @staticmethod
+    def _trusted(terms: tuple[tuple[int, int], ...]) -> "LaurentPolynomial":
+        """Wrap terms already sorted by exponent, without repeats or zeros."""
+        p = object.__new__(LaurentPolynomial)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @staticmethod
     def of(mapping: Mapping[int, int]) -> "LaurentPolynomial":
-        return LaurentPolynomial(
+        return LaurentPolynomial._trusted(
             tuple(sorted((e, c) for e, c in mapping.items() if c != 0))
         )
 
@@ -85,7 +94,7 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(tuple((e, -c) for e, c in self.terms))
+        return LaurentPolynomial._trusted(tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, other: Union["LaurentPolynomial", int]) -> "LaurentPolynomial":
         if isinstance(other, int):
@@ -102,11 +111,11 @@ class LaurentPolynomial:
 
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by v^k."""
-        return LaurentPolynomial(tuple((e + k, c) for e, c in self.terms))
+        return LaurentPolynomial._trusted(tuple((e + k, c) for e, c in self.terms))
 
     def bar(self) -> "LaurentPolynomial":
         """Invert the variable."""
-        return LaurentPolynomial(tuple(sorted((-e, c) for e, c in self.terms)))
+        return LaurentPolynomial._trusted(tuple((-e, c) for e, c in reversed(self.terms)))
 
     def substituted_power(self, k: int) -> "LaurentPolynomial":
         """Substitute v -> v^k (for k = 0 this evaluates at 1)."""
@@ -142,7 +151,8 @@ class LaurentPolynomial:
 
     @staticmethod
     def from_json(data: Iterable[Iterable[int]]) -> "LaurentPolynomial":
-        return LaurentPolynomial.of({int(e): int(c) for e, c in data})
+        """Read to_json output; unsorted, repeated or zero terms raise ValueError."""
+        return LaurentPolynomial(tuple((int(e), int(c)) for e, c in data))
 
 
 _ZERO = LaurentPolynomial(())

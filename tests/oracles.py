@@ -22,6 +22,7 @@ from coxbraid.coxeter import (
     _Q_OPS,
     _rank_of_rows,
     abs_divides,
+    bruhat_lower_interval,
     standard_coxeter_elements,
 )
 from coxbraid.garside import BraidWord
@@ -581,4 +582,105 @@ def theta_by_stacking(h: HeckeElement, prime: bool = False) -> TLElement:
     for w, c in h.coeffs.items():
         image = _fold_by_stacking(m, (_affine(m, i, scalar, coeff) for i in w.reduced_word()))
         out = out + image.scale(c)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the Hecke algebra on CoxeterElement payloads
+#
+# Coefficients are dicts CoxeterElement -> LaurentPolynomial without zero
+# values; products, lengths and the elimination order come from payload
+# arithmetic, with no use of the integer tables.
+
+_L_ZERO = LaurentPolynomial.zero()
+_L_ONE = LaurentPolynomial.one()
+_V2 = LaurentPolynomial.v_power(2)
+_V2_MINUS_1 = LaurentPolynomial.of({2: 1, 0: -1})
+_VM2 = LaurentPolynomial.v_power(-2)
+_VM2_MINUS_1 = LaurentPolynomial.of({-2: 1, 0: -1})
+
+
+def _hecke_acc(out: dict, w: CoxeterElement, c: LaurentPolynomial) -> None:
+    total = out.get(w, _L_ZERO) + c
+    if total:
+        out[w] = total
+    else:
+        out.pop(w, None)
+
+
+def mul_gen_payload(coeffs: dict, i: int, inverse: bool = False) -> dict:
+    """Right multiplication by T_s or its inverse, s the generator i."""
+    out: dict = {}
+    for w, c in coeffs.items():
+        ws = w * w.group.generator(i)
+        if ws.length() > w.length():
+            if inverse:
+                _hecke_acc(out, ws, c * _V2)
+                _hecke_acc(out, w, c * _V2_MINUS_1)
+            else:
+                _hecke_acc(out, ws, c)
+        else:
+            if inverse:
+                _hecke_acc(out, ws, c)
+            else:
+                _hecke_acc(out, w, c * _VM2_MINUS_1)
+                _hecke_acc(out, ws, c * _VM2)
+    return out
+
+
+def braid_image_a_payload(b: BraidWord) -> dict:
+    """The coefficients of a(b), one generator at a time from the unit."""
+    cur = {b.group.identity: _L_ONE}
+    for l in b.letters:
+        cur = mul_gen_payload(cur, abs(l), inverse=l < 0)
+    return cur
+
+
+def hecke_mul_payload(a: dict, b: dict) -> dict:
+    """a * b, folding a along a reduced word of each term of b."""
+    total: dict = {}
+    for w, c in b.items():
+        cur = dict(a)
+        for i in w.reduced_word():
+            cur = mul_gen_payload(cur, i)
+        for x, p in cur.items():
+            _hecke_acc(total, x, p * c)
+    return total
+
+
+def bar_involution_payload(coeffs: dict, group: CoxeterGroup) -> dict:
+    """Sum of bar(c) bar(T_w), with bar(T_w) the inverse generators along a word of w."""
+    total: dict = {}
+    for w, c in coeffs.items():
+        cur = {group.identity: _L_ONE}
+        for i in w.reduced_word():
+            cur = mul_gen_payload(cur, i, inverse=True)
+        for x, p in cur.items():
+            _hecke_acc(total, x, p * c.bar())
+    return total
+
+
+def c_basis_payload(table, w: CoxeterElement) -> dict:
+    """C_w = (-1)^l(w) j_H(C'_w), from the table's P_{y,w}."""
+    out = {}
+    for y in bruhat_lower_interval(w):
+        cprime = table.p(y, w).substituted_power(-2).shifted(w.length())
+        c = cprime.bar().shifted(2 * y.length()) * (-1) ** (y.length() + w.length())
+        if c:
+            out[y] = c
+    return out
+
+
+def expand_in_C_payload(table, coeffs: dict) -> dict:
+    """Triangular elimination of the largest (length, sort_key) term."""
+    out = {}
+    work = dict(coeffs)
+    while work:
+        w = max(work, key=lambda u: (u.length(), u.sort_key()))
+        gamma = work[w].shifted(-w.length())
+        out[w] = gamma
+        for y, c in c_basis_payload(table, w).items():
+            _hecke_acc(work, y, -(c * gamma))
+        if w in work:
+            raise IntegrityError("triangular elimination failed to clear a term")
     return out

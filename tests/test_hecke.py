@@ -3,9 +3,13 @@
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import coxbraid
+import oracles
 from coxbraid.coxeter import ResourceError, bruhat_leq, coxeter_group
 from coxbraid.dual import dual_monoid
 from coxbraid.garside import BraidWord, positive_lift
@@ -15,6 +19,7 @@ from coxbraid.hecke import (
     bar_involution,
     braid_image_a,
     braid_image_a_prime,
+    hecke_mul,
     j_h,
     kl_table,
     positivity_report,
@@ -264,6 +269,37 @@ def test_kl_cache_tolerates_corrupt_files(tmp_path, monkeypatch):
     assert not table._p
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(coxbraid.__file__)))
+
+
+def off_diagonal_to_two(key, terms):
+    y, w = key.split("|")
+    return terms if y == w else [[0, 2]]
+
+
+def signs_flipped(key, terms):
+    return [[e, -c] for e, c in terms]
+
+
+@pytest.mark.parametrize("tamper", [off_diagonal_to_two, signs_flipped])
+def test_kl_cache_rejects_tampered_entries(tmp_path, tamper):
+    env = dict(os.environ, COXBRAID_KL_CACHE=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "coxbraid.cli", "expand", "--basis", "C",
+            "--word", "[-1,2]", "--type", "A", "--rank", "2"]
+    first = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert first.returncode == 0, first.stderr
+    path = next(tmp_path.iterdir())
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["p"] = {key: tamper(key, terms) for key, terms in data["p"].items()}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    second = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert second.returncode == 0 and "Traceback" not in second.stderr
+    assert json.loads(second.stdout)["coefficients"] == {
+        "e": "1", "1": "v^-1", "2": "v", "1,2": "1"
+    }
+
+
 def test_hecke_element_arithmetic_guards():
     a2 = coxeter_group("A", 2)
     a3 = coxeter_group("A", 3)
@@ -273,3 +309,58 @@ def test_hecke_element_arithmetic_guards():
         HeckeElement.unit(a2) * HeckeElement.unit(a3)
     with pytest.raises(ValueError):
         kl_table(a2).expand_in_C(HeckeElement.unit(a3))
+
+
+# ---------------------------------------------------------------------------
+# the id kernel against the payload oracles
+
+
+def assert_matches_oracles(table, b):
+    h = braid_image_a(b)
+    want = oracles.braid_image_a_payload(b)
+    assert dict(h.coeffs) == want
+    exp = table.expand_in_C(h)
+    assert exp == oracles.expand_in_C_payload(table, want)
+    assert list(exp) == sorted(exp, key=lambda w: (w.length(), w.sort_key()))
+
+
+@pytest.mark.parametrize(
+    "family,rank,m", [("A", 1, None), ("A", 2, None), ("A", 3, None), ("B", 2, None), ("I2", 2, 5)]
+)
+def test_pair_braids_match_payload_oracles(family, rank, m):
+    group = coxeter_group(family, rank, m)
+    table = kl_table(group)
+    for x in group.elements():
+        for y in group.elements():
+            assert_matches_oracles(table, positive_lift(x).inverse() * positive_lift(y))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("H3", 3)])
+def test_random_braids_match_payload_oracles(family, rank):
+    group = coxeter_group(family, rank)
+    table = kl_table(group)
+    for b in random_braids(group, 200, 12, seed=41):
+        assert_matches_oracles(table, b)
+
+
+def random_element(group, rng, terms=4):
+    elements = group.elements()
+    return HeckeElement(
+        group,
+        {rng.choice(elements): L.of({rng.randrange(-3, 4): rng.randrange(-3, 4) for _ in range(2)})
+         for _ in range(terms)},
+    )
+
+
+@pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 3, None), ("I2", 2, 5)])
+def test_mul_and_bar_match_payload_oracles(family, rank, m):
+    group = coxeter_group(family, rank, m)
+    rng = random.Random(17)
+    for _ in range(25):
+        a, b = random_element(group, rng), random_element(group, rng)
+        assert dict(hecke_mul(a, b).coeffs) == oracles.hecke_mul_payload(
+            dict(a.coeffs), dict(b.coeffs)
+        )
+        assert dict(bar_involution(a).coeffs) == oracles.bar_involution_payload(
+            dict(a.coeffs), group
+        )

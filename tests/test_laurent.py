@@ -95,3 +95,24 @@ def test_json_round_trip():
         p = rand_poly(rng)
         assert L.from_json(p.to_json()) == p
     assert L.from_json([]) == L.zero()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [((1, 2), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 0))],
+    ids=["unsorted", "repeated", "zero"],
+)
+def test_public_construction_validates(terms):
+    with pytest.raises(ValueError):
+        L(terms)
+    with pytest.raises(ValueError):
+        L.from_json([list(t) for t in terms])
+
+
+def test_trusted_results_are_normalised():
+    rng = random.Random(21)
+    for _ in range(50):
+        p = rand_poly(rng)
+        for q in (p.bar(), p.shifted(-2), -p, p * rand_poly(rng), p + rand_poly(rng)):
+            assert L(q.terms) == q
+    assert L.of({3: 1, -1: 2}).bar().terms == ((-3, 1), (1, 2))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from coxbraid.coxeter import coxeter_group  # noqa: E402
 from coxbraid.garside import BraidWord  # noqa: E402
+from coxbraid.hecke import HeckeElement, braid_image_a, kl_table  # noqa: E402
 from coxbraid.tl import TLElement, omega  # noqa: E402
 
 
@@ -37,5 +38,48 @@ def test_omega_of_a_braid_times_its_inverse_is_one(n):
     def check(word):
         b = BraidWord(group, word)
         assert omega(b * b.inverse()) == TLElement.unit(n + 1)
+
+    check()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+def test_braid_image_a_is_multiplicative(family, rank):
+    group = coxeter_group(family, rank)
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(rank), braid_words(rank))
+    def check(wa, wb):
+        a, b = BraidWord(group, wa), BraidWord(group, wb)
+        assert braid_image_a(a * b) == braid_image_a(a) * braid_image_a(b)
+
+    check()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+def test_braid_image_a_of_a_braid_times_its_inverse_is_one(family, rank):
+    group = coxeter_group(family, rank)
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(rank, max_size=8))
+    def check(word):
+        b = BraidWord(group, word)
+        assert braid_image_a(b * b.inverse()) == HeckeElement.unit(group)
+
+    check()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+def test_c_basis_expansion_rebuilds_the_element(family, rank):
+    group = coxeter_group(family, rank)
+    table = kl_table(group)
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(rank, max_size=10))
+    def check(word):
+        h = braid_image_a(BraidWord(group, word))
+        rebuilt = HeckeElement(group)
+        for w, gamma in table.expand_in_C(h).items():
+            rebuilt = rebuilt + table.c_basis(w).scale(gamma)
+        assert rebuilt == h
 
     check()
