@@ -70,7 +70,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rank=args.rank,
         m=args.m,
         coxeter=_parse_letters(args.coxeter) if args.coxeter else None,
-        workers=args.workers,
         budget=args.budget,
     )
     if args.json:
@@ -183,9 +182,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.basis == "C":
         from .hecke import braid_image_a, kl_table
 
-        table = kl_table(group)
-        coeffs = table.expand_in_C(braid_image_a(b))
-        table.save_cache()
+        coeffs = kl_table(group).expand_in_C(braid_image_a(b))
         verdict = {"positive": all(p.is_nonneg() for p in coeffs.values())}
     else:
         from .tl import expand_in_b, omega
@@ -220,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of: " + ", ".join(CHECKS))
     _add_group_flags(p)
     p.add_argument("--coxeter", help="restrict to one standard Coxeter element, e.g. 2,1,3")
-    p.add_argument("--workers", type=int, default=1, help="worker threads for sweeps")
     p.add_argument("--json", help="write the full report as JSON to a path, or - for stdout")
     p.set_defaults(fn=cmd_verify)
 

@@ -529,9 +529,7 @@ class CoxeterGroup:
 
     Do not construct directly, use :func:`coxeter_group` so that groups are
     singletons per descriptor.  All tables built here are immutable after
-    construction; the lazily built caches are only ever extended with
-    values that any thread would compute identically, so concurrent reads
-    are safe.
+    construction; the lazily built caches are only ever extended.
     """
 
     def __init__(self, ctype: CoxeterType) -> None:

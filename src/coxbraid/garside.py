@@ -77,7 +77,7 @@ class GarsideTable:
 
     Element ids follow the deterministic order of group.elements().  The
     table is immutable after construction apart from the lazily filled
-    shortlex words and reflection lengths, whose entries are write once.
+    shortlex words and reflection lengths.
     """
 
     def __init__(self, group: CoxeterGroup) -> None:
@@ -179,6 +179,12 @@ class GarsideTable:
 @cache
 def garside_table(group: CoxeterGroup) -> GarsideTable:
     return GarsideTable(group)
+
+
+def shortlex_word(w: CoxeterElement) -> tuple[int, ...]:
+    """The shortlex reduced word of w, read from its group's table."""
+    table = garside_table(w.group)
+    return table.word(table.id_of(w))
 
 
 def _normalize(table: GarsideTable, factors: list[int]) -> tuple[int, list[int]]:
@@ -378,9 +384,7 @@ def signed_lift(b: BraidWord, word: Iterable[int] | None = None) -> BraidWord:
     """
     group = b.group
     w = b.image()
-    if word is None:
-        word = w.reduced_word()
-    word = tuple(word)
+    word = shortlex_word(w) if word is None else tuple(word)
     if group.from_word(word) != w or len(word) != w.length():
         raise ValueError("not a reduced word of the braid's image")
     _, y = right_fraction_form(b)
@@ -409,7 +413,7 @@ def square_free_witness(
     k = w.length()
     table = garside_table(b.group)
     if _rational_ids(_nf_ids(table, b.letters)):
-        word = w.reduced_word()
+        word = shortlex_word(w)
         lift = signed_lift(b, word)
         if not braid_equal(lift, b):
             raise IntegrityError("constructive lift of a rational braid failed")
@@ -460,7 +464,7 @@ def is_tau_fixed(b: BraidWord) -> bool:
 
 def positive_lift(w: CoxeterElement) -> BraidWord:
     """The positive simple braid b(w), via the shortlex reduced word."""
-    return BraidWord(w.group, w.reduced_word())
+    return BraidWord(w.group, shortlex_word(w))
 
 
 def embed_braid_b_to_a(b: BraidWord) -> BraidWord:

@@ -9,15 +9,10 @@ Lusztig machinery lives in KLTable: polynomials P_{y,w} in q = v^-2
 computed by the classical recursion with mu corrections, the bases
 C'_w = v^{l(w)} sum P_{y,w}(v^-2) T_y and C_w = (-1)^{l(w)} j_H(C'_w),
 and triangular expansion of arbitrary elements in {C_w} by id.
-
-KLTable memos are written once per key with values any caller computes
-identically; prepare() builds the C_w a threaded sweep will read.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
@@ -30,12 +25,10 @@ from .coxeter import (
     bruhat_leq,
     bruhat_lower_interval,
 )
-from .garside import BraidWord, garside_table
+from .garside import BraidWord, garside_table, shortlex_word
 from .laurent import LaurentPolynomial
 
 KL_GROUP_ORDER_CAP = 1200
-KL_CACHE_ENV = "COXBRAID_KL_CACHE"
-KL_CACHE_VERSION = 1
 
 _ZERO = LaurentPolynomial.zero()
 _ONE = LaurentPolynomial.one()
@@ -232,18 +225,8 @@ def bar_involution(h: HeckeElement) -> HeckeElement:
 
 
 def _word_key(w: CoxeterElement) -> str:
-    word = w.reduced_word()
+    word = shortlex_word(w)
     return ",".join(map(str, word)) if word else "e"
-
-
-def _plausible_kl(y: CoxeterElement, w: CoxeterElement, p: LaurentPolynomial) -> bool:
-    """Necessary conditions on a cached P_{y,w}: P_{w,w} = 1, zero unless
-    y <= w, else constant term 1, no negative coefficient or q power, and
-    2 deg <= l(w) - l(y) - 1."""
-    if y == w or not bruhat_leq(y, w):
-        return p == (_ONE if y == w else _ZERO)
-    return (p.coeff(0) == 1 and p.min_exp() == 0 and p.is_nonneg()
-            and 2 * p.max_exp() <= w.length() - y.length() - 1)
 
 
 class KLTable:
@@ -251,10 +234,7 @@ class KLTable:
 
     P_{y,w} lives in the variable q; the basis elements come back as
     HeckeElements over v with q = v^-2 substituted.  Everything is
-    memoised; an optional on disk cache (directory named by the
-    environment variable COXBRAID_KL_CACHE) persists the polynomials
-    between runs, keyed by group descriptor and format version, and is
-    read only when every entry passes the checks of _plausible_kl.
+    computed on first use and memoised in memory.
     """
 
     def __init__(self, group: CoxeterGroup, cap: int = KL_GROUP_ORDER_CAP) -> None:
@@ -267,64 +247,6 @@ class KLTable:
         self._p: dict[tuple, LaurentPolynomial] = {}
         self._cprime: dict[CoxeterElement, HeckeElement] = {}
         self._c: dict[CoxeterElement, HeckeElement] = {}
-        self._cache_path: str | None = None
-        root = os.environ.get(KL_CACHE_ENV)
-        if root:
-            tag = group.type.label().replace("(", "-").replace(")", "")
-            self._cache_path = os.path.join(
-                root, f"kl-{tag}-v{KL_CACHE_VERSION}.json"
-            )
-            self._load_cache()
-
-    # -- persistence -------------------------------------------------------
-
-    def _load_cache(self) -> None:
-        """Read all cached polynomials, or none if any entry fails _plausible_kl."""
-        if not self._cache_path or not os.path.exists(self._cache_path):
-            return
-        loaded = {}
-        try:
-            with open(self._cache_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if (data.get("version"), data.get("group")) != (
-                KL_CACHE_VERSION, self.group.type.label()
-            ):
-                return
-            for key, terms in data.get("p", {}).items():
-                ypart, wpart = key.split("|")
-                y = self.group.from_word(int(t) for t in ypart.split(",") if t)
-                w = self.group.from_word(int(t) for t in wpart.split(",") if t)
-                poly = LaurentPolynomial.from_json(terms)
-                if not _plausible_kl(y, w, poly):
-                    return
-                loaded[(y.payload, w.payload)] = poly
-        except (OSError, AttributeError, TypeError, ValueError):
-            return
-        self._p.update(loaded)
-
-    def save_cache(self) -> None:
-        """Write the memoised polynomials to the cache directory, if set."""
-        if not self._cache_path:
-            return
-        index = {w.payload: w for w in self.group.elements()}
-        entries = {}
-        for (py, pw), poly in self._p.items():
-            key = "|".join(
-                (",".join(map(str, index[py].reduced_word())),
-                 ",".join(map(str, index[pw].reduced_word())))
-            )
-            entries[key] = poly.to_json()
-        payload = {
-            "version": KL_CACHE_VERSION,
-            "group": self.group.type.label(),
-            "p": dict(sorted(entries.items())),
-        }
-        try:
-            os.makedirs(os.path.dirname(self._cache_path) or ".", exist_ok=True)
-            with open(self._cache_path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-        except OSError:
-            pass
 
     # -- the polynomials ---------------------------------------------------
 
@@ -392,11 +314,6 @@ class KLTable:
             self._c[w] = got
         return got
 
-    def prepare(self, elements: Iterable[CoxeterElement]) -> None:
-        """Force both bases for the given elements before parallel reads."""
-        for w in elements:
-            self.c_basis(w)
-
     # -- expansion ---------------------------------------------------------
 
     def expand_in_C(self, h: HeckeElement) -> dict[CoxeterElement, LaurentPolynomial]:
@@ -441,7 +358,7 @@ def positivity_report(
         expansion = table.expand_in_C(braid_image_a(dm.embed(u)))
         ok = all(p.is_nonneg() for p in expansion.values())
         item = {
-            "divisor": list(u.reduced_word()),
+            "divisor": list(shortlex_word(u)),
             "coefficients": {_word_key(w): str(p) for w, p in expansion.items()},
             "positive": ok,
         }

@@ -2,10 +2,10 @@
 
 The Hecke and Temperley Lieb layers work over Z[v, v^-1] throughout, so
 this is a small exact implementation: a sorted tuple of (exponent,
-coefficient) pairs with no zero entries.  The public constructor and
-from_json check that form; results of the arithmetic below have it by
-construction and skip the check.  Positivity means every stored
-coefficient is nonnegative.  The bar map inverts the variable and the
+coefficient) pairs with no zero entries.  The public constructor checks
+that form; results of the arithmetic below have it by construction and
+skip the check.  Positivity means every stored coefficient is
+nonnegative.  The bar map inverts the variable and the
 power substitution v -> v^k implements the passage between the q and v
 normalisations of the Kazhdan Lusztig polynomials.
 """
@@ -13,7 +13,7 @@ normalisations of the Kazhdan Lusztig polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -145,14 +145,6 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.text()})"
-
-    def to_json(self) -> list[list[int]]:
-        return [[e, c] for e, c in self.terms]
-
-    @staticmethod
-    def from_json(data: Iterable[Iterable[int]]) -> "LaurentPolynomial":
-        """Read to_json output; unsorted, repeated or zero terms raise ValueError."""
-        return LaurentPolynomial(tuple((int(e), int(c)) for e, c in data))
 
 
 _ZERO = LaurentPolynomial(())

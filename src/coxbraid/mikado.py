@@ -107,15 +107,23 @@ class WiringDiagram:
         return WiringDiagram(self.strand_count - 1, tuple(kept))
 
 
+def _diagram(b: BraidWord) -> WiringDiagram | None:
+    """The diagram of b from one square free witness, or None."""
+    witness = square_free_witness(b)
+    if witness is None:
+        return None
+    word, signs = witness
+    return WiringDiagram(b.group.rank + 1, tuple(zip(word, signs)))
+
+
 def wiring_from_square_free(b: BraidWord) -> WiringDiagram:
     """The diagram of a square free braid, built from a signed lift."""
     if b.group.type.family != "A":
         raise ValueError("wiring diagrams are drawn for type A braids")
-    witness = square_free_witness(b)
-    if witness is None:
+    d = _diagram(b)
+    if d is None:
         raise ValueError("braid is not square-free")
-    word, signs = witness
-    return WiringDiagram(b.group.rank + 1, tuple(zip(word, signs)))
+    return d
 
 
 def good_strands(d: WiringDiagram) -> frozenset[int]:
@@ -156,10 +164,8 @@ def is_mikado_A(b: BraidWord) -> bool:
     """
     if b.group.type.family != "A":
         raise ValueError("expected a type A braid")
-    witness = square_free_witness(b)
-    if witness is None:
-        return False
-    return _peel_single(wiring_from_square_free(b))
+    d = _diagram(b)
+    return d is not None and _peel_single(d)
 
 
 def is_mikado_B(b: BraidWord) -> bool:
@@ -174,9 +180,11 @@ def is_mikado_B(b: BraidWord) -> bool:
         raise ValueError("expected a braid on an even number of strands")
     if not is_tau_fixed(b):
         return False
-    single = is_mikado_A(b)
-    witness = square_free_witness(b)
-    paired = False if witness is None else _peel_pairs(wiring_from_square_free(b))
+    d = _diagram(b)
+    if d is None:
+        return False
+    single = _peel_single(d)
+    paired = _peel_pairs(d)
     if single != paired:
         raise IntegrityError("single strand and symmetric pair peeling disagree")
     return single

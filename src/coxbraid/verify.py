@@ -12,9 +12,8 @@ internally consistent, and the per divisor outcomes are data.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .coxeter import (
     CoxeterElement,
@@ -43,6 +42,7 @@ from .garside import (
     is_square_free,
     positive_lift,
     right_fraction_form,
+    shortlex_word,
     signed_lift,
 )
 from .hecke import braid_image_a, kl_table, positivity_report
@@ -157,15 +157,8 @@ def _label(group_json: dict) -> str:
     return f"{fam}{group_json['rank']}"
 
 
-def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _word(w: CoxeterElement) -> list[int]:
-    return list(w.reduced_word())
+    return list(shortlex_word(w))
 
 
 def _standard_sweep(
@@ -222,7 +215,7 @@ def _finish(
 
 
 def check_reflection_generation(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Conjugating the partial products of c sweeps out every reflection."""
     started = time.perf_counter()
@@ -234,7 +227,7 @@ def check_reflection_generation(
         ok = generated == frozenset(group.reflections)
         return {"item": ",".join(map(str, ordering)), "ok": ok, "generated": len(generated)}
 
-    items = _parallel_map(one, sweep, workers)
+    items = [one(it) for it in sweep]
     return _finish(
         "prop-3.2", group, items, started,
         {"reflections": len(group.reflections)}, coxeter=coxeter,
@@ -242,7 +235,7 @@ def check_reflection_generation(
 
 
 def check_parabolic_divisors(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Every divisor completes to c with additive reflection length."""
     started = time.perf_counter()
@@ -264,12 +257,12 @@ def check_parabolic_divisors(
             "violations": bad,
         }
 
-    items = _parallel_map(one, sweep, workers)
+    items = [one(it) for it in sweep]
     return _finish("cor-3.4", group, items, started, coxeter=coxeter)
 
 
 def check_dual_relations(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The dual braid relations hold among the atom lifts."""
     started = time.perf_counter()
@@ -286,7 +279,7 @@ def check_dual_relations(
             "violations": bad,
         }
 
-    items = _parallel_map(one, sweep, workers)
+    items = [one(it) for it in sweep]
     return _finish("prop-3.5", group, items, started, coxeter=coxeter)
 
 
@@ -323,7 +316,7 @@ def _reduced_factorizations(c: CoxeterElement) -> frozenset[tuple[CoxeterElement
 
 
 def check_hurwitz(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The Hurwitz orbit of (s_1, ..., s_n) carries all factorizations.
 
@@ -354,7 +347,7 @@ def check_hurwitz(
             "factorizations": len(brute),
         }
 
-    items = _parallel_map(one, sweep, workers)
+    items = [one(it) for it in sweep]
     return _finish("thm-3.7", group, items, started, coxeter=coxeter)
 
 
@@ -381,7 +374,7 @@ def _dihedral_atom_words(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def check_dual_atoms(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The rotation formula produces one rational atom per reflection."""
     started = time.perf_counter()
@@ -411,7 +404,7 @@ def check_dual_atoms(
             **extra,
         }
 
-    items = _parallel_map(one, sweep, workers)
+    items = [one(it) for it in sweep]
     return _finish(
         "prop-3.9", group, items, started,
         {"reflections": len(group.reflections)}, coxeter=coxeter,
@@ -423,13 +416,13 @@ def check_dual_atoms(
 
 
 def _pair_key(x: CoxeterElement, y: CoxeterElement) -> str:
-    wx = ",".join(map(str, x.reduced_word())) or "e"
-    wy = ",".join(map(str, y.reduced_word())) or "e"
+    wx = ",".join(map(str, shortlex_word(x))) or "e"
+    wy = ",".join(map(str, shortlex_word(y))) or "e"
     return f"{wx}|{wy}"
 
 
 def check_rational_fraction(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Left and right fractions characterise the rational braids.
 
@@ -452,12 +445,12 @@ def check_rational_fraction(
             ok = braid_equal(positive_lift(gx) * positive_lift(gy).inverse(), b)
         return {"item": _pair_key(x, y), "ok": ok}
 
-    items = _parallel_map(one, pairs, workers)
+    items = [one(it) for it in pairs]
     return _finish("prop-4.4", group, items, started, coxeter=coxeter)
 
 
 def check_square_free(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Every rational permutation braid has a signed reduced word lift."""
     started = time.perf_counter()
@@ -469,7 +462,7 @@ def check_square_free(
         ok = is_square_free(b) and braid_equal(signed_lift(b), b)
         return {"item": _pair_key(x, y), "ok": ok}
 
-    items = _parallel_map(one, pairs, workers)
+    items = [one(it) for it in pairs]
     return _finish("lemma-4.5", group, items, started, coxeter=coxeter)
 
 
@@ -477,7 +470,6 @@ def _check_equivalence(
     theorem_id: str,
     group: CoxeterGroup,
     mikado: Callable[[BraidWord], bool],
-    workers: int,
 ) -> Report:
     started = time.perf_counter()
     pairs = _all_pairs(group)
@@ -493,21 +485,21 @@ def _check_equivalence(
         ok = ok and braid_equal(signed_lift(b), b)
         return {"item": _pair_key(x, y), "ok": ok}
 
-    items = _parallel_map(one, pairs, workers)
+    items = [one(it) for it in pairs]
     return _finish(theorem_id, group, items, started)
 
 
 def check_equivalence_a(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Rational, strand removable and square free coincide in family A."""
     if group.type.family != "A":
         raise ValueError("this check runs on family A")
-    return _check_equivalence("thm-5.9", group, is_mikado_A, workers)
+    return _check_equivalence("thm-5.9", group, is_mikado_A)
 
 
 def check_equivalence_b(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The family B counterpart, peeling symmetric strand pairs.
 
@@ -520,7 +512,7 @@ def check_equivalence_b(
     def mikado(b: BraidWord) -> bool:
         return is_mikado_B(embed_braid_b_to_a(b))
 
-    return _check_equivalence("thm-6.4", group, mikado, workers)
+    return _check_equivalence("thm-6.4", group, mikado)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +520,7 @@ def check_equivalence_b(
 
 
 def check_embed_rational(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Every embedded simple dual braid is a rational permutation braid."""
     started = time.perf_counter()
@@ -558,12 +550,12 @@ def check_embed_rational(
             **extra,
         }
 
-    items = _parallel_map(one, sweep, workers)
+    items = [one(it) for it in sweep]
     return _finish(theorem_id, group, items, started, coxeter=coxeter)
 
 
 def check_linear_bruhat(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Fractions of simple dual braids of the one line c go up in Bruhat order."""
     started = time.perf_counter()
@@ -571,7 +563,7 @@ def check_linear_bruhat(
         raise ValueError("this check runs on family A")
     rows = linear_coxeter_bruhat_check(group.rank)
     items = [
-        {"item": ",".join(map(str, u.reduced_word())), "ok": ok,
+        {"item": ",".join(map(str, shortlex_word(u))), "ok": ok,
          "numerator": _word(x), "denominator": _word(y)}
         for u, x, y, ok in rows
     ]
@@ -583,12 +575,11 @@ def check_linear_bruhat(
 
 
 def check_kl_pair_positivity(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """T_x^-1 T_y expands with nonnegative canonical coefficients."""
     started = time.perf_counter()
     table = kl_table(group)
-    table.prepare(group.elements())
     pairs = _all_pairs(group)
 
     def one(pair: tuple[CoxeterElement, CoxeterElement]) -> dict:
@@ -596,18 +587,15 @@ def check_kl_pair_positivity(
         h = braid_image_a(_pair_braid(x, y))
         return {"item": _pair_key(x, y), "ok": table.expansion_is_positive(h)}
 
-    items = _parallel_map(one, pairs, workers)
-    table.save_cache()
+    items = [one(it) for it in pairs]
     return _finish("thm-8.2", group, items, started)
 
 
 def check_kl_embed_positivity(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Simple dual braids expand positively in the canonical basis."""
     started = time.perf_counter()
-    table = kl_table(group)
-    table.prepare(group.elements())
     sweep = _standard_sweep(group, coxeter)
 
     def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
@@ -619,13 +607,12 @@ def check_kl_embed_positivity(
             "divisors": len(report["items"]),
         }
 
-    items = _parallel_map(one, sweep, workers)
-    table.save_cache()
+    items = [one(it) for it in sweep]
     return _finish("thm-8.5", group, items, started, coxeter=coxeter)
 
 
 def check_conjecture_evidence(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Canonical positivity sweep reported as evidence, not asserted.
 
@@ -635,8 +622,6 @@ def check_conjecture_evidence(
     divisor either way.
     """
     started = time.perf_counter()
-    table = kl_table(group)
-    table.prepare(group.elements())
     sweep = _standard_sweep(group, coxeter)
 
     def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
@@ -662,8 +647,7 @@ def check_conjecture_evidence(
             "divisors": verdicts,
         }
 
-    items = _parallel_map(one, sweep, workers)
-    table.save_cache()
+    items = [one(it) for it in sweep]
     positive = sum(1 for it in items if it["positive"])
     return _finish(
         "conj-8.6", group, items, started,
@@ -682,7 +666,7 @@ def check_conjecture_evidence(
 
 
 def check_fg_projection(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The canonical basis projects onto the diagram basis or to zero."""
     started = time.perf_counter()
@@ -699,7 +683,7 @@ def check_fg_projection(
 
 
 def check_zinno(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Dual braid images form a triangular basis of the diagram algebra."""
     started = time.perf_counter()
@@ -722,12 +706,12 @@ def check_zinno(
             "size": report["size"],
         }
 
-    items = _parallel_map(one, sweep, workers)
+    items = [one(it) for it in sweep]
     return _finish("thm-8.13", group, items, started, coxeter=coxeter)
 
 
 def check_tl_positivity(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None, workers: int = 1
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Zinno rows alternate in sign against the diagram basis."""
     started = time.perf_counter()
@@ -746,7 +730,7 @@ def check_tl_positivity(
             "divisors": len(report["items"]),
         }
 
-    items = _parallel_map(one, sweep, workers)
+    items = [one(it) for it in sweep]
     return _finish("thm-8.17", group, items, started, coxeter=coxeter)
 
 
@@ -873,6 +857,13 @@ def run_check(
     workers: int = 1,
     budget: int | None = None,
 ) -> Report:
+    """Run one named check on one group, in process and on one thread.
+
+    workers=1 is accepted for callers that pass it; any other value
+    raises ValueError.
+    """
+    if workers != 1:
+        raise ValueError("sweeps run on one thread; workers must be 1")
     spec = CHECKS.get(theorem_id)
     if spec is None:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
@@ -888,7 +879,7 @@ def run_check(
         )
     notes = budget_guard(fam, rank, m, budget)
     group = group_for(fam, rank, m)
-    report = spec.fn(group, coxeter=coxeter, workers=workers)
+    report = spec.fn(group, coxeter=coxeter)
     if notes:
         report.notes = tuple(report.notes) + notes
     return report

@@ -278,7 +278,7 @@ def test_integrity_error_exit(capsys, monkeypatch):
     from coxbraid.coxeter import IntegrityError
     from coxbraid.verify import CHECKS
 
-    def broken(group, coxeter=None, workers=1):
+    def broken(group, coxeter=None):
         raise IntegrityError("two paths disagree")
 
     spec = CHECKS["thm-5.13"]

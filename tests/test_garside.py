@@ -228,7 +228,7 @@ def test_braid_word_validation():
 
 @pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
 def test_table_matches_payload_arithmetic(family, rank, m):
-    """The derived left products and twists equal products of payloads."""
+    """The derived left products, twists and shortlex words equal payload arithmetic."""
     group = coxeter_group(family, rank, m=m)
     table = garside_table(group)
     P = table.payloads
@@ -240,6 +240,7 @@ def test_table_matches_payload_arithmetic(family, rank, m):
             assert P[table.rmul[s][x]] == mul(p, g)
         assert P[table.tau[x]] == mul(mul(w0, p), w0)
         assert P[table.inv[x]] == group._inv(p)
+        assert table.word(x) == table.element(x).reduced_word()
     for s in range(rank):
         assert table.gen_ids[table.tau_letters[s] - 1] == table.tau[table.gen_ids[s]]
     rng = random.Random(rank * 31 + (m or 0))

@@ -239,37 +239,37 @@ def test_group_order_cap():
     KLTable(coxeter_group("F4"))
 
 
-def test_kl_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("COXBRAID_KL_CACHE", str(tmp_path))
-    group = coxeter_group("A", 2)
-    table = KLTable(group)
-    w0 = group.longest_element
-    for y in group.elements():
-        table.p(y, w0)
-    table.save_cache()
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    fresh = KLTable(group)
-    assert fresh._p
-    for y in group.elements():
-        assert fresh.p(y, w0) == table.p(y, w0)
-
-
-def test_kl_cache_tolerates_corrupt_files(tmp_path, monkeypatch):
-    monkeypatch.setenv("COXBRAID_KL_CACHE", str(tmp_path))
-    group = coxeter_group("A", 2)
-    probe = KLTable(group)
-    probe.save_cache()
-    path = next(tmp_path.iterdir())
-    path.write_text("{ not json", encoding="utf-8")
-    table = KLTable(group)
-    assert table.p(group.identity, group.longest_element) == L.one()
-    path.write_text(json.dumps({"version": -1, "group": "A2", "p": {}}), encoding="utf-8")
-    table = KLTable(group)
-    assert not table._p
-
-
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(coxbraid.__file__)))
+
+
+def write_kl_file(cache, group, tamper):
+    """Write every P_{y,w} of ``group``, passed through ``tamper``, in the
+    layout of the former COXBRAID_KL_CACHE files; return the directory state."""
+    table = KLTable(group)
+    key = lambda w: ",".join(map(str, w.reduced_word()))
+    entries = {}
+    for w in group.elements():
+        for y in group.elements():
+            k = f"{key(y)}|{key(w)}"
+            entries[k] = tamper(k, [list(t) for t in table.p(y, w).terms])
+    label = group.type.label()
+    path = cache / f"kl-{label}-v1.json"
+    path.write_text(json.dumps({"version": 1, "group": label, "p": entries}), encoding="utf-8")
+    return entries, cache_state(cache)
+
+
+def cache_state(cache):
+    return {f.name: (f.read_bytes(), f.stat().st_mtime_ns) for f in cache.iterdir()}
+
+
+def expand_c(cache, word, rank):
+    env = dict(os.environ, COXBRAID_KL_CACHE=str(cache))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "coxbraid.cli", "expand", "--basis", "C",
+            "--word", word, "--type", "A", "--rank", str(rank)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    return json.loads(run.stdout)["coefficients"]
 
 
 def off_diagonal_to_two(key, terms):
@@ -283,21 +283,26 @@ def signs_flipped(key, terms):
 
 @pytest.mark.parametrize("tamper", [off_diagonal_to_two, signs_flipped])
 def test_kl_cache_rejects_tampered_entries(tmp_path, tamper):
-    env = dict(os.environ, COXBRAID_KL_CACHE=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "coxbraid.cli", "expand", "--basis", "C",
-            "--word", "[-1,2]", "--type", "A", "--rank", "2"]
-    first = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert first.returncode == 0, first.stderr
-    path = next(tmp_path.iterdir())
-    data = json.loads(path.read_text(encoding="utf-8"))
-    data["p"] = {key: tamper(key, terms) for key, terms in data["p"].items()}
-    path.write_text(json.dumps(data), encoding="utf-8")
-    second = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert second.returncode == 0 and "Traceback" not in second.stderr
-    assert json.loads(second.stdout)["coefficients"] == {
-        "e": "1", "1": "v^-1", "2": "v", "1,2": "1"
-    }
+    """A tampered KL file named by COXBRAID_KL_CACHE is neither read nor touched."""
+    before = write_kl_file(tmp_path, coxeter_group("A", 2), tamper)[1]
+    assert expand_c(tmp_path, "[-1,2]", 2) == {"e": "1", "1": "v^-1", "2": "v", "1,2": "1"}
+    assert cache_state(tmp_path) == before
+
+
+def one_plus_3q(key, terms):
+    return [[0, 1], [1, 3]] if terms == [[0, 1], [1, 1]] else terms
+
+
+def test_no_kl_state_is_read_from_disk(tmp_path):
+    """A plausible but wrong KL file named by COXBRAID_KL_CACHE changes nothing.
+
+    Every P_{y,w} = 1 + q of A3 becomes 1 + 3q: each entry still has
+    constant term 1, nonnegative coefficients and an allowed degree.
+    """
+    entries, before = write_kl_file(tmp_path, coxeter_group("A", 3), one_plus_3q)
+    assert [[0, 1], [1, 3]] in entries.values()
+    assert expand_c(tmp_path, "[-2,1,3,2]", 3)["2"] == "2v^-3"
+    assert cache_state(tmp_path) == before
 
 
 def test_hecke_element_arithmetic_guards():

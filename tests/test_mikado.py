@@ -106,6 +106,32 @@ def test_embedded_type_b_braids_are_mikado():
             assert is_mikado_B(embed_braid_b_to_a(b))
 
 
+def test_square_free_witness_is_computed_once_per_braid(monkeypatch):
+    import coxbraid.mikado as mikado
+
+    calls = []
+    witness = mikado.square_free_witness
+
+    def counted(b):
+        calls.append(b)
+        return witness(b)
+
+    monkeypatch.setattr(mikado, "square_free_witness", counted)
+    a2, b2 = coxeter_group("A", 2), coxeter_group("B", 2)
+    for b in (
+        BraidWord(a2, (-1, 2)),
+        BraidWord(a2, (1, 1)),
+        positive_lift(a2.longest_element),
+    ):
+        calls.clear()
+        is_mikado_A(b)
+        assert len(calls) == 1
+    for x in b2.elements():
+        calls.clear()
+        assert is_mikado_B(embed_braid_b_to_a(positive_lift(x).inverse()))
+        assert len(calls) == 1
+
+
 def test_mikado_b_input_validation():
     with pytest.raises(ValueError):
         is_mikado_B(BraidWord(coxeter_group("A", 2), (1,)))

@@ -1,0 +1,67 @@
+"""The package runs in one thread and reads no environment variables.
+
+Every verdict must follow from the arguments of a call alone: no worker
+pool can reorder work, and no variable can point a run at state kept on
+disk.  This parses each module and rejects the imports and reads that
+would bring either back.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import coxbraid
+
+PACKAGE = Path(coxbraid.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def violations(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "os":
+                names += [f"os.{alias.name}" for alias in node.names if alias.name in ENVIRONMENT]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            names = [f"os.{node.attr}"]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in CONCURRENCY or name.startswith("os."):
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_every_module_is_scanned():
+    assert {"cli.py", "hecke.py", "verify.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_threads_and_no_environment(path):
+    assert violations(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import threading",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "import multiprocessing.pool",
+        "import os\nroot = os.environ.get('X')",
+        "import os\nroot = os.getenv('X')",
+        "from os import environ",
+    ],
+)
+def test_guard_catches(source):
+    assert violations(ast.parse(source))

@@ -147,12 +147,21 @@ def test_coxeter_restriction():
         run_check("thm-5.13", "A", rank=2, coxeter=(1,))
 
 
-def test_workers_do_not_change_the_answer():
-    seq = run_check("thm-8.5", "A", rank=2, workers=1)
-    par = run_check("thm-8.5", "A", rank=2, workers=4)
-    assert seq.passed and par.passed
-    assert seq.items == par.items
-    assert seq.counts == par.counts
+def test_sweeps_run_on_one_thread():
+    one = run_check("thm-8.5", "A", rank=2, workers=1)
+    assert one.passed
+    assert one.items == run_check("thm-8.5", "A", rank=2).items
+    for workers in (0, 2, 4):
+        with pytest.raises(ValueError):
+            run_check("thm-8.5", "A", rank=2, workers=workers)
+
+
+def test_cli_has_no_workers_flag():
+    from coxbraid.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm-5.13", "--type", "A", "--rank", "2", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_conjecture_sweep_is_evidence_only():
