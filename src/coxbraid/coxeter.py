@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import factorial
 from typing import Callable, Iterable
@@ -331,52 +330,36 @@ def _f4_identity() -> tuple:
 
 
 def _rank_of_rows(rows: list[list], ops: dict) -> int:
-    """Row rank by Gaussian elimination over an exact field."""
+    """Row rank by elimination without division over an integral domain.
+
+    Each row below the pivot row p becomes a*row - b*p, with a the pivot
+    and b the row's entry in the pivot column; a is nonzero, so the row
+    space over the fraction field keeps its dimension.
+    """
+    mul, sub, zero = ops["mul"], ops["sub"], ops["zero"]
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if not ops["iszero"](rows[r][col]):
-                pivot = r
-                break
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col] != zero), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv_p = ops["inv"](rows[rank][col])
+        p = rows[rank]
+        a = p[col]
         for r in range(rank + 1, nrows):
-            if ops["iszero"](rows[r][col]):
-                continue
-            f = ops["mul"](rows[r][col], inv_p)
-            rows[r] = [
-                ops["add"](rows[r][c], ops["neg"](ops["mul"](f, rows[rank][c])))
-                for c in range(ncols)
-            ]
+            b = rows[r][col]
+            if b != zero:
+                rows[r] = [sub(mul(a, u), mul(b, v)) for u, v in zip(rows[r], p)]
         rank += 1
     return rank
 
 
-_Q_OPS = {
-    "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
-    "neg": lambda a: -a,
-    "inv": lambda a: 1 / a,
-    "iszero": lambda a: a == 0,
-}
+_Z_OPS = {"mul": lambda a, b: a * b, "sub": lambda a, b: a - b, "zero": 0}
 
-
-def _qphi_inv(a: tuple) -> tuple:
-    norm = a[0] * a[0] + a[0] * a[1] - a[1] * a[1]
-    return ((a[0] + a[1]) / norm, -a[1] / norm)
-
-
-_QPHI_OPS = {
-    "add": lambda a, b: (a[0] + b[0], a[1] + b[1]),
-    "mul": lambda a, b: (a[0] * b[0] + a[1] * b[1], a[0] * b[1] + a[1] * b[0] + a[1] * b[1]),
-    "neg": lambda a: (-a[0], -a[1]),
-    "inv": _qphi_inv,
-    "iszero": lambda a: a[0] == 0 and a[1] == 0,
+_ZPHI_OPS = {
+    "mul": _zphi_mul,
+    "sub": lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    "zero": (0, 0),
 }
 
 
@@ -384,24 +367,15 @@ def _moved_rank_h3(payload: tuple) -> int:
     # reflection length is the codimension of the fixed space, which is
     # the rank of M - Id
     rows = [
-        [
-            (
-                Fraction(payload[r][c][0]) - (1 if r == c else 0),
-                Fraction(payload[r][c][1]),
-            )
-            for c in range(3)
-        ]
+        [(payload[r][c][0] - (1 if r == c else 0), payload[r][c][1]) for c in range(3)]
         for r in range(3)
     ]
-    return _rank_of_rows(rows, _QPHI_OPS)
+    return _rank_of_rows(rows, _ZPHI_OPS)
 
 
 def _moved_rank_f4(payload: tuple) -> int:
-    rows = [
-        [Fraction(payload[r][c] - (1 if r == c else 0)) for c in range(4)]
-        for r in range(4)
-    ]
-    return _rank_of_rows(rows, _Q_OPS)
+    rows = [[payload[r][c] - (1 if r == c else 0) for c in range(4)] for r in range(4)]
+    return _rank_of_rows(rows, _Z_OPS)
 
 
 def _flat(payload) -> tuple:

@@ -300,9 +300,8 @@ class DualAtomTable:
         for i in range(2 * len(T)):
             seq = [self.ordering[j % n] for j in range(i + 1)]
             letters = tuple(seq) + tuple(-l for l in reversed(seq[:-1]))
-            t = group.from_word(abs(l) for l in letters)
             nf = _nf_ids(table, letters)
-            tid = table.id_of(t)
+            tid = table.image_id(letters)
             hits[tid] = hits.get(tid, 0) + 1
             if tid in nfs:
                 if nfs[tid] != nf:
@@ -311,7 +310,7 @@ class DualAtomTable:
                     )
             else:
                 nfs[tid] = nf
-                words[t] = BraidWord(group, letters)
+                words[table.element(tid)] = BraidWord(group, letters)
         if len(words) != len(T) or any(h != 2 for h in hits.values()):
             raise IntegrityError("rotation formula did not cover T twice over")
         self._table = table

@@ -8,6 +8,9 @@ factors nonidentity, adjacent pairs locally maximal.  Words are folded
 into this form left to right: a positive letter appends a simple, a
 negative letter rewrites through sigma^-1 = Delta^-1 b(w0 s) and twists
 the accumulated factors by the diagram automorphism tau(x) = w0 x w0.
+Each appended simple costs one right-to-left renormalisation pass over
+the factors, which stops at the first pair whose left factor does not
+change; leading copies of w0 are stripped once, at the end.
 
 All group level lookups go through a per group table of integer indexed
 multiplication, descent masks and inverses, built once and reused.
@@ -54,7 +57,8 @@ class BraidWord:
 
     def image(self) -> CoxeterElement:
         """The underlying Coxeter group element, forgetting signs."""
-        return self.group.from_word(abs(l) for l in self.letters)
+        table = garside_table(self.group)
+        return table.element(table.image_id(self.letters))
 
     def exponent_sum(self) -> int:
         return sum(1 if l > 0 else -1 for l in self.letters)
@@ -161,6 +165,13 @@ class GarsideTable:
             x = self.rmul[s - 1][x]
         return x
 
+    def image_id(self, letters: Iterable[int]) -> int:
+        """Id of the group image of a word of nonzero letters, signs forgotten."""
+        x = self.e
+        for l in letters:
+            x = self.rmul[abs(l) - 1][x]
+        return x
+
     def abs_divides(self, x: int, y: int) -> bool:
         """Whether x divides y in absolute order: l_T(x) + l_T(x^-1 y) = l_T(y)."""
         return self.rlen(x) + self.rlen(self.mul(self.inv[x], y)) == self.rlen(y)
@@ -187,30 +198,30 @@ def shortlex_word(w: CoxeterElement) -> tuple[int, ...]:
     return table.word(table.id_of(w))
 
 
-def _normalize(table: GarsideTable, factors: list[int]) -> tuple[int, list[int]]:
-    """Bubble adjacent renormalisations to the unique locally greedy form.
+def _append(table: GarsideTable, F: list[int], s: int) -> None:
+    """Append the simple s to the normal form F in place.
 
-    Returns (shift, factors) where shift counts stripped leading copies of
-    w0; trailing identities are dropped.  Each renormalisation moves
-    length strictly leftward, so the passes terminate.
+    One right-to-left pass renormalises the pairs ending at the new
+    factor.  It stops at the first pair whose left factor does not change:
+    the pairs to its left are untouched, and by the domino rule those to
+    its right are already normal.  Trailing identities are dropped.
     """
-    if factors:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(factors) - 1):
-                x, y = factors[i], factors[i + 1]
-                nx, ny = table.renorm(x, y)
-                if nx != x:
-                    factors[i], factors[i + 1] = nx, ny
-                    changed = True
+    F.append(s)
+    for i in range(len(F) - 2, -1, -1):
+        x, y = table.renorm(F[i], F[i + 1])
+        if x == F[i]:
+            break
+        F[i], F[i + 1] = x, y
+    while F and F[-1] == table.e:
+        F.pop()
+
+
+def _strip_w0(table: GarsideTable, k: int, F: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Move the leading copies of w0 into the Delta exponent."""
     shift = 0
-    while factors and factors[0] == table.w0:
-        factors.pop(0)
+    while shift < len(F) and F[shift] == table.w0:
         shift += 1
-    while factors and factors[-1] == table.e:
-        factors.pop()
-    return shift, factors
+    return k + shift, tuple(F[shift:])
 
 
 def _nf_ids(table: GarsideTable, letters: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -219,13 +230,12 @@ def _nf_ids(table: GarsideTable, letters: Iterable[int]) -> tuple[int, tuple[int
     for letter in letters:
         s = abs(letter) - 1
         if letter > 0:
-            F.append(table.gen_ids[s])
+            _append(table, F, table.gen_ids[s])
         else:
             k -= 1
             F = [table.tau[x] for x in F]
-            F.append(table.w0s[s])
-    shift, F = _normalize(table, F)
-    return k + shift, tuple(F)
+            _append(table, F, table.w0s[s])
+    return _strip_w0(table, k, F)
 
 
 def _nf_mul_ids(
@@ -233,10 +243,10 @@ def _nf_mul_ids(
 ) -> tuple[int, tuple[int, ...]]:
     ka, Fa = a
     kb, Fb = b
-    if kb % 2:
-        Fa = tuple(table.tau[x] for x in Fa)
-    shift, F = _normalize(table, list(Fa) + list(Fb))
-    return ka + kb + shift, tuple(F)
+    F = [table.tau[x] for x in Fa] if kb % 2 else list(Fa)
+    for f in Fb:
+        _append(table, F, f)
+    return _strip_w0(table, ka + kb, F)
 
 
 def _letters_of_nf_ids(table: GarsideTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
@@ -346,32 +356,29 @@ def fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     return (u.inverse() * w0, table.element(F[1]))
 
 
+def _right_fraction_ids(table: GarsideTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
+    if not _rational_ids(nf):
+        raise ValueError("not a rational permutation braid")
+    k, F = nf
+    if k == 1:
+        return table.w0, table.e
+    if k == 0:
+        return (F[0] if F else table.e), table.e
+    if not F:
+        return table.e, table.w0
+    y = table.mul(table.inv[F[1]], table.w0) if len(F) > 1 else table.w0
+    return table.tau[F[0]], y
+
+
 def right_fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     """Right fraction: a pair (x, y) with b = b(x) b(y)^-1.
 
     This is the decomposition driving the sign rule of signed_lift; the
     denominator y is what the lift consults.
     """
-    group = b.group
-    table = garside_table(group)
-    k, F = _nf_ids(table, b.letters)
-    if not _rational_ids((k, F)):
-        raise ValueError("not a rational permutation braid")
-    e = group.identity
-    w0 = group.longest_element
-    if k == 1:
-        return (w0, e)
-    if k == 0:
-        if not F:
-            return (e, e)
-        return (table.element(F[0]), e)
-    if not F:
-        return (e, w0)
-    u = table.element(table.tau[F[0]])
-    if len(F) == 1:
-        return (u, w0)
-    v = table.element(F[1])
-    return (u, v.inverse() * w0)
+    table = garside_table(b.group)
+    x, y = _right_fraction_ids(table, _nf_ids(table, b.letters))
+    return table.element(x), table.element(y)
 
 
 def signed_lift(b: BraidWord, word: Iterable[int] | None = None) -> BraidWord:
@@ -382,21 +389,24 @@ def signed_lift(b: BraidWord, word: Iterable[int] | None = None) -> BraidWord:
     positive sign exactly when multiplying the standing suffix product
     s_i ... s_k y makes the length go up by one.
     """
-    group = b.group
-    w = b.image()
-    word = shortlex_word(w) if word is None else tuple(word)
-    if group.from_word(word) != w or len(word) != w.length():
+    table = garside_table(b.group)
+    w = table.image_id(b.letters)
+    word = table.word(w) if word is None else tuple(word)
+    if (
+        not all(0 < i <= table.n for i in word)
+        or table.image_id(word) != w
+        or len(word) != table.length[w]
+    ):
         raise ValueError("not a reduced word of the braid's image")
-    _, y = right_fraction_form(b)
+    _, cur = _right_fraction_ids(table, _nf_ids(table, b.letters))
+    length = table.length
     letters: list[int] = []
-    cur = y
     for i in reversed(word):
-        nxt = group.generator(i) * cur
-        sign = 1 if nxt.length() == cur.length() + 1 else -1
-        letters.append(i * sign)
+        nxt = table.lmul[i - 1][cur]
+        letters.append(i if length[nxt] == length[cur] + 1 else -i)
         cur = nxt
     letters.reverse()
-    return BraidWord(group, tuple(letters))
+    return BraidWord(b.group, tuple(letters))
 
 
 def square_free_witness(

@@ -17,15 +17,11 @@ from coxbraid.coxeter import (
     CoxeterElement,
     CoxeterGroup,
     IntegrityError,
-    _moved_rank_f4,
-    _moved_rank_h3,
-    _Q_OPS,
-    _rank_of_rows,
     abs_divides,
     bruhat_lower_interval,
     standard_coxeter_elements,
 )
-from coxbraid.garside import BraidWord
+from coxbraid.garside import BraidWord, GarsideTable, right_fraction_form, shortlex_word
 from coxbraid.hecke import HeckeElement
 from coxbraid.laurent import LaurentPolynomial
 from coxbraid.tl import TLDiagram, TLElement, cup_cap_diagram
@@ -77,11 +73,64 @@ def reflection_length_by_search(w: CoxeterElement) -> int:
     return _cayley_distances(w.group, True)[w.payload]
 
 
+def _rank_over_field(rows: list[list], ops: dict) -> int:
+    """Row rank by Gaussian elimination over an exact field, dividing by
+    each pivot."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, nrows):
+            if not ops["iszero"](rows[r][col]):
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv_p = ops["inv"](rows[rank][col])
+        for r in range(rank + 1, nrows):
+            if ops["iszero"](rows[r][col]):
+                continue
+            f = ops["mul"](rows[r][col], inv_p)
+            rows[r] = [
+                ops["add"](rows[r][c], ops["neg"](ops["mul"](f, rows[rank][c])))
+                for c in range(ncols)
+            ]
+        rank += 1
+    return rank
+
+
+_Q_OPS = {
+    "add": lambda a, b: a + b,
+    "mul": lambda a, b: a * b,
+    "neg": lambda a: -a,
+    "inv": lambda a: 1 / a,
+    "iszero": lambda a: a == 0,
+}
+
+
+def _qphi_inv(a: tuple) -> tuple:
+    # 1/(a0 + a1 phi) = (a0 + a1 - a1 phi) / N with N = a0^2 + a0 a1 - a1^2
+    norm = a[0] * a[0] + a[0] * a[1] - a[1] * a[1]
+    return ((a[0] + a[1]) / norm, -a[1] / norm)
+
+
+_QPHI_OPS = {
+    "add": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "mul": lambda a, b: (a[0] * b[0] + a[1] * b[1], a[0] * b[1] + a[1] * b[0] + a[1] * b[1]),
+    "neg": lambda a: (-a[0], -a[1]),
+    "inv": _qphi_inv,
+    "iszero": lambda a: a[0] == 0 and a[1] == 0,
+}
+
+
 def fixed_space_corank(w: CoxeterElement) -> int:
     """Codimension of the fixed space in the reflection representation.
 
-    Exact linear algebra over Q or Q(phi).  Available for every family
-    except the dihedral one, whose natural matrices are not rational.
+    Exact linear algebra over Q or Q(phi), with Fractions.  Available for
+    every family except the dihedral one, whose natural matrices are not
+    rational.
     """
     fam = w.group.type.family
     p = w.payload
@@ -91,7 +140,7 @@ def fixed_space_corank(w: CoxeterElement) -> int:
             [Fraction((1 if p[c] == r + 1 else 0) - (1 if r == c else 0)) for c in range(n1)]
             for r in range(n1)
         ]
-        return _rank_of_rows(rows, _Q_OPS)
+        return _rank_over_field(rows, _Q_OPS)
     if fam in ("B", "D"):
         n = len(p)
         rows = []
@@ -105,11 +154,16 @@ def fixed_space_corank(w: CoxeterElement) -> int:
                     e -= 1
                 row.append(Fraction(e))
             rows.append(row)
-        return _rank_of_rows(rows, _Q_OPS)
+        return _rank_over_field(rows, _Q_OPS)
     if fam == "H3":
-        return _moved_rank_h3(p)
+        rows = [
+            [(Fraction(p[r][c][0] - (1 if r == c else 0)), Fraction(p[r][c][1])) for c in range(3)]
+            for r in range(3)
+        ]
+        return _rank_over_field(rows, _QPHI_OPS)
     if fam == "F4":
-        return _moved_rank_f4(p)
+        rows = [[Fraction(p[r][c] - (1 if r == c else 0)) for c in range(4)] for r in range(4)]
+        return _rank_over_field(rows, _Q_OPS)
     raise ValueError(f"family {fam} has no rational matrix model")
 
 
@@ -160,6 +214,81 @@ def t_reduced_factorization_payload(x: CoxeterElement) -> tuple[CoxeterElement, 
         else:
             raise IntegrityError("no reflection divides a nonidentity element")
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# normal forms by bubbling, signed lifts on payloads
+
+
+def normalize_bubble(table: GarsideTable, factors: list[int]) -> tuple[int, list[int]]:
+    """Bubble adjacent renormalisations to the unique locally greedy form.
+
+    Returns (shift, factors) where shift counts stripped leading copies of
+    w0; trailing identities are dropped.  Each renormalisation moves
+    length strictly leftward, so the passes terminate.
+    """
+    if factors:
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(factors) - 1):
+                x, y = factors[i], factors[i + 1]
+                nx, ny = table.renorm(x, y)
+                if nx != x:
+                    factors[i], factors[i + 1] = nx, ny
+                    changed = True
+    shift = 0
+    while factors and factors[0] == table.w0:
+        factors.pop(0)
+        shift += 1
+    while factors and factors[-1] == table.e:
+        factors.pop()
+    return shift, factors
+
+
+def nf_ids_bubble(table: GarsideTable, letters) -> tuple[int, tuple[int, ...]]:
+    """The normal form of a word: all simples first, then one bubble."""
+    k = 0
+    F: list[int] = []
+    for letter in letters:
+        s = abs(letter) - 1
+        if letter > 0:
+            F.append(table.gen_ids[s])
+        else:
+            k -= 1
+            F = [table.tau[x] for x in F]
+            F.append(table.w0s[s])
+    shift, F = normalize_bubble(table, F)
+    return k + shift, tuple(F)
+
+
+def nf_mul_ids_bubble(table: GarsideTable, a, b) -> tuple[int, tuple[int, ...]]:
+    """The normal form of a product of two normal forms, by one bubble."""
+    (ka, Fa), (kb, Fb) = a, b
+    if kb % 2:
+        Fa = tuple(table.tau[x] for x in Fa)
+    shift, F = normalize_bubble(table, list(Fa) + list(Fb))
+    return ka + kb + shift, tuple(F)
+
+
+def signed_lift_payload(b: BraidWord, word=None) -> BraidWord:
+    """The sign rule of signed_lift walked on payloads: letter s_i is
+    positive when s_i ... s_k y is one longer than s_{i+1} ... s_k y."""
+    group = b.group
+    w = group.from_word(abs(l) for l in b.letters)
+    word = shortlex_word(w) if word is None else tuple(word)
+    if group.from_word(word) != w or len(word) != w.length():
+        raise ValueError("not a reduced word of the braid's image")
+    _, y = right_fraction_form(b)
+    letters: list[int] = []
+    cur = y
+    for i in reversed(word):
+        nxt = group.generator(i) * cur
+        sign = 1 if nxt.length() == cur.length() + 1 else -1
+        letters.append(i * sign)
+        cur = nxt
+    letters.reverse()
+    return BraidWord(group, tuple(letters))
 
 
 # ---------------------------------------------------------------------------

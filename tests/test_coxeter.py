@@ -18,6 +18,7 @@ from coxbraid.coxeter import (
     type_b_embedding,
     weak_meet_left,
 )
+from coxbraid.garside import garside_table
 
 import oracles
 
@@ -187,9 +188,16 @@ def test_reduced_words_of_longest_element():
 
 
 def test_fixed_space_corank_is_reflection_length():
+    """The Fraction elimination of the oracle against the library's
+    reflection lengths, and on H3 and F4 also against search."""
     for group in (coxeter_group("B", 3), coxeter_group("A", 3)):
         for w in group.elements():
             assert oracles.fixed_space_corank(w) == w.reflection_length()
+    for group in (coxeter_group("H3"), coxeter_group("F4")):
+        table = garside_table(group)
+        for x, w in enumerate(group.elements()):
+            want = oracles.fixed_space_corank(w)
+            assert table.rlen(x) == want == oracles.reflection_length_by_search(w)
 
 
 def test_type_b_embedding_is_a_homomorphism():

@@ -9,6 +9,7 @@ from coxbraid.coxeter import (
     standard_coxeter_elements,
 )
 from coxbraid.dual import (
+    DualAtomTable,
     NoncrossingPartition,
     circle_sequence,
     divisors_of,
@@ -24,7 +25,7 @@ from coxbraid.dual import (
     type_b_absolute_order_embedding_check,
     verify_dual_relations,
 )
-from coxbraid.garside import braid_equal, garside_table, is_rational_permutation
+from coxbraid.garside import GarsideTable, braid_equal, garside_table, is_rational_permutation
 
 import oracles
 
@@ -159,6 +160,25 @@ def test_hurwitz_braid_orbit_projects_bijectively():
     assert len(braids) == len(refl)
     projected = {tuple(b.image() for b in tup) for tup in braids}
     assert projected == refl
+
+
+def test_f4_atom_table_renorm_count(monkeypatch):
+    """Building the F4 atom table makes one renormalisation pass per
+    appended factor: at most 10 000 renorm calls (a bubble over the whole
+    factor list after every word made 77 780)."""
+    group = coxeter_group("F4")
+    garside_table(group)
+    calls = 0
+    renorm = GarsideTable.renorm
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return renorm(self, x, y)
+
+    monkeypatch.setattr(GarsideTable, "renorm", counted)
+    DualAtomTable(group.from_word((1, 2, 3, 4)), (1, 2, 3, 4))
+    assert 0 < calls <= 10_000
 
 
 @pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 3, None), ("I2", 2, 8), ("H3", 3, None)])

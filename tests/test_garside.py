@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from coxbraid.coxeter import coxeter_group, weak_meet_left
+from coxbraid.coxeter import coxeter_element_orderings, coxeter_group, reduced_words, weak_meet_left
 from coxbraid.garside import (
     BraidWord,
     GarsideNormalForm,
+    _nf_ids,
+    _nf_mul_ids,
     braid_equal,
     braid_from_normal_form,
     delta_normal_form,
@@ -157,6 +159,24 @@ def test_signed_lift_rejects_wrong_word():
         signed_lift(b, (2,))
     with pytest.raises(ValueError):
         signed_lift(b, (1, 1, 1))
+    for letter in (0, -1, 3):
+        with pytest.raises(ValueError):
+            signed_lift(b, (letter,))
+
+
+@pytest.mark.parametrize(
+    "family,rank,m", [("A", 1, None), ("A", 2, None), ("A", 3, None), ("B", 2, None), ("I2", 2, 5)]
+)
+def test_signed_lift_matches_payload_walk(family, rank, m):
+    """The sign walk on table ids equals the walk on payloads, for the
+    shortlex word and for the last reduced word of every pair braid."""
+    group = coxeter_group(family, rank, m=m)
+    for x in group.elements():
+        for y in group.elements():
+            b = positive_lift(x).inverse() * positive_lift(y)
+            assert signed_lift(b).letters == oracles.signed_lift_payload(b).letters
+            last = reduced_words(b.image())[-1]
+            assert signed_lift(b, last).letters == oracles.signed_lift_payload(b, last).letters
 
 
 def test_square_free():
@@ -260,3 +280,39 @@ def test_table_reflection_length_matches_search(family, rank, m):
     for x, w in enumerate(group.elements()):
         assert table.rlen(x) == oracles.reflection_length_by_search(w)
         assert w.reflection_length() == table.rlen(x)
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_incremental_normal_form_matches_bubble(family, rank, m):
+    """Appending one simple at a time gives the normal form that bubbling
+    the whole factor list gives, for words and for products of normal forms."""
+    group = coxeter_group(family, rank, m=m)
+    table = garside_table(group)
+    nfs = []
+    for word in random_words(group, 60, 30, seed=rank * 13 + (m or 0)):
+        nf = _nf_ids(table, word)
+        assert nf == oracles.nf_ids_bubble(table, word)
+        assert BraidWord(group, word).image() == group.from_word(abs(l) for l in word)
+        nfs.append(nf)
+    for a, b in zip(nfs, nfs[1:]):
+        assert _nf_mul_ids(table, a, b) == oracles.nf_mul_ids_bubble(table, a, b)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("H3", 3), ("F4", 4)])
+def test_atom_words_match_bubble(family, rank):
+    """Every rotation word of every standard ordering: normal form against
+    the bubble, image against payload products, and the products of
+    consecutive atoms against the bubble."""
+    group = coxeter_group(family, rank)
+    table = garside_table(group)
+    for ordering in coxeter_element_orderings(group).values():
+        nfs = []
+        for i in range(2 * len(group.reflections)):
+            seq = [ordering[j % rank] for j in range(i + 1)]
+            word = tuple(seq) + tuple(-l for l in reversed(seq[:-1]))
+            nf = _nf_ids(table, word)
+            assert nf == oracles.nf_ids_bubble(table, word)
+            assert BraidWord(group, word).image() == group.from_word(abs(l) for l in word)
+            nfs.append(nf)
+        for a, b in zip(nfs, nfs[1:]):
+            assert _nf_mul_ids(table, a, b) == oracles.nf_mul_ids_bubble(table, a, b)

@@ -1,9 +1,11 @@
-"""The package runs in one thread and reads no environment variables.
+"""The package runs in one thread, reads no environment variables and
+computes with integers only.
 
 Every verdict must follow from the arguments of a call alone: no worker
 pool can reorder work, and no variable can point a run at state kept on
-disk.  This parses each module and rejects the imports and reads that
-would bring either back.
+disk.  The proof path uses no rational or decimal arithmetic, which is
+left to the test oracles.  This parses each module and rejects the
+imports and reads that would bring any of these back.
 """
 
 import ast
@@ -17,6 +19,7 @@ PACKAGE = Path(coxbraid.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+INEXACT = {"fractions", "decimal"}
 
 
 def violations(tree: ast.AST) -> list[str]:
@@ -38,7 +41,7 @@ def violations(tree: ast.AST) -> list[str]:
         else:
             continue
         for name in names:
-            if name.split(".")[0] in CONCURRENCY or name.startswith("os."):
+            if name.split(".")[0] in CONCURRENCY | INEXACT or name.startswith("os."):
                 found.append(f"line {node.lineno}: {name}")
     return found
 
@@ -61,6 +64,8 @@ def test_no_threads_and_no_environment(path):
         "import os\nroot = os.environ.get('X')",
         "import os\nroot = os.getenv('X')",
         "from os import environ",
+        "from fractions import Fraction",
+        "import decimal",
     ],
 )
 def test_guard_catches(source):
