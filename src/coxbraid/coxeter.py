@@ -15,6 +15,12 @@ F4.  Element payloads are exact combinatorial or integral data:
 Products compose right to left, (u * v)(i) = u(v(i)), so that words read
 the way they are written: from_word([1, 2]) applies s2 first.
 
+Each group walks its Cayley graph once, breadth first, on first need
+(CoxeterGroup._walk): one payload product per edge gives the element ids
+of the Garside table, in (length, flattened payload) order, and on them
+the lengths, right products and inverses.  H3 and F4 read their payload
+lengths and inverses off the walk; A, B, D and I2(m) have closed forms.
+
 Generator numbering is 1-based.  For B_n the letter 1 is the sign change
 at the first coordinate and the letter i+1 swaps coordinates i and i+1,
 so m(1, 2) = 4.  For D_n the letter 1 maps (1, 2) to (-2, -1), the letter
@@ -24,6 +30,7 @@ so m(1, 2) = 4.  For D_n the letter 1 maps (1, 2) to (-2, -1), the letter
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
@@ -279,10 +286,8 @@ def _pmat_mul(x: tuple, y: tuple) -> tuple:
 
 
 def _imat_mul(x: tuple, y: tuple) -> tuple:
-    n = len(x)
-    return tuple(
-        tuple(sum(x[r][k] * y[k][c] for k in range(n)) for c in range(n)) for r in range(n)
-    )
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in x)
 
 
 def _h3_generators() -> tuple:
@@ -576,30 +581,12 @@ class CoxeterGroup:
                 gens = list(_f4_generators())
                 self._mul = _imat_mul
                 rlen = _moved_rank_f4
-            lengths: dict = {ident: 0}
-            invs: dict = {ident: ident}
-            frontier = [(ident, ident)]
-            while frontier:
-                nxt = []
-                for p, pi in frontier:
-                    for g in gens:
-                        q = self._mul(p, g)
-                        if q not in lengths:
-                            lengths[q] = lengths[p] + 1
-                            qi = self._mul(g, pi)
-                            invs[q] = qi
-                            nxt.append((q, qi))
-                frontier = nxt
-            if len(lengths) != ctype.order():
-                raise IntegrityError(
-                    f"{ctype.label()} closure has {len(lengths)} elements, "
-                    f"expected {ctype.order()}"
-                )
-            self._table_length = lengths
-            self._table_inv = invs
-            self._length = lengths.__getitem__
-            self._inv = invs.__getitem__
-            self._valid = lengths.__contains__
+            # read off the Cayley graph walk, which fills these on first use
+            self._table_length: dict = {}
+            self._table_inv: dict = {}
+            self._length = lambda p: self._walked(self._table_length)[p]
+            self._inv = lambda p: self._walked(self._table_inv)[p]
+            self._valid = lambda p: p in self._walked(self._table_length)
 
         # reflection length is computed at most once per element
         self._rlen = cache(rlen)
@@ -607,9 +594,9 @@ class CoxeterGroup:
         self.identity = CoxeterElement(self, ident)
         self.generators = tuple(CoxeterElement(self, g) for g in gens)
 
+        self._cayley: tuple | None = None
         self._elements_cache: tuple | None = None
         self._reflections_cache: tuple | None = None
-        self._w0_cache: CoxeterElement | None = None
         self._coxeter_matrix_cache: tuple | None = None
         self._orderings_cache: dict | None = None
         self._bruhat_cache: dict = {}
@@ -636,47 +623,70 @@ class CoxeterGroup:
 
     # -- global structure ------------------------------------------------
 
+    def _walk(self) -> tuple[list, dict, list[list[int]], list[int], list[int]]:
+        """One breadth-first walk of the Cayley graph of the generators.
+
+        Depth is the Coxeter length.  Ids number the elements level by
+        level, each level sorted by flattened payload, and the walk returns
+        (payloads, index, rmul, length, inv) with rmul[s][x] the id of x
+        times generator s + 1.  Each edge p s is one payload product, made
+        an id once the next level is numbered.  x = y s with l(y) < l(x)
+        gives x^-1 = s y^-1, so inverses fold the letters of x through
+        rmul from right to left, without payload products.  Callers share
+        these lists and must not change them.
+        """
+        if self._cayley is None:
+            mul, gens = self._mul, self._gen_payloads
+            payloads = [self.identity.payload]
+            index = {payloads[0]: 0}
+            length = [0]
+            last = [-1]  # a generator s with l(x s) < l(x)
+            rmul: list[list[int]] = [[] for _ in gens]
+            level = payloads[:]
+            while level:
+                prods = [[mul(p, g) for g in gens] for p in level]
+                # each product p s not yet numbered lies one level deeper
+                found = {q: s for row in prods for s, q in enumerate(row) if q not in index}
+                level = sorted(found, key=_flat)
+                index.update((q, len(payloads) + i) for i, q in enumerate(level))
+                payloads += level
+                length += [length[-1] + 1] * len(level)
+                last += [found[q] for q in level]
+                for s, col in enumerate(rmul):
+                    col.extend(index[row[s]] for row in prods)
+            if len(payloads) != self.type.order() or length[-1] != self.type.reflection_count():
+                raise IntegrityError(
+                    f"{self.type.label()}: {len(payloads)} elements up to length {length[-1]}, "
+                    f"expected {self.type.order()} up to length {self.type.reflection_count()}"
+                )
+            inv = []
+            for x in range(len(payloads)):
+                z, c = 0, x
+                while c:
+                    row = rmul[last[c]]
+                    z, c = row[z], row[c]
+                inv.append(z)
+            self._cayley = (payloads, index, rmul, length, inv)
+            if self.type.family in ("H3", "F4"):
+                self._table_length.update(zip(payloads, length))
+                self._table_inv.update(zip(payloads, [payloads[i] for i in inv]))
+        return self._cayley
+
+    def _walked(self, table: dict) -> dict:
+        """An H3/F4 payload-keyed table, after the walk has filled it."""
+        self._walk()
+        return table
+
     def elements(self) -> tuple[CoxeterElement, ...]:
         """All elements, ordered by length then by flattened payload."""
         if self._elements_cache is None:
-            seen = {self.identity.payload}
-            out = [self.identity.payload]
-            frontier = [self.identity.payload]
-            while frontier:
-                nxt = set()
-                for p in frontier:
-                    for g in self._gen_payloads:
-                        q = self._mul(p, g)
-                        if q not in seen:
-                            nxt.add(q)
-                frontier = sorted(nxt, key=_flat)
-                seen.update(frontier)
-                out.extend(frontier)
-            if len(out) != self.type.order():
-                raise IntegrityError(
-                    f"enumerated {len(out)} elements of {self.type.label()}, "
-                    f"expected {self.type.order()}"
-                )
-            self._elements_cache = tuple(CoxeterElement(self, p) for p in out)
+            self._elements_cache = tuple(CoxeterElement(self, p) for p in self._walk()[0])
         return self._elements_cache
 
     @property
     def longest_element(self) -> CoxeterElement:
-        if self._w0_cache is None:
-            w = self.identity
-            while True:
-                lw = w.length()
-                for g in self.generators:
-                    x = w * g
-                    if x.length() > lw:
-                        w = x
-                        break
-                else:
-                    break
-            if w.length() != self.type.reflection_count():
-                raise IntegrityError("longest element has wrong length")
-            self._w0_cache = w
-        return self._w0_cache
+        """The unique element of greatest length, the last one walked."""
+        return self.elements()[-1]
 
     @property
     def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:

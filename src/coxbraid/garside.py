@@ -79,53 +79,44 @@ class BraidWord:
 class GarsideTable:
     """Integer indexed multiplication tables for one finite Coxeter group.
 
-    Element ids follow the deterministic order of group.elements().  The
-    table is immutable after construction apart from the lazily filled
-    shortlex words and reflection lengths.
+    Element ids, lengths, inverses and right products by the generators
+    come from the group's one breadth-first walk of its Cayley graph, so
+    ids follow the order of group.elements() and no payload product is
+    taken here.  Left products, descent masks and the twist tau are
+    derived from those on ids.  The table is immutable after construction
+    apart from the lazily filled shortlex words and reflection lengths.
     """
 
     def __init__(self, group: CoxeterGroup) -> None:
         self.group = group
         self.n = group.rank
-        els = group.elements()
-        payloads = [w.payload for w in els]
-        index = {p: i for i, p in enumerate(payloads)}
-        mul = group._mul
-        gens = group._gen_payloads
-        self.payloads = payloads
-        self.index = index
-        size = len(payloads)
-        self.rmul = [[index[mul(p, g)] for p in payloads] for g in gens]
-        self.length = [group._length(p) for p in payloads]
-        self.inv = inv = [index[group._inv(p)] for p in payloads]
+        self.payloads, self.index, self.rmul, self.length, self.inv = group._walk()
+        size = len(self.payloads)
         # s x = (x^-1 s)^-1
-        self.lmul = [[inv[row[inv[x]]] for x in range(size)] for row in self.rmul]
-        self.e = index[group.identity.payload]
-        self.w0 = index[group.longest_element.payload]
-        ldesc = [0] * size
-        rdesc = [0] * size
-        for x in range(size):
-            lx = self.length[x]
-            for s in range(self.n):
-                if self.length[self.lmul[s][x]] < lx:
-                    ldesc[x] |= 1 << s
-                if self.length[self.rmul[s][x]] < lx:
-                    rdesc[x] |= 1 << s
-        self.ldesc = ldesc
-        self.rdesc = rdesc
+        self.lmul = [[self.inv[row[y]] for y in self.inv] for row in self.rmul]
+        self.e = 0  # the walk starts at the identity
+        self.w0 = size - 1
+        # descent masks: bit s is set when s lowers the length on that side
+        length = self.length
+        self.ldesc, self.rdesc = [
+            [sum(1 << s for s, r in enumerate(rows) if length[r[x]] < lx)
+             for x, lx in enumerate(length)]
+            for rows in (self.lmul, self.rmul)
+        ]
+        if length.count(length[-1]) != 1 or 0 in self.ldesc[1:]:
+            raise IntegrityError(f"{group.type.label()}: walk lengths are not Coxeter lengths")
         # tau(s) = w0 s w0 is the generator t with s w0 = w0 t; then
         # tau(x) = tau(x s) tau(s) for a right descent s of x, and ids run
         # in length order, so tau(x s) is already known
         below_w0 = {row[self.w0]: t for t, row in enumerate(self.rmul)}
         tau_gen = [below_w0[row[self.w0]] for row in self.lmul]
         tau = [self.e] * size
-        for x in range(size):
-            if x != self.e:
-                mask = rdesc[x]
-                s = (mask & -mask).bit_length() - 1
-                tau[x] = self.rmul[tau_gen[s]][tau[self.rmul[s][x]]]
+        for x in range(1, size):
+            mask = self.rdesc[x]
+            s = (mask & -mask).bit_length() - 1
+            tau[x] = self.rmul[tau_gen[s]][tau[self.rmul[s][x]]]
         self.tau = tau
-        self.gen_ids = [index[g] for g in gens]
+        self.gen_ids = [row[self.e] for row in self.rmul]
         self.w0s = [self.rmul[s][self.w0] for s in range(self.n)]
         self.tau_letters = tuple(t + 1 for t in tau_gen)
         self._words: list[tuple[int, ...] | None] = [None] * size

@@ -246,7 +246,7 @@ class KLTable:
         self.table = garside_table(group)
         self._p: dict[tuple, LaurentPolynomial] = {}
         self._cprime: dict[CoxeterElement, HeckeElement] = {}
-        self._c: dict[CoxeterElement, HeckeElement] = {}
+        self._c: list[HeckeElement | None] = [None] * len(self.table.payloads)  # by id
 
     # -- the polynomials ---------------------------------------------------
 
@@ -308,10 +308,10 @@ class KLTable:
         return got
 
     def c_basis(self, w: CoxeterElement) -> HeckeElement:
-        got = self._c.get(w)
+        x = self.table.id_of(w)
+        got = self._c[x]
         if got is None:
-            got = j_h(self.c_prime(w)).scale((-1) ** w.length())
-            self._c[w] = got
+            got = self._c[x] = j_h(self.c_prime(w)).scale((-1) ** w.length())
         return got
 
     # -- expansion ---------------------------------------------------------
@@ -328,7 +328,8 @@ class KLTable:
             x = max(work)
             gamma = out[x] = {e - length[x]: c for e, c in work[x].items()}
             minus_gamma = [(e, -c) for e, c in gamma.items()]
-            for y, c in self.c_basis(element(x)).rows.items():
+            c_x = self._c[x] or self.c_basis(element(x))
+            for y, c in c_x.rows.items():
                 _addmul(work, y, minus_gamma, c.terms)
             if x in work:
                 raise IntegrityError("triangular elimination failed to clear a term")

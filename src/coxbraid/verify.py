@@ -70,8 +70,6 @@ def budget_guard(
         raise ResourceError("only the rank 3 group is supported in family H")
     if fam == "F" and size != 4:
         raise ResourceError("only the rank 4 group is supported in family F")
-    if fam == "D" and size != 4:
-        raise ResourceError("only the rank 4 group is in budget for family D")
     if size <= limit:
         return ()
     if budget is not None and size <= budget:

@@ -4,10 +4,21 @@ import random
 
 import pytest
 
-from coxbraid.coxeter import coxeter_element_orderings, coxeter_group, reduced_words, weak_meet_left
+from coxbraid import coxeter
+from coxbraid.coxeter import (
+    CoxeterGroup,
+    CoxeterType,
+    IntegrityError,
+    _flat,
+    coxeter_element_orderings,
+    coxeter_group,
+    reduced_words,
+    weak_meet_left,
+)
 from coxbraid.garside import (
     BraidWord,
     GarsideNormalForm,
+    GarsideTable,
     _nf_ids,
     _nf_mul_ids,
     braid_equal,
@@ -271,6 +282,86 @@ def test_table_matches_payload_arithmetic(family, rank, m):
         pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(3000)]
     for x, y in pairs:
         assert P[table.mul(x, y)] == mul(P[x], P[y])
+
+
+def degrees(family, rank, m):
+    """Degrees of the basic invariants of the group."""
+    if family == "A":
+        return list(range(2, rank + 2))
+    if family == "B":
+        return list(range(2, 2 * rank + 1, 2))
+    if family == "D":
+        return list(range(2, 2 * rank - 1, 2)) + [rank]
+    if family == "I2":
+        return [2, m]
+    return {"H3": [2, 6, 10], "F4": [2, 6, 8, 12]}[family]
+
+
+def poincare_coefficients(degs):
+    """Coefficients of the product of (1 + q + ... + q^(d-1)) over degs."""
+    coeffs = [1]
+    for d in degs:
+        nxt = [0] * (len(coeffs) + d - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(d):
+                nxt[i + j] += c
+        coeffs = nxt
+    return coeffs
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_walk_matches_checks_outside_the_walk(family, rank, m):
+    """Ids, lengths and inverses of the Cayley graph walk, against the
+    Poincare polynomial, payload products and a separate breadth first
+    search: the table's H3/F4 payload lengths come from the walk itself."""
+    group = coxeter_group(family, rank, m=m)
+    table = garside_table(group)
+    P = table.payloads
+    counts = [0] * (max(table.length) + 1)
+    for l in table.length:
+        counts[l] += 1
+    assert counts == poincare_coefficients(degrees(family, rank, m))
+    ident = group.identity.payload
+    for x, p in enumerate(P):
+        assert group._mul(p, P[table.inv[x]]) == ident
+    by_search = {w.payload: oracles.length_by_search(w) for w in group.elements()}
+    assert table.length == [by_search[p] for p in P]
+    assert P == sorted(by_search, key=lambda p: (by_search[p], _flat(p)))
+    assert [w.payload for w in group.elements()] == P
+
+
+def test_f4_walk_takes_one_product_per_edge(monkeypatch):
+    """A fresh F4 group, its elements and its table make one matrix product
+    per edge of the 4608-edge Cayley graph, plus at most 200 elsewhere
+    (three separate walks made about 15 000)."""
+    calls = 0
+    imat_mul = coxeter._imat_mul
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return imat_mul(x, y)
+
+    monkeypatch.setattr(coxeter, "_imat_mul", counted)
+    group = CoxeterGroup(CoxeterType("F4", 4))
+    group.elements()
+    GarsideTable(group)
+    assert 4608 <= calls <= 4608 + 200
+
+
+@pytest.mark.parametrize("count", ["order", "reflection_count"])
+@pytest.mark.parametrize("family,rank", [("A", 3), ("H3", 3), ("F4", 4)])
+def test_walk_checks_group_order(monkeypatch, family, rank, count):
+    """The walk fails loudly when it does not reach |W| elements, or when
+    its deepest level is not at the length of w0, the number of reflections."""
+    ctype = CoxeterType(family, rank)
+    wrong = getattr(ctype, count)() + 1
+    monkeypatch.setattr(CoxeterType, count, lambda self: wrong)
+    group = CoxeterGroup(ctype)
+    with pytest.raises(IntegrityError):
+        group.elements()
+    with pytest.raises(IntegrityError):
+        GarsideTable(group)
 
 
 @pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)

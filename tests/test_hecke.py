@@ -12,7 +12,7 @@ import coxbraid
 import oracles
 from coxbraid.coxeter import ResourceError, bruhat_leq, coxeter_group
 from coxbraid.dual import dual_monoid
-from coxbraid.garside import BraidWord, positive_lift
+from coxbraid.garside import BraidWord, GarsideTable, positive_lift
 from coxbraid.hecke import (
     HeckeElement,
     KLTable,
@@ -204,6 +204,28 @@ def test_expand_in_C_worked_example():
     exp = {w.reduced_word(): str(p) for w, p in table.expand_in_C(h).items()}
     assert exp == {(): "1", (1,): "v^-1", (2,): "v", (1, 2): "1"}
     assert table.expansion_is_positive(h)
+
+
+def test_expand_in_C_reads_c_rows_by_id(monkeypatch):
+    """Once the C_w it eliminates with are built, one expansion makes at
+    most one GarsideTable.element call per returned term: C_w rows are read
+    by id, not through c_basis(element(x)) on every elimination step."""
+    group = coxeter_group("B", 3)
+    table = KLTable(group)
+    h = braid_image_a(BraidWord(group, (1, -2, 3, 2, -1, 3, -2)))
+    first = table.expand_in_C(h)
+    calls = 0
+    element = GarsideTable.element
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return element(self, x)
+
+    monkeypatch.setattr(GarsideTable, "element", counted)
+    again = table.expand_in_C(h)
+    assert again == first and len(again) > 1
+    assert calls <= len(again)
 
 
 def test_pair_expansions_are_positive_in_rank_two():

@@ -4,8 +4,10 @@ computes with integers only.
 Every verdict must follow from the arguments of a call alone: no worker
 pool can reorder work, and no variable can point a run at state kept on
 disk.  The proof path uses no rational or decimal arithmetic, which is
-left to the test oracles.  This parses each module and rejects the
-imports and reads that would bring any of these back.
+left to the test oracles.  The Garside table reads its products off the
+group's Cayley graph walk and takes no payload products of its own.
+This parses each module and rejects the imports, reads and calls that
+would bring any of these back.
 """
 
 import ast
@@ -20,11 +22,21 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 INEXACT = {"fractions", "decimal"}
+# Modules that must stay off payload products: the Garside table takes its
+# products from the group's Cayley graph walk, on ids.
+PAYLOAD_FREE = {"garside.py"}
+PAYLOAD_PRODUCTS = {"_mul", "_imat_mul", "_pmat_mul"}
 
 
-def violations(tree: ast.AST) -> list[str]:
+def violations(tree: ast.AST, payload_free: bool = False) -> list[str]:
     found = []
     for node in ast.walk(tree):
+        if payload_free:
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if isinstance(node, ast.ImportFrom):
+                name = next((a.name for a in node.names if a.name in PAYLOAD_PRODUCTS), None)
+            if name in PAYLOAD_PRODUCTS:
+                found.append(f"line {node.lineno}: payload product {name}")
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -52,7 +64,8 @@ def test_every_module_is_scanned():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_threads_and_no_environment(path):
-    assert violations(ast.parse(path.read_text(encoding="utf-8"))) == []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert violations(tree, payload_free=path.name in PAYLOAD_FREE) == []
 
 
 @pytest.mark.parametrize(
@@ -66,7 +79,15 @@ def test_no_threads_and_no_environment(path):
         "from os import environ",
         "from fractions import Fraction",
         "import decimal",
+        "p = group._mul(a, b)",
+        "from .coxeter import _imat_mul",
+        "p = coxeter._pmat_mul(a, b)",
     ],
 )
 def test_guard_catches(source):
-    assert violations(ast.parse(source))
+    assert violations(ast.parse(source), payload_free=True)
+
+
+def test_payload_guard_spares_table_products():
+    source = "x = table.mul(a, b)\ny = table.rmul[s][x]\nmul = group._rlen"
+    assert violations(ast.parse(source), payload_free=True) == []

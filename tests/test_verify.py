@@ -127,10 +127,13 @@ def test_budget_guard():
     with pytest.raises(ResourceError):
         run_check("prop-3.9", "I2", m=13)
     with pytest.raises(ResourceError):
-        run_check("prop-3.9", "D", rank=5, budget=9)
-    report = run_check("prop-3.9", "I2", m=13, budget=13)
-    assert report.passed
-    assert any("budget override" in note for note in report.notes)
+        run_check("prop-3.9", "D", rank=5)
+    for report in (
+        run_check("prop-3.9", "I2", m=13, budget=13),
+        run_check("prop-3.9", "D", rank=5, budget=5),
+    ):
+        assert report.passed
+        assert any("budget override" in note for note in report.notes)
     with pytest.raises(ValueError):
         run_check("prop-3.9", "A")
 
