@@ -599,7 +599,6 @@ class CoxeterGroup:
         self._reflections_cache: tuple | None = None
         self._coxeter_matrix_cache: tuple | None = None
         self._orderings_cache: dict | None = None
-        self._bruhat_cache: dict = {}
 
     # -- element factories ---------------------------------------------
 
@@ -826,33 +825,19 @@ def weak_meet_left(u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
 
 
 def bruhat_lower_interval(y: CoxeterElement) -> frozenset[CoxeterElement]:
-    """The set of all x with x <= y in Bruhat order.
+    """The set of all x with x <= y in Bruhat order, read off the id bitset
+    of the group's table (GarsideTable.below)."""
+    from .garside import bit_ids, garside_table
 
-    Subword dynamic program over one fixed reduced word of y: processing
-    the word letter by letter, keep all products of length increasing
-    subwords seen so far.
-    """
-    g = y.group
-    cached = g._bruhat_cache.get(y.payload)
-    if cached is not None:
-        return cached
-    reach = {g.identity}
-    for i in y.reduced_word():
-        s = g.generator(i)
-        extra = set()
-        for z in reach:
-            zs = z * s
-            if zs.length() > z.length():
-                extra.add(zs)
-        reach.update(extra)
-    result = frozenset(reach)
-    g._bruhat_cache[y.payload] = result
-    return result
+    table = garside_table(y.group)
+    return frozenset(map(table.element, bit_ids(table.below(table.id_of(y)))))
 
 
 def bruhat_leq(x: CoxeterElement, y: CoxeterElement) -> bool:
-    _same_group(x, y)
-    return x in bruhat_lower_interval(y)
+    from .garside import garside_table
+
+    table = garside_table(_same_group(x, y))
+    return bool(table.below(table.id_of(y)) >> table.id_of(x) & 1)
 
 
 def coxeter_element_orderings(group: CoxeterGroup) -> dict[CoxeterElement, tuple[int, ...]]:

@@ -84,7 +84,8 @@ class GarsideTable:
     ids follow the order of group.elements() and no payload product is
     taken here.  Left products, descent masks and the twist tau are
     derived from those on ids.  The table is immutable after construction
-    apart from the lazily filled shortlex words and reflection lengths.
+    apart from the lazily filled shortlex words, reflection lengths and
+    lower Bruhat intervals.
     """
 
     def __init__(self, group: CoxeterGroup) -> None:
@@ -121,6 +122,7 @@ class GarsideTable:
         self.tau_letters = tuple(t + 1 for t in tau_gen)
         self._words: list[tuple[int, ...] | None] = [None] * size
         self._rlen = [-1] * size
+        self._below = [1] + [0] * (size - 1)  # [e, e] = {e}; 0 is not yet built
 
     def element(self, x: int) -> CoxeterElement:
         return CoxeterElement(self.group, self.payloads[x])
@@ -150,6 +152,17 @@ class GarsideTable:
             r = self._rlen[x] = self.group._rlen(self.payloads[x])
         return r
 
+    def below(self, w: int) -> int:
+        """The lower Bruhat interval [e, w] as a bitset of ids, built on
+        first use: with s a left descent of w the lifting property gives
+        [e, w] = [e, sw] u s[e, sw]."""
+        got = self._below[w]
+        if not got:
+            row = self.lmul[(self.ldesc[w] & -self.ldesc[w]).bit_length() - 1]
+            lower = self.below(row[w])
+            got = self._below[w] = lower | sum(1 << row[y] for y in bit_ids(lower))
+        return got
+
     def mul(self, x: int, y: int) -> int:
         """Id of the product x y, folding the word of y into x."""
         for s in self.word(y):
@@ -165,7 +178,11 @@ class GarsideTable:
 
     def abs_divides(self, x: int, y: int) -> bool:
         """Whether x divides y in absolute order: l_T(x) + l_T(x^-1 y) = l_T(y)."""
-        return self.rlen(x) + self.rlen(self.mul(self.inv[x], y)) == self.rlen(y)
+        r, z = self._rlen, self.mul(self.inv[x], y)
+        a, b, c = r[x], r[z], r[y]
+        if a < 0 or b < 0 or c < 0:
+            a, b, c = self.rlen(x), self.rlen(z), self.rlen(y)
+        return a + b == c
 
     def renorm(self, x: int, y: int) -> tuple[int, int]:
         """Slide left descents of y that are not right descents of x."""
@@ -181,6 +198,11 @@ class GarsideTable:
 @cache
 def garside_table(group: CoxeterGroup) -> GarsideTable:
     return GarsideTable(group)
+
+
+def bit_ids(bits: int) -> list[int]:
+    """The positions of the set bits, in increasing order."""
+    return [i for i, b in enumerate(bin(bits)[:1:-1]) if b == "1"]
 
 
 def shortlex_word(w: CoxeterElement) -> tuple[int, ...]:

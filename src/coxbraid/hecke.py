@@ -5,10 +5,13 @@ coefficients keyed by GarsideTable id, normalised by T_s^2 = (v^-2 - 1)
 T_s + v^-2.  Products fold through the table's rmul and length arrays on
 exponent -> coefficient int dicts updated in place.  The braid group maps
 in through a (generators to T_s) and its twist a', and the Kazhdan
-Lusztig machinery lives in KLTable: polynomials P_{y,w} in q = v^-2
-computed by the classical recursion with mu corrections, the bases
+Lusztig machinery lives in KLTable, on table ids: polynomials P_{y,w} in
+q = v^-2 computed by the classical recursion with mu corrections over
+lower Bruhat intervals held as bitsets, the bases
 C'_w = v^{l(w)} sum P_{y,w}(v^-2) T_y and C_w = (-1)^{l(w)} j_H(C'_w),
-and triangular expansion of arbitrary elements in {C_w} by id.
+triangular expansion of arbitrary elements in {C_w}, and right
+multiplication of C-coordinates by T_s along the W-graph, which expands
+T_x^-1 T_y one letter of y at a time.
 """
 
 from __future__ import annotations
@@ -17,22 +20,14 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .coxeter import (
-    CoxeterElement,
-    CoxeterGroup,
-    IntegrityError,
-    ResourceError,
-    bruhat_leq,
-    bruhat_lower_interval,
-)
-from .garside import BraidWord, garside_table, shortlex_word
+from .coxeter import CoxeterElement, CoxeterGroup, IntegrityError, ResourceError
+from .garside import BraidWord, bit_ids, fraction_form, garside_table, shortlex_word
 from .laurent import LaurentPolynomial
 
 KL_GROUP_ORDER_CAP = 1200
 
 _ZERO = LaurentPolynomial.zero()
 _ONE = LaurentPolynomial.one()
-_Q = LaurentPolynomial.v_power(1)
 
 # id -> (exponent -> nonzero coefficient), without empty rows
 Rows = dict[int, dict[int, int]]
@@ -42,6 +37,7 @@ Rows = dict[int, dict[int, int]]
 _UP_INVERSE = (((2, 1),), ((0, -1), (2, 1)))
 _DOWN = (((-2, 1),), ((-2, 1), (0, -1)))
 _UNIT = ((0, 1),)
+_P_ONE = (1,)  # the polynomial 1 in q
 
 
 def _addmul(rows: Rows, x: int, p: Iterable, q: Iterable) -> None:
@@ -86,6 +82,16 @@ def _fold(table, rows: Rows, letters: Iterable[int]) -> Rows:
 
 def _poly(p: dict[int, int]) -> LaurentPolynomial:
     return LaurentPolynomial._trusted(tuple(sorted(p.items())))
+
+
+def _axpy(acc: list[int], p: tuple[int, ...], shift: int, m: int) -> None:
+    """acc += m q^shift p on coefficient lists in q, growing acc as needed."""
+    grow = shift + len(p) - len(acc)
+    if grow > 0:
+        acc.extend([0] * grow)
+    for i, c in enumerate(p, shift):
+        acc[i] += m * c
+
 
 class HeckeElement:
     """A finitely supported Z[v, v^-1] combination of standard basis terms,
@@ -230,11 +236,20 @@ def _word_key(w: CoxeterElement) -> str:
 
 
 class KLTable:
-    """Kazhdan Lusztig polynomials and bases for one finite group.
+    """Kazhdan Lusztig polynomials, W-graph and bases for one finite group,
+    on the ids of its GarsideTable.
 
-    P_{y,w} lives in the variable q; the basis elements come back as
-    HeckeElements over v with q = v^-2 substituted.  Everything is
-    computed on first use and memoised in memory.
+    The table is filled one w at a time in id order (ids run in length
+    order), up to the largest id asked for.  For each w it holds P_{y,w}
+    for every y in the lower Bruhat interval of w, as a tuple of int
+    coefficients in q, and the mu-list of w: the pairs (z, mu(z, w)) with
+    z < w and mu(z, w) nonzero.  With s the first left descent of w and
+    v = sw, P_{y,w} = P_{sy,w} when sy > y, and otherwise
+
+        P_{y,w} = P_{sy,v} + q P_{y,v} - sum mu(z,v) q^{(l(w)-l(z))/2} P_{y,z}
+
+    over the z of the mu-list of v with sz < z.  Basis elements come back
+    as HeckeElements over v with q = v^-2 substituted.
     """
 
     def __init__(self, group: CoxeterGroup, cap: int = KL_GROUP_ORDER_CAP) -> None:
@@ -244,99 +259,170 @@ class KLTable:
             )
         self.group = group
         self.table = garside_table(group)
-        self._p: dict[tuple, LaurentPolynomial] = {}
-        self._cprime: dict[CoxeterElement, HeckeElement] = {}
-        self._c: list[HeckeElement | None] = [None] * len(self.table.payloads)  # by id
+        # by id w: y -> P_{y,w} and the mu-list, both filled in id order from e
+        self._p: list[dict[int, tuple[int, ...]]] = [{self.table.e: _P_ONE}]
+        self._mu: list[list[tuple[int, int]]] = [[]]
+        self._c: list[tuple | None] = [None] * len(self.table.payloads)  # C_w by id
+        self._pairs: tuple[int, dict[int, Rows]] = (-1, {})  # x, y -> T_x^-1 T_y
 
     # -- the polynomials ---------------------------------------------------
 
+    def _fill(self, upto: int) -> None:
+        """Compute P_{y,w} and the mu-list of every id w <= upto not yet done."""
+        P, mus, t = self._p, self._mu, self.table
+        length, lmul, ldesc = t.length, t.lmul, t.ldesc
+        for w in range(len(P), upto + 1):
+            lw = length[w]
+            s = (ldesc[w] & -ldesc[w]).bit_length() - 1
+            bit, step, Pv = 1 << s, lmul[s], P[lmul[s][w]]
+            terms = []
+            for z, m in mus[step[w]]:
+                if ldesc[z] & bit:
+                    if (lw - length[z]) % 2:
+                        raise IntegrityError("odd exponent in the mu correction")
+                    terms.append((P[z], (lw - length[z]) // 2, m))
+            row: dict[int, tuple[int, ...]] = {}
+            ids = bit_ids(t.below(w))
+            for y in ids:
+                if not ldesc[y] & bit:
+                    continue
+                acc = list(Pv.get(step[y], ()))
+                _axpy(acc, Pv.get(y, ()), 1, 1)
+                for Pz, h, m in terms:
+                    if y in Pz:
+                        _axpy(acc, Pz[y], h, -m)
+                while acc and not acc[-1]:
+                    acc.pop()
+                if not acc or acc[0] != 1:
+                    raise IntegrityError("P_{y,w} has constant term other than 1")
+                if y != w and 2 * len(acc) > lw - length[y] + 1:
+                    raise IntegrityError("degree bound violated in the recursion")
+                row[y] = _P_ONE if acc == [1] else tuple(acc)
+            for y in ids:
+                if not ldesc[y] & bit:
+                    row[y] = row[step[y]]
+            top = {z: (lw - length[z] - 1) // 2 for z in ids if (lw - length[z]) % 2}
+            mus.append([(z, row[z][k]) for z, k in top.items() if len(row[z]) > k and row[z][k]])
+            P.append(row)
+
+    def _row(self, w: int) -> dict[int, tuple[int, ...]]:
+        """y -> P_{y,w} for the y below the element with id w."""
+        self._fill(w)
+        return self._p[w]
+
     def p(self, y: CoxeterElement, w: CoxeterElement) -> LaurentPolynomial:
         """P_{y,w} as a polynomial in q."""
-        key = (y.payload, w.payload)
-        got = self._p.get(key)
-        if got is not None:
-            return got
-        if y == w:
-            val = _ONE
-        elif not bruhat_leq(y, w):
-            val = _ZERO
-        else:
-            s = min(w.left_descents())
-            gen = self.group.generator(s)
-            sw = gen * w
-            sy = gen * y
-            if sy.length() < y.length():
-                val = self.p(sy, sw) + _Q * self.p(y, sw)
-                for z in bruhat_lower_interval(sw):
-                    if (gen * z).length() < z.length() and bruhat_leq(y, z):
-                        m = self.mu(z, sw)
-                        if m:
-                            gap = w.length() - z.length()
-                            if gap % 2:
-                                raise IntegrityError("odd exponent in the mu correction")
-                            val = val - self.p(y, z) * LaurentPolynomial.v_power(
-                                gap // 2, m
-                            )
-            else:
-                val = self.p(sy, w)
-        if y != w and val and 2 * val.max_exp() > w.length() - y.length() - 1:
-            raise IntegrityError("degree bound violated in the recursion")
-        self._p[key] = val
-        return val
+        got = self._row(self.table.id_of(w)).get(self.table.id_of(y), ())
+        return LaurentPolynomial._trusted(tuple((k, c) for k, c in enumerate(got) if c))
 
     def mu(self, y: CoxeterElement, w: CoxeterElement) -> int:
         """The coefficient of the top allowed q power in P_{y,w}."""
-        gap = w.length() - y.length() - 1
-        if gap < 0 or gap % 2:
-            return 0
-        return self.p(y, w).coeff(gap // 2)
+        k, odd = divmod(w.length() - y.length() - 1, 2)
+        got = self._row(self.table.id_of(w)).get(self.table.id_of(y), ())
+        return got[k] if not odd and 0 <= k < len(got) else 0
 
     # -- bases -------------------------------------------------------------
 
-    def c_prime(self, w: CoxeterElement) -> HeckeElement:
-        got = self._cprime.get(w)
+    def _c_row(self, w: int) -> tuple:
+        """C_w on the standard basis as (y, terms) pairs: the coefficient of
+        T_y is (-1)^{l(w)-l(y)} v^{2l(y)-l(w)} P_{y,w}(v^2)."""
+        got = self._c[w]
         if got is None:
-            shift = w.length()
-            got = HeckeElement(
-                self.group,
-                {
-                    y: self.p(y, w).substituted_power(-2).shifted(shift)
-                    for y in bruhat_lower_interval(w)
-                },
+            length = self.table.length
+            got = self._c[w] = tuple(
+                (y, tuple((2 * (k + length[y]) - length[w], c * (-1) ** (length[w] - length[y]))
+                          for k, c in enumerate(p) if c))
+                for y, p in self._row(w).items()
             )
-            self._cprime[w] = got
         return got
 
-    def c_basis(self, w: CoxeterElement) -> HeckeElement:
+    def c_prime(self, w: CoxeterElement) -> HeckeElement:
+        """C'_w = v^{l(w)} sum_y P_{y,w}(v^-2) T_y."""
         x = self.table.id_of(w)
-        got = self._c[x]
-        if got is None:
-            got = self._c[x] = j_h(self.c_prime(w)).scale((-1) ** w.length())
-        return got
+        lw = self.table.length[x]
+        return HeckeElement._wrap(self.group, {
+            y: LaurentPolynomial.of({lw - 2 * k: c for k, c in enumerate(p)})
+            for y, p in self._row(x).items()
+        })
+
+    def c_basis(self, w: CoxeterElement) -> HeckeElement:
+        """C_w = (-1)^{l(w)} j_H(C'_w)."""
+        return HeckeElement._wrap(self.group, {
+            y: LaurentPolynomial._trusted(terms) for y, terms in self._c_row(self.table.id_of(w))
+        })
 
     # -- expansion ---------------------------------------------------------
 
-    def expand_in_C(self, h: HeckeElement) -> dict[CoxeterElement, LaurentPolynomial]:
-        """Coordinates of h on the basis {C_w}, in increasing id order, by
-        triangular elimination of the largest id, i.e. (length, sort_key)."""
-        if h.group is not self.group:
-            raise ValueError("element of a different algebra")
-        length, element = self.table.length, self.table.element
-        work = h._int_rows()
+    def _eliminate(self, work: Rows) -> Rows:
+        """Coordinates on {C_w} by triangular elimination of the largest id,
+        i.e. (length, sort_key); work is consumed."""
+        length = self.table.length
         out: Rows = {}
         while work:
             x = max(work)
             gamma = out[x] = {e - length[x]: c for e, c in work[x].items()}
             minus_gamma = [(e, -c) for e, c in gamma.items()]
-            c_x = self._c[x] or self.c_basis(element(x))
-            for y, c in c_x.rows.items():
-                _addmul(work, y, minus_gamma, c.terms)
+            for y, terms in self._c_row(x):
+                _addmul(work, y, minus_gamma, terms)
             if x in work:
                 raise IntegrityError("triangular elimination failed to clear a term")
-        return {element(x): _poly(out[x]) for x in sorted(out)}
+        return out
 
-    def expansion_is_positive(self, h: HeckeElement) -> bool:
-        return all(c.is_nonneg() for c in self.expand_in_C(h).values())
+    def expand_in_C(
+        self, h: HeckeElement | tuple[CoxeterElement, CoxeterElement]
+    ) -> dict[CoxeterElement, LaurentPolynomial]:
+        """Coordinates on the basis {C_w}, in increasing id order, of h, or of
+        T_x^-1 T_y when h is a pair (x, y) of elements (see _pair_rows)."""
+        pair = isinstance(h, tuple)
+        if any(g.group is not self.group for g in (h if pair else (h,))):
+            raise ValueError("element of a different algebra")
+        if pair:
+            rows = self._pair_rows(*map(self.table.id_of, h))
+        else:
+            rows = self._eliminate(h._int_rows())
+        elements = self.group.elements()  # in id order
+        return {elements[x]: _poly(rows[x]) for x in sorted(rows)}
+
+    def _step(self, rows: Rows, s: int) -> Rows:
+        """Right multiplication of C-coordinates by T_s, s 0-based, along the
+        W-graph (Kazhdan-Lusztig 1979, (2.3.a)): C_w T_s = -C_w when ws < w,
+        and otherwise C_w T_s = v^-1 C_ws + v^-2 C_w + v^-1 sum mu(z, w) C_z
+        over the z of the mu-list of w with zs < z."""
+        rdesc, ws_of, bit = self.table.rdesc, self.table.rmul[s], 1 << s
+        out: Rows = {}
+        for w, p in rows.items():
+            items = p.items()
+            if rdesc[w] & bit:
+                _addmul(out, w, items, ((0, -1),))
+                continue
+            _addmul(out, ws_of[w], items, ((-1, 1),))
+            _addmul(out, w, items, ((-2, 1),))
+            for z, m in self._mu[w]:
+                if rdesc[z] & bit:
+                    _addmul(out, z, items, ((-1, m),))
+        return out
+
+    def _pair_rows(self, x: int, y: int) -> Rows:
+        """C-coordinates of T_x^-1 T_y: T_x^-1 by elimination, then y from
+        its parent ys, s its first right descent, by one W-graph step.  The
+        rows of the last x are kept, so a sweep over y in id order takes one
+        step per pair and one elimination per x."""
+        t = self.table
+        last, done = self._pairs
+        if last != x:
+            self._fill(t.w0)  # steps may reach every mu-list
+            inverse = _fold(t, {t.e: {0: 1}}, [-s for s in reversed(t.word(x))])
+            done = {t.e: self._eliminate(inverse)}
+            self._pairs = (x, done)
+        chain = []
+        while y not in done:
+            s = (t.rdesc[y] & -t.rdesc[y]).bit_length() - 1
+            chain.append((y, s))
+            y = t.rmul[s][y]
+        rows = done[y]
+        for y, s in reversed(chain):
+            rows = done[y] = self._step(rows, s)
+        return rows
 
 
 @cache
@@ -356,7 +442,12 @@ def positivity_report(
     all_ok = True
     worst = None
     for u in dm.divisors():
-        expansion = table.expand_in_C(braid_image_a(dm.embed(u)))
+        b = dm.embed(u)
+        try:
+            h = fraction_form(b)
+        except ValueError:  # not rational, which only type D leaves open
+            h = braid_image_a(b)
+        expansion = table.expand_in_C(h)
         ok = all(p.is_nonneg() for p in expansion.values())
         item = {
             "divisor": list(shortlex_word(u)),

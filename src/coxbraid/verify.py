@@ -45,10 +45,13 @@ from .garside import (
     shortlex_word,
     signed_lift,
 )
-from .hecke import braid_image_a, kl_table, positivity_report
+from .hecke import kl_table, positivity_report
 from .mikado import is_mikado_A, is_mikado_B
 
 DEFAULT_BUDGETS = {"A": 5, "B": 4, "D": 4, "H": 3, "F": 4, "I": 12}
+# Sweeps over all |W|^2 pairs take about 0.2 ms a pair: A5, of order 720,
+# is the largest group they run on without --budget.
+PAIR_SWEEP_ORDER_CAP = 720
 
 
 def budget_guard(
@@ -80,6 +83,18 @@ def budget_guard(
     raise ResourceError(
         f"{family}{size} exceeds the budget ({limit}); pass --budget {size} to force"
     )
+
+
+def pair_guard(group: CoxeterGroup, budget: int | None) -> tuple[str, ...]:
+    """Like budget_guard, for sweeps over all |W|^2 pairs of elements."""
+    order, label = group.type.order(), group.type.label()
+    if order <= PAIR_SWEEP_ORDER_CAP:
+        return ()
+    limit = (f"the {order}^2 pairs of {label} exceed the pair sweep limit "
+             f"(order {PAIR_SWEEP_ORDER_CAP})")
+    if budget is None:
+        raise ResourceError(f"{limit}; pass --budget to force")
+    return (f"budget override: {limit}; expect long runtimes",)
 
 
 def group_for(family: str, rank: int | None = None, m: int | None = None) -> CoxeterGroup:
@@ -578,14 +593,11 @@ def check_kl_pair_positivity(
     """T_x^-1 T_y expands with nonnegative canonical coefficients."""
     started = time.perf_counter()
     table = kl_table(group)
-    pairs = _all_pairs(group)
-
-    def one(pair: tuple[CoxeterElement, CoxeterElement]) -> dict:
-        x, y = pair
-        h = braid_image_a(_pair_braid(x, y))
-        return {"item": _pair_key(x, y), "ok": table.expansion_is_positive(h)}
-
-    items = [one(it) for it in pairs]
+    items = [
+        {"item": _pair_key(*pair),
+         "ok": all(p.is_nonneg() for p in table.expand_in_C(pair).values())}
+        for pair in _all_pairs(group)
+    ]
     return _finish("thm-8.2", group, items, started)
 
 
@@ -742,6 +754,7 @@ class CheckSpec:
     families: tuple[str, ...]
     description: str
     fn: Callable[..., Report]
+    pairs: bool = False  # sweeps all |W|^2 pairs, see pair_guard
 
 
 CHECKS: dict[str, CheckSpec] = {
@@ -775,17 +788,17 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec(
             "prop-4.4", ("A", "B", "D", "I2", "H3", "F4"),
             "rational braids round trip through coprime fractions",
-            check_rational_fraction,
+            check_rational_fraction, pairs=True,
         ),
         CheckSpec(
             "lemma-4.5", ("A", "B", "D", "I2", "H3", "F4"),
             "rational braids are square free",
-            check_square_free,
+            check_square_free, pairs=True,
         ),
         CheckSpec(
             "thm-5.9", ("A",),
             "rational equals strand removable equals square free, family A",
-            check_equivalence_a,
+            check_equivalence_a, pairs=True,
         ),
         CheckSpec(
             "thm-5.13", ("A",),
@@ -800,7 +813,7 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec(
             "thm-6.4", ("B",),
             "rational equals symmetric strand removable, family B",
-            check_equivalence_b,
+            check_equivalence_b, pairs=True,
         ),
         CheckSpec(
             "thm-6.9", ("B",),
@@ -815,7 +828,7 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec(
             "thm-8.2", ("A", "B", "D", "I2", "H3"),
             "T_x^-1 T_y has nonnegative canonical coefficients",
-            check_kl_pair_positivity,
+            check_kl_pair_positivity, pairs=True,
         ),
         CheckSpec(
             "thm-8.5", ("A", "B", "D", "I2", "H3"),
@@ -877,6 +890,8 @@ def run_check(
         )
     notes = budget_guard(fam, rank, m, budget)
     group = group_for(fam, rank, m)
+    if spec.pairs:
+        notes += pair_guard(group, budget)
     report = spec.fn(group, coxeter=coxeter)
     if notes:
         report.notes = tuple(report.notes) + notes

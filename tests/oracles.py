@@ -18,11 +18,10 @@ from coxbraid.coxeter import (
     CoxeterGroup,
     IntegrityError,
     abs_divides,
-    bruhat_lower_interval,
     standard_coxeter_elements,
 )
 from coxbraid.garside import BraidWord, GarsideTable, right_fraction_form, shortlex_word
-from coxbraid.hecke import HeckeElement
+from coxbraid.hecke import HeckeElement, braid_image_a
 from coxbraid.laurent import LaurentPolynomial
 from coxbraid.tl import TLDiagram, TLElement, cup_cap_diagram
 
@@ -295,31 +294,38 @@ def signed_lift_payload(b: BraidWord, word=None) -> BraidWord:
 # Bruhat order by the one step recursion
 
 
+# payload lengths and left descents, memoised per element
+_length = lru_cache(maxsize=None)(CoxeterElement.length)
+_left_descents = lru_cache(maxsize=None)(CoxeterElement.left_descents)
+
+
+@lru_cache(maxsize=None)
 def deodhar_leq(u: CoxeterElement, v: CoxeterElement) -> bool:
     """u <= v decided by peeling one left descent of v at a time."""
-    memo: dict[tuple, bool] = {}
+    if _length(u) > _length(v):
+        return False
+    if u == v or u.is_identity():
+        return True
+    gen = v.group.generator(min(_left_descents(v)))
+    su = gen * u
+    return deodhar_leq(su if _length(su) < _length(u) else u, gen * v)
 
-    def rec(a: CoxeterElement, b: CoxeterElement) -> bool:
-        if a.length() > b.length():
-            return False
-        if a == b or a.is_identity():
-            return True
-        key = (a.payload, b.payload)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        s = min(b.left_descents())
-        gen = b.group.generator(s)
-        sb = gen * b
-        sa = gen * a
-        if sa.length() < a.length():
-            out = rec(sa, sb)
-        else:
-            out = rec(a, sb)
-        memo[key] = out
-        return out
 
-    return rec(u, v)
+@lru_cache(maxsize=None)
+def bruhat_lower_interval_payload(y: CoxeterElement) -> frozenset[CoxeterElement]:
+    """All x <= y in Bruhat order, by the subword dynamic program over the
+    shortlex reduced word of y: keep every product of a length increasing
+    subword seen so far."""
+    g = y.group
+    reach = {g.identity}
+    for i in y.reduced_word():
+        s = g.generator(i)
+        reach |= {z * s for z in reach if (z * s).length() > z.length()}
+    return frozenset(reach)
+
+
+def bruhat_leq_payload(x: CoxeterElement, y: CoxeterElement) -> bool:
+    return x in bruhat_lower_interval_payload(y)
 
 
 # ---------------------------------------------------------------------------
@@ -789,10 +795,60 @@ def bar_involution_payload(coeffs: dict, group: CoxeterGroup) -> dict:
     return total
 
 
-def c_basis_payload(table, w: CoxeterElement) -> dict:
-    """C_w = (-1)^l(w) j_H(C'_w), from the table's P_{y,w}."""
+class KLPayload:
+    """P_{y,w} in q by the classical recursion with mu corrections, on
+    element payloads, memoised per pair."""
+
+    def __init__(self, group: CoxeterGroup) -> None:
+        self.group = group
+        self._p: dict[tuple, LaurentPolynomial] = {}
+
+    def p(self, y: CoxeterElement, w: CoxeterElement) -> LaurentPolynomial:
+        key = (y.payload, w.payload)
+        got = self._p.get(key)
+        if got is not None:
+            return got
+        if y == w:
+            val = _L_ONE
+        elif not bruhat_leq_payload(y, w):
+            val = _L_ZERO
+        else:
+            s = min(_left_descents(w))
+            gen = self.group.generator(s)
+            sw = gen * w
+            sy = gen * y
+            if _length(sy) < _length(y):
+                val = self.p(sy, sw) + self.p(y, sw).shifted(1)
+                for z in bruhat_lower_interval_payload(sw):
+                    if s in _left_descents(z) and bruhat_leq_payload(y, z):
+                        m = self.mu(z, sw)
+                        if m:
+                            gap = _length(w) - _length(z)
+                            if gap % 2:
+                                raise IntegrityError("odd exponent in the mu correction")
+                            val = val - self.p(y, z) * LaurentPolynomial.v_power(gap // 2, m)
+            else:
+                val = self.p(sy, w)
+        if y != w and val and 2 * val.max_exp() > _length(w) - _length(y) - 1:
+            raise IntegrityError("degree bound violated in the recursion")
+        self._p[key] = val
+        return val
+
+    def mu(self, y: CoxeterElement, w: CoxeterElement) -> int:
+        gap = _length(w) - _length(y) - 1
+        if gap < 0 or gap % 2:
+            return 0
+        return self.p(y, w).coeff(gap // 2)
+
+
+kl_payload = lru_cache(maxsize=None)(KLPayload)
+
+
+def c_basis_payload(w: CoxeterElement) -> dict:
+    """C_w = (-1)^l(w) j_H(C'_w), from the payload P_{y,w}."""
+    table = kl_payload(w.group)
     out = {}
-    for y in bruhat_lower_interval(w):
+    for y in bruhat_lower_interval_payload(w):
         cprime = table.p(y, w).substituted_power(-2).shifted(w.length())
         c = cprime.bar().shifted(2 * y.length()) * (-1) ** (y.length() + w.length())
         if c:
@@ -800,7 +856,7 @@ def c_basis_payload(table, w: CoxeterElement) -> dict:
     return out
 
 
-def expand_in_C_payload(table, coeffs: dict) -> dict:
+def expand_in_C_payload(coeffs: dict) -> dict:
     """Triangular elimination of the largest (length, sort_key) term."""
     out = {}
     work = dict(coeffs)
@@ -808,8 +864,36 @@ def expand_in_C_payload(table, coeffs: dict) -> dict:
         w = max(work, key=lambda u: (u.length(), u.sort_key()))
         gamma = work[w].shifted(-w.length())
         out[w] = gamma
-        for y, c in c_basis_payload(table, w).items():
+        for y, c in c_basis_payload(w).items():
             _hecke_acc(work, y, -(c * gamma))
         if w in work:
             raise IntegrityError("triangular elimination failed to clear a term")
     return out
+
+
+def positivity_report_by_elimination(table, c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
+    """The report of hecke.positivity_report, with each simple dual braid's
+    image expanded in {C_w} by triangular elimination."""
+    from coxbraid.dual import dual_monoid
+
+    dm = dual_monoid(c, ordering)
+    items = []
+    for u in dm.divisors():
+        expansion = table.expand_in_C(braid_image_a(dm.embed(u)))
+        items.append({
+            "divisor": list(shortlex_word(u)),
+            "coefficients": {
+                ",".join(map(str, shortlex_word(w))) or "e": str(p) for w, p in expansion.items()
+            },
+            "positive": all(p.is_nonneg() for p in expansion.values()),
+        })
+    report = {
+        "group": c.group.type.to_json(),
+        "coxeter_element": list(dm.ordering),
+        "items": items,
+        "positive": all(it["positive"] for it in items),
+    }
+    worst = [it for it in items if not it["positive"]]
+    if worst:
+        report["worst"] = worst[0]
+    return report

@@ -89,6 +89,12 @@ def test_verify_budget_exit(capsys):
     assert "budget override" in err
 
 
+def test_verify_pair_sweep_on_f4_exits_3(capsys):
+    code, _, err = run(capsys, "verify", "prop-4.4", "--type", "F4")
+    assert code == 3
+    assert "pair sweep limit" in err
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--type", "A", "--n", "4")
     assert code == 0

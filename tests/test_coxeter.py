@@ -107,6 +107,23 @@ def test_bruhat_against_recursion_oracle():
         assert bruhat_leq(u, v) == oracles.deodhar_leq(u, v)
 
 
+@pytest.mark.parametrize(
+    "family,rank,m",
+    [g for g in oracles.COVERED_GROUPS if CoxeterType(g[0], g[1], g[2]).order() <= 384],
+)
+def test_bruhat_bitsets_match_payload_oracles(family, rank, m):
+    """The table's lifting-property bitsets give the intervals of the
+    subword dynamic program and the order of the one step recursion."""
+    group = coxeter_group(family, rank, m=m)
+    table = garside_table(group)
+    els = group.elements()
+    for x, v in enumerate(els):
+        assert bruhat_lower_interval(v) == oracles.bruhat_lower_interval_payload(v)
+        below = table.below(x)
+        assert below == sum(1 << i for i, u in enumerate(els) if oracles.deodhar_leq(u, v))
+        assert all(bruhat_leq(u, v) == bool(below >> i & 1) for i, u in enumerate(els))
+
+
 def test_bruhat_lower_interval():
     group = coxeter_group("B", 2)
     for y in group.elements():

@@ -349,6 +349,16 @@ def test_f4_walk_takes_one_product_per_edge(monkeypatch):
     assert 4608 <= calls <= 4608 + 200
 
 
+def test_bruhat_intervals_are_built_on_first_use():
+    """A new table holds only [e, e]; asking for [e, w0] builds the
+    intervals along one chain of left descents, and w0 is above everything."""
+    table = GarsideTable(CoxeterGroup(CoxeterType("F4", 4)))
+    size = len(table.payloads)
+    assert table._below.count(0) == size - 1
+    assert table.below(table.w0) == (1 << size) - 1
+    assert table._below.count(0) == size - 1 - table.length[table.w0]
+
+
 @pytest.mark.parametrize("count", ["order", "reflection_count"])
 @pytest.mark.parametrize("family,rank", [("A", 3), ("H3", 3), ("F4", 4)])
 def test_walk_checks_group_order(monkeypatch, family, rank, count):

@@ -5,14 +5,23 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 
 import coxbraid
 import oracles
-from coxbraid.coxeter import ResourceError, bruhat_leq, coxeter_group
+from coxbraid import hecke, verify
+from coxbraid.coxeter import (
+    CoxeterElement,
+    CoxeterType,
+    ResourceError,
+    bruhat_leq,
+    coxeter_element_orderings,
+    coxeter_group,
+)
 from coxbraid.dual import dual_monoid
-from coxbraid.garside import BraidWord, GarsideTable, positive_lift
+from coxbraid.garside import BraidWord, GarsideTable, garside_table, positive_lift
 from coxbraid.hecke import (
     HeckeElement,
     KLTable,
@@ -25,6 +34,10 @@ from coxbraid.hecke import (
     positivity_report,
 )
 from coxbraid.laurent import LaurentPolynomial as L
+
+
+def expands_positively(table, h):
+    return all(c.is_nonneg() for c in table.expand_in_C(h).values())
 
 
 def random_braids(group, count, max_len, seed):
@@ -203,7 +216,7 @@ def test_expand_in_C_worked_example():
     h = braid_image_a(BraidWord(group, (-1, 2)))
     exp = {w.reduced_word(): str(p) for w, p in table.expand_in_C(h).items()}
     assert exp == {(): "1", (1,): "v^-1", (2,): "v", (1, 2): "1"}
-    assert table.expansion_is_positive(h)
+    assert expands_positively(table, h)
 
 
 def test_expand_in_C_reads_c_rows_by_id(monkeypatch):
@@ -234,11 +247,11 @@ def test_pair_expansions_are_positive_in_rank_two():
     for x in group.elements():
         for y in group.elements():
             b = positive_lift(x).inverse() * positive_lift(y)
-            assert table.expansion_is_positive(braid_image_a(b))
+            assert expands_positively(table, braid_image_a(b))
     c = group.from_word((1, 2))
     dm = dual_monoid(c, (1, 2))
     for x in dm.divisors():
-        assert table.expansion_is_positive(braid_image_a(dm.embed(x)))
+        assert expands_positively(table, braid_image_a(dm.embed(x)))
 
 
 def test_positivity_report_shape():
@@ -336,6 +349,8 @@ def test_hecke_element_arithmetic_guards():
         HeckeElement.unit(a2) * HeckeElement.unit(a3)
     with pytest.raises(ValueError):
         kl_table(a2).expand_in_C(HeckeElement.unit(a3))
+    with pytest.raises(ValueError):
+        kl_table(a2).expand_in_C((a2.identity, a3.identity))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +362,7 @@ def assert_matches_oracles(table, b):
     want = oracles.braid_image_a_payload(b)
     assert dict(h.coeffs) == want
     exp = table.expand_in_C(h)
-    assert exp == oracles.expand_in_C_payload(table, want)
+    assert exp == oracles.expand_in_C_payload(want)
     assert list(exp) == sorted(exp, key=lambda w: (w.length(), w.sort_key()))
 
 
@@ -391,3 +406,124 @@ def test_mul_and_bar_match_payload_oracles(family, rank, m):
         assert dict(bar_involution(a).coeffs) == oracles.bar_involution_payload(
             dict(a.coeffs), group
         )
+
+
+# ---------------------------------------------------------------------------
+# the id KL table and its W-graph against the payload recursion and elimination
+
+
+def order_at_most(bound):
+    return [g for g in oracles.COVERED_GROUPS if CoxeterType(g[0], g[1], g[2]).order() <= bound]
+
+
+@pytest.mark.parametrize("family,rank,m", order_at_most(192))
+def test_kl_polynomials_match_payload_recursion(family, rank, m):
+    group = coxeter_group(family, rank, m=m)
+    table, oracle = KLTable(group), oracles.kl_payload(group)
+    for w in group.elements():
+        for y in group.elements():
+            assert table.p(y, w) == oracle.p(y, w)
+            assert table.mu(y, w) == oracle.mu(y, w)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("A", 5)])
+def test_kl_polynomials_match_payload_recursion_on_a_sample(family, rank):
+    """2000 seeded pairs; every other y is drawn from below w, so that most
+    sampled P_{y,w} are nonzero."""
+    group = coxeter_group(family, rank)
+    table, oracle = KLTable(group), oracles.kl_payload(group)
+    rng = random.Random(23)
+    els = group.elements()
+    position = {w: i for i, w in enumerate(els)}.__getitem__
+    for i in range(2000):
+        w = rng.choice(els)
+        pool = els if i % 2 else sorted(oracles.bruhat_lower_interval_payload(w), key=position)
+        y = rng.choice(pool)
+        assert table.p(y, w) == oracle.p(y, w)
+        assert table.mu(y, w) == oracle.mu(y, w)
+
+
+def pair_by_elimination(table, x, y):
+    return table.expand_in_C(braid_image_a(positive_lift(x).inverse() * positive_lift(y)))
+
+
+@pytest.mark.parametrize(
+    "family,rank,m",
+    [("A", 1, None), ("A", 2, None), ("A", 3, None), ("B", 2, None), ("B", 3, None),
+     ("I2", 2, 5), ("I2", 2, 8)],
+)
+def test_pair_steps_match_elimination(family, rank, m):
+    """The W-graph steps give the elimination's coordinates of T_x^-1 T_y
+    for every pair, whether y runs in id order (one step from the parent)
+    or downwards from w0 (a chain of steps to the nearest kept prefix)."""
+    group = coxeter_group(family, rank, m=m)
+    up, down = KLTable(group), KLTable(group)
+    els = group.elements()
+    for i, x in enumerate(els):
+        want = [pair_by_elimination(up, x, y) for y in els]
+        assert [up.expand_in_C((x, y)) for y in els] == want
+        assert [down.expand_in_C((x, y)) for y in reversed(els)] == want[::-1]
+        assert up._pairs[0] == down._pairs[0] == i  # rows of the last x only
+
+
+@pytest.mark.parametrize("family,rank", [("H3", 3), ("D", 4), ("B", 4)])
+def test_pair_steps_match_elimination_on_a_sample(family, rank):
+    group = coxeter_group(family, rank)
+    table = kl_table(group)
+    rng = random.Random(29)
+    els = group.elements()
+    for _ in range(500):
+        x, y = rng.choice(els), rng.choice(els)
+        assert table.expand_in_C((x, y)) == pair_by_elimination(table, x, y)
+
+
+@pytest.mark.parametrize(
+    "family,rank,m", [("A", 3, None), ("B", 3, None), ("H3", 3, None), ("D", 4, None), ("I2", 2, 5)]
+)
+def test_positivity_report_matches_elimination(family, rank, m):
+    """Reports from the fraction pair's W-graph steps equal, key order
+    included, reports from eliminating the image of each simple dual braid."""
+    group = coxeter_group(family, rank, m=m)
+    table = kl_table(group)
+    for c, ordering in coxeter_element_orderings(group).items():
+        want = oracles.positivity_report_by_elimination(table, c, ordering)
+        assert json.dumps(positivity_report(c, ordering)) == json.dumps(want)
+
+
+def test_positivity_report_falls_back_to_elimination(monkeypatch):
+    """A braid that fraction_form rejects is expanded by elimination."""
+    group = coxeter_group("D", 4)
+    c, ordering = next(iter(coxeter_element_orderings(group).items()))
+    want = positivity_report(c, ordering)
+
+    def not_rational(b):
+        raise ValueError("not a rational permutation braid")
+
+    monkeypatch.setattr(hecke, "fraction_form", not_rational)
+    monkeypatch.setattr(KLTable, "_pair_rows", None)
+    assert positivity_report(c, ordering) == want
+
+
+def test_kl_layer_takes_no_payload_products(monkeypatch):
+    """After the walk, every C_w of B3 and the thm-8.2 sweep of A3 run on
+    table ids alone: no payload product and no payload length."""
+    b3, a3 = coxeter_group("B", 3), coxeter_group("A", 3)
+    for group in (b3, a3):
+        garside_table(group)
+    calls = {"mul": 0, "length": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for group in (b3, a3):
+        monkeypatch.setattr(group, "_mul", counted("mul", group._mul))
+    monkeypatch.setattr(CoxeterElement, "length", counted("length", CoxeterElement.length))
+    monkeypatch.setattr(verify, "kl_table", cache(KLTable))  # a fresh A3 table
+    table = KLTable(b3)
+    built = [table.c_basis(w) for w in b3.elements()]
+    assert len(built) == 48 and all(not h.is_zero() for h in built)
+    assert verify.run_check("thm-8.2", "A", 3).passed
+    assert calls == {"mul": 0, "length": 0}

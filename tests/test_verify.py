@@ -1,9 +1,11 @@
 """The verification registry: one runnable check per statement."""
 
+import time
+
 import pytest
 
-from coxbraid.coxeter import ResourceError
-from coxbraid.verify import CHECKS, Report, normalize_family, run_check
+from coxbraid.coxeter import ResourceError, coxeter_group
+from coxbraid.verify import CHECKS, Report, normalize_family, pair_guard, run_check
 
 
 ALL_IDS = [
@@ -119,6 +121,21 @@ def test_family_restriction_is_enforced():
         run_check("conj-8.6", "A", rank=2)
     with pytest.raises(ValueError):
         run_check("thm-8.2", "F4", rank=4)
+
+
+def test_pair_sweeps_above_order_720_need_budget():
+    """F4 is the one group inside the default budgets with more than 720
+    elements: its 1152^2-pair sweeps are refused at once unless --budget is given."""
+    pair_checks = {tid for tid, spec in CHECKS.items() if spec.pairs}
+    assert pair_checks == {"prop-4.4", "lemma-4.5", "thm-5.9", "thm-6.4", "thm-8.2"}
+    started = time.perf_counter()
+    for tid in ("prop-4.4", "lemma-4.5"):
+        with pytest.raises(ResourceError, match="--budget"):
+            run_check(tid, "F4")
+    assert time.perf_counter() - started < 1
+    assert pair_guard(coxeter_group("A", 5), None) == ()
+    (note,) = pair_guard(coxeter_group("F4"), 4)
+    assert note.startswith("budget override")
 
 
 def test_budget_guard():
