@@ -35,12 +35,7 @@ def _group_from_args(args: argparse.Namespace) -> CoxeterGroup:
     family = normalize_family(args.type)
     rank = getattr(args, "rank", None)
     m = getattr(args, "m", None)
-    if family == "H3":
-        rank = 3
-    elif family == "F4":
-        rank = 4
-    notes = budget_guard(family, rank, m, getattr(args, "budget", None))
-    for note in notes:
+    for note in budget_guard(family, rank, m, getattr(args, "budget", None)):
         print(f"warning: {note}", file=sys.stderr)
     return group_for(family, rank, m)
 

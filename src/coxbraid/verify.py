@@ -1,7 +1,12 @@
 """Verification sweeps behind the command line interface.
 
-Each named check sweeps a stated family of cases through the library
-and produces a Report with one verdict per item.  The checks hold no
+Each named check produces a Report with one verdict per item, in one of
+three shapes: an ordering sweep (``_orderings``) has one item per standard
+Coxeter element, or only the one given as ``coxeter``; a pair sweep
+(``_pairs``) has one per braid b(x)^-1 b(y) over all |W|^2 pairs; a
+whole-group check reads its items off one library call.  ``run_check``
+enforces the registry's families, the budgets and ``coxeter``, and stamps
+the theorem id and the elapsed time on the report.  The checks hold no
 mathematics of their own: a verdict is always the result of calling the
 corresponding library operation, so the command line layer stays a thin
 shell.  The conjecture sweep is special in that its report is evidence,
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .coxeter import (
@@ -66,13 +72,10 @@ def budget_guard(
     limit = DEFAULT_BUDGETS.get(fam)
     if limit is None:
         raise ValueError(f"unknown family {family!r}")
-    size = m if fam == "I" else rank
+    # H3 and F4 have one size; coxeter_group rejects any other rank
+    size = {"I": m, "H": 3, "F": 4}.get(fam, rank)
     if size is None:
         raise ValueError("missing rank (or m for dihedral groups)")
-    if fam == "H" and size != 3:
-        raise ResourceError("only the rank 3 group is supported in family H")
-    if fam == "F" and size != 4:
-        raise ResourceError("only the rank 4 group is supported in family F")
     if size <= limit:
         return ()
     if budget is not None and size <= budget:
@@ -98,14 +101,8 @@ def pair_guard(group: CoxeterGroup, budget: int | None) -> tuple[str, ...]:
 
 
 def group_for(family: str, rank: int | None = None, m: int | None = None) -> CoxeterGroup:
-    fam = normalize_family(family)
-    if fam == "I2":
-        return coxeter_group("I2", m=m)
-    if fam == "H3":
-        return coxeter_group("H3", 3)
-    if fam == "F4":
-        return coxeter_group("F4", 4)
-    return coxeter_group(fam, rank)
+    """The group of a family, rank and m; CoxeterType rejects any that do not fit."""
+    return coxeter_group(normalize_family(family), rank, m)
 
 
 def normalize_family(family: str) -> str:
@@ -187,40 +184,56 @@ def _standard_sweep(
     return ((group.from_word(word), word),)
 
 
-def _all_pairs(group: CoxeterGroup) -> tuple[tuple[CoxeterElement, CoxeterElement], ...]:
-    elements = group.elements()
-    return tuple((x, y) for x in elements for y in elements)
-
-
 def _pair_braid(x: CoxeterElement, y: CoxeterElement) -> BraidWord:
     return positive_lift(x).inverse() * positive_lift(y)
 
 
 def _finish(
-    command: str,
     group: CoxeterGroup,
     items: list[dict],
-    started: float,
     extra_counts: dict | None = None,
-    evidence_only: bool = False,
-    notes: tuple[str, ...] = (),
     coxeter: tuple[int, ...] | None = None,
 ) -> Report:
+    """The report of a sweep; run_check fills in the command and the time."""
     failures = sum(1 for it in items if not it["ok"])
     counts = {"items": len(items), "failures": failures}
     if extra_counts:
         counts.update(extra_counts)
     return Report(
-        command=command,
+        command="",
         group=group.type.to_json(),
         passed=failures == 0,
         items=tuple(items),
         counts=counts,
-        elapsed=time.perf_counter() - started,
+        elapsed=0.0,
         coxeter_element=list(coxeter) if coxeter is not None else None,
-        evidence_only=evidence_only,
-        notes=notes,
     )
+
+
+def _orderings(
+    group: CoxeterGroup, coxeter: tuple[int, ...] | None,
+    one: Callable[[CoxeterElement, tuple[int, ...]], dict], extra_counts: dict | None = None,
+) -> Report:
+    """One item per standard Coxeter element c: one(c, ordering), keyed "1,2,3"."""
+    items = [
+        {"item": ",".join(map(str, ordering)), **one(c, ordering)}
+        for c, ordering in _standard_sweep(group, coxeter)
+    ]
+    return _finish(group, items, extra_counts, coxeter=coxeter)
+
+
+def _pairs(
+    group: CoxeterGroup, ok: Callable[[CoxeterElement, CoxeterElement], bool]
+) -> Report:
+    """One item per pair (x, y): ok(x, y), keyed "wx|wy" by shortlex words ("e" if empty)."""
+    elements = group.elements()
+    words = [",".join(map(str, shortlex_word(w))) or "e" for w in elements]
+    items = [
+        {"item": f"{wx}|{wy}", "ok": ok(x, y)}
+        for x, wx in zip(elements, words)
+        for y, wy in zip(elements, words)
+    ]
+    return _finish(group, items)
 
 
 # ---------------------------------------------------------------------------
@@ -231,31 +244,21 @@ def check_reflection_generation(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Conjugating the partial products of c sweeps out every reflection."""
-    started = time.perf_counter()
-    sweep = _standard_sweep(group, coxeter)
 
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         generated = reflections_from_coxeter(c, ordering)
         ok = generated == frozenset(group.reflections)
-        return {"item": ",".join(map(str, ordering)), "ok": ok, "generated": len(generated)}
+        return {"ok": ok, "generated": len(generated)}
 
-    items = [one(it) for it in sweep]
-    return _finish(
-        "prop-3.2", group, items, started,
-        {"reflections": len(group.reflections)}, coxeter=coxeter,
-    )
+    return _orderings(group, coxeter, one, {"reflections": len(group.reflections)})
 
 
 def check_parabolic_divisors(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Every divisor completes to c with additive reflection length."""
-    started = time.perf_counter()
-    sweep = _standard_sweep(group, coxeter)
 
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         total = c.reflection_length()
         bad = []
         divisors = divisors_of(c)
@@ -264,36 +267,29 @@ def check_parabolic_divisors(
             if x.reflection_length() + rest.reflection_length() != total:
                 bad.append(_word(x))
         return {
-            "item": ",".join(map(str, ordering)),
             "ok": not bad,
             "divisors": len(divisors),
             "violations": bad,
         }
 
-    items = [one(it) for it in sweep]
-    return _finish("cor-3.4", group, items, started, coxeter=coxeter)
+    return _orderings(group, coxeter, one)
 
 
 def check_dual_relations(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The dual braid relations hold among the atom lifts."""
-    started = time.perf_counter()
-    sweep = _standard_sweep(group, coxeter)
 
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         rows = verify_dual_relations(c, ordering)
         bad = [(_word(t1), _word(t2)) for t1, t2, _, ok in rows if not ok]
         return {
-            "item": ",".join(map(str, ordering)),
             "ok": not bad,
             "relations": len(rows),
             "violations": bad,
         }
 
-    items = [one(it) for it in sweep]
-    return _finish("prop-3.5", group, items, started, coxeter=coxeter)
+    return _orderings(group, coxeter, one)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +332,8 @@ def check_hurwitz(
     The orbit is compared against an independent brute force
     enumeration, and the braid level orbit must project bijectively.
     """
-    started = time.perf_counter()
-    sweep = _standard_sweep(group, coxeter)
 
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         start = tuple(group.generator(i) for i in ordering)
         orbit = hurwitz_orbit(start)
         brute = _reduced_factorizations(c)
@@ -354,14 +347,12 @@ def check_hurwitz(
             and projected == brute
         )
         return {
-            "item": ",".join(map(str, ordering)),
             "ok": ok,
             "orbit": len(orbit),
             "factorizations": len(brute),
         }
 
-    items = [one(it) for it in sweep]
-    return _finish("thm-3.7", group, items, started, coxeter=coxeter)
+    return _orderings(group, coxeter, one)
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +381,9 @@ def check_dual_atoms(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The rotation formula produces one rational atom per reflection."""
-    started = time.perf_counter()
-    sweep = _standard_sweep(group, coxeter)
     dihedral = group.type.family == "I2"
 
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         table = dual_atoms(c, ordering)
         reflections = table.reflections
         ok = len(reflections) == len(group.reflections)
@@ -411,27 +399,16 @@ def check_dual_atoms(
             ok = ok and match
             extra["closed_form"] = match
         return {
-            "item": ",".join(map(str, ordering)),
             "ok": ok,
             "atoms": len(reflections),
             **extra,
         }
 
-    items = [one(it) for it in sweep]
-    return _finish(
-        "prop-3.9", group, items, started,
-        {"reflections": len(group.reflections)}, coxeter=coxeter,
-    )
+    return _orderings(group, coxeter, one, {"reflections": len(group.reflections)})
 
 
 # ---------------------------------------------------------------------------
 # rational permutation braids
-
-
-def _pair_key(x: CoxeterElement, y: CoxeterElement) -> str:
-    wx = ",".join(map(str, shortlex_word(x))) or "e"
-    wy = ",".join(map(str, shortlex_word(y))) or "e"
-    return f"{wx}|{wy}"
 
 
 def check_rational_fraction(
@@ -443,11 +420,8 @@ def check_rational_fraction(
     test, round trip through both fraction forms, and stay rational
     under inversion.
     """
-    started = time.perf_counter()
-    pairs = _all_pairs(group)
 
-    def one(pair: tuple[CoxeterElement, CoxeterElement]) -> dict:
-        x, y = pair
+    def one(x: CoxeterElement, y: CoxeterElement) -> bool:
         b = _pair_braid(x, y)
         ok = is_rational_permutation(b) and is_rational_permutation(b.inverse())
         if ok:
@@ -456,59 +430,40 @@ def check_rational_fraction(
         if ok:
             gx, gy = right_fraction_form(b)
             ok = braid_equal(positive_lift(gx) * positive_lift(gy).inverse(), b)
-        return {"item": _pair_key(x, y), "ok": ok}
+        return ok
 
-    items = [one(it) for it in pairs]
-    return _finish("prop-4.4", group, items, started, coxeter=coxeter)
+    return _pairs(group, one)
 
 
 def check_square_free(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Every rational permutation braid has a signed reduced word lift."""
-    started = time.perf_counter()
-    pairs = _all_pairs(group)
 
-    def one(pair: tuple[CoxeterElement, CoxeterElement]) -> dict:
-        x, y = pair
+    def one(x: CoxeterElement, y: CoxeterElement) -> bool:
         b = _pair_braid(x, y)
-        ok = is_square_free(b) and braid_equal(signed_lift(b), b)
-        return {"item": _pair_key(x, y), "ok": ok}
+        return is_square_free(b) and braid_equal(signed_lift(b), b)
 
-    items = [one(it) for it in pairs]
-    return _finish("lemma-4.5", group, items, started, coxeter=coxeter)
+    return _pairs(group, one)
 
 
-def _check_equivalence(
-    theorem_id: str,
-    group: CoxeterGroup,
-    mikado: Callable[[BraidWord], bool],
-) -> Report:
-    started = time.perf_counter()
-    pairs = _all_pairs(group)
-
-    def one(pair: tuple[CoxeterElement, CoxeterElement]) -> dict:
-        x, y = pair
-        b = _pair_braid(x, y)
-        ok = is_rational_permutation(b)
-        ok = ok and mikado(b)
-        if ok:
-            fx, fy = fraction_form(b)
-            ok = braid_equal(_pair_braid(fx, fy), b)
-        ok = ok and braid_equal(signed_lift(b), b)
-        return {"item": _pair_key(x, y), "ok": ok}
-
-    items = [one(it) for it in pairs]
-    return _finish(theorem_id, group, items, started)
+def _equivalent(mikado: Callable[[BraidWord], bool], x: CoxeterElement, y: CoxeterElement) -> bool:
+    """b(x)^-1 b(y) is rational, passes mikado and is square free."""
+    b = _pair_braid(x, y)
+    ok = is_rational_permutation(b)
+    ok = ok and mikado(b)
+    if ok:
+        fx, fy = fraction_form(b)
+        ok = braid_equal(_pair_braid(fx, fy), b)
+    ok = ok and braid_equal(signed_lift(b), b)
+    return ok
 
 
 def check_equivalence_a(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Rational, strand removable and square free coincide in family A."""
-    if group.type.family != "A":
-        raise ValueError("this check runs on family A")
-    return _check_equivalence("thm-5.9", group, is_mikado_A)
+    return _pairs(group, partial(_equivalent, is_mikado_A))
 
 
 def check_equivalence_b(
@@ -519,13 +474,7 @@ def check_equivalence_b(
     The Mikado test runs on the flip symmetric picture, so each braid is
     folded into the doubled strand family A group first.
     """
-    if group.type.family != "B":
-        raise ValueError("this check runs on family B")
-
-    def mikado(b: BraidWord) -> bool:
-        return is_mikado_B(embed_braid_b_to_a(b))
-
-    return _check_equivalence("thm-6.4", group, mikado)
+    return _pairs(group, partial(_equivalent, lambda b: is_mikado_B(embed_braid_b_to_a(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +485,9 @@ def check_embed_rational(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Every embedded simple dual braid is a rational permutation braid."""
-    started = time.perf_counter()
-    theorem_id = {"A": "thm-5.13", "B": "thm-6.9"}.get(group.type.family, "thm-7.1")
-    sweep = _standard_sweep(group, coxeter)
     dihedral = group.type.family == "I2"
 
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         dm = dual_monoid(c, ordering)
         bad = []
         for x in dm.divisors():
@@ -556,31 +501,26 @@ def check_embed_rational(
             got = {table.braid(t).letters for t in table.reflections}
             extra["closed_form"] = want == got
         return {
-            "item": ",".join(map(str, ordering)),
             "ok": not bad and extra.get("closed_form", True),
             "divisors": len(dm.divisors()),
             "violations": bad,
             **extra,
         }
 
-    items = [one(it) for it in sweep]
-    return _finish(theorem_id, group, items, started, coxeter=coxeter)
+    return _orderings(group, coxeter, one)
 
 
 def check_linear_bruhat(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Fractions of simple dual braids of the one line c go up in Bruhat order."""
-    started = time.perf_counter()
-    if group.type.family != "A":
-        raise ValueError("this check runs on family A")
     rows = linear_coxeter_bruhat_check(group.rank)
     items = [
         {"item": ",".join(map(str, shortlex_word(u))), "ok": ok,
          "numerator": _word(x), "denominator": _word(y)}
         for u, x, y, ok in rows
     ]
-    return _finish("prop-5.14", group, items, started)
+    return _finish(group, items)
 
 
 # ---------------------------------------------------------------------------
@@ -591,34 +531,27 @@ def check_kl_pair_positivity(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """T_x^-1 T_y expands with nonnegative canonical coefficients."""
-    started = time.perf_counter()
     table = kl_table(group)
-    items = [
-        {"item": _pair_key(*pair),
-         "ok": all(p.is_nonneg() for p in table.expand_in_C(pair).values())}
-        for pair in _all_pairs(group)
-    ]
-    return _finish("thm-8.2", group, items, started)
+
+    def one(x: CoxeterElement, y: CoxeterElement) -> bool:
+        return all(p.is_nonneg() for p in table.expand_in_C((x, y)).values())
+
+    return _pairs(group, one)
 
 
 def check_kl_embed_positivity(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Simple dual braids expand positively in the canonical basis."""
-    started = time.perf_counter()
-    sweep = _standard_sweep(group, coxeter)
 
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         report = positivity_report(c, ordering)
         return {
-            "item": ",".join(map(str, ordering)),
             "ok": report["positive"],
             "divisors": len(report["items"]),
         }
 
-    items = [one(it) for it in sweep]
-    return _finish("thm-8.5", group, items, started, coxeter=coxeter)
+    return _orderings(group, coxeter, one)
 
 
 def check_conjecture_evidence(
@@ -631,11 +564,8 @@ def check_conjecture_evidence(
     against the complement.  The positivity outcomes are recorded per
     divisor either way.
     """
-    started = time.perf_counter()
-    sweep = _standard_sweep(group, coxeter)
 
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         dm = dual_monoid(c, ordering)
         consistent = True
         embed_c = dm.embed(c)
@@ -651,24 +581,19 @@ def check_conjecture_evidence(
             for it in report["items"]
         ]
         return {
-            "item": ",".join(map(str, ordering)),
             "ok": consistent,
             "positive": report["positive"],
             "divisors": verdicts,
         }
 
-    items = [one(it) for it in sweep]
-    positive = sum(1 for it in items if it["positive"])
-    return _finish(
-        "conj-8.6", group, items, started,
-        {"positive_sweeps": positive},
-        evidence_only=True,
-        notes=(
-            "evidence report: positivity outcomes are data; pass means the "
-            "sweep completed with consistent embeddings",
-        ),
-        coxeter=coxeter,
+    report = _orderings(group, coxeter, one)
+    report.counts["positive_sweeps"] = sum(1 for it in report.items if it["positive"])
+    report.evidence_only = True
+    report.notes = (
+        "evidence report: positivity outcomes are data; pass means the "
+        "sweep completed with consistent embeddings",
     )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +604,6 @@ def check_fg_projection(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The canonical basis projects onto the diagram basis or to zero."""
-    started = time.perf_counter()
-    if group.type.family != "A":
-        raise ValueError("this check runs on family A")
     from .tl import fg_projection_check
 
     report = fg_projection_check(group.rank)
@@ -689,25 +611,18 @@ def check_fg_projection(
         {"item": "all-elements", "ok": report["pass"],
          "checked": report["checked"], "violations": report["failures"]}
     ]
-    return _finish("thm-8.11", group, items, started)
+    return _finish(group, items)
 
 
 def check_zinno(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Dual braid images form a triangular basis of the diagram algebra."""
-    started = time.perf_counter()
-    if group.type.family != "A":
-        raise ValueError("this check runs on family A")
     from .tl import triangularity_check
 
-    sweep = _standard_sweep(group, coxeter)
-
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         report = triangularity_check(c, ordering)
         return {
-            "item": ",".join(map(str, ordering)),
             "ok": bool(report["pass"]),
             "square": report["square"],
             "triangular": report["triangular"],
@@ -716,32 +631,23 @@ def check_zinno(
             "size": report["size"],
         }
 
-    items = [one(it) for it in sweep]
-    return _finish("thm-8.13", group, items, started, coxeter=coxeter)
+    return _orderings(group, coxeter, one)
 
 
 def check_tl_positivity(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Zinno rows alternate in sign against the diagram basis."""
-    started = time.perf_counter()
-    if group.type.family != "A":
-        raise ValueError("this check runs on family A")
     from .tl import positivity_tl_report
 
-    sweep = _standard_sweep(group, coxeter)
-
-    def one(case: tuple[CoxeterElement, tuple[int, ...]]) -> dict:
-        c, ordering = case
+    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         report = positivity_tl_report(c, ordering)
         return {
-            "item": ",".join(map(str, ordering)),
             "ok": report["positive"],
             "divisors": len(report["items"]),
         }
 
-    items = [one(it) for it in sweep]
-    return _finish("thm-8.17", group, items, started, coxeter=coxeter)
+    return _orderings(group, coxeter, one)
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +764,9 @@ CHECKS: dict[str, CheckSpec] = {
     )
 }
 
+# checks with whole-group items; they and the pair sweeps take no coxeter
+WHOLE_GROUP_CHECKS = frozenset({"prop-5.14", "thm-8.11"})
+
 
 def run_check(
     theorem_id: str,
@@ -870,8 +779,9 @@ def run_check(
 ) -> Report:
     """Run one named check on one group, in process and on one thread.
 
-    workers=1 is accepted for callers that pass it; any other value
-    raises ValueError.
+    Only ordering sweeps take coxeter.  workers=1 is accepted for callers
+    that pass it; any other value raises ValueError.  The report's time
+    leaves out the group set-up and the guards.
     """
     if workers != 1:
         raise ValueError("sweeps run on one thread; workers must be 1")
@@ -879,20 +789,21 @@ def run_check(
     if spec is None:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     fam = normalize_family(family)
-    if fam == "H3":
-        rank = 3
-    elif fam == "F4":
-        rank = 4
     if fam not in spec.families:
         raise ValueError(
             f"{theorem_id} does not apply to family {family}; "
             f"expected one of {', '.join(spec.families)}"
         )
+    if coxeter is not None and (spec.pairs or theorem_id in WHOLE_GROUP_CHECKS):
+        raise ValueError(f"{theorem_id} sweeps no standard Coxeter elements; drop --coxeter")
     notes = budget_guard(fam, rank, m, budget)
     group = group_for(fam, rank, m)
     if spec.pairs:
         notes += pair_guard(group, budget)
+    started = time.perf_counter()
     report = spec.fn(group, coxeter=coxeter)
+    report.command = theorem_id
+    report.elapsed = time.perf_counter() - started
     if notes:
         report.notes = tuple(report.notes) + notes
     return report

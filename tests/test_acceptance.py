@@ -218,7 +218,7 @@ def test_criterion_09_kl_positivity():
 
 KL_SWEEP = (
     [("A", r, None) for r in range(1, 5)]
-    + [("B", 3, None)]
+    + [("B", 3, None), ("D", 4, None)]
     + [("H3", None, None)]
 )
 

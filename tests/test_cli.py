@@ -95,6 +95,16 @@ def test_verify_pair_sweep_on_f4_exits_3(capsys):
     assert "pair sweep limit" in err
 
 
+def test_verify_rejects_arguments_it_would_ignore(capsys):
+    for argv in (("prop-3.2", "--type", "A", "--rank", "3", "--m", "7"),
+                 ("prop-3.2", "--type", "I2", "--rank", "5", "--m", "7"),
+                 ("prop-4.4", "--type", "A", "--rank", "2", "--coxeter", "1,2")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--type", "A", "--n", "4")
     assert code == 0
