@@ -170,7 +170,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    from .garside import BraidWord
+    from .garside import BraidWord, word_key
 
     group = _group_from_args(args)
     b = BraidWord(group, _parse_letters(args.word))
@@ -191,7 +191,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         "word": list(b.letters),
         "basis": args.basis,
         "coefficients": {
-            (",".join(map(str, w.reduced_word())) or "e"): str(p)
+            word_key(w): str(p)
             for w, p in sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())
         },
         **verdict,

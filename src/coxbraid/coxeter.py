@@ -20,6 +20,8 @@ Each group walks its Cayley graph once, breadth first, on first need
 of the Garside table, in (length, flattened payload) order, and on them
 the lengths, right products and inverses.  H3 and F4 read their payload
 lengths and inverses off the walk; A, B, D and I2(m) have closed forms.
+Reflection length and absolute order are read off the table, which
+searches them once from the reflections.
 
 Generator numbering is 1-based.  For B_n the letter 1 is the sign change
 at the first coordinate and the letter i+1 swaps coordinates i and i+1,
@@ -154,20 +156,6 @@ def _perm_length(u: tuple) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if u[i] > u[j])
 
 
-def _perm_cycle_count(u: tuple) -> int:
-    seen = [False] * (len(u) + 1)
-    cycles = 0
-    for a in range(1, len(u) + 1):
-        if seen[a]:
-            continue
-        cycles += 1
-        x = a
-        while not seen[x]:
-            seen[x] = True
-            x = u[x - 1]
-    return cycles
-
-
 def _sp_apply(u: tuple, x: int) -> int:
     return u[x - 1] if x > 0 else -u[-x - 1]
 
@@ -205,27 +193,6 @@ def _sp_length_d(u: tuple) -> int:
     return inv + nsp
 
 
-def _sp_positive_cycles(u: tuple) -> int:
-    """Count orbit pairs {O, -O} of u on {-n..-1, 1..n} with O != -O.
-
-    The reflection length of a signed permutation in B_n or D_n is n minus
-    this count (balanced orbits, those with O = -O, contribute fully)."""
-    n = len(u)
-    seen = [False] * (n + 1)
-    pos = 0
-    for a in range(1, n + 1):
-        if seen[a]:
-            continue
-        seen[a] = True
-        x = _sp_apply(u, a)
-        while x != a and x != -a:
-            seen[abs(x)] = True
-            x = _sp_apply(u, x)
-        if x == a:
-            pos += 1
-    return pos
-
-
 # ---------------------------------------------------------------------------
 # dihedral payloads
 
@@ -248,12 +215,6 @@ def _i2_length(m: int, p: tuple) -> int:
     return min(2 * k + 1, 2 * (m - k) - 1)
 
 
-def _i2_rlen(p: tuple) -> int:
-    if p == (0, 0):
-        return 0
-    return 1 if p[1] == 1 else 2
-
-
 # ---------------------------------------------------------------------------
 # matrix payloads, exact scalars
 
@@ -261,11 +222,6 @@ def _i2_rlen(p: tuple) -> int:
 _H3_COXETER_MATRIX = ((1, 5, 2), (5, 1, 3), (2, 3, 1))
 _PHI_COS = {2: (0, 0), 3: (1, 0), 5: (0, 1)}  # 2cos(pi/m) inside Z[phi]
 _F4_CARTAN = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
-
-
-def _zphi_mul(a: tuple, b: tuple) -> tuple:
-    # (a0 + a1 phi)(b0 + b1 phi) with phi^2 = phi + 1
-    return (a[0] * b[0] + a[1] * b[1], a[0] * b[1] + a[1] * b[0] + a[1] * b[1])
 
 
 def _pmat_mul(x: tuple, y: tuple) -> tuple:
@@ -334,55 +290,6 @@ def _f4_identity() -> tuple:
     return tuple(tuple(1 if r == c else 0 for c in range(4)) for r in range(4))
 
 
-def _rank_of_rows(rows: list[list], ops: dict) -> int:
-    """Row rank by elimination without division over an integral domain.
-
-    Each row below the pivot row p becomes a*row - b*p, with a the pivot
-    and b the row's entry in the pivot column; a is nonzero, so the row
-    space over the fraction field keeps its dimension.
-    """
-    mul, sub, zero = ops["mul"], ops["sub"], ops["zero"]
-    nrows = len(rows)
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col] != zero), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank]
-        a = p[col]
-        for r in range(rank + 1, nrows):
-            b = rows[r][col]
-            if b != zero:
-                rows[r] = [sub(mul(a, u), mul(b, v)) for u, v in zip(rows[r], p)]
-        rank += 1
-    return rank
-
-
-_Z_OPS = {"mul": lambda a, b: a * b, "sub": lambda a, b: a - b, "zero": 0}
-
-_ZPHI_OPS = {
-    "mul": _zphi_mul,
-    "sub": lambda a, b: (a[0] - b[0], a[1] - b[1]),
-    "zero": (0, 0),
-}
-
-
-def _moved_rank_h3(payload: tuple) -> int:
-    # reflection length is the codimension of the fixed space, which is
-    # the rank of M - Id
-    rows = [
-        [(payload[r][c][0] - (1 if r == c else 0), payload[r][c][1]) for c in range(3)]
-        for r in range(3)
-    ]
-    return _rank_of_rows(rows, _ZPHI_OPS)
-
-
-def _moved_rank_f4(payload: tuple) -> int:
-    rows = [[payload[r][c] - (1 if r == c else 0) for c in range(4)] for r in range(4)]
-    return _rank_of_rows(rows, _Z_OPS)
-
-
 def _flat(payload) -> tuple:
     """Flatten a payload to a tuple of ints, for deterministic ordering."""
     if payload and isinstance(payload[0], tuple):
@@ -442,8 +349,12 @@ class CoxeterElement:
         return self.group._length(self.payload)
 
     def reflection_length(self) -> int:
-        """Minimal number of reflections whose product is this element."""
-        return self.group._rlen(self.payload)
+        """Minimal number of reflections whose product is this element,
+        read off the group's table (GarsideTable.rlens)."""
+        from .garside import garside_table
+
+        table = garside_table(self.group)
+        return table.rlens[table.id_of(self)]
 
     def left_descents(self) -> frozenset[int]:
         g = self.group
@@ -527,7 +438,6 @@ class CoxeterGroup:
             self._mul = _perm_mul
             self._inv = _perm_inv
             self._length = _perm_length
-            rlen = lambda p: (n + 1) - _perm_cycle_count(p)
             self._valid = lambda p: isinstance(p, tuple) and sorted(p) == list(ident)
         elif fam in ("B", "D"):
             ident = tuple(range(1, n + 1))
@@ -557,7 +467,6 @@ class CoxeterGroup:
                 )
             self._mul = _sp_mul
             self._inv = _sp_inv
-            rlen = lambda p: n - _sp_positive_cycles(p)
         elif fam == "I2":
             m = ctype.m
             assert m is not None
@@ -566,7 +475,6 @@ class CoxeterGroup:
             self._mul = lambda p, q: _i2_mul(m, p, q)
             self._inv = lambda p: _i2_inv(m, p)
             self._length = lambda p: _i2_length(m, p)
-            rlen = _i2_rlen
             self._valid = lambda p: (
                 len(p) == 2 and 0 <= p[0] < m and p[1] in (0, 1)
             )
@@ -575,12 +483,10 @@ class CoxeterGroup:
                 ident = _h3_identity()
                 gens = list(_h3_generators())
                 self._mul = _pmat_mul
-                rlen = _moved_rank_h3
             else:
                 ident = _f4_identity()
                 gens = list(_f4_generators())
                 self._mul = _imat_mul
-                rlen = _moved_rank_f4
             # read off the Cayley graph walk, which fills these on first use
             self._table_length: dict = {}
             self._table_inv: dict = {}
@@ -588,8 +494,6 @@ class CoxeterGroup:
             self._inv = lambda p: self._walked(self._table_inv)[p]
             self._valid = lambda p: p in self._walked(self._table_length)
 
-        # reflection length is computed at most once per element
-        self._rlen = cache(rlen)
         self._gen_payloads = tuple(gens)
         self.identity = CoxeterElement(self, ident)
         self.generators = tuple(CoxeterElement(self, g) for g in gens)
@@ -794,15 +698,17 @@ def _same_group(x: CoxeterElement, y: CoxeterElement) -> CoxeterGroup:
 
 
 def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
-    """Left divisibility in absolute order.
+    """Left divisibility in absolute order, read off the group's table
+    (GarsideTable.abs_divides).
 
     x divides y when reflection lengths add up along x * (x^-1 y) = y.
     Absolute order has no left/right asymmetry since the reflection set is
     closed under conjugation.
     """
-    g = _same_group(x, y)
-    rest = g._mul(g._inv(x.payload), y.payload)
-    return g._rlen(x.payload) + g._rlen(rest) == g._rlen(y.payload)
+    from .garside import garside_table
+
+    table = garside_table(_same_group(x, y))
+    return table.abs_divides(table.id_of(x), table.id_of(y))
 
 
 def weak_meet_left(u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:

@@ -47,11 +47,6 @@ def _require_standard(c: CoxeterElement) -> None:
         raise ValueError("expected a standard Coxeter element")
 
 
-@cache
-def _reflection_ids(table: GarsideTable) -> tuple[int, ...]:
-    return tuple(table.id_of(t) for t in table.group.reflections)
-
-
 def divisors_of(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
     """The divisor set DIV(c) in absolute order, sorted by level.
 
@@ -67,7 +62,7 @@ def divisors_of(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
     for k in range(table.rlen(cid)):
         nxt: set[int] = set()
         for x in level:
-            for t in _reflection_ids(table):
+            for t in table.reflections:
                 y = table.mul(x, t)
                 if table.rlen(y) == k + 1 and table.abs_divides(y, cid):
                     nxt.add(y)
@@ -388,7 +383,7 @@ def dual_monoid(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> D
 def _t_factor_ids(table: GarsideTable, x: int) -> list[int]:
     out = []
     while x != table.e:
-        for t in _reflection_ids(table):
+        for t in table.reflections:
             if table.abs_divides(t, x):
                 out.append(t)
                 x = table.mul(t, x)
@@ -427,7 +422,7 @@ def verify_dual_relations(
     dm = dual_monoid(c, ordering)
     table = dm._table
     nfs = dm.atoms._nfs
-    T = _reflection_ids(table)
+    T = table.reflections
     rows = []
     for t1 in T:
         for t2 in T:

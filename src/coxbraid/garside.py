@@ -83,9 +83,10 @@ class GarsideTable:
     come from the group's one breadth-first walk of its Cayley graph, so
     ids follow the order of group.elements() and no payload product is
     taken here.  Left products, descent masks and the twist tau are
-    derived from those on ids.  The table is immutable after construction
-    apart from the lazily filled shortlex words, reflection lengths and
-    lower Bruhat intervals.
+    derived from those on ids, and the reflection length of every id is
+    searched once, at construction.  The table is immutable after
+    construction apart from the lazily filled shortlex words and lower
+    Bruhat intervals.
     """
 
     def __init__(self, group: CoxeterGroup) -> None:
@@ -121,7 +122,8 @@ class GarsideTable:
         self.w0s = [self.rmul[s][self.w0] for s in range(self.n)]
         self.tau_letters = tuple(t + 1 for t in tau_gen)
         self._words: list[tuple[int, ...] | None] = [None] * size
-        self._rlen = [-1] * size
+        self.reflections = tuple(self.index[t.payload] for t in group.reflections)
+        self.rlens = self._reflection_lengths()
         self._below = [1] + [0] * (size - 1)  # [e, e] = {e}; 0 is not yet built
 
     def element(self, x: int) -> CoxeterElement:
@@ -145,12 +147,50 @@ class GarsideTable:
             self._words[x] = cached
         return cached
 
+    def _reflection_lengths(self) -> list[int]:
+        """l_T of every id: the breadth-first distance from e over reflections.
+
+        l_T is a class function and T is closed under conjugation: if
+        l_T(x t) = l_T(x) + 1 and x = g r g^-1, then x t is conjugate to
+        r (g^-1 t g).  So the search steps from one representative per
+        conjugacy class, the orbits of x -> s x s, times each reflection.
+        """
+        size = len(self.length)
+        rep = [-1] * size
+        for x in range(size):
+            if rep[x] < 0:
+                rep[x] = x
+                orbit = [x]
+                for y in orbit:
+                    for lrow, rrow in zip(self.lmul, self.rmul):
+                        z = lrow[rrow[y]]
+                        if rep[z] < 0:
+                            rep[z] = x
+                            orbit.append(z)
+        depth = {self.e: 0}
+        level = [self.e]
+        while level:
+            nxt = []
+            for r in level:
+                for t in self.reflections:
+                    c = rep[self.mul(r, t)]
+                    if c not in depth:
+                        depth[c] = depth[r] + 1
+                        nxt.append(c)
+            level = nxt
+        rlens = [depth.get(r, -1) for r in rep]
+        want = self.group.type.reflection_count()
+        if -1 in rlens or max(rlens) != self.n or rlens.count(1) != want:
+            raise IntegrityError(
+                f"{self.group.type.label()}: the reflections reach {len(depth)} classes, "
+                f"up to l_T = {max(rlens)}, with {rlens.count(1)} reflections; "
+                f"expected every class, up to the rank {self.n}, with {want} reflections"
+            )
+        return rlens
+
     def rlen(self, x: int) -> int:
-        """Reflection length of the element with id x, from the group's memo."""
-        r = self._rlen[x]
-        if r < 0:
-            r = self._rlen[x] = self.group._rlen(self.payloads[x])
-        return r
+        """Reflection length of the element with id x."""
+        return self.rlens[x]
 
     def below(self, w: int) -> int:
         """The lower Bruhat interval [e, w] as a bitset of ids, built on
@@ -178,11 +218,8 @@ class GarsideTable:
 
     def abs_divides(self, x: int, y: int) -> bool:
         """Whether x divides y in absolute order: l_T(x) + l_T(x^-1 y) = l_T(y)."""
-        r, z = self._rlen, self.mul(self.inv[x], y)
-        a, b, c = r[x], r[z], r[y]
-        if a < 0 or b < 0 or c < 0:
-            a, b, c = self.rlen(x), self.rlen(z), self.rlen(y)
-        return a + b == c
+        r = self.rlens
+        return r[x] + r[self.mul(self.inv[x], y)] == r[y]
 
     def renorm(self, x: int, y: int) -> tuple[int, int]:
         """Slide left descents of y that are not right descents of x."""
@@ -209,6 +246,12 @@ def shortlex_word(w: CoxeterElement) -> tuple[int, ...]:
     """The shortlex reduced word of w, read from its group's table."""
     table = garside_table(w.group)
     return table.word(table.id_of(w))
+
+
+def word_key(w: CoxeterElement) -> str:
+    """The shortlex word of w as "1,2,3", or "e" for the identity: how
+    reports key elements."""
+    return ",".join(map(str, shortlex_word(w))) or "e"
 
 
 def _append(table: GarsideTable, F: list[int], s: int) -> None:

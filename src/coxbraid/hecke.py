@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .coxeter import CoxeterElement, CoxeterGroup, IntegrityError, ResourceError
-from .garside import BraidWord, bit_ids, fraction_form, garside_table, shortlex_word
+from .garside import BraidWord, bit_ids, fraction_form, garside_table, shortlex_word, word_key
 from .laurent import LaurentPolynomial
 
 KL_GROUP_ORDER_CAP = 1200
@@ -228,11 +228,6 @@ def bar_involution(h: HeckeElement) -> HeckeElement:
         for y, d in _bar_t(h.group, x).rows.items():
             _addmul(total, y, d.terms, c.bar().terms)
     return HeckeElement._wrap(h.group, {x: _poly(p) for x, p in total.items()})
-
-
-def _word_key(w: CoxeterElement) -> str:
-    word = shortlex_word(w)
-    return ",".join(map(str, word)) if word else "e"
 
 
 class KLTable:
@@ -451,7 +446,7 @@ def positivity_report(
         ok = all(p.is_nonneg() for p in expansion.values())
         item = {
             "divisor": list(shortlex_word(u)),
-            "coefficients": {_word_key(w): str(p) for w, p in expansion.items()},
+            "coefficients": {word_key(w): str(p) for w, p in expansion.items()},
             "positive": ok,
         }
         items.append(item)

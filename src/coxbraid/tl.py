@@ -38,7 +38,7 @@ from .coxeter import (
     reduced_words,
 )
 from .dual import dual_monoid
-from .garside import BraidWord
+from .garside import BraidWord, word_key
 from .hecke import HeckeElement, kl_table
 from .laurent import LaurentPolynomial
 
@@ -382,37 +382,31 @@ def _fold_word(
 
 
 @cache
-def _theta_t(w: CoxeterElement) -> TLElement:
-    """theta(T_w), folded along a reduced word."""
-    return _fold_word(w.group.rank + 1, ((i, _THETA_T) for i in w.reduced_word()))
+def _quotient_t(
+    w: CoxeterElement, image: tuple[LaurentPolynomial, LaurentPolynomial]
+) -> TLElement:
+    """The image of T_w, folded along a reduced word, under the quotient map
+    sending T_s to image."""
+    return _fold_word(w.group.rank + 1, ((i, image) for i in w.reduced_word()))
 
 
-@cache
-def _theta_prime_t(w: CoxeterElement) -> TLElement:
-    """theta_prime(T_w), folded along a reduced word."""
-    return _fold_word(w.group.rank + 1, ((i, _THETA_PRIME_T) for i in w.reduced_word()))
+def _quotient(h: HeckeElement, image: tuple[LaurentPolynomial, LaurentPolynomial]) -> TLElement:
+    if h.group.type.family != "A":
+        raise ValueError("expected a type A element")
+    out = TLElement(2 * (h.group.rank + 1))
+    for w, c in h.coeffs.items():
+        out = out + _quotient_t(w, image).scale(c)
+    return out
 
 
 def theta(h: HeckeElement) -> TLElement:
     """The quotient map with T_s mapped to v^-1 b_s - 1."""
-    if h.group.type.family != "A":
-        raise ValueError("expected a type A element")
-    m = h.group.rank + 1
-    out = TLElement(2 * m)
-    for w, c in h.coeffs.items():
-        out = out + _theta_t(w).scale(c)
-    return out
+    return _quotient(h, _THETA_T)
 
 
 def theta_prime(h: HeckeElement) -> TLElement:
     """The quotient map with T_s mapped to v^-2 - v^-1 b_s."""
-    if h.group.type.family != "A":
-        raise ValueError("expected a type A element")
-    m = h.group.rank + 1
-    out = TLElement(2 * m)
-    for w, c in h.coeffs.items():
-        out = out + _theta_prime_t(w).scale(c)
-    return out
+    return _quotient(h, _THETA_PRIME_T)
 
 
 def omega(b: BraidWord) -> TLElement:
@@ -427,11 +421,6 @@ def omega(b: BraidWord) -> TLElement:
 
 # ---------------------------------------------------------------------------
 # the Zinno basis
-
-
-def _word_key(w: CoxeterElement) -> str:
-    word = w.reduced_word()
-    return ",".join(map(str, word)) if word else "e"
 
 
 @dataclass(frozen=True)
@@ -473,7 +462,7 @@ class ZinnoMatrix:
                 {
                     "divisor": list(x.reduced_word()),
                     "coeffs": {
-                        _word_key(w): str(p)
+                        word_key(w): str(p)
                         for w, p in zip(self.cols, self.entries[i])
                         if p
                     },
@@ -585,7 +574,7 @@ def positivity_tl_report(c: CoxeterElement, ordering: tuple[int, ...] | None = N
             {
                 "divisor": list(x.reduced_word()),
                 "coeffs": {
-                    _word_key(w): str(p)
+                    word_key(w): str(p)
                     for w, p in sorted(
                         coeffs.items(), key=lambda kv: (kv[0].length(), kv[0].sort_key())
                     )

@@ -24,6 +24,7 @@ from typing import Callable
 from .coxeter import (
     CoxeterElement,
     CoxeterGroup,
+    CoxeterType,
     ResourceError,
     coxeter_element_orderings,
     coxeter_group,
@@ -50,6 +51,7 @@ from .garside import (
     right_fraction_form,
     shortlex_word,
     signed_lift,
+    word_key,
 )
 from .hecke import kl_table, positivity_report
 from .mikado import is_mikado_A, is_mikado_B
@@ -149,22 +151,14 @@ class Report:
         if self.evidence_only:
             verdict = "EVIDENCE"
         bits = ", ".join(f"{k}={v}" for k, v in self.counts.items())
-        return f"{verdict} {self.command} [{_label(self.group)}] {bits} ({self.elapsed:.2f}s)"
+        label = CoxeterType.from_json(self.group).label()
+        return f"{verdict} {self.command} [{label}] {bits} ({self.elapsed:.2f}s)"
 
 
 def _artifact_version() -> str:
     from . import __version__
 
     return __version__
-
-
-def _label(group_json: dict) -> str:
-    fam = group_json["family"]
-    if fam == "I2":
-        return f"I2({group_json['m']})"
-    if fam in ("H3", "F4"):
-        return fam
-    return f"{fam}{group_json['rank']}"
 
 
 def _word(w: CoxeterElement) -> list[int]:
@@ -227,7 +221,7 @@ def _pairs(
 ) -> Report:
     """One item per pair (x, y): ok(x, y), keyed "wx|wy" by shortlex words ("e" if empty)."""
     elements = group.elements()
-    words = [",".join(map(str, shortlex_word(w))) or "e" for w in elements]
+    words = [word_key(w) for w in elements]
     items = [
         {"item": f"{wx}|{wy}", "ok": ok(x, y)}
         for x, wx in zip(elements, words)

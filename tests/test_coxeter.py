@@ -207,7 +207,7 @@ def test_reduced_words_of_longest_element():
 def test_fixed_space_corank_is_reflection_length():
     """The Fraction elimination of the oracle against the library's
     reflection lengths, and on H3 and F4 also against search."""
-    for group in (coxeter_group("B", 3), coxeter_group("A", 3)):
+    for group in (coxeter_group("B", 3), coxeter_group("A", 3), coxeter_group("D", 4)):
         for w in group.elements():
             assert oracles.fixed_space_corank(w) == w.reflection_length()
     for group in (coxeter_group("H3"), coxeter_group("F4")):

@@ -374,7 +374,20 @@ def test_walk_checks_group_order(monkeypatch, family, rank, count):
         GarsideTable(group)
 
 
-@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_reflection_search_checks_reflection_set(monkeypatch):
+    """The reflection length search fails loudly when its reflections miss
+    conjugacy classes: the six reflections of B3 that are not sign changes
+    are closed under conjugation but generate only D3."""
+    group = CoxeterGroup(CoxeterType("B", 3))
+    kept = tuple(t for t in group.reflections if sum(x < 0 for x in t.payload) != 1)
+    assert len(kept) == 6
+    assert {s * t * s for s in group.generators for t in kept} == set(kept)
+    monkeypatch.setattr(CoxeterGroup, "reflections", property(lambda self: kept))
+    with pytest.raises(IntegrityError):
+        GarsideTable(group)
+
+
+@pytest.mark.parametrize("family,rank,m", [*oracles.COVERED_GROUPS, ("D", 5, None)])
 def test_table_reflection_length_matches_search(family, rank, m):
     group = coxeter_group(family, rank, m=m)
     table = garside_table(group)
