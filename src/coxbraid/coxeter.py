@@ -18,10 +18,11 @@ the way they are written: from_word([1, 2]) applies s2 first.
 Each group walks its Cayley graph once, breadth first, on first need
 (CoxeterGroup._walk): one payload product per edge gives the element ids
 of the Garside table, in (length, flattened payload) order, and on them
-the lengths, right products and inverses.  H3 and F4 read their payload
-lengths and inverses off the walk; A, B, D and I2(m) have closed forms.
-Reflection length and absolute order are read off the table, which
-searches them once from the reflections.
+the lengths, right products and inverses.  Every family reads the
+length and inverse of an element off the walk, and its descents,
+shortlex word, reflection length and absolute order off the table built
+on it; payload products remain for products, words and the point action.
+The reflections are the closure of the generators under conjugation.
 
 Generator numbering is 1-based.  For B_n the letter 1 is the sign change
 at the first coordinate and the letter i+1 swaps coordinates i and i+1,
@@ -36,7 +37,7 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 class IntegrityError(RuntimeError):
@@ -144,53 +145,12 @@ def _perm_mul(u: tuple, v: tuple) -> tuple:
     return tuple(u[x - 1] for x in v)
 
 
-def _perm_inv(u: tuple) -> tuple:
-    out = [0] * len(u)
-    for i, x in enumerate(u):
-        out[x - 1] = i + 1
-    return tuple(out)
-
-
-def _perm_length(u: tuple) -> int:
-    n = len(u)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if u[i] > u[j])
-
-
 def _sp_apply(u: tuple, x: int) -> int:
     return u[x - 1] if x > 0 else -u[-x - 1]
 
 
 def _sp_mul(u: tuple, v: tuple) -> tuple:
     return tuple(_sp_apply(u, x) for x in v)
-
-
-def _sp_inv(u: tuple) -> tuple:
-    out = [0] * len(u)
-    for i, x in enumerate(u):
-        if x > 0:
-            out[x - 1] = i + 1
-        else:
-            out[-x - 1] = -(i + 1)
-    return tuple(out)
-
-
-def _sp_stats(u: tuple) -> tuple[int, int, int]:
-    """Inversions, negative entries and negative sum pairs of u."""
-    n = len(u)
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if u[i] > u[j])
-    neg = sum(1 for x in u if x < 0)
-    nsp = sum(1 for i in range(n) for j in range(i + 1, n) if u[i] + u[j] < 0)
-    return inv, neg, nsp
-
-
-def _sp_length_b(u: tuple) -> int:
-    inv, neg, nsp = _sp_stats(u)
-    return inv + neg + nsp
-
-
-def _sp_length_d(u: tuple) -> int:
-    inv, _, nsp = _sp_stats(u)
-    return inv + nsp
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +161,6 @@ def _i2_mul(m: int, p: tuple, q: tuple) -> tuple:
     a, f = p
     b, g = q
     return ((a + b if f == 0 else a - b) % m, f ^ g)
-
-
-def _i2_inv(m: int, p: tuple) -> tuple:
-    k, f = p
-    return (k if f else (-k) % m, f)
-
-
-def _i2_length(m: int, p: tuple) -> int:
-    k, f = p
-    if f == 0:
-        return 2 * min(k, m - k)
-    return min(2 * k + 1, 2 * (m - k) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,55 +287,47 @@ class CoxeterElement:
         return CoxeterElement(self.group, self.group._mul(self.payload, other.payload))
 
     def inverse(self) -> "CoxeterElement":
-        return CoxeterElement(self.group, self.group._inv(self.payload))
+        """The inverse, read off the group's Cayley graph walk."""
+        payloads, index, _, _, inv = self.group._walk()
+        return CoxeterElement(self.group, payloads[inv[index[self.payload]]])
 
     def is_identity(self) -> bool:
         return self.payload == self.group.identity.payload
 
     def length(self) -> int:
-        """Coxeter length, the number of letters in any reduced word."""
-        return self.group._length(self.payload)
+        """Coxeter length, the number of letters in any reduced word: the
+        depth of this element in the group's Cayley graph walk."""
+        _, index, _, length, _ = self.group._walk()
+        return length[index[self.payload]]
+
+    def _table_id(self) -> tuple:
+        """The group's Garside table and the id of this element in it."""
+        table = garside.garside_table(self.group)
+        return table, table.id_of(self)
 
     def reflection_length(self) -> int:
         """Minimal number of reflections whose product is this element,
         read off the group's table (GarsideTable.rlens)."""
-        from .garside import garside_table
-
-        table = garside_table(self.group)
-        return table.rlens[table.id_of(self)]
+        table, x = self._table_id()
+        return table.rlens[x]
 
     def left_descents(self) -> frozenset[int]:
-        g = self.group
-        me = self.length()
-        return frozenset(
-            i
-            for i in range(1, g.rank + 1)
-            if g._length(g._mul(g._gen_payloads[i - 1], self.payload)) < me
-        )
+        """The letters s with l(s w) < l(w), read off the group's table
+        (GarsideTable.ldesc)."""
+        table, x = self._table_id()
+        return frozenset(s + 1 for s in garside.bit_ids(table.ldesc[x]))
 
     def right_descents(self) -> frozenset[int]:
-        g = self.group
-        me = self.length()
-        return frozenset(
-            i
-            for i in range(1, g.rank + 1)
-            if g._length(g._mul(self.payload, g._gen_payloads[i - 1])) < me
-        )
+        """The letters s with l(w s) < l(w), read off the group's table
+        (GarsideTable.rdesc)."""
+        table, x = self._table_id()
+        return frozenset(s + 1 for s in garside.bit_ids(table.rdesc[x]))
 
     def reduced_word(self) -> tuple[int, ...]:
-        """The shortlex minimal reduced word, as a tuple of 1-based letters."""
-        g = self.group
-        word = []
-        p = self.payload
-        while p != g.identity.payload:
-            lp = g._length(p)
-            for i in range(1, g.rank + 1):
-                q = g._mul(g._gen_payloads[i - 1], p)
-                if g._length(q) < lp:
-                    word.append(i)
-                    p = q
-                    break
-        return tuple(word)
+        """The shortlex minimal reduced word, as a tuple of 1-based letters,
+        read off the group's table (GarsideTable.word)."""
+        table, x = self._table_id()
+        return table.word(x)
 
     def act(self, x: int) -> int:
         """Apply to a point, for the permutation backed families only."""
@@ -436,45 +376,31 @@ class CoxeterGroup:
                 p[i - 1], p[i] = p[i], p[i - 1]
                 gens.append(tuple(p))
             self._mul = _perm_mul
-            self._inv = _perm_inv
-            self._length = _perm_length
             self._valid = lambda p: isinstance(p, tuple) and sorted(p) == list(ident)
         elif fam in ("B", "D"):
             ident = tuple(range(1, n + 1))
-            gens = []
+            first = list(ident)
             if fam == "B":
-                first = list(ident)
                 first[0] = -1
-                gens.append(tuple(first))
-                for i in range(1, n):
-                    p = list(ident)
-                    p[i - 1], p[i] = p[i], p[i - 1]
-                    gens.append(tuple(p))
-                self._length = _sp_length_b
                 self._valid = lambda p: sorted(abs(x) for x in p) == list(ident)
             else:
-                first = list(ident)
                 first[0], first[1] = -2, -1
-                gens.append(tuple(first))
-                for i in range(1, n):
-                    p = list(ident)
-                    p[i - 1], p[i] = p[i], p[i - 1]
-                    gens.append(tuple(p))
-                self._length = _sp_length_d
                 self._valid = lambda p: (
                     sorted(abs(x) for x in p) == list(ident)
                     and sum(1 for x in p if x < 0) % 2 == 0
                 )
+            gens = [tuple(first)]
+            for i in range(1, n):
+                p = list(ident)
+                p[i - 1], p[i] = p[i], p[i - 1]
+                gens.append(tuple(p))
             self._mul = _sp_mul
-            self._inv = _sp_inv
         elif fam == "I2":
             m = ctype.m
             assert m is not None
             ident = (0, 0)
             gens = [(0, 1), (m - 1, 1)]
             self._mul = lambda p, q: _i2_mul(m, p, q)
-            self._inv = lambda p: _i2_inv(m, p)
-            self._length = lambda p: _i2_length(m, p)
             self._valid = lambda p: (
                 len(p) == 2 and 0 <= p[0] < m and p[1] in (0, 1)
             )
@@ -487,12 +413,7 @@ class CoxeterGroup:
                 ident = _f4_identity()
                 gens = list(_f4_generators())
                 self._mul = _imat_mul
-            # read off the Cayley graph walk, which fills these on first use
-            self._table_length: dict = {}
-            self._table_inv: dict = {}
-            self._length = lambda p: self._walked(self._table_length)[p]
-            self._inv = lambda p: self._walked(self._table_inv)[p]
-            self._valid = lambda p: p in self._walked(self._table_length)
+            self._valid = lambda p: p in self._walk()[1]
 
         self._gen_payloads = tuple(gens)
         self.identity = CoxeterElement(self, ident)
@@ -570,15 +491,7 @@ class CoxeterGroup:
                     z, c = row[z], row[c]
                 inv.append(z)
             self._cayley = (payloads, index, rmul, length, inv)
-            if self.type.family in ("H3", "F4"):
-                self._table_length.update(zip(payloads, length))
-                self._table_inv.update(zip(payloads, [payloads[i] for i in inv]))
         return self._cayley
-
-    def _walked(self, table: dict) -> dict:
-        """An H3/F4 payload-keyed table, after the walk has filled it."""
-        self._walk()
-        return table
 
     def elements(self) -> tuple[CoxeterElement, ...]:
         """All elements, ordered by length then by flattened payload."""
@@ -611,54 +524,27 @@ class CoxeterGroup:
     def reflections(self) -> tuple[CoxeterElement, ...]:
         """All reflections, ordered by length then payload."""
         if self._reflections_cache is None:
-            fam = self.type.family
-            n = self.rank
-            payloads: set = set()
-            if fam == "A":
-                ident = self.identity.payload
-                for i in range(1, n + 2):
-                    for j in range(i + 1, n + 2):
-                        p = list(ident)
-                        p[i - 1], p[j - 1] = j, i
-                        payloads.add(tuple(p))
-            elif fam in ("B", "D"):
-                ident = self.identity.payload
-                for i in range(1, n + 1):
-                    for j in range(i + 1, n + 1):
-                        p = list(ident)
-                        p[i - 1], p[j - 1] = j, i
-                        payloads.add(tuple(p))
-                        q = list(ident)
-                        q[i - 1], q[j - 1] = -j, -i
-                        payloads.add(tuple(q))
-                if fam == "B":
-                    for i in range(1, n + 1):
-                        p = list(ident)
-                        p[i - 1] = -i
-                        payloads.add(tuple(p))
-            elif fam == "I2":
-                assert self.type.m is not None
-                payloads = {(k, 1) for k in range(self.type.m)}
-            else:
-                frontier = set(self._gen_payloads)
-                payloads = set(frontier)
-                while frontier:
-                    nxt = set()
-                    for t in frontier:
-                        for g in self._gen_payloads:
-                            c = self._mul(self._mul(g, t), g)
-                            if c not in payloads:
-                                payloads.add(c)
-                                nxt.add(c)
-                    frontier = nxt
+            # T is the closure of the generators under conjugation by them
+            frontier = set(self._gen_payloads)
+            payloads = set(frontier)
+            while frontier:
+                nxt = set()
+                for t in frontier:
+                    for g in self._gen_payloads:
+                        c = self._mul(self._mul(g, t), g)
+                        if c not in payloads:
+                            payloads.add(c)
+                            nxt.add(c)
+                frontier = nxt
             if len(payloads) != self.type.reflection_count():
                 raise IntegrityError(
                     f"found {len(payloads)} reflections in {self.type.label()}, "
                     f"expected {self.type.reflection_count()}"
                 )
-            elems = [CoxeterElement(self, p) for p in payloads]
-            elems.sort(key=lambda t: (t.length(), _flat(t.payload)))
-            self._reflections_cache = tuple(elems)
+            index = self._walk()[1]
+            self._reflections_cache = tuple(
+                CoxeterElement(self, p) for p in sorted(payloads, key=index.__getitem__)
+            )
         return self._reflections_cache
 
     def __repr__(self) -> str:
@@ -705,9 +591,7 @@ def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
     Absolute order has no left/right asymmetry since the reflection set is
     closed under conjugation.
     """
-    from .garside import garside_table
-
-    table = garside_table(_same_group(x, y))
+    table = garside.garside_table(_same_group(x, y))
     return table.abs_divides(table.id_of(x), table.id_of(y))
 
 
@@ -733,16 +617,12 @@ def weak_meet_left(u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
 def bruhat_lower_interval(y: CoxeterElement) -> frozenset[CoxeterElement]:
     """The set of all x with x <= y in Bruhat order, read off the id bitset
     of the group's table (GarsideTable.below)."""
-    from .garside import bit_ids, garside_table
-
-    table = garside_table(y.group)
-    return frozenset(map(table.element, bit_ids(table.below(table.id_of(y)))))
+    table = garside.garside_table(y.group)
+    return frozenset(map(table.element, garside.bit_ids(table.below(table.id_of(y)))))
 
 
 def bruhat_leq(x: CoxeterElement, y: CoxeterElement) -> bool:
-    from .garside import garside_table
-
-    table = garside_table(_same_group(x, y))
+    table = garside.garside_table(_same_group(x, y))
     return bool(table.below(table.id_of(y)) >> table.id_of(x) & 1)
 
 
@@ -851,3 +731,8 @@ def type_b_element_embedding(w: CoxeterElement) -> CoxeterElement:
     for i in w.reduced_word():
         out = out * images[i]
     return out
+
+
+# garside builds its tables on the groups above and imports this module, so
+# it comes last, once every name here exists.
+from . import garside  # noqa: E402

@@ -242,16 +242,10 @@ def bit_ids(bits: int) -> list[int]:
     return [i for i, b in enumerate(bin(bits)[:1:-1]) if b == "1"]
 
 
-def shortlex_word(w: CoxeterElement) -> tuple[int, ...]:
-    """The shortlex reduced word of w, read from its group's table."""
-    table = garside_table(w.group)
-    return table.word(table.id_of(w))
-
-
 def word_key(w: CoxeterElement) -> str:
     """The shortlex word of w as "1,2,3", or "e" for the identity: how
     reports key elements."""
-    return ",".join(map(str, shortlex_word(w))) or "e"
+    return ",".join(map(str, w.reduced_word())) or "e"
 
 
 def _append(table: GarsideTable, F: list[int], s: int) -> None:
@@ -479,7 +473,7 @@ def square_free_witness(
     k = w.length()
     table = garside_table(b.group)
     if _rational_ids(_nf_ids(table, b.letters)):
-        word = shortlex_word(w)
+        word = w.reduced_word()
         lift = signed_lift(b, word)
         if not braid_equal(lift, b):
             raise IntegrityError("constructive lift of a rational braid failed")
@@ -530,7 +524,7 @@ def is_tau_fixed(b: BraidWord) -> bool:
 
 def positive_lift(w: CoxeterElement) -> BraidWord:
     """The positive simple braid b(w), via the shortlex reduced word."""
-    return BraidWord(w.group, shortlex_word(w))
+    return BraidWord(w.group, w.reduced_word())
 
 
 def embed_braid_b_to_a(b: BraidWord) -> BraidWord:

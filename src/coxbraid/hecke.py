@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .coxeter import CoxeterElement, CoxeterGroup, IntegrityError, ResourceError
-from .garside import BraidWord, bit_ids, fraction_form, garside_table, shortlex_word, word_key
+from .garside import BraidWord, bit_ids, fraction_form, garside_table, word_key
 from .laurent import LaurentPolynomial
 
 KL_GROUP_ORDER_CAP = 1200
@@ -445,7 +445,7 @@ def positivity_report(
         expansion = table.expand_in_C(h)
         ok = all(p.is_nonneg() for p in expansion.values())
         item = {
-            "divisor": list(shortlex_word(u)),
+            "divisor": list(u.reduced_word()),
             "coefficients": {word_key(w): str(p) for w, p in expansion.items()},
             "positive": ok,
         }

@@ -49,7 +49,6 @@ from .garside import (
     is_square_free,
     positive_lift,
     right_fraction_form,
-    shortlex_word,
     signed_lift,
     word_key,
 )
@@ -162,7 +161,7 @@ def _artifact_version() -> str:
 
 
 def _word(w: CoxeterElement) -> list[int]:
-    return list(shortlex_word(w))
+    return list(w.reduced_word())
 
 
 def _standard_sweep(
@@ -510,7 +509,7 @@ def check_linear_bruhat(
     """Fractions of simple dual braids of the one line c go up in Bruhat order."""
     rows = linear_coxeter_bruhat_check(group.rank)
     items = [
-        {"item": ",".join(map(str, shortlex_word(u))), "ok": ok,
+        {"item": ",".join(map(str, u.reduced_word())), "ok": ok,
          "numerator": _word(x), "denominator": _word(y)}
         for u, x, y, ok in rows
     ]

@@ -20,7 +20,7 @@ from coxbraid.coxeter import (
     abs_divides,
     standard_coxeter_elements,
 )
-from coxbraid.garside import BraidWord, GarsideTable, right_fraction_form, shortlex_word
+from coxbraid.garside import BraidWord, GarsideTable, right_fraction_form
 from coxbraid.hecke import HeckeElement, braid_image_a
 from coxbraid.laurent import LaurentPolynomial
 from coxbraid.tl import TLDiagram, TLElement, cup_cap_diagram
@@ -70,6 +70,93 @@ def length_by_search(w: CoxeterElement) -> int:
 def reflection_length_by_search(w: CoxeterElement) -> int:
     """Reflection length via breadth first search over the reflection Cayley graph."""
     return _cayley_distances(w.group, True)[w.payload]
+
+
+@lru_cache(maxsize=None)
+def descents_by_search(w: CoxeterElement, left: bool = True) -> frozenset[int]:
+    """The letters s with l(s w) < l(w), or l(w s) < l(w) when not left,
+    by payload products and searched lengths."""
+    g, p = w.group, w.payload
+    dist = _cayley_distances(g, False)
+    return frozenset(
+        i for i, s in enumerate(g._gen_payloads, 1)
+        if dist[g._mul(s, p) if left else g._mul(p, s)] < dist[p]
+    )
+
+
+@lru_cache(maxsize=None)
+def shortlex_word_by_search(w: CoxeterElement) -> tuple[int, ...]:
+    """The shortlex reduced word: strip the least left descent until the
+    identity is left, by payload products and searched lengths."""
+    word = []
+    while not w.is_identity():
+        i = min(descents_by_search(w))
+        word.append(i)
+        w = w.group.generator(i) * w
+    return tuple(word)
+
+
+@lru_cache(maxsize=None)
+def inverse_by_search(w: CoxeterElement) -> CoxeterElement:
+    """The inverse, as the product of the reversed shortlex word."""
+    return w.group.from_word(reversed(shortlex_word_by_search(w)))
+
+
+# lengths by search and left descents by payload products: the lengths
+# and descents of the oracles below never read the group's walk or table
+_length = length_by_search
+_left_descents = descents_by_search
+
+
+# ---------------------------------------------------------------------------
+# closed forms of lengths and reflections for A_n, B_n, D_n and I2(m)
+
+
+CLOSED_FORM_FAMILIES = ("A", "B", "D", "I2")
+
+
+def closed_form_length(w: CoxeterElement) -> int:
+    """Coxeter length by the classical formulas.  A_n counts inversions;
+    B_n adds the pairs with negative sum and the negative entries, D_n
+    only the pairs with negative sum.  In I2(m) the rotation rho^k has
+    length 2 min(k, m - k) and rho^k s has min(2k + 1, 2(m - k) - 1)."""
+    fam, u = w.group.type.family, w.payload
+    if fam == "I2":
+        m = w.group.type.m
+        k, f = u
+        return min(2 * k + 1, 2 * (m - k) - 1) if f else 2 * min(k, m - k)
+    if fam not in CLOSED_FORM_FAMILIES:
+        raise ValueError(f"family {fam} has no closed form length")
+    pairs = list(itertools.combinations(u, 2))
+    length = sum(a > b for a, b in pairs)
+    if fam != "A":
+        length += sum(a + b < 0 for a, b in pairs)
+    if fam == "B":
+        length += sum(x < 0 for x in u)
+    return length
+
+
+def closed_form_reflections(group: CoxeterGroup) -> frozenset[CoxeterElement]:
+    """The reflections: transpositions (i j) in A_n; in B_n and D_n also
+    the (i -j), and in B_n the sign changes; the m elements rho^k s in I2(m)."""
+    fam = group.type.family
+    if fam == "I2":
+        return frozenset(group.element((k, 1)) for k in range(group.type.m))
+    if fam not in CLOSED_FORM_FAMILIES:
+        raise ValueError(f"family {fam} has no closed form reflections")
+    ident = group.identity.payload
+    out = set()
+    for i, j in itertools.combinations(range(len(ident)), 2):
+        for sign in (1,) if fam == "A" else (1, -1):
+            p = list(ident)
+            p[i], p[j] = sign * (j + 1), sign * (i + 1)
+            out.add(group.element(tuple(p)))
+    if fam == "B":
+        for i in range(len(ident)):
+            p = list(ident)
+            p[i] = -(i + 1)
+            out.add(group.element(tuple(p)))
+    return frozenset(out)
 
 
 def _rank_over_field(rows: list[list], ops: dict) -> int:
@@ -173,7 +260,7 @@ def fixed_space_corank(w: CoxeterElement) -> int:
 def abs_divides_by_search(x: CoxeterElement, y: CoxeterElement) -> bool:
     """The definition of absolute order, with reflection lengths by search."""
     return (
-        reflection_length_by_search(x) + reflection_length_by_search(x.inverse() * y)
+        reflection_length_by_search(x) + reflection_length_by_search(inverse_by_search(x) * y)
         == reflection_length_by_search(y)
     )
 
@@ -275,15 +362,15 @@ def signed_lift_payload(b: BraidWord, word=None) -> BraidWord:
     positive when s_i ... s_k y is one longer than s_{i+1} ... s_k y."""
     group = b.group
     w = group.from_word(abs(l) for l in b.letters)
-    word = shortlex_word(w) if word is None else tuple(word)
-    if group.from_word(word) != w or len(word) != w.length():
+    word = shortlex_word_by_search(w) if word is None else tuple(word)
+    if group.from_word(word) != w or len(word) != _length(w):
         raise ValueError("not a reduced word of the braid's image")
     _, y = right_fraction_form(b)
     letters: list[int] = []
     cur = y
     for i in reversed(word):
         nxt = group.generator(i) * cur
-        sign = 1 if nxt.length() == cur.length() + 1 else -1
+        sign = 1 if _length(nxt) == _length(cur) + 1 else -1
         letters.append(i * sign)
         cur = nxt
     letters.reverse()
@@ -292,11 +379,6 @@ def signed_lift_payload(b: BraidWord, word=None) -> BraidWord:
 
 # ---------------------------------------------------------------------------
 # Bruhat order by the one step recursion
-
-
-# payload lengths and left descents, memoised per element
-_length = lru_cache(maxsize=None)(CoxeterElement.length)
-_left_descents = lru_cache(maxsize=None)(CoxeterElement.left_descents)
 
 
 @lru_cache(maxsize=None)
@@ -318,9 +400,9 @@ def bruhat_lower_interval_payload(y: CoxeterElement) -> frozenset[CoxeterElement
     subword seen so far."""
     g = y.group
     reach = {g.identity}
-    for i in y.reduced_word():
+    for i in shortlex_word_by_search(y):
         s = g.generator(i)
-        reach |= {z * s for z in reach if (z * s).length() > z.length()}
+        reach |= {z * s for z in reach if _length(z * s) > _length(z)}
     return frozenset(reach)
 
 
@@ -335,17 +417,17 @@ def bruhat_leq_payload(x: CoxeterElement, y: CoxeterElement) -> bool:
 def weak_lower_set(x: CoxeterElement) -> frozenset[CoxeterElement]:
     """All u with l(u) + l(u^-1 x) = l(x), by sweeping the whole group."""
     group = x.group
-    lx = x.length()
+    lx = _length(x)
     return frozenset(
         u for u in group.elements()
-        if u.length() + (u.inverse() * x).length() == lx
+        if _length(u) + _length(inverse_by_search(u) * x) == lx
     )
 
 
 def brute_weak_meet(x: CoxeterElement, y: CoxeterElement) -> CoxeterElement:
     common = weak_lower_set(x) & weak_lower_set(y)
-    best = max(common, key=lambda u: (u.length(), u.sort_key()))
-    ties = [u for u in common if u.length() == best.length()]
+    best = max(common, key=_length)
+    ties = [u for u in common if _length(u) == _length(best)]
     assert len(ties) == 1, "weak order meet is not unique"
     return best
 
@@ -506,14 +588,14 @@ def greedy_first_factor_brute(
         acc = group.identity
         for pos, letter in enumerate(variant, start=1):
             nxt = acc * group.generator(letter)
-            if nxt.length() != pos:
+            if _length(nxt) != pos:
                 break
             acc = nxt
             candidates.add(acc)
     if not candidates:
         return group.identity
-    best = max(candidates, key=lambda u: (u.length(), u.sort_key()))
-    ties = [u for u in candidates if u.length() == best.length()]
+    best = max(candidates, key=_length)
+    ties = [u for u in candidates if _length(u) == _length(best)]
     assert len(ties) == 1, "maximal simple prefix is not unique"
     return best
 
@@ -715,7 +797,8 @@ def theta_by_stacking(h: HeckeElement, prime: bool = False) -> TLElement:
         scalar, coeff = LaurentPolynomial.constant(-1), LaurentPolynomial.v_power(-1)
     out = TLElement(2 * m)
     for w, c in h.coeffs.items():
-        image = _fold_by_stacking(m, (_affine(m, i, scalar, coeff) for i in w.reduced_word()))
+        word = shortlex_word_by_search(w)
+        image = _fold_by_stacking(m, (_affine(m, i, scalar, coeff) for i in word))
         out = out + image.scale(c)
     return out
 
@@ -748,7 +831,7 @@ def mul_gen_payload(coeffs: dict, i: int, inverse: bool = False) -> dict:
     out: dict = {}
     for w, c in coeffs.items():
         ws = w * w.group.generator(i)
-        if ws.length() > w.length():
+        if _length(ws) > _length(w):
             if inverse:
                 _hecke_acc(out, ws, c * _V2)
                 _hecke_acc(out, w, c * _V2_MINUS_1)
@@ -776,7 +859,7 @@ def hecke_mul_payload(a: dict, b: dict) -> dict:
     total: dict = {}
     for w, c in b.items():
         cur = dict(a)
-        for i in w.reduced_word():
+        for i in shortlex_word_by_search(w):
             cur = mul_gen_payload(cur, i)
         for x, p in cur.items():
             _hecke_acc(total, x, p * c)
@@ -788,7 +871,7 @@ def bar_involution_payload(coeffs: dict, group: CoxeterGroup) -> dict:
     total: dict = {}
     for w, c in coeffs.items():
         cur = {group.identity: _L_ONE}
-        for i in w.reduced_word():
+        for i in shortlex_word_by_search(w):
             cur = mul_gen_payload(cur, i, inverse=True)
         for x, p in cur.items():
             _hecke_acc(total, x, p * c.bar())
@@ -849,8 +932,8 @@ def c_basis_payload(w: CoxeterElement) -> dict:
     table = kl_payload(w.group)
     out = {}
     for y in bruhat_lower_interval_payload(w):
-        cprime = table.p(y, w).substituted_power(-2).shifted(w.length())
-        c = cprime.bar().shifted(2 * y.length()) * (-1) ** (y.length() + w.length())
+        cprime = table.p(y, w).substituted_power(-2).shifted(_length(w))
+        c = cprime.bar().shifted(2 * _length(y)) * (-1) ** (_length(y) + _length(w))
         if c:
             out[y] = c
     return out
@@ -861,8 +944,8 @@ def expand_in_C_payload(coeffs: dict) -> dict:
     out = {}
     work = dict(coeffs)
     while work:
-        w = max(work, key=lambda u: (u.length(), u.sort_key()))
-        gamma = work[w].shifted(-w.length())
+        w = max(work, key=lambda u: (_length(u), u.sort_key()))
+        gamma = work[w].shifted(-_length(w))
         out[w] = gamma
         for y, c in c_basis_payload(w).items():
             _hecke_acc(work, y, -(c * gamma))
@@ -881,9 +964,9 @@ def positivity_report_by_elimination(table, c: CoxeterElement, ordering: tuple[i
     for u in dm.divisors():
         expansion = table.expand_in_C(braid_image_a(dm.embed(u)))
         items.append({
-            "divisor": list(shortlex_word(u)),
+            "divisor": list(u.reduced_word()),
             "coefficients": {
-                ",".join(map(str, shortlex_word(w))) or "e": str(p) for w, p in expansion.items()
+                ",".join(map(str, w.reduced_word())) or "e": str(p) for w, p in expansion.items()
             },
             "positive": all(p.is_nonneg() for p in expansion.values()),
         })

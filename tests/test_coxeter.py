@@ -73,16 +73,27 @@ def test_word_round_trips(family, rank, m):
         assert w.inverse().length() == w.length()
 
 
-@pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 2, None), ("I2", 2, 5)])
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
 def test_descents_and_search_lengths(family, rank, m):
+    """Lengths, inverses, descents, shortlex words and reflections, which
+    every family reads off its walk and table, against searched lengths,
+    payload products and the closed forms of A, B, D and I2."""
     group = coxeter_group(family, rank, m=m)
+    closed = family in oracles.CLOSED_FORM_FAMILIES
     for w in group.elements():
-        assert oracles.length_by_search(w) == w.length()
+        assert w.length() == oracles.length_by_search(w)
+        if closed:
+            assert w.length() == oracles.closed_form_length(w)
         assert oracles.reflection_length_by_search(w) == w.reflection_length()
-        for i in range(1, group.rank + 1):
-            s = group.generator(i)
-            assert (i in w.left_descents()) == ((s * w).length() < w.length())
-            assert (i in w.right_descents()) == ((w * s).length() < w.length())
+        assert (w * w.inverse()).is_identity()
+        assert w.left_descents() == oracles.descents_by_search(w)
+        assert w.right_descents() == oracles.descents_by_search(w, left=False)
+        assert w.reduced_word() == oracles.shortlex_word_by_search(w)
+    if closed:
+        assert frozenset(group.reflections) == oracles.closed_form_reflections(group)
+    else:
+        want = {w for w in group.elements() if oracles.fixed_space_corank(w) == 1}
+        assert frozenset(group.reflections) == want
 
 
 def test_longest_element():
