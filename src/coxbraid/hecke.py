@@ -3,7 +3,8 @@
 Elements are stored on the standard basis {T_w} with exact Laurent
 coefficients keyed by GarsideTable id, normalised by T_s^2 = (v^-2 - 1)
 T_s + v^-2.  Products fold through the table's rmul and length arrays on
-exponent -> coefficient int dicts updated in place.  The braid group maps
+rows of exponent -> coefficient int dicts, updated in place by the row
+kernel of laurent that the Temperley Lieb layer shares.  The braid group maps
 in through a (generators to T_s) and its twist a', and the Kazhdan
 Lusztig machinery lives in KLTable, on table ids: polynomials P_{y,w} in
 q = v^-2 computed by the classical recursion with mu corrections over
@@ -22,15 +23,12 @@ from typing import Iterable, Mapping, Union
 
 from .coxeter import CoxeterElement, CoxeterGroup, IntegrityError, ResourceError
 from .garside import BraidWord, bit_ids, fraction_form, garside_table, word_key
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, Rows, addmul, combine, poly
 
 KL_GROUP_ORDER_CAP = 1200
 
 _ZERO = LaurentPolynomial.zero()
 _ONE = LaurentPolynomial.one()
-
-# id -> (exponent -> nonzero coefficient), without empty rows
-Rows = dict[int, dict[int, int]]
 
 # Coefficients of (T_ws, T_w) in T_w T_s^-1 for ws > w, and in T_w T_s
 # for ws < w: v^2 T_ws + (v^2 - 1) T_w and v^-2 T_ws + (v^-2 - 1) T_w.
@@ -38,23 +36,6 @@ _UP_INVERSE = (((2, 1),), ((0, -1), (2, 1)))
 _DOWN = (((-2, 1),), ((-2, 1), (0, -1)))
 _UNIT = ((0, 1),)
 _P_ONE = (1,)  # the polynomial 1 in q
-
-
-def _addmul(rows: Rows, x: int, p: Iterable, q: Iterable) -> None:
-    """rows[x] += p * q in place, dropping zero terms and empty rows."""
-    got = rows.get(x)
-    if got is None:
-        got = rows[x] = {}
-    for e1, c1 in p:
-        for e2, c2 in q:
-            e = e1 + e2
-            c = got.get(e, 0) + c1 * c2
-            if c:
-                got[e] = c
-            else:
-                del got[e]
-    if not got:
-        del rows[x]
 
 
 def _mul_gen(table, rows: Rows, s: int, inverse: bool) -> Rows:
@@ -66,10 +47,10 @@ def _mul_gen(table, rows: Rows, s: int, inverse: bool) -> Rows:
         ws = step[w]
         if (length[ws] > length[w]) == inverse:
             to_ws, to_w = _UP_INVERSE if inverse else _DOWN
-            _addmul(out, ws, p.items(), to_ws)
-            _addmul(out, w, p.items(), to_w)
+            addmul(out, ws, p.items(), to_ws)
+            addmul(out, w, p.items(), to_w)
         else:
-            _addmul(out, ws, p.items(), _UNIT)
+            addmul(out, ws, p.items(), _UNIT)
     return out
 
 
@@ -78,10 +59,6 @@ def _fold(table, rows: Rows, letters: Iterable[int]) -> Rows:
     for l in letters:
         rows = _mul_gen(table, rows, abs(l) - 1, l < 0)
     return rows
-
-
-def _poly(p: dict[int, int]) -> LaurentPolynomial:
-    return LaurentPolynomial._trusted(tuple(sorted(p.items())))
 
 
 def _axpy(acc: list[int], p: tuple[int, ...], shift: int, m: int) -> None:
@@ -185,18 +162,15 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     if a.group is not b.group:
         raise ValueError("elements of different algebras")
     table, start = a.table, a._int_rows()
-    total: Rows = {}
-    for y, c in b.rows.items():
-        for x, p in _fold(table, start, table.word(y)).items():
-            _addmul(total, x, p.items(), c.terms)
-    return HeckeElement._wrap(a.group, {x: _poly(p) for x, p in total.items()})
+    total = combine((_fold(table, start, table.word(y)), c.terms) for y, c in b.rows.items())
+    return HeckeElement._wrap(a.group, {x: poly(p) for x, p in total.items()})
 
 
 def braid_image_a(b: BraidWord) -> HeckeElement:
     """The group morphism into units sending each generator to T_s."""
     table = garside_table(b.group)
     rows = _fold(table, {table.e: {0: 1}}, b.letters)
-    return HeckeElement._wrap(b.group, {x: _poly(p) for x, p in rows.items()})
+    return HeckeElement._wrap(b.group, {x: poly(p) for x, p in rows.items()})
 
 
 def braid_image_a_prime(b: BraidWord) -> HeckeElement:
@@ -217,17 +191,15 @@ def j_h(h: HeckeElement) -> HeckeElement:
 
 
 @cache
-def _bar_t(group: CoxeterGroup, x: int) -> HeckeElement:
+def _bar_t(group: CoxeterGroup, x: int) -> Rows:
     """bar(T_w) for the element with id x: the inverse generators along a reduced word."""
-    return braid_image_a(BraidWord(group, tuple(-s for s in garside_table(group).word(x))))
+    table = garside_table(group)
+    return _fold(table, {table.e: {0: 1}}, [-s for s in table.word(x)])
 
 
 def bar_involution(h: HeckeElement) -> HeckeElement:
-    total: Rows = {}
-    for x, c in h.rows.items():
-        for y, d in _bar_t(h.group, x).rows.items():
-            _addmul(total, y, d.terms, c.bar().terms)
-    return HeckeElement._wrap(h.group, {x: _poly(p) for x, p in total.items()})
+    total = combine((_bar_t(h.group, x), c.bar().terms) for x, c in h.rows.items())
+    return HeckeElement._wrap(h.group, {x: poly(p) for x, p in total.items()})
 
 
 class KLTable:
@@ -308,7 +280,7 @@ class KLTable:
     def p(self, y: CoxeterElement, w: CoxeterElement) -> LaurentPolynomial:
         """P_{y,w} as a polynomial in q."""
         got = self._row(self.table.id_of(w)).get(self.table.id_of(y), ())
-        return LaurentPolynomial._trusted(tuple((k, c) for k, c in enumerate(got) if c))
+        return poly({k: c for k, c in enumerate(got) if c})
 
     def mu(self, y: CoxeterElement, w: CoxeterElement) -> int:
         """The coefficient of the top allowed q power in P_{y,w}."""
@@ -343,7 +315,7 @@ class KLTable:
     def c_basis(self, w: CoxeterElement) -> HeckeElement:
         """C_w = (-1)^{l(w)} j_H(C'_w)."""
         return HeckeElement._wrap(self.group, {
-            y: LaurentPolynomial._trusted(terms) for y, terms in self._c_row(self.table.id_of(w))
+            y: poly(dict(terms)) for y, terms in self._c_row(self.table.id_of(w))
         })
 
     # -- expansion ---------------------------------------------------------
@@ -358,7 +330,7 @@ class KLTable:
             gamma = out[x] = {e - length[x]: c for e, c in work[x].items()}
             minus_gamma = [(e, -c) for e, c in gamma.items()]
             for y, terms in self._c_row(x):
-                _addmul(work, y, minus_gamma, terms)
+                addmul(work, y, minus_gamma, terms)
             if x in work:
                 raise IntegrityError("triangular elimination failed to clear a term")
         return out
@@ -376,7 +348,7 @@ class KLTable:
         else:
             rows = self._eliminate(h._int_rows())
         elements = self.group.elements()  # in id order
-        return {elements[x]: _poly(rows[x]) for x in sorted(rows)}
+        return {elements[x]: poly(rows[x]) for x in sorted(rows)}
 
     def _step(self, rows: Rows, s: int) -> Rows:
         """Right multiplication of C-coordinates by T_s, s 0-based, along the
@@ -388,13 +360,13 @@ class KLTable:
         for w, p in rows.items():
             items = p.items()
             if rdesc[w] & bit:
-                _addmul(out, w, items, ((0, -1),))
+                addmul(out, w, items, ((0, -1),))
                 continue
-            _addmul(out, ws_of[w], items, ((-1, 1),))
-            _addmul(out, w, items, ((-2, 1),))
+            addmul(out, ws_of[w], items, ((-1, 1),))
+            addmul(out, w, items, ((-2, 1),))
             for z, m in self._mu[w]:
                 if rdesc[z] & bit:
-                    _addmul(out, z, items, ((-1, m),))
+                    addmul(out, z, items, ((-1, m),))
         return out
 
     def _pair_rows(self, x: int, y: int) -> Rows:

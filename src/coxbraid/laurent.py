@@ -1,19 +1,22 @@
-"""Integer Laurent polynomials in one variable.
+"""Integer Laurent polynomials in one variable, and the one row kernel
+of the Hecke and Temperley Lieb layers.
 
-The Hecke and Temperley Lieb layers work over Z[v, v^-1] throughout, so
-this is a small exact implementation: a sorted tuple of (exponent,
-coefficient) pairs with no zero entries.  The public constructor checks
-that form; results of the arithmetic below have it by construction and
-skip the check.  Positivity means every stored coefficient is
-nonnegative.  The bar map inverts the variable and the
-power substitution v -> v^k implements the passage between the q and v
-normalisations of the Kazhdan Lusztig polynomials.
+Both layers compute over Z[v, v^-1] on rows: basis id -> (exponent ->
+nonzero coefficient), with no empty row.  ``addmul`` adds a product of
+two term lists into a row in place, ``combine`` sums sets of rows times
+term lists, and ``poly`` builds the LaurentPolynomial of a row when a
+value is handed out.  A LaurentPolynomial is a sorted tuple of
+(exponent, coefficient) pairs with no zero entries; its product runs
+through ``addmul`` too.  The public constructor checks that form;
+results of the arithmetic below have it by construction and skip the
+check.  Positivity means every stored coefficient is nonnegative, and
+the bar map inverts the variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -98,13 +101,10 @@ class LaurentPolynomial:
 
     def __mul__(self, other: Union["LaurentPolynomial", int]) -> "LaurentPolynomial":
         if isinstance(other, int):
-            return LaurentPolynomial.of({e: c * other for e, c in self.terms})
-        acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPolynomial.of(acc)
+            other = LaurentPolynomial.constant(other)
+        rows: Rows = {}
+        addmul(rows, 0, self.terms, other.terms)
+        return poly(rows.get(0, {}))
 
     def __rmul__(self, other: int) -> "LaurentPolynomial":
         return self * other
@@ -116,13 +116,6 @@ class LaurentPolynomial:
     def bar(self) -> "LaurentPolynomial":
         """Invert the variable."""
         return LaurentPolynomial._trusted(tuple((-e, c) for e, c in reversed(self.terms)))
-
-    def substituted_power(self, k: int) -> "LaurentPolynomial":
-        """Substitute v -> v^k (for k = 0 this evaluates at 1)."""
-        acc: dict[int, int] = {}
-        for e, c in self.terms:
-            acc[e * k] = acc.get(e * k, 0) + c
-        return LaurentPolynomial.of(acc)
 
     def text(self, var: str = "v") -> str:
         if not self.terms:
@@ -149,3 +142,39 @@ class LaurentPolynomial:
 
 _ZERO = LaurentPolynomial(())
 _ONE = LaurentPolynomial(((0, 1),))
+
+
+# id -> (exponent -> nonzero coefficient), without empty rows
+Rows = dict[int, dict[int, int]]
+
+
+def addmul(rows: Rows, x: int, p: Iterable, q: Iterable) -> None:
+    """rows[x] += p * q in place, for p and q iterables of (exponent,
+    nonzero coefficient) pairs, dropping zero terms and empty rows."""
+    got = rows.get(x)
+    if got is None:
+        got = rows[x] = {}
+    for e1, c1 in p:
+        for e2, c2 in q:
+            e = e1 + e2
+            c = got.get(e, 0) + c1 * c2
+            if c:
+                got[e] = c
+            else:
+                del got[e]
+    if not got:
+        del rows[x]
+
+
+def combine(terms: Iterable[tuple[Rows, Iterable]]) -> Rows:
+    """The sum of rows * q over the (rows, q) pairs, q a list of terms."""
+    out: Rows = {}
+    for rows, q in terms:
+        for x, p in rows.items():
+            addmul(out, x, p.items(), q)
+    return out
+
+
+def poly(p: Mapping[int, int]) -> LaurentPolynomial:
+    """The polynomial of one row, whose coefficients are all nonzero."""
+    return LaurentPolynomial._trusted(tuple(sorted(p.items())))

@@ -11,9 +11,11 @@ numbered, and the right action of every generator diagram b_s on them as
 shortest word in the generators whose product is that diagram with no
 loop, so stacking d on any diagram folds d along that word.  The images
 of T_s and of the braid generators are scalar plus scalar times b_s, so
-theta, theta_prime and omega fold along a word through the same action.
-The products b_w over reduced words of fully commutative elements are
-single diagrams and exhaust the matchings, which is how elements are
+tl_mul, theta, theta_prime and omega fold along words through that one
+action, on rows keyed by diagram id through the row kernel of laurent;
+LaurentPolynomial values are built only when coefficients are handed
+out.  The products b_w over reduced words of fully commutative elements
+are single diagrams and exhaust the matchings, which is how elements are
 expanded on the {b_w} basis.
 
 Two quotient maps from the Hecke algebra are provided, theta and
@@ -28,24 +30,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .coxeter import (
     CoxeterElement,
+    CoxeterGroup,
     IntegrityError,
     bruhat_leq,
     coxeter_group,
     reduced_words,
 )
 from .dual import dual_monoid
-from .garside import BraidWord, word_key
+from .garside import BraidWord, garside_table, word_key
 from .hecke import HeckeElement, kl_table
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, Rows, addmul, combine, poly
 
 _ZERO = LaurentPolynomial.zero()
 _ONE = LaurentPolynomial.one()
-_MINUS_ONE = LaurentPolynomial.constant(-1)
-_DELTA = LaurentPolynomial.of({1: 1, -1: 1})
 
 
 @dataclass(frozen=True)
@@ -80,18 +82,6 @@ class TLDiagram:
 def identity_diagram(m: int) -> TLDiagram:
     pairing = tuple(2 * m - 1 - i for i in range(2 * m))
     return TLDiagram(2 * m, pairing)
-
-
-def cup_cap_diagram(m: int, i: int) -> TLDiagram:
-    """The generator diagram at 1 <= i <= m-1: a top cup and bottom cap."""
-    if not 1 <= i < m:
-        raise ValueError("generator index out of range")
-    pairing = list(2 * m - 1 - j for j in range(2 * m))
-    a, b = i - 1, i
-    pairing[a], pairing[b] = b, a
-    c, d = 2 * m - 1 - a, 2 * m - 1 - b
-    pairing[c], pairing[d] = d, c
-    return TLDiagram(2 * m, tuple(pairing))
 
 
 # ---------------------------------------------------------------------------
@@ -186,42 +176,47 @@ def _diagram_table(m: int) -> _DiagramTable:
     return _DiagramTable(m)
 
 
-def _on_diagrams(
-    points: int, table: _DiagramTable, x: Mapping[int, LaurentPolynomial]
-) -> "TLElement":
-    return TLElement(points, {table.diagrams[d]: c for d, c in x.items()})
-
-
 class TLElement:
-    """A Z[v, v^-1] combination of diagrams on a common point count."""
+    """A Z[v, v^-1] combination of diagrams on a common point count, stored
+    by diagram id in rows and keyed by diagram in coeffs."""
 
-    __slots__ = ("points", "coeffs")
+    __slots__ = ("points", "table", "rows")
 
     def __init__(
         self, points: int, coeffs: Mapping[TLDiagram, LaurentPolynomial] | None = None
     ) -> None:
         self.points = points
-        self.coeffs: dict[TLDiagram, LaurentPolynomial] = {
-            d: c for d, c in (coeffs or {}).items() if c
+        self.table = _diagram_table(points // 2)
+        self.rows: Rows = {
+            self.table.id_of(d): dict(c.terms) for d, c in (coeffs or {}).items() if c
         }
+
+    @staticmethod
+    def _wrap(points: int, rows: Rows) -> "TLElement":
+        x = TLElement(points)
+        x.rows = rows
+        return x
 
     @staticmethod
     def unit(m: int) -> "TLElement":
         return TLElement(2 * m, {identity_diagram(m): _ONE})
 
+    @property
+    def coeffs(self) -> Mapping[TLDiagram, LaurentPolynomial]:
+        """The coefficients keyed by diagram, read only."""
+        diagrams = self.table.diagrams
+        return MappingProxyType({diagrams[d]: poly(p) for d, p in self.rows.items()})
+
     def coeff(self, d: TLDiagram) -> LaurentPolynomial:
-        return self.coeffs.get(d, _ZERO)
+        return poly(self.rows.get(self.table.id_of(d), {}))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def __add__(self, other: "TLElement") -> "TLElement":
         if self.points != other.points:
             raise ValueError("elements of different algebras")
-        acc = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            acc[d] = acc.get(d, _ZERO) + c
-        return TLElement(self.points, acc)
+        return TLElement._wrap(self.points, combine((x.rows, _ONE.terms) for x in (self, other)))
 
     def __sub__(self, other: "TLElement") -> "TLElement":
         return self + other.scale(-1)
@@ -229,7 +224,7 @@ class TLElement:
     def scale(self, factor: Union[LaurentPolynomial, int]) -> "TLElement":
         if isinstance(factor, int):
             factor = LaurentPolynomial.constant(factor)
-        return TLElement(self.points, {d: c * factor for d, c in self.coeffs.items()})
+        return TLElement._wrap(self.points, combine(((self.rows, factor.terms),)))
 
     def __mul__(self, other: "TLElement") -> "TLElement":
         return tl_mul(self, other)
@@ -238,39 +233,25 @@ class TLElement:
         return (
             isinstance(other, TLElement)
             and self.points == other.points
-            and self.coeffs == other.coeffs
+            and self.rows == other.rows
         )
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.rows:
             return "TLElement(0)"
-        bits = [f"({c})*{d.chords()}" for d, c in self.coeffs.items()]
+        diagrams = self.table.diagrams
+        bits = [f"({poly(p)})*{diagrams[d].chords()}" for d, p in self.rows.items()]
         return "TLElement(" + " + ".join(bits) + ")"
-
-    def bar_coeffs(self) -> "TLElement":
-        return TLElement(self.points, {d: c.bar() for d, c in self.coeffs.items()})
 
 
 def tl_mul(a: TLElement, b: TLElement) -> TLElement:
+    """Fold a along a loop free word of each diagram of b."""
     if a.points != b.points:
         raise ValueError("elements of different algebras")
-    table = _diagram_table(a.points // 2)
-    acc: dict[int, LaurentPolynomial] = {}
-    for d2, c2 in b.coeffs.items():
-        word = table.words[table.id_of(d2)]
-        for d1, c1 in a.coeffs.items():
-            d, loops = table.fold(table.id_of(d1), word)
-            c = c1 * c2
-            for _ in range(loops):
-                c = c * _DELTA
-            got = acc.get(d)
-            acc[d] = c if got is None else got + c
-    return _on_diagrams(a.points, table, acc)
-
-
-def j_tl(x: TLElement) -> TLElement:
-    """The semilinear involution fixing every diagram."""
-    return x.bar_coeffs()
+    return TLElement._wrap(a.points, combine(
+        (_fold(a.table, a.rows, ((i, _GENERATOR) for i in a.table.words[d])), q.items())
+        for d, q in b.rows.items()
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +309,7 @@ def b_w(w: CoxeterElement) -> TLElement:
     ids = _b_w_table(w.group.rank)
     if w not in ids:
         raise ValueError("element is not fully commutative")
-    m = w.group.rank + 1
-    return _on_diagrams(2 * m, _diagram_table(m), {ids[w]: _ONE})
+    return TLElement._wrap(2 * (w.group.rank + 1), {ids[w]: {0: 1}})
 
 
 @cache
@@ -343,60 +323,53 @@ def _fc_of_diagram(n: int) -> tuple[CoxeterElement, ...]:
 
 def expand_in_b(x: TLElement) -> dict[CoxeterElement, LaurentPolynomial]:
     """Coordinates of a TL element on the {b_w} basis."""
-    table = _diagram_table(x.points // 2)
-    fc = _fc_of_diagram(table.m - 1)
-    return {fc[table.id_of(d)]: c for d, c in x.coeffs.items()}
+    fc = _fc_of_diagram(x.table.m - 1)
+    return {fc[d]: poly(p) for d, p in x.rows.items()}
 
 
 # ---------------------------------------------------------------------------
 # the quotient maps
 
-# The images of T_s under theta and theta_prime, and of the braid generator
-# and its inverse under omega, as (scalar, coefficient of b_s).
-_THETA_T = (_MINUS_ONE, LaurentPolynomial.v_power(-1))
-_THETA_PRIME_T = (LaurentPolynomial.v_power(-2), LaurentPolynomial.v_power(-1, -1))
-_OMEGA_POS = (LaurentPolynomial.v_power(-1), _MINUS_ONE)
-_OMEGA_NEG = (LaurentPolynomial.v_power(1), _MINUS_ONE)
+# The images of b_s, of T_s under theta and theta_prime, and of the braid
+# generator and its inverse under omega, as term tuples (scalar, coefficient
+# of b_s, that coefficient times v + v^-1 for where b_s closes a loop).
+_DELTA = ((-1, 1), (1, 1))
+_GENERATOR = ((), _ONE.terms, _DELTA)
+_THETA_T = (((0, -1),), ((-1, 1),), ((-2, 1), (0, 1)))
+_THETA_PRIME_T = (((-2, 1),), ((-1, -1),), ((-2, -1), (0, -1)))
+_OMEGA_POS = (((-1, 1),), ((0, -1),), ((-1, -1), (1, -1)))
+_OMEGA_NEG = (((1, 1),), ((0, -1),), ((-1, -1), (1, -1)))
 
 
-def _fold_word(
-    m: int, word: Iterable[tuple[int, tuple[LaurentPolynomial, LaurentPolynomial]]]
-) -> TLElement:
-    """The product of scalar + coeff * b_s over (s, (scalar, coeff)) in word."""
-    table = _diagram_table(m)
-    x = {table.identity: _ONE}
-    for i, (scalar, coeff) in word:
+def _fold(table: _DiagramTable, rows: Rows, word: Iterable[tuple[int, tuple]]) -> Rows:
+    """Right multiply rows by scalar + coeff * b_s for each (s, image) in word."""
+    for i, (scalar, coeff, looped) in word:
         act = table.right[i - 1]
-        looped = coeff * _DELTA
-        out: dict[int, LaurentPolynomial] = {}
-        for d, c in x.items():
-            term = c * scalar
-            got = out.get(d)
-            out[d] = term if got is None else got + term
+        out: Rows = {}
+        for d, p in rows.items():
+            items = p.items()
+            if scalar:
+                addmul(out, d, items, scalar)
             e, loops = act[d]
-            term = c * (looped if loops else coeff)
-            got = out.get(e)
-            out[e] = term if got is None else got + term
-        x = {d: c for d, c in out.items() if c}
-    return _on_diagrams(2 * m, table, x)
+            addmul(out, e, items, looped if loops else coeff)
+        rows = out
+    return rows
 
 
 @cache
-def _quotient_t(
-    w: CoxeterElement, image: tuple[LaurentPolynomial, LaurentPolynomial]
-) -> TLElement:
-    """The image of T_w, folded along a reduced word, under the quotient map
-    sending T_s to image."""
-    return _fold_word(w.group.rank + 1, ((i, image) for i in w.reduced_word()))
+def _quotient_t(group: CoxeterGroup, x: int, image: tuple) -> Rows:
+    """The image of T_w, w the element with table id x, folded along its
+    reduced word, under the quotient map sending T_s to image."""
+    table = _diagram_table(group.rank + 1)
+    word = garside_table(group).word(x)
+    return _fold(table, {table.identity: {0: 1}}, ((i, image) for i in word))
 
 
-def _quotient(h: HeckeElement, image: tuple[LaurentPolynomial, LaurentPolynomial]) -> TLElement:
+def _quotient(h: HeckeElement, image: tuple) -> TLElement:
     if h.group.type.family != "A":
         raise ValueError("expected a type A element")
-    out = TLElement(2 * (h.group.rank + 1))
-    for w, c in h.coeffs.items():
-        out = out + _quotient_t(w, image).scale(c)
-    return out
+    images = ((_quotient_t(h.group, x, image), c.terms) for x, c in h.rows.items())
+    return TLElement._wrap(2 * (h.group.rank + 1), combine(images))
 
 
 def theta(h: HeckeElement) -> TLElement:
@@ -413,10 +386,10 @@ def omega(b: BraidWord) -> TLElement:
     """The braid group map sending a generator to v^-1 - b_s."""
     if b.group.type.family != "A":
         raise ValueError("expected a type A braid")
-    return _fold_word(
-        b.group.rank + 1,
-        ((abs(l), _OMEGA_POS if l > 0 else _OMEGA_NEG) for l in b.letters),
-    )
+    m = b.group.rank + 1
+    table = _diagram_table(m)
+    letters = ((abs(l), _OMEGA_POS if l > 0 else _OMEGA_NEG) for l in b.letters)
+    return TLElement._wrap(2 * m, _fold(table, {table.identity: {0: 1}}, letters))
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +540,7 @@ def positivity_tl_report(c: CoxeterElement, ordering: tuple[int, ...] | None = N
     items = []
     all_ok = True
     for x, coeffs in _zinno_rows(c, ordering):
-        ok = all(
-            (p * ((-1) ** w.length())).is_nonneg() for w, p in coeffs.items()
-        )
+        ok = all((-p if w.length() % 2 else p).is_nonneg() for w, p in coeffs.items())
         items.append(
             {
                 "divisor": list(x.reduced_word()),

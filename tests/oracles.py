@@ -17,13 +17,12 @@ from coxbraid.coxeter import (
     CoxeterElement,
     CoxeterGroup,
     IntegrityError,
-    abs_divides,
     standard_coxeter_elements,
 )
 from coxbraid.garside import BraidWord, GarsideTable, right_fraction_form
 from coxbraid.hecke import HeckeElement, braid_image_a
 from coxbraid.laurent import LaurentPolynomial
-from coxbraid.tl import TLDiagram, TLElement, cup_cap_diagram
+from coxbraid.tl import TLDiagram, TLElement
 
 
 # Every group the parametrized tests of the package cover, as
@@ -255,6 +254,9 @@ def fixed_space_corank(w: CoxeterElement) -> int:
 
 # ---------------------------------------------------------------------------
 # absolute order on payloads
+#
+# Reflection lengths and inverses come from the searches above, so these
+# oracles never read the reflection lengths of the table they check.
 
 
 def abs_divides_by_search(x: CoxeterElement, y: CoxeterElement) -> bool:
@@ -273,12 +275,12 @@ def divisors_of_payload(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
     T = group.reflections
     level: set[CoxeterElement] = {group.identity}
     out = [group.identity]
-    for k in range(c.reflection_length()):
+    for k in range(reflection_length_by_search(c)):
         nxt: set[CoxeterElement] = set()
         for x in level:
             for t in T:
                 y = x * t
-                if y.reflection_length() == k + 1 and abs_divides(y, c):
+                if reflection_length_by_search(y) == k + 1 and abs_divides_by_search(y, c):
                     nxt.add(y)
         level = nxt
         out.extend(sorted(nxt, key=lambda w: w.sort_key()))
@@ -293,7 +295,7 @@ def t_reduced_factorization_payload(x: CoxeterElement) -> tuple[CoxeterElement, 
     cur = x
     while not cur.is_identity():
         for t in group.reflections:
-            if abs_divides(t, cur):
+            if abs_divides_by_search(t, cur):
                 out.append(t)
                 cur = t * cur
                 break
@@ -673,7 +675,7 @@ def reduced_factorizations_brute(
 ) -> frozenset[tuple[CoxeterElement, ...]]:
     """All shortest reflection factorizations, by pruned recursion."""
     group = c.group
-    total = c.reflection_length()
+    total = reflection_length_by_search(c)
     out = []
 
     def extend(prefix: tuple[CoxeterElement, ...], x: CoxeterElement) -> None:
@@ -684,9 +686,9 @@ def reduced_factorizations_brute(
             return
         for t in group.reflections:
             y = x * t
-            if y.reflection_length() == depth + 1:
-                rest = y.inverse() * c
-                if depth + 1 + rest.reflection_length() == total:
+            if reflection_length_by_search(y) == depth + 1:
+                rest = inverse_by_search(y) * c
+                if depth + 1 + reflection_length_by_search(rest) == total:
                     extend(prefix + (t,), y)
 
     extend((), group.identity)
@@ -695,6 +697,23 @@ def reduced_factorizations_brute(
 
 # ---------------------------------------------------------------------------
 # Temperley-Lieb products by stacking diagrams
+
+
+def cup_cap_diagram(m: int, i: int) -> TLDiagram:
+    """The generator diagram at 1 <= i <= m-1: a top cup and bottom cap."""
+    if not 1 <= i < m:
+        raise ValueError("generator index out of range")
+    pairing = list(2 * m - 1 - j for j in range(2 * m))
+    a, b = i - 1, i
+    pairing[a], pairing[b] = b, a
+    c, d = 2 * m - 1 - a, 2 * m - 1 - b
+    pairing[c], pairing[d] = d, c
+    return TLDiagram(2 * m, tuple(pairing))
+
+
+def j_tl(x: TLElement) -> TLElement:
+    """The semilinear involution fixing every diagram: bar on each coefficient."""
+    return TLElement(x.points, {d: c.bar() for d, c in x.coeffs.items()})
 
 
 def compose_diagrams(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, int]:
@@ -818,6 +837,14 @@ _VM2 = LaurentPolynomial.v_power(-2)
 _VM2_MINUS_1 = LaurentPolynomial.of({-2: 1, 0: -1})
 
 
+def substituted_power(p: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    """Substitute v -> v^k in p (for k = 0 this evaluates at 1)."""
+    acc: dict[int, int] = {}
+    for e, c in p.terms:
+        acc[e * k] = acc.get(e * k, 0) + c
+    return LaurentPolynomial.of(acc)
+
+
 def _hecke_acc(out: dict, w: CoxeterElement, c: LaurentPolynomial) -> None:
     total = out.get(w, _L_ZERO) + c
     if total:
@@ -932,7 +959,7 @@ def c_basis_payload(w: CoxeterElement) -> dict:
     table = kl_payload(w.group)
     out = {}
     for y in bruhat_lower_interval_payload(w):
-        cprime = table.p(y, w).substituted_power(-2).shifted(_length(w))
+        cprime = substituted_power(table.p(y, w), -2).shifted(_length(w))
         c = cprime.bar().shifted(2 * _length(y)) * (-1) ** (_length(y) + _length(w))
         if c:
             out[y] = c

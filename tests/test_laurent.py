@@ -1,10 +1,12 @@
-"""Integer Laurent polynomials in one variable."""
+"""Integer Laurent polynomials in one variable, and the row kernel."""
 
 import random
 
 import pytest
 
 from coxbraid.laurent import LaurentPolynomial as L
+from coxbraid.laurent import addmul, combine, poly
+from oracles import substituted_power
 
 
 def rand_poly(rng):
@@ -70,10 +72,10 @@ def test_shift_bar_substitute():
         p = rand_poly(rng)
         assert p.shifted(3).shifted(-3) == p
         assert p.bar().bar() == p
-        assert p.substituted_power(1) == p
+        assert substituted_power(p, 1) == p
     assert L.v_power(2).bar() == L.v_power(-2)
     assert L.v_power(1).shifted(2) == L.v_power(3)
-    assert L.of({1: 1, -2: 4}).substituted_power(-2) == L.of({-2: 1, 4: 4})
+    assert substituted_power(L.of({1: 1, -2: 4}), -2) == L.of({-2: 1, 4: 4})
     q = L.of({0: 1, 1: 1})
     assert (q * q.bar()).coeff(0) == 2
 
@@ -106,3 +108,45 @@ def test_trusted_results_are_normalised():
         for q in (p.bar(), p.shifted(-2), -p, p * rand_poly(rng), p + rand_poly(rng)):
             assert L(q.terms) == q
     assert L.of({3: 1, -1: 2}).bar().terms == ((-3, 1), (1, 2))
+
+
+def test_addmul_agrees_with_polynomial_arithmetic():
+    rng = random.Random(34)
+    for _ in range(300):
+        a, b, c, other = (rand_poly(rng) for _ in range(4))
+        rows = {x: dict(p.terms) for x, p in ((7, a), (3, other)) if p}
+        addmul(rows, 7, b.terms, c.terms)
+        want = a + b * c
+        assert poly(rows.get(7, {})) == want
+        assert (7 in rows) == bool(want)
+        assert poly(rows.get(3, {})) == other
+        for row in rows.values():
+            assert row and all(row.values())
+            assert L(poly(row).terms) == poly(row)
+
+
+def test_addmul_deletes_a_row_that_cancels():
+    p, q = L.of({-1: 2, 1: -3}), L.of({0: 1, 2: 1})
+    rows = {0: dict((p * q).terms), 1: {0: 5}}
+    addmul(rows, 0, (-p).terms, q.terms)
+    assert rows == {1: {0: 5}}
+    addmul(rows, 2, p.terms, ())
+    assert rows == {1: {0: 5}}
+    rows = {0: {0: 1, 2: 1}}
+    addmul(rows, 0, ((0, -1),), ((0, 1),))
+    assert rows == {0: {2: 1}}
+
+
+def test_combine_sums_rows_times_terms():
+    rng = random.Random(55)
+    for _ in range(100):
+        polys = [[rand_poly(rng) for _ in range(3)] for _ in range(3)]
+        factors = [rand_poly(rng) for _ in range(3)]
+        sets = [{x: dict(p.terms) for x, p in enumerate(ps) if p} for ps in polys]
+        got = combine(zip(sets, (f.terms for f in factors)))
+        for x in range(3):
+            want = L.zero()
+            for ps, f in zip(polys, factors):
+                want = want + ps[x] * f
+            assert poly(got.get(x, {})) == want
+            assert (x in got) == bool(want)

@@ -6,7 +6,9 @@ pool can reorder work, and no variable can point a run at state kept on
 disk.  The proof path uses no rational or decimal arithmetic, which is
 left to the test oracles.  The Garside table reads its products off the
 group's Cayley graph walk, and no module but coxeter.py, which builds the
-groups, takes payload products of its own.
+groups, takes payload products of its own.  Coefficients in Z[v, v^-1]
+have one kernel: no module but laurent.py defines the row kernel or
+wraps terms as a LaurentPolynomial without the constructor's check.
 This parses each module and rejects the imports, reads and calls that
 would bring any of these back.
 """
@@ -28,11 +30,28 @@ INEXACT = {"fractions", "decimal"}
 # graph walk, and the layers above it compute on its ids.
 PAYLOAD_FREE = {p.name for p in MODULES} - {"coxeter.py"}
 PAYLOAD_PRODUCTS = {"_mul", "_imat_mul", "_pmat_mul"}
+# Every module but laurent.py must reach the coefficient kernel through
+# laurent's addmul, combine and poly: no unchecked wrap of terms, no second
+# kernel.
+KERNEL_FREE = {p.name for p in MODULES} - {"laurent.py"}
+KERNEL_NAMES = {"Rows", "addmul", "_addmul", "combine", "_combine", "poly", "_poly"}
 
 
-def violations(tree: ast.AST, payload_free: bool = False) -> list[str]:
+def violations(
+    tree: ast.AST, payload_free: bool = False, kernel_free: bool = False
+) -> list[str]:
     found = []
     for node in ast.walk(tree):
+        if kernel_free:
+            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+                found.append(f"line {node.lineno}: unchecked LaurentPolynomial._trusted")
+            defined = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            found += [f"line {node.lineno}: row kernel {n}" for n in defined if n in KERNEL_NAMES]
         if payload_free:
             name = getattr(node, "attr", getattr(node, "id", None))
             if isinstance(node, ast.ImportFrom):
@@ -67,7 +86,9 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_threads_and_no_environment(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert violations(tree, payload_free=path.name in PAYLOAD_FREE) == []
+    assert violations(
+        tree, payload_free=path.name in PAYLOAD_FREE, kernel_free=path.name in KERNEL_FREE
+    ) == []
 
 
 @pytest.mark.parametrize(
@@ -84,12 +105,23 @@ def test_no_threads_and_no_environment(path):
         "p = group._mul(a, b)",
         "from .coxeter import _imat_mul",
         "p = coxeter._pmat_mul(a, b)",
+        "p = LaurentPolynomial._trusted(((0, 1),))",
+        "def _addmul(rows, x, p, q):\n    pass",
+        "Rows = dict[int, dict[int, int]]",
     ],
 )
 def test_guard_catches(source):
-    assert violations(ast.parse(source), payload_free=True)
+    assert violations(ast.parse(source), payload_free=True, kernel_free=True)
 
 
 def test_payload_guard_spares_table_products():
     source = "x = table.mul(a, b)\ny = table.rmul[s][x]\nr = table.rlen(x)"
     assert violations(ast.parse(source), payload_free=True) == []
+
+
+def test_kernel_guard_spares_kernel_calls():
+    source = (
+        "from .laurent import Rows, addmul, poly\n"
+        "rows: Rows = {}\naddmul(rows, 0, p.items(), q)\nc = poly(rows[0])"
+    )
+    assert violations(ast.parse(source), kernel_free=True) == []

@@ -20,12 +20,10 @@ from coxbraid.tl import (
     TLElement,
     _diagram_table,
     b_w,
-    cup_cap_diagram,
     expand_in_b,
     fg_projection_check,
     fully_commutative,
     identity_diagram,
-    j_tl,
     omega,
     positivity_tl_report,
     theta,
@@ -36,6 +34,7 @@ from coxbraid.tl import (
 )
 
 import oracles
+from oracles import cup_cap_diagram, j_tl
 
 
 DELTA = L.of({1: 1, -1: 1})
