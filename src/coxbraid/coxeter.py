@@ -1,25 +1,25 @@
 """Finite Coxeter groups of spherical type with exact element arithmetic.
 
 Families A_n (n >= 1), B_n (n >= 2), D_n (n >= 4), I2(m) (m >= 3), H3 and
-F4.  Element payloads are exact combinatorial or integral data:
+F4.  Element payloads are flat tuples of integers:
 
   A_n    one line permutations of {1, ..., n+1}
   B_n    signed permutations, stored as (w(1), ..., w(n)) with w(-i) = -w(i)
   D_n    signed permutations with an even number of negative entries
   I2(m)  pairs (k, f) meaning rho^k s^f where s, t are the generators and
          rho = s*t is the basic rotation
-  H3     3x3 matrices over Z[phi] with phi^2 = phi + 1, entries stored as
-         integer pairs (a, b) meaning a + b*phi
-  F4     4x4 integer matrices in the root basis
+  H3, F4 permutations of the 30 and 48 roots, labelled 1, 2, ... by their
+         coordinates in the simple roots; H3 computes in Z[phi] with
+         phi^2 = phi + 1, F4 in the integers (_root_permutations)
 
 Products compose right to left, (u * v)(i) = u(v(i)), so that words read
 the way they are written: from_word([1, 2]) applies s2 first.
 
 Each group walks its Cayley graph once, breadth first, on first need
 (CoxeterGroup._walk): one payload product per edge gives the element ids
-of the Garside table, in (length, flattened payload) order, and on them
-the lengths, right products and inverses.  Every family reads the
-length and inverse of an element off the walk, and its descents,
+of the Garside table, in (length, payload) order, and on them the
+lengths, right products and inverses.  Every family reads the length
+and inverse of an element off the walk, and its descents,
 shortlex word, reflection length and absolute order off the table built
 on it; payload products remain for products, words and the point action.
 The reflections are the closure of the generators under conjugation.
@@ -33,7 +33,6 @@ so m(1, 2) = 4.  For D_n the letter 1 maps (1, 2) to (-2, -1), the letter
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
@@ -164,92 +163,47 @@ def _i2_mul(m: int, p: tuple, q: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# matrix payloads, exact scalars
+# root permutation payloads
 
 
-_H3_COXETER_MATRIX = ((1, 5, 2), (5, 1, 3), (2, 3, 1))
-_PHI_COS = {2: (0, 0), 3: (1, 0), 5: (0, 1)}  # 2cos(pi/m) inside Z[phi]
-_F4_CARTAN = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+# Cartan matrices with entries a + b*phi stored as (a, b), phi^2 = phi + 1:
+# -2cos(pi/m) is 0, -1 and -phi for m = 2, 3 and 5.  F4 is integral.
+_CARTAN = {
+    "H3": (((2, 0), (0, -1), (0, 0)), ((0, -1), (2, 0), (-1, 0)), ((0, 0), (-1, 0), (2, 0))),
+    "F4": tuple(
+        tuple((a, 0) for a in row)
+        for row in ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    ),
+}
 
 
-def _pmat_mul(x: tuple, y: tuple) -> tuple:
-    n = len(x)
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            s0 = s1 = 0
-            for k in range(n):
-                a = x[r][k]
-                b = y[k][c]
-                s0 += a[0] * b[0] + a[1] * b[1]
-                s1 += a[0] * b[1] + a[1] * b[0] + a[1] * b[1]
-            row.append((s0, s1))
-        out.append(tuple(row))
-    return tuple(out)
+def _root_permutations(cartan: tuple) -> tuple[tuple[int, ...], ...]:
+    """The simple reflections of a Cartan matrix over Z[phi], as permutations
+    of its roots.
 
+    A root is a tuple of coordinates in the simple roots, each a pair (a, b)
+    for a + b*phi, and s_i changes coordinate i of v by -sum_j A_ij v_j.
+    The roots are the closure of the simple roots under the s_i, labelled
+    1, 2, ... in sorted order; s_i is the tuple of the labels of s_i(r), r
+    running over the roots in that order, and _perm_mul composes them.
+    """
+    n = len(cartan)
 
-def _imat_mul(x: tuple, y: tuple) -> tuple:
-    cols = tuple(zip(*y))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in x)
+    def reflect(i: int, v: tuple) -> tuple:
+        a = b = 0
+        for (c, d), (x, y) in zip(cartan[i], v):
+            a += c * x + d * y
+            b += c * y + d * x + d * y
+        return v[:i] + ((v[i][0] - a, v[i][1] - b),) + v[i + 1:]
 
-
-def _h3_generators() -> tuple:
-    gens = []
-    for i in range(3):
-        rows = []
-        for r in range(3):
-            row = []
-            for c in range(3):
-                if r == c:
-                    row.append((-1, 0) if r == i else (1, 0))
-                elif r == i:
-                    row.append(_PHI_COS[_H3_COXETER_MATRIX[i][c]])
-                else:
-                    row.append((0, 0))
-            rows.append(tuple(row))
-        gens.append(tuple(rows))
-    return tuple(gens)
-
-
-def _h3_identity() -> tuple:
-    return tuple(
-        tuple((1, 0) if r == c else (0, 0) for c in range(3)) for r in range(3)
-    )
-
-
-def _f4_generators() -> tuple:
-    gens = []
-    for j in range(4):
-        rows = []
-        for r in range(4):
-            row = []
-            for c in range(4):
-                e = 1 if r == c else 0
-                if r == j:
-                    e -= _F4_CARTAN[c][j]
-                row.append(e)
-            rows.append(tuple(row))
-        gens.append(tuple(rows))
-    return tuple(gens)
-
-
-def _f4_identity() -> tuple:
-    return tuple(tuple(1 if r == c else 0 for c in range(4)) for r in range(4))
-
-
-def _flat(payload) -> tuple:
-    """Flatten a payload to a tuple of ints, for deterministic ordering."""
-    if payload and isinstance(payload[0], tuple):
-        out = []
-        for row in payload:
-            for entry in row:
-                if isinstance(entry, tuple):
-                    out.extend(entry)
-                else:
-                    out.append(entry)
-        return tuple(out)
-    return tuple(payload)
+    frontier = {tuple((1, 0) if j == i else (0, 0) for j in range(n)) for i in range(n)}
+    roots = set(frontier)
+    while frontier:
+        frontier = {reflect(i, v) for v in frontier for i in range(n)} - roots
+        roots |= frontier
+    order = sorted(roots)
+    label = {r: k for k, r in enumerate(order, 1)}
+    return tuple(tuple(label[reflect(i, r)] for r in order) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +284,7 @@ class CoxeterElement:
         return table.word(x)
 
     def act(self, x: int) -> int:
-        """Apply to a point, for the permutation backed families only."""
+        """Apply to a point, for families A, B and D only."""
         fam = self.group.type.family
         if fam == "A":
             return self.payload[x - 1]
@@ -347,7 +301,7 @@ class CoxeterElement:
         return k
 
     def sort_key(self) -> tuple:
-        return (self.length(), _flat(self.payload))
+        return (self.length(), self.payload)
 
     def __repr__(self) -> str:
         word = ".".join(str(i) for i in self.reduced_word()) or "e"
@@ -405,14 +359,9 @@ class CoxeterGroup:
                 len(p) == 2 and 0 <= p[0] < m and p[1] in (0, 1)
             )
         else:
-            if fam == "H3":
-                ident = _h3_identity()
-                gens = list(_h3_generators())
-                self._mul = _pmat_mul
-            else:
-                ident = _f4_identity()
-                gens = list(_f4_generators())
-                self._mul = _imat_mul
+            gens = _root_permutations(_CARTAN[fam])
+            ident = tuple(range(1, len(gens[0]) + 1))
+            self._mul = _perm_mul
             self._valid = lambda p: p in self._walk()[1]
 
         self._gen_payloads = tuple(gens)
@@ -422,7 +371,6 @@ class CoxeterGroup:
         self._cayley: tuple | None = None
         self._elements_cache: tuple | None = None
         self._reflections_cache: tuple | None = None
-        self._coxeter_matrix_cache: tuple | None = None
         self._orderings_cache: dict | None = None
 
     # -- element factories ---------------------------------------------
@@ -451,7 +399,7 @@ class CoxeterGroup:
         """One breadth-first walk of the Cayley graph of the generators.
 
         Depth is the Coxeter length.  Ids number the elements level by
-        level, each level sorted by flattened payload, and the walk returns
+        level, each level sorted by payload, and the walk returns
         (payloads, index, rmul, length, inv) with rmul[s][x] the id of x
         times generator s + 1.  Each edge p s is one payload product, made
         an id once the next level is numbered.  x = y s with l(y) < l(x)
@@ -471,7 +419,7 @@ class CoxeterGroup:
                 prods = [[mul(p, g) for g in gens] for p in level]
                 # each product p s not yet numbered lies one level deeper
                 found = {q: s for row in prods for s, q in enumerate(row) if q not in index}
-                level = sorted(found, key=_flat)
+                level = sorted(found)
                 index.update((q, len(payloads) + i) for i, q in enumerate(level))
                 payloads += level
                 length += [length[-1] + 1] * len(level)
@@ -494,7 +442,7 @@ class CoxeterGroup:
         return self._cayley
 
     def elements(self) -> tuple[CoxeterElement, ...]:
-        """All elements, ordered by length then by flattened payload."""
+        """All elements, ordered by length then by payload."""
         if self._elements_cache is None:
             self._elements_cache = tuple(CoxeterElement(self, p) for p in self._walk()[0])
         return self._elements_cache
@@ -503,22 +451,6 @@ class CoxeterGroup:
     def longest_element(self) -> CoxeterElement:
         """The unique element of greatest length, the last one walked."""
         return self.elements()[-1]
-
-    @property
-    def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
-        if self._coxeter_matrix_cache is None:
-            n = self.rank
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    if i == j:
-                        row.append(1)
-                    else:
-                        row.append((self.generators[i] * self.generators[j]).order())
-                rows.append(tuple(row))
-            self._coxeter_matrix_cache = tuple(rows)
-        return self._coxeter_matrix_cache
 
     @property
     def reflections(self) -> tuple[CoxeterElement, ...]:
@@ -593,25 +525,6 @@ def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
     """
     table = garside.garside_table(_same_group(x, y))
     return table.abs_divides(table.id_of(x), table.id_of(y))
-
-
-def weak_meet_left(u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
-    """Greatest common prefix of u and v in weak order.
-
-    Repeatedly extracts a common left descent.  Returns the meet as a
-    group element; the pair (u, v) is left coprime exactly when the meet
-    is the identity.
-    """
-    g = _same_group(u, v)
-    meet = g.identity
-    while True:
-        common = u.left_descents() & v.left_descents()
-        if not common:
-            return meet
-        s = g.generator(min(common))
-        meet = meet * s
-        u = s * u
-        v = s * v
 
 
 def bruhat_lower_interval(y: CoxeterElement) -> frozenset[CoxeterElement]:

@@ -210,12 +210,119 @@ _QPHI_OPS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the matrix models of H3 and F4
+#
+# The library computes in H3 and F4 on permutations of their roots.  These
+# are their reflection representations as matrices, built from the Coxeter
+# and Cartan matrices by hand: H3 as 3x3 matrices over Z[phi], entries
+# (a, b) meaning a + b*phi, and F4 as 4x4 integer matrices in the root
+# basis.  An element reaches them through a word, never through its payload.
+
+
+_H3_COXETER_MATRIX = ((1, 5, 2), (5, 1, 3), (2, 3, 1))
+_PHI_COS = {2: (0, 0), 3: (1, 0), 5: (0, 1)}  # 2cos(pi/m) inside Z[phi]
+_F4_CARTAN = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+
+
+def _pmat_mul(x: tuple, y: tuple) -> tuple:
+    n = len(x)
+    out = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            s0 = s1 = 0
+            for k in range(n):
+                a = x[r][k]
+                b = y[k][c]
+                s0 += a[0] * b[0] + a[1] * b[1]
+                s1 += a[0] * b[1] + a[1] * b[0] + a[1] * b[1]
+            row.append((s0, s1))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _imat_mul(x: tuple, y: tuple) -> tuple:
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in x)
+
+
+def _h3_generators() -> tuple:
+    gens = []
+    for i in range(3):
+        rows = []
+        for r in range(3):
+            row = []
+            for c in range(3):
+                if r == c:
+                    row.append((-1, 0) if r == i else (1, 0))
+                elif r == i:
+                    row.append(_PHI_COS[_H3_COXETER_MATRIX[i][c]])
+                else:
+                    row.append((0, 0))
+            rows.append(tuple(row))
+        gens.append(tuple(rows))
+    return tuple(gens)
+
+
+def _f4_generators() -> tuple:
+    gens = []
+    for j in range(4):
+        rows = []
+        for r in range(4):
+            row = []
+            for c in range(4):
+                e = 1 if r == c else 0
+                if r == j:
+                    e -= _F4_CARTAN[c][j]
+                row.append(e)
+            rows.append(tuple(row))
+        gens.append(tuple(rows))
+    return tuple(gens)
+
+
+# family: (identity, generators, product)
+MATRIX_MODELS = {
+    "H3": (
+        tuple(tuple((1, 0) if r == c else (0, 0) for c in range(3)) for r in range(3)),
+        _h3_generators(),
+        _pmat_mul,
+    ),
+    "F4": (
+        tuple(tuple(1 if r == c else 0 for c in range(4)) for r in range(4)),
+        _f4_generators(),
+        _imat_mul,
+    ),
+}
+
+
+def matrix_of_word(family: str, word) -> tuple:
+    """The matrix of a word of 1-based letters in the model of H3 or F4."""
+    p, gens, mul = MATRIX_MODELS[family]
+    for i in word:
+        p = mul(p, gens[i - 1])
+    return p
+
+
+def matrix_corank(family: str, p: tuple) -> int:
+    """Codimension of the fixed space of a matrix of the H3 or F4 model."""
+    if family == "H3":
+        rows = [
+            [(Fraction(p[r][c][0] - (1 if r == c else 0)), Fraction(p[r][c][1])) for c in range(3)]
+            for r in range(3)
+        ]
+        return _rank_over_field(rows, _QPHI_OPS)
+    rows = [[Fraction(p[r][c] - (1 if r == c else 0)) for c in range(4)] for r in range(4)]
+    return _rank_over_field(rows, _Q_OPS)
+
+
 def fixed_space_corank(w: CoxeterElement) -> int:
     """Codimension of the fixed space in the reflection representation.
 
     Exact linear algebra over Q or Q(phi), with Fractions.  Available for
     every family except the dihedral one, whose natural matrices are not
-    rational.
+    rational.  H3 and F4 fold the shortlex word by search through their
+    matrix models.
     """
     fam = w.group.type.family
     p = w.payload
@@ -240,15 +347,8 @@ def fixed_space_corank(w: CoxeterElement) -> int:
                 row.append(Fraction(e))
             rows.append(row)
         return _rank_over_field(rows, _Q_OPS)
-    if fam == "H3":
-        rows = [
-            [(Fraction(p[r][c][0] - (1 if r == c else 0)), Fraction(p[r][c][1])) for c in range(3)]
-            for r in range(3)
-        ]
-        return _rank_over_field(rows, _QPHI_OPS)
-    if fam == "F4":
-        rows = [[Fraction(p[r][c] - (1 if r == c else 0)) for c in range(4)] for r in range(4)]
-        return _rank_over_field(rows, _Q_OPS)
+    if fam in MATRIX_MODELS:
+        return matrix_corank(fam, matrix_of_word(fam, shortlex_word_by_search(w)))
     raise ValueError(f"family {fam} has no rational matrix model")
 
 
@@ -434,15 +534,41 @@ def brute_weak_meet(x: CoxeterElement, y: CoxeterElement) -> CoxeterElement:
     return best
 
 
+def weak_meet_left(u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
+    """Greatest common prefix of u and v in weak order, by repeatedly
+    extracting the least common left descent; (u, v) is left coprime
+    exactly when the meet is the identity."""
+    g = u.group
+    meet = g.identity
+    while True:
+        common = u.left_descents() & v.left_descents()
+        if not common:
+            return meet
+        s = g.generator(min(common))
+        meet = meet * s
+        u = s * u
+        v = s * v
+
+
 # ---------------------------------------------------------------------------
 # word rewriting
+
+
+@lru_cache(maxsize=None)
+def coxeter_matrix(group: CoxeterGroup) -> tuple[tuple[int, ...], ...]:
+    """The orders m(i, j) of the products of two generators."""
+    gens = group.generators
+    return tuple(
+        tuple(1 if i == j else (gens[i] * gens[j]).order() for j in range(group.rank))
+        for i in range(group.rank)
+    )
 
 
 @lru_cache(maxsize=None)
 def _braid_patterns(group: CoxeterGroup) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """All positive and negative braid relation replacements."""
     out = []
-    matrix = group.coxeter_matrix
+    matrix = coxeter_matrix(group)
     for i in range(1, group.rank + 1):
         for j in range(i + 1, group.rank + 1):
             m = matrix[i - 1][j - 1]
@@ -610,7 +736,7 @@ def commutation_class(
     group: CoxeterGroup, word: tuple[int, ...]
 ) -> frozenset[tuple[int, ...]]:
     """All words reachable by swapping adjacent commuting letters."""
-    matrix = group.coxeter_matrix
+    matrix = coxeter_matrix(group)
     commuting = {
         (i, j)
         for i in range(1, group.rank + 1)

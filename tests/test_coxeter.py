@@ -5,8 +5,12 @@ import random
 import pytest
 
 from coxbraid.coxeter import (
+    CoxeterElement,
+    CoxeterGroup,
     CoxeterType,
     IntegrityError,
+    _perm_mul,
+    _root_permutations,
     bruhat_leq,
     bruhat_lower_interval,
     coxeter_element_orderings,
@@ -16,9 +20,8 @@ from coxbraid.coxeter import (
     standard_coxeter_elements,
     type_b_element_embedding,
     type_b_embedding,
-    weak_meet_left,
 )
-from coxbraid.garside import garside_table
+from coxbraid.garside import GarsideTable, garside_table
 
 import oracles
 
@@ -148,23 +151,23 @@ def test_weak_meet_against_sweep_oracle():
     group = coxeter_group("B", 2)
     for x in group.elements():
         for y in group.elements():
-            assert weak_meet_left(x, y) == oracles.brute_weak_meet(x, y)
+            assert oracles.weak_meet_left(x, y) == oracles.brute_weak_meet(x, y)
     group = coxeter_group("A", 3)
     rng = random.Random(5)
     els = group.elements()
     for _ in range(60):
         x = els[rng.randrange(len(els))]
         y = els[rng.randrange(len(els))]
-        assert weak_meet_left(x, y) == oracles.brute_weak_meet(x, y)
+        assert oracles.weak_meet_left(x, y) == oracles.brute_weak_meet(x, y)
 
 
 def test_weak_meet_properties():
     group = coxeter_group("A", 3)
     w0 = group.longest_element
     for x in group.elements():
-        assert weak_meet_left(x, x) == x
-        assert weak_meet_left(x, w0) == x
-        assert weak_meet_left(x, group.identity).is_identity()
+        assert oracles.weak_meet_left(x, x) == x
+        assert oracles.weak_meet_left(x, w0) == x
+        assert oracles.weak_meet_left(x, group.identity).is_identity()
 
 
 STANDARD_COUNTS = [
@@ -228,13 +231,98 @@ def test_fixed_space_corank_is_reflection_length():
             assert table.rlen(x) == want == oracles.reflection_length_by_search(w)
 
 
+def check_against_matrix_model(table: GarsideTable) -> None:
+    """The root permutation table of H3 or F4, against the matrix model of
+    tests/oracles.py: x maps to the matrix of table.word(x), and that map
+    must be a bijection onto the matrix group that carries over lengths,
+    inverses, right products, reflections and reflection lengths."""
+    group = table.group
+    fam = group.type.family
+    ident, gens, mul = oracles.MATRIX_MODELS[fam]
+    dist = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = mul(p, g)
+                if q not in dist:
+                    dist[q] = dist[p] + 1
+                    nxt.append(q)
+        frontier = nxt
+    image = [oracles.matrix_of_word(fam, table.word(x)) for x in range(len(table.payloads))]
+    assert len(set(image)) == len(image) == len(dist) == group.type.order()
+    assert set(image) == set(dist)
+    for x, p in enumerate(image):
+        assert table.length[x] == dist[p]
+        assert mul(p, image[table.inv[x]]) == ident
+        for s, g in enumerate(gens):
+            assert image[table.rmul[s][x]] == mul(p, g)
+    conjugates = set(gens)
+    frontier = list(gens)
+    while frontier:
+        frontier = [c for t in frontier for g in gens if (c := mul(mul(g, t), g)) not in conjugates]
+        conjugates.update(frontier)
+    assert {image[table.id_of(t)] for t in group.reflections} == conjugates
+    assert list(table.rlens) == [oracles.matrix_corank(fam, p) for p in image]
+
+
+@pytest.mark.parametrize("family", ["H3", "F4"])
+def test_root_model_matches_matrix_model(family):
+    check_against_matrix_model(garside_table(coxeter_group(family)))
+
+
+def test_matrix_differential_catches_swapped_generators():
+    """Swapping two generator permutations still gives a Coxeter system of
+    the right order, which only the matrix model tells apart."""
+    group = CoxeterGroup(CoxeterType("H3", 3))
+    gens = list(group._gen_payloads)
+    gens[0], gens[1] = gens[1], gens[0]
+    group._gen_payloads = tuple(gens)
+    group.generators = tuple(CoxeterElement(group, g) for g in gens)
+    with pytest.raises(AssertionError):
+        check_against_matrix_model(GarsideTable(group))
+
+
+# Cartan matrices over Z[phi], entries (a, b) meaning a + b*phi, for two
+# groups the package does not register, and their Coxeter matrices.
+_P, _Z, _M, _F = (2, 0), (0, 0), (-1, 0), (0, -1)
+H4_CARTAN = ((_P, _F, _Z, _Z), (_F, _P, _M, _Z), (_Z, _M, _P, _M), (_Z, _Z, _M, _P))
+H4_COXETER = ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1))
+# E6 in Bourbaki numbering: the chain 1-3-4-5-6, with 2 joined to 4
+E6_EDGES = {(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)}
+E6_COXETER = tuple(
+    tuple(1 if i == j else 3 if (i, j) in E6_EDGES or (j, i) in E6_EDGES else 2 for j in range(1, 7))
+    for i in range(1, 7)
+)
+E6_CARTAN = tuple(tuple({1: _P, 3: _M, 2: _Z}[m] for m in row) for row in E6_COXETER)
+
+
+@pytest.mark.parametrize(
+    "cartan,coxeter_matrix,roots",
+    [(H4_CARTAN, H4_COXETER, 120), (E6_CARTAN, E6_COXETER, 72)],
+    ids=["H4", "E6"],
+)
+def test_root_builder_on_unregistered_groups(cartan, coxeter_matrix, roots):
+    gens = _root_permutations(cartan)
+    ident = tuple(range(1, roots + 1))
+    assert all(sorted(g) == list(ident) for g in gens)
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            g = _perm_mul(gi, gj)
+            p, order = g, 1
+            while p != ident:
+                p, order = _perm_mul(p, g), order + 1
+            assert order == coxeter_matrix[i][j]
+
+
 def test_type_b_embedding_is_a_homomorphism():
     n = 2
     b_group = coxeter_group("B", n)
     images = type_b_embedding(n)
     a_group = next(iter(images.values())).group
     assert a_group.type.label() == "A3"
-    matrix = b_group.coxeter_matrix
+    matrix = oracles.coxeter_matrix(b_group)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             prod = images[i] * images[j]

@@ -9,11 +9,9 @@ from coxbraid.coxeter import (
     CoxeterGroup,
     CoxeterType,
     IntegrityError,
-    _flat,
     coxeter_element_orderings,
     coxeter_group,
     reduced_words,
-    weak_meet_left,
 )
 from coxbraid.garside import (
     BraidWord,
@@ -135,7 +133,7 @@ def test_fraction_forms_every_rational_braid():
         for y in group.elements():
             b = positive_lift(x).inverse() * positive_lift(y)
             fx, fy = fraction_form(b)
-            assert weak_meet_left(fx, fy) == e
+            assert oracles.brute_weak_meet(fx, fy) == e
             assert braid_equal(positive_lift(fx).inverse() * positive_lift(fy), b)
             rx, ry = right_fraction_form(b)
             assert braid_equal(positive_lift(rx) * positive_lift(ry).inverse(), b)
@@ -328,23 +326,23 @@ def test_walk_matches_checks_outside_the_walk(family, rank, m):
         assert group._mul(p, P[table.inv[x]]) == ident
     by_search = {w.payload: oracles.length_by_search(w) for w in group.elements()}
     assert table.length == [by_search[p] for p in P]
-    assert P == sorted(by_search, key=lambda p: (by_search[p], _flat(p)))
+    assert P == sorted(by_search, key=lambda p: (by_search[p], p))
     assert [w.payload for w in group.elements()] == P
 
 
 def test_f4_walk_takes_one_product_per_edge(monkeypatch):
-    """A fresh F4 group, its elements and its table make one matrix product
-    per edge of the 4608-edge Cayley graph, plus at most 200 elsewhere
-    (three separate walks made about 15 000)."""
+    """A fresh F4 group, its elements and its table make one root
+    permutation product per edge of the 4608-edge Cayley graph, plus at
+    most 200 elsewhere (three separate walks made about 15 000)."""
     calls = 0
-    imat_mul = coxeter._imat_mul
+    perm_mul = coxeter._perm_mul
 
     def counted(x, y):
         nonlocal calls
         calls += 1
-        return imat_mul(x, y)
+        return perm_mul(x, y)
 
-    monkeypatch.setattr(coxeter, "_imat_mul", counted)
+    monkeypatch.setattr(coxeter, "_perm_mul", counted)
     group = CoxeterGroup(CoxeterType("F4", 4))
     group.elements()
     GarsideTable(group)

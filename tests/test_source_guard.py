@@ -29,7 +29,7 @@ INEXACT = {"fractions", "decimal"}
 # products: the Garside table takes its products from the group's Cayley
 # graph walk, and the layers above it compute on its ids.
 PAYLOAD_FREE = {p.name for p in MODULES} - {"coxeter.py"}
-PAYLOAD_PRODUCTS = {"_mul", "_imat_mul", "_pmat_mul"}
+PAYLOAD_PRODUCTS = {"_mul", "_perm_mul", "_sp_mul", "_i2_mul"}
 # Every module but laurent.py must reach the coefficient kernel through
 # laurent's addmul, combine and poly: no unchecked wrap of terms, no second
 # kernel.
@@ -103,8 +103,9 @@ def test_no_threads_and_no_environment(path):
         "from fractions import Fraction",
         "import decimal",
         "p = group._mul(a, b)",
-        "from .coxeter import _imat_mul",
-        "p = coxeter._pmat_mul(a, b)",
+        "from .coxeter import _perm_mul",
+        "p = coxeter._sp_mul(a, b)",
+        "p = coxeter._i2_mul(m, a, b)",
         "p = LaurentPolynomial._trusted(((0, 1),))",
         "def _addmul(rows, x, p, q):\n    pass",
         "Rows = dict[int, dict[int, int]]",
