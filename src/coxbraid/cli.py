@@ -16,8 +16,8 @@ import json
 import sys
 from typing import Sequence
 
-from .coxeter import CoxeterGroup, IntegrityError, ResourceError
-from .verify import CHECKS, Report, budget_guard, group_for, normalize_family, run_check
+from .coxeter import CoxeterGroup, IntegrityError, ResourceError, coxeter_group, coxeter_group_of
+from .verify import CHECKS, Report, budget_guard, run_check, type_for
 
 
 def _parse_letters(text: str) -> tuple[int, ...]:
@@ -32,12 +32,10 @@ def _parse_letters(text: str) -> tuple[int, ...]:
 
 
 def _group_from_args(args: argparse.Namespace) -> CoxeterGroup:
-    family = normalize_family(args.type)
-    rank = getattr(args, "rank", None)
-    m = getattr(args, "m", None)
-    for note in budget_guard(family, rank, m, getattr(args, "budget", None)):
+    ctype = type_for(args.type, args.rank, args.m)
+    for note in budget_guard(ctype, False, args.budget):
         print(f"warning: {note}", file=sys.stderr)
-    return group_for(family, rank, m)
+    return coxeter_group_of(ctype)
 
 
 def _emit(data: dict, path: str | None) -> None:
@@ -152,12 +150,12 @@ def cmd_render(args: argparse.Namespace) -> int:
         from .garside import BraidWord
         from .mikado import wiring_from_square_free
 
-        group = group_for("A", payload["rank"])
+        group = coxeter_group("A", payload["rank"])
         obj = wiring_from_square_free(BraidWord(group, tuple(payload["letters"])))
     elif kind == "ncp":
         from .dual import ncp_encode
 
-        group = group_for(payload["family"], payload.get("rank"), payload.get("m"))
+        group = coxeter_group_of(type_for(payload["family"], payload.get("rank"), payload.get("m")))
         ordering = tuple(payload["coxeter"])
         c = group.from_word(ordering)
         x = group.from_word(tuple(payload["divisor"]))

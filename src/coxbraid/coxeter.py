@@ -488,17 +488,23 @@ def _group_of(ctype: CoxeterType) -> CoxeterGroup:
     return CoxeterGroup(ctype)
 
 
+def coxeter_type(family: str, rank: int | None = None, m: int | None = None) -> CoxeterType:
+    """The validated type, without building the group.  Rank may be
+    omitted for the fixed rank families."""
+    if rank is None:
+        rank = _FIXED_RANK.get(family)
+        if rank is None:
+            raise ValueError(f"family {family} needs an explicit rank")
+    return CoxeterType(family, rank, m)
+
+
 def coxeter_group(family: str, rank: int | None = None, m: int | None = None) -> CoxeterGroup:
     """Singleton factory.  Rank may be omitted for the fixed rank families.
 
     >>> coxeter_group("A", 2) is coxeter_group("A", 2)
     True
     """
-    if rank is None:
-        rank = _FIXED_RANK.get(family)
-        if rank is None:
-            raise ValueError(f"family {family} needs an explicit rank")
-    return _group_of(CoxeterType(family, rank, m))
+    return _group_of(coxeter_type(family, rank, m))
 
 
 def coxeter_group_of(ctype: CoxeterType) -> CoxeterGroup:

@@ -1,17 +1,19 @@
 """Verification sweeps behind the command line interface.
 
 Each named check produces a Report with one verdict per item, in one of
-three shapes: an ordering sweep (``_orderings``) has one item per standard
-Coxeter element, or only the one given as ``coxeter``; a pair sweep
-(``_pairs``) has one per braid b(x)^-1 b(y) over all |W|^2 pairs; a
-whole-group check reads its items off one library call.  ``run_check``
-enforces the registry's families, the budgets and ``coxeter``, and stamps
-the theorem id and the elapsed time on the report.  The checks hold no
-mathematics of their own: a verdict is always the result of calling the
-corresponding library operation, so the command line layer stays a thin
-shell.  The conjecture sweep is special in that its report is evidence,
-not an assertion: it passes when the computation completes and is
-internally consistent, and the per divisor outcomes are data.
+three shapes, which its registry entry names in ``CheckSpec.sweep``: an
+ordering sweep (``_orderings``) has one item per standard Coxeter element,
+or only the one given as ``coxeter``; a pair sweep (``_pairs``) has one per
+braid b(x)^-1 b(y) over all |W|^2 pairs; a whole-group check reads its
+items off one library call.  ``run_check`` enforces the registry's
+families, ``coxeter`` and the one size guard ``budget_guard`` before any
+table is built, and stamps the theorem id and the elapsed time on the
+report.  The checks hold no mathematics of their own: a verdict is always
+the result of calling the corresponding library operation, so the command
+line layer stays a thin shell.  The conjecture sweep is special in that
+its report is evidence, not an assertion: it passes when the computation
+completes and is internally consistent, and the per divisor outcomes are
+data.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .coxeter import (
     CoxeterType,
     ResourceError,
     coxeter_element_orderings,
-    coxeter_group,
+    coxeter_group_of,
+    coxeter_type,
     reflections_from_coxeter,
 )
 from .dual import (
@@ -55,56 +58,39 @@ from .garside import (
 from .hecke import kl_table, positivity_report
 from .mikado import is_mikado_A, is_mikado_B
 
-DEFAULT_BUDGETS = {"A": 5, "B": 4, "D": 4, "H": 3, "F": 4, "I": 12}
+DEFAULT_BUDGETS = {"A": 5, "B": 4, "D": 4, "I2": 12, "H3": 3, "F4": 4}
 # Sweeps over all |W|^2 pairs take 0.35 ms (prop-4.4) to 0.86 ms (thm-8.2)
 # a pair on A5, 180 s to 447 s for its 518 400 pairs: A5, of order 720, is
 # the largest group they run on without --budget.
 PAIR_SWEEP_ORDER_CAP = 720
 
 
-def budget_guard(
-    family: str, rank: int | None, m: int | None, budget: int | None
-) -> tuple[str, ...]:
-    """Raise unless the requested group is inside the default budgets.
+def budget_guard(ctype: CoxeterType, pairs: bool, budget: int | None) -> tuple[str, ...]:
+    """The size guard of every command: raise ResourceError unless the
+    group fits, or return a note for each limit that --budget lifts.
 
-    A --budget override lifts the limit and is reported as a warning
-    note, since runtimes grow quickly past the defaults.
+    The size is the rank, or m for I2(m).  Above its family's default
+    budget it needs --budget N with N at least the size.  A sweep over all
+    |W|^2 pairs (pairs=True) of a group of order above PAIR_SWEEP_ORDER_CAP
+    needs any --budget.  A lifted limit is reported as a warning note,
+    since runtimes grow quickly past the defaults.
     """
-    fam = family[0].upper()
-    limit = DEFAULT_BUDGETS.get(fam)
-    if limit is None:
-        raise ValueError(f"unknown family {family!r}")
-    # H3 and F4 have one size; coxeter_group rejects any other rank
-    size = {"I": m, "H": 3, "F": 4}.get(fam, rank)
-    if size is None:
-        raise ValueError("missing rank (or m for dihedral groups)")
-    if size <= limit:
-        return ()
-    if budget is not None and size <= budget:
-        return (
-            f"budget override: {family}{size} exceeds the default limit "
-            f"{limit}; expect long runtimes",
-        )
-    raise ResourceError(
-        f"{family}{size} exceeds the budget ({limit}); pass --budget {size} to force"
-    )
+    size = ctype.m if ctype.family == "I2" else ctype.rank
+    limit, label, order = DEFAULT_BUDGETS[ctype.family], ctype.label(), ctype.order()
+    over = []
+    if size > limit:
+        over.append(f"{label} exceeds the default limit {limit}")
+    if pairs and order > PAIR_SWEEP_ORDER_CAP:
+        over.append(f"the {order}^2 pairs of {label} exceed the pair sweep limit "
+                    f"(order {PAIR_SWEEP_ORDER_CAP})")
+    if over and (budget is None or size > max(limit, budget)):
+        raise ResourceError(f"{'; '.join(over)}; pass --budget {size} to force")
+    return tuple(f"budget override: {what}; expect long runtimes" for what in over)
 
 
-def pair_guard(group: CoxeterGroup, budget: int | None) -> tuple[str, ...]:
-    """Like budget_guard, for sweeps over all |W|^2 pairs of elements."""
-    order, label = group.type.order(), group.type.label()
-    if order <= PAIR_SWEEP_ORDER_CAP:
-        return ()
-    limit = (f"the {order}^2 pairs of {label} exceed the pair sweep limit "
-             f"(order {PAIR_SWEEP_ORDER_CAP})")
-    if budget is None:
-        raise ResourceError(f"{limit}; pass --budget to force")
-    return (f"budget override: {limit}; expect long runtimes",)
-
-
-def group_for(family: str, rank: int | None = None, m: int | None = None) -> CoxeterGroup:
-    """The group of a family, rank and m; CoxeterType rejects any that do not fit."""
-    return coxeter_group(normalize_family(family), rank, m)
+def type_for(family: str, rank: int | None = None, m: int | None = None) -> CoxeterType:
+    """The type of a family, rank and m; CoxeterType rejects any that do not fit."""
+    return coxeter_type(normalize_family(family), rank, m)
 
 
 def normalize_family(family: str) -> str:
@@ -654,7 +640,7 @@ class CheckSpec:
     families: tuple[str, ...]
     description: str
     fn: Callable[..., Report]
-    pairs: bool = False  # sweeps all |W|^2 pairs, see pair_guard
+    sweep: str = "orderings"  # or "pairs" over all |W|^2 pairs, or "group"
 
 
 CHECKS: dict[str, CheckSpec] = {
@@ -688,17 +674,17 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec(
             "prop-4.4", ("A", "B", "D", "I2", "H3", "F4"),
             "rational braids round trip through coprime fractions",
-            check_rational_fraction, pairs=True,
+            check_rational_fraction, sweep="pairs",
         ),
         CheckSpec(
             "lemma-4.5", ("A", "B", "D", "I2", "H3", "F4"),
             "rational braids are square free",
-            check_square_free, pairs=True,
+            check_square_free, sweep="pairs",
         ),
         CheckSpec(
             "thm-5.9", ("A",),
             "rational equals strand removable equals square free, family A",
-            check_equivalence_a, pairs=True,
+            check_equivalence_a, sweep="pairs",
         ),
         CheckSpec(
             "thm-5.13", ("A",),
@@ -708,12 +694,12 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec(
             "prop-5.14", ("A",),
             "one line Coxeter fractions rise in Bruhat order",
-            check_linear_bruhat,
+            check_linear_bruhat, sweep="group",
         ),
         CheckSpec(
             "thm-6.4", ("B",),
             "rational equals symmetric strand removable, family B",
-            check_equivalence_b, pairs=True,
+            check_equivalence_b, sweep="pairs",
         ),
         CheckSpec(
             "thm-6.9", ("B",),
@@ -728,10 +714,10 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec(
             "thm-8.2", ("A", "B", "D", "I2", "H3"),
             "T_x^-1 T_y has nonnegative canonical coefficients",
-            check_kl_pair_positivity, pairs=True,
+            check_kl_pair_positivity, sweep="pairs",
         ),
         CheckSpec(
-            "thm-8.5", ("A", "B", "D", "I2", "H3"),
+            "thm-8.5", ("A", "B", "D", "I2", "H3", "F4"),
             "simple dual braids expand positively in the canonical basis",
             check_kl_embed_positivity,
         ),
@@ -743,7 +729,7 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec(
             "thm-8.11", ("A",),
             "canonical basis projects onto the diagram basis",
-            check_fg_projection,
+            check_fg_projection, sweep="group",
         ),
         CheckSpec(
             "thm-8.13", ("A",),
@@ -757,9 +743,6 @@ CHECKS: dict[str, CheckSpec] = {
         ),
     )
 }
-
-# checks with whole-group items; they and the pair sweeps take no coxeter
-WHOLE_GROUP_CHECKS = frozenset({"prop-5.14", "thm-8.11"})
 
 
 def run_check(
@@ -775,25 +758,23 @@ def run_check(
 
     Only ordering sweeps take coxeter.  workers=1 is accepted for callers
     that pass it; any other value raises ValueError.  The report's time
-    leaves out the group set-up and the guards.
+    leaves out the group set-up and the guard.
     """
     if workers != 1:
         raise ValueError("sweeps run on one thread; workers must be 1")
     spec = CHECKS.get(theorem_id)
     if spec is None:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    fam = normalize_family(family)
-    if fam not in spec.families:
+    ctype = type_for(family, rank, m)
+    if ctype.family not in spec.families:
         raise ValueError(
             f"{theorem_id} does not apply to family {family}; "
             f"expected one of {', '.join(spec.families)}"
         )
-    if coxeter is not None and (spec.pairs or theorem_id in WHOLE_GROUP_CHECKS):
+    if coxeter is not None and spec.sweep != "orderings":
         raise ValueError(f"{theorem_id} sweeps no standard Coxeter elements; drop --coxeter")
-    notes = budget_guard(fam, rank, m, budget)
-    group = group_for(fam, rank, m)
-    if spec.pairs:
-        notes += pair_guard(group, budget)
+    notes = budget_guard(ctype, spec.sweep == "pairs", budget)
+    group = coxeter_group_of(ctype)
     started = time.perf_counter()
     report = spec.fn(group, coxeter=coxeter)
     report.command = theorem_id

@@ -81,6 +81,10 @@ def test_verify_budget_exit(capsys):
     code, _, err = run(capsys, "verify", "prop-3.9", "--type", "A", "--rank", "9")
     assert code == 3
     assert "resource limit" in err
+    code, _, err = run(capsys, "verify", "conj-8.6", "--type", "D", "--rank", "5",
+                       "--coxeter", "1,2,3,4,5")
+    assert code == 3
+    assert "pass --budget 5 to force" in err
     code, out, err = run(
         capsys,
         "verify", "prop-3.9", "--type", "I2", "--m", "13", "--budget", "13",

@@ -15,13 +15,12 @@ from coxbraid import hecke, verify
 from coxbraid.coxeter import (
     CoxeterElement,
     CoxeterType,
-    ResourceError,
     bruhat_leq,
     coxeter_element_orderings,
     coxeter_group,
 )
 from coxbraid.dual import dual_monoid
-from coxbraid.garside import BraidWord, GarsideTable, garside_table, positive_lift
+from coxbraid.garside import BraidWord, GarsideTable, bit_ids, garside_table, positive_lift
 from coxbraid.hecke import (
     HeckeElement,
     KLTable,
@@ -265,15 +264,6 @@ def test_positivity_report_shape():
     assert "worst" not in report
 
 
-def test_group_order_cap():
-    with pytest.raises(ResourceError):
-        KLTable(coxeter_group("I2", 2, 700))
-    with pytest.raises(ResourceError):
-        KLTable(coxeter_group("A", 5), cap=500)
-    # the largest supported table sits just under the default cap
-    KLTable(coxeter_group("F4"))
-
-
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(coxbraid.__file__)))
 
 
@@ -441,6 +431,57 @@ def test_kl_polynomials_match_payload_recursion_on_a_sample(family, rank):
         y = rng.choice(pool)
         assert table.p(y, w) == oracle.p(y, w)
         assert table.mu(y, w) == oracle.mu(y, w)
+
+
+def kl_inversion_failures(table, ws):
+    """Check the Kazhdan-Lusztig inversion formula (Kazhdan-Lusztig 1979,
+    Theorem 3.1) on the id rows of table, for each w in ws and every x <= w:
+    sum_{x <= z <= w} (-1)^{l(z)-l(x)} P_{x,z} P_{w0 w, w0 z} = delta_{x,w}.
+    One identity involves every P_{x,z} of the interval [x, w].  Returns the
+    failing pairs (x, w) and the number of identities checked."""
+    t = table.table
+    length, bad, checked = t.length, [], 0
+    for w in ws:
+        interval = bit_ids(t.below(w))
+        w0w = t.mul(t.w0, w)
+        dual = {z: table._row(t.mul(t.w0, z))[w0w] for z in interval}  # P_{w0 w, w0 z}
+        for x in interval:
+            total = {}
+            for z in interval:
+                pxz = table._row(z).get(x)
+                if pxz is None:  # x is not below z
+                    continue
+                sign = (-1) ** (length[z] - length[x])
+                for i, a in enumerate(pxz):
+                    for j, b in enumerate(dual[z]):
+                        total[i + j] = total.get(i + j, 0) + sign * a * b
+            total = {k: c for k, c in total.items() if c}
+            if total != ({0: 1} if x == w else {}):
+                bad.append((x, w))
+            checked += 1
+    return bad, checked
+
+
+@pytest.mark.parametrize("family,rank", [("F4", 4), ("D", 5)])
+def test_kl_inversion_formula_on_a_sample(family, rank):
+    """Six seeded w of F4 and of D5, beyond the sizes the payload recursion
+    is compared on; a fresh table, so the D5 one is freed afterwards."""
+    table = KLTable(coxeter_group(family, rank))
+    ws = random.Random(14).sample(range(len(table.table.length)), 6)
+    bad, checked = kl_inversion_failures(table, ws)
+    assert bad == []
+    assert checked == sum(len(bit_ids(table.table.below(w))) for w in ws) > 1000
+
+
+def test_kl_inversion_catches_one_changed_coefficient():
+    table = KLTable(coxeter_group("B", 3))
+    everything = range(len(table.table.length))
+    assert kl_inversion_failures(table, everything)[0] == []
+    w = table.table.w0
+    y = random.Random(14).choice([y for y in table._row(w) if y != w])
+    p = table._p[w][y]
+    table._p[w][y] = p[:-1] + (p[-1] + 1,)
+    assert (y, w) in kl_inversion_failures(table, [w])[0]
 
 
 def pair_by_elimination(table, x, y):

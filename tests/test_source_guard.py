@@ -9,8 +9,11 @@ group's Cayley graph walk, and no module but coxeter.py, which builds the
 groups, takes payload products of its own.  Coefficients in Z[v, v^-1]
 have one kernel: no module but laurent.py defines the row kernel or
 wraps terms as a LaurentPolynomial without the constructor's check.
-This parses each module and rejects the imports, reads and calls that
-would bring any of these back.
+Size limits have one home: no module but verify.py, whose budget_guard
+every command calls before it builds a table, and mikado.py, whose count
+caps wait for closed-form counts, raises ResourceError.  This parses each
+module and rejects the imports, reads, calls and raises that would bring
+any of these back.
 """
 
 import ast
@@ -35,13 +38,21 @@ PAYLOAD_PRODUCTS = {"_mul", "_perm_mul", "_sp_mul", "_i2_mul"}
 # kernel.
 KERNEL_FREE = {p.name for p in MODULES} - {"laurent.py"}
 KERNEL_NAMES = {"Rows", "addmul", "_addmul", "combine", "_combine", "poly", "_poly"}
+# Every module but verify.py and mikado.py must leave size limits to
+# verify.budget_guard, which --budget lifts.
+LIMIT_FREE = {p.name for p in MODULES} - {"verify.py", "mikado.py"}
 
 
 def violations(
-    tree: ast.AST, payload_free: bool = False, kernel_free: bool = False
+    tree: ast.AST, payload_free: bool = False, kernel_free: bool = False,
+    limit_free: bool = False,
 ) -> list[str]:
     found = []
     for node in ast.walk(tree):
+        if limit_free and isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "attr", getattr(exc, "id", None)) == "ResourceError":
+                found.append(f"line {node.lineno}: size limit outside verify.budget_guard")
         if kernel_free:
             if isinstance(node, ast.Attribute) and node.attr == "_trusted":
                 found.append(f"line {node.lineno}: unchecked LaurentPolynomial._trusted")
@@ -87,7 +98,8 @@ def test_every_module_is_scanned():
 def test_no_threads_and_no_environment(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert violations(
-        tree, payload_free=path.name in PAYLOAD_FREE, kernel_free=path.name in KERNEL_FREE
+        tree, payload_free=path.name in PAYLOAD_FREE, kernel_free=path.name in KERNEL_FREE,
+        limit_free=path.name in LIMIT_FREE,
     ) == []
 
 
@@ -109,15 +121,22 @@ def test_no_threads_and_no_environment(path):
         "p = LaurentPolynomial._trusted(((0, 1),))",
         "def _addmul(rows, x, p, q):\n    pass",
         "Rows = dict[int, dict[int, int]]",
+        "raise ResourceError(f'order {n} exceeds the cap')",
+        "raise coxeter.ResourceError",
     ],
 )
 def test_guard_catches(source):
-    assert violations(ast.parse(source), payload_free=True, kernel_free=True)
+    assert violations(ast.parse(source), payload_free=True, kernel_free=True, limit_free=True)
 
 
 def test_payload_guard_spares_table_products():
     source = "x = table.mul(a, b)\ny = table.rmul[s][x]\nr = table.rlen(x)"
     assert violations(ast.parse(source), payload_free=True) == []
+
+
+def test_limit_guard_spares_other_errors():
+    source = "raise ValueError('bad rank')\ntry:\n    f()\nexcept ResourceError:\n    raise"
+    assert violations(ast.parse(source), limit_free=True) == []
 
 
 def test_kernel_guard_spares_kernel_calls():

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from coxbraid.coxeter import ResourceError, coxeter_group
-from coxbraid.verify import CHECKS, Report, normalize_family, pair_guard, run_check
+from coxbraid.verify import CHECKS, Report, budget_guard, normalize_family, run_check, type_for
 
 
 ALL_IDS = [
@@ -128,25 +128,29 @@ def test_family_restriction_is_enforced():
 def test_pair_sweeps_above_order_720_need_budget():
     """F4 is the one group inside the default budgets with more than 720
     elements: its 1152^2-pair sweeps are refused at once unless --budget is given."""
-    pair_checks = {tid for tid, spec in CHECKS.items() if spec.pairs}
+    pair_checks = {tid for tid, spec in CHECKS.items() if spec.sweep == "pairs"}
     assert pair_checks == {"prop-4.4", "lemma-4.5", "thm-5.9", "thm-6.4", "thm-8.2"}
     started = time.perf_counter()
     for tid in ("prop-4.4", "lemma-4.5"):
         with pytest.raises(ResourceError, match="--budget"):
             run_check(tid, "F4")
     assert time.perf_counter() - started < 1
-    assert pair_guard(coxeter_group("A", 5), None) == ()
-    (note,) = pair_guard(coxeter_group("F4"), 4)
+    assert budget_guard(type_for("A", 5), True, None) == ()
+    assert budget_guard(type_for("F4"), False, None) == ()
+    (note,) = budget_guard(type_for("F4"), True, 1)  # any --budget lifts the pair limit
     assert note.startswith("budget override")
+    assert "pair sweep limit" in note
+    assert len(budget_guard(type_for("A", 6), True, 6)) == 2
 
 
 def test_budget_guard():
-    with pytest.raises(ResourceError):
-        run_check("prop-3.9", "A", rank=6)
-    with pytest.raises(ResourceError):
-        run_check("prop-3.9", "I2", m=13)
-    with pytest.raises(ResourceError):
-        run_check("prop-3.9", "D", rank=5)
+    started = time.perf_counter()
+    for family, rank, m in (("A", 6, None), ("B", 5, None), ("I2", None, 13), ("D", 5, None)):
+        with pytest.raises(ResourceError, match="pass --budget"):
+            run_check("prop-3.9", family, rank, m)
+    assert time.perf_counter() - started < 1
+    with pytest.raises(ResourceError, match="--budget 6 to force"):
+        run_check("prop-3.9", "A", rank=6, budget=5)
     for report in (
         run_check("prop-3.9", "I2", m=13, budget=13),
         run_check("prop-3.9", "D", rank=5, budget=5),
@@ -190,6 +194,25 @@ def test_cli_has_no_workers_flag():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm-5.13", "--type", "A", "--rank", "2", "--workers", "2"])
     assert exc.value.code == 2
+
+
+def test_budget_lifts_the_size_limit_of_kl_tables():
+    """D5, of order 1920, is past the default budget; --budget 5 lifts it
+    for the conjecture sweep, which builds a KL table."""
+    with pytest.raises(ResourceError, match="--budget 5"):
+        run_check("conj-8.6", "D", 5, coxeter=(1, 2, 3, 4, 5))
+    report = run_check("conj-8.6", "D", 5, coxeter=(1, 2, 3, 4, 5), budget=5)
+    assert report.evidence_only and report.passed
+    assert report.counts["items"] == 1
+    assert any("budget override" in note for note in report.notes)
+
+
+def test_kl_positivity_on_f4():
+    report = run_check("thm-8.5", "F4", coxeter=(1, 2, 3, 4))
+    assert report.passed
+    assert report.notes == ()
+    # the simple dual braids of one Coxeter element: Cat(F4) = 105 divisors
+    assert [it["divisors"] for it in report.items] == [105]
 
 
 def test_conjecture_sweep_is_evidence_only():
