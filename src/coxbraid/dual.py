@@ -231,19 +231,19 @@ def hurwitz_orbit_braids(
 
     Entries are kept in canonical letters (rebuilt from their normal
     forms) so that tuples compare by braid equality, not word equality.
+    The two moves of an adjacent pair depend only on its normal forms
+    (na, nb), so each distinct pair is rebuilt and folded once per call.
     """
     if not start:
         return frozenset({start})
     group = start[0].group
     table = garside_table(group)
 
-    def canon(b: BraidWord) -> tuple:
-        return _nf_ids(table, b.letters)
-
     def rebuild(nf: tuple) -> BraidWord:
         return BraidWord(group, _letters_of_nf_ids(table, nf))
 
-    start_key = tuple(canon(b) for b in start)
+    moves: dict[tuple, tuple] = {}
+    start_key = tuple(b.nf for b in start)
     seen = {start_key}
     frontier = [start_key]
     while frontier:
@@ -251,9 +251,11 @@ def hurwitz_orbit_braids(
         for tup in frontier:
             for i in range(len(tup) - 1):
                 na, nb = tup[i], tup[i + 1]
-                a, b = rebuild(na), rebuild(nb)
-                fwd_first = canon(a * b * a.inverse())
-                bwd_second = canon(b.inverse() * a * b)
+                moved = moves.get((na, nb))
+                if moved is None:
+                    a, b = rebuild(na), rebuild(nb)
+                    moved = moves[na, nb] = ((a * b * a.inverse()).nf, (b.inverse() * a * b).nf)
+                fwd_first, bwd_second = moved
                 fwd = tup[:i] + (fwd_first, na) + tup[i + 2 :]
                 bwd = tup[:i] + (nb, bwd_second) + tup[i + 2 :]
                 for cand in (fwd, bwd):

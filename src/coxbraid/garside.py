@@ -10,7 +10,10 @@ negative letter rewrites through sigma^-1 = Delta^-1 b(w0 s) and twists
 the accumulated factors by the diagram automorphism tau(x) = w0 x w0.
 Each appended simple costs one right-to-left renormalisation pass over
 the factors, which stops at the first pair whose left factor does not
-change; leading copies of w0 are stripped once, at the end.
+change; leading copies of w0 are stripped once, at the end.  A braid
+folds its own letters once, on first use of BraidWord.nf, and every
+entry point below reads that form; a rebuilt braid is a new word and
+folds again.
 
 All group level lookups go through a per group table of integer indexed
 multiplication, descent masks and inverses, built once and reused.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable
 
 from .coxeter import (
@@ -46,6 +49,12 @@ class BraidWord:
         for l in self.letters:
             if l == 0 or abs(l) > self.group.rank:
                 raise ValueError(f"letter {l} out of range for {self.group.type.label()}")
+
+    @cached_property
+    def nf(self) -> tuple[int, tuple[int, ...]]:
+        """Left greedy normal form as (Delta exponent, simple ids), folded
+        from the letters on first use; the frozen word cannot make it stale."""
+        return _nf_ids(garside_table(self.group), self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.group is not other.group:
@@ -320,9 +329,6 @@ class GarsideNormalForm:
     inf: int
     factors: tuple[CoxeterElement, ...]
 
-    def supremum(self) -> int:
-        return self.inf + len(self.factors)
-
     def is_identity(self) -> bool:
         return self.inf == 0 and not self.factors
 
@@ -345,22 +351,15 @@ class GarsideNormalForm:
 
 def delta_normal_form(b: BraidWord) -> GarsideNormalForm:
     table = garside_table(b.group)
-    k, F = _nf_ids(table, b.letters)
+    k, F = b.nf
     return GarsideNormalForm(b.group, k, tuple(table.element(f) for f in F))
-
-
-def braid_from_normal_form(nf: GarsideNormalForm) -> BraidWord:
-    table = garside_table(nf.group)
-    ids = (nf.inf, tuple(table.id_of(f) for f in nf.factors))
-    return BraidWord(nf.group, _letters_of_nf_ids(table, ids))
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     """Word problem: compare left greedy normal forms."""
     if a.group is not b.group:
         raise ValueError("braids over different groups")
-    table = garside_table(a.group)
-    return _nf_ids(table, a.letters) == _nf_ids(table, b.letters)
+    return a.nf == b.nf
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +373,7 @@ def _rational_ids(nf: tuple[int, tuple[int, ...]]) -> bool:
 
 def is_rational_permutation(b: BraidWord) -> bool:
     """Whether b lies in the interval [Delta^-1, Delta] of prefix order."""
-    table = garside_table(b.group)
-    return _rational_ids(_nf_ids(table, b.letters))
+    return _rational_ids(b.nf)
 
 
 def fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
@@ -387,7 +385,7 @@ def fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     """
     group = b.group
     table = garside_table(group)
-    k, F = _nf_ids(table, b.letters)
+    k, F = b.nf
     if not _rational_ids((k, F)):
         raise ValueError("not a rational permutation braid")
     e = group.identity
@@ -427,7 +425,7 @@ def right_fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     denominator y is what the lift consults.
     """
     table = garside_table(b.group)
-    x, y = _right_fraction_ids(table, _nf_ids(table, b.letters))
+    x, y = _right_fraction_ids(table, b.nf)
     return table.element(x), table.element(y)
 
 
@@ -448,7 +446,7 @@ def signed_lift(b: BraidWord, word: Iterable[int] | None = None) -> BraidWord:
         or len(word) != table.length[w]
     ):
         raise ValueError("not a reduced word of the braid's image")
-    _, cur = _right_fraction_ids(table, _nf_ids(table, b.letters))
+    _, cur = _right_fraction_ids(table, b.nf)
     length = table.length
     letters: list[int] = []
     for i in reversed(word):
@@ -471,8 +469,7 @@ def square_free_witness(
     """
     w = b.image()
     k = w.length()
-    table = garside_table(b.group)
-    if _rational_ids(_nf_ids(table, b.letters)):
+    if _rational_ids(b.nf):
         word = w.reduced_word()
         lift = signed_lift(b, word)
         if not braid_equal(lift, b):
@@ -492,16 +489,7 @@ def is_square_free(b: BraidWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the Delta twist and the mirror symmetry of type A
-
-
-def delta_twist(b: BraidWord) -> BraidWord:
-    """Conjugation by the Garside element: Delta^-1 b Delta."""
-    table = garside_table(b.group)
-    tl = table.tau_letters
-    return BraidWord(
-        b.group, tuple((1 if l > 0 else -1) * tl[abs(l) - 1] for l in b.letters)
-    )
+# the mirror symmetry of type A
 
 
 def mirror_letters(b: BraidWord) -> BraidWord:

@@ -8,8 +8,8 @@ number of strands: the picture must be fixed by the half turn and the
 strands come off in symmetric pairs.
 
 Everything here is combinatorial.  A diagram is the ordered list of its
-crossings, each a slot position with a sign; strand paths, good strands
-and removals are computed by replaying the crossing sequence.  The
+crossings, each a slot position with a sign; end positions, good
+strands and removals are computed by replaying the crossing sequence.  The
 enumeration helpers count Mikado braids through the descent criterion
 on pairs of (signed) permutations, working on raw tuples so that even
 the one strand cases are covered uniformly.
@@ -76,16 +76,6 @@ class WiringDiagram:
         for pos, _ in self.crossings:
             occ[pos - 1], occ[pos] = occ[pos], occ[pos - 1]
         return {strand: slot + 1 for slot, strand in enumerate(occ)}
-
-    def strand_paths(self) -> dict[int, tuple[int, ...]]:
-        """Slot occupied by each strand after 0, 1, 2, ... crossings."""
-        occ = list(range(1, self.strand_count + 1))
-        paths = {s: [s] for s in occ}
-        for pos, _ in self.crossings:
-            occ[pos - 1], occ[pos] = occ[pos], occ[pos - 1]
-            for slot, strand in enumerate(occ):
-                paths[strand].append(slot + 1)
-        return {s: tuple(p) for s, p in paths.items()}
 
     def good_strands(self) -> frozenset[int]:
         """Strands over in every crossing they take part in."""

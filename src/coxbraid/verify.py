@@ -59,9 +59,9 @@ from .hecke import kl_table, positivity_report
 from .mikado import is_mikado_A, is_mikado_B
 
 DEFAULT_BUDGETS = {"A": 5, "B": 4, "D": 4, "I2": 12, "H3": 3, "F4": 4}
-# Sweeps over all |W|^2 pairs take 0.35 ms (prop-4.4) to 0.86 ms (thm-8.2)
-# a pair on A5, 180 s to 447 s for its 518 400 pairs: A5, of order 720, is
-# the largest group they run on without --budget.
+# Sweeps over all |W|^2 pairs take 0.18 ms (prop-4.4), 0.27 ms (thm-5.9)
+# and 0.86 ms (thm-8.2) a pair on A5, 96 s, 141 s and 447 s for its 518 400
+# pairs: A5, of order 720, is the largest group they run on without --budget.
 PAIR_SWEEP_ORDER_CAP = 720
 
 

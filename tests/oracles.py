@@ -19,9 +19,10 @@ from coxbraid.coxeter import (
     IntegrityError,
     standard_coxeter_elements,
 )
-from coxbraid.garside import BraidWord, GarsideTable, right_fraction_form
+from coxbraid.garside import BraidWord, GarsideNormalForm, GarsideTable, right_fraction_form
 from coxbraid.hecke import HeckeElement, braid_image_a
 from coxbraid.laurent import LaurentPolynomial
+from coxbraid.mikado import WiringDiagram
 from coxbraid.tl import TLDiagram, TLElement
 
 
@@ -405,7 +406,8 @@ def t_reduced_factorization_payload(x: CoxeterElement) -> tuple[CoxeterElement, 
 
 
 # ---------------------------------------------------------------------------
-# normal forms by bubbling, signed lifts on payloads
+# normal forms by bubbling, signed lifts on payloads, words of normal
+# forms, the Delta twist and strand paths
 
 
 def normalize_bubble(table: GarsideTable, factors: list[int]) -> tuple[int, list[int]]:
@@ -477,6 +479,39 @@ def signed_lift_payload(b: BraidWord, word=None) -> BraidWord:
         cur = nxt
     letters.reverse()
     return BraidWord(group, tuple(letters))
+
+
+def braid_from_normal_form(nf: GarsideNormalForm) -> BraidWord:
+    """The word Delta^inf f_1 ... f_l, from shortlex words found by search."""
+    group = nf.group
+    delta = shortlex_word_by_search(group.longest_element)
+    if nf.inf < 0:
+        delta = tuple(-l for l in reversed(delta))
+    letters = delta * abs(nf.inf)
+    for f in nf.factors:
+        letters += shortlex_word_by_search(f)
+    return BraidWord(group, letters)
+
+
+def delta_twist(b: BraidWord) -> BraidWord:
+    """Conjugation by the Garside element, Delta^-1 b Delta: each letter s
+    goes to tau(s) = w0 s w0 with its sign, tau taken on payloads."""
+    group = b.group
+    w0 = group.longest_element
+    gens = [group.generator(i) for i in range(1, group.rank + 1)]
+    tau = [gens.index(w0 * s * w0) + 1 for s in gens]
+    return BraidWord(group, tuple((1 if l > 0 else -1) * tau[abs(l) - 1] for l in b.letters))
+
+
+def strand_paths(d: WiringDiagram) -> dict[int, tuple[int, ...]]:
+    """Slot occupied by each strand of d after 0, 1, 2, ... crossings."""
+    occ = list(range(1, d.strand_count + 1))
+    paths = {s: [s] for s in occ}
+    for pos, _ in d.crossings:
+        occ[pos - 1], occ[pos] = occ[pos], occ[pos - 1]
+        for slot, strand in enumerate(occ):
+            paths[strand].append(slot + 1)
+    return {s: tuple(p) for s, p in paths.items()}
 
 
 # ---------------------------------------------------------------------------

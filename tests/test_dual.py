@@ -1,7 +1,11 @@
 """Dual monoid: divisors, circle model, Hurwitz action, embeddings."""
 
+import inspect
+import textwrap
+
 import pytest
 
+from coxbraid import dual, verify
 from coxbraid.coxeter import (
     IntegrityError,
     coxeter_element_orderings,
@@ -148,6 +152,33 @@ def test_hurwitz_orbit_is_all_factorizations(family, rank, m, count):
     orbit = hurwitz_orbit(start)
     assert len(orbit) == count
     assert orbit == oracles.reduced_factorizations_brute(c)
+
+
+# Mutants of hurwitz_orbit_braids, made from its source.  A broken move
+# leaves the braid orbit infinite, so every variant, the unbroken control
+# included, stops growing the orbit past 200 tuples.
+HURWITZ_CAP = ("frontier = nxt", "frontier = nxt if len(seen) < 200 else []")
+HURWITZ_MUTANTS = {
+    "control": (),
+    "b a b^-1 for a b a^-1": (("a * b * a.inverse()", "b * a * b.inverse()"),),
+    "moves keyed by a alone": (("moves.get((na, nb))", "moves.get(na)"),
+                               ("moves[na, nb] =", "moves[na] =")),
+}
+
+
+@pytest.mark.parametrize("mutant", HURWITZ_MUTANTS)
+def test_broken_hurwitz_moves_fail_thm_3_7(monkeypatch, mutant):
+    source = textwrap.dedent(inspect.getsource(dual.hurwitz_orbit_braids))
+    for old, new in (HURWITZ_CAP, *HURWITZ_MUTANTS[mutant]):
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = dict(vars(dual))
+    exec(source, namespace)
+    monkeypatch.setattr(verify, "hurwitz_orbit_braids", namespace["hurwitz_orbit_braids"])
+    for family in ("A", "B"):
+        report = verify.run_check("thm-3.7", family, 3)
+        assert report.passed is (mutant == "control")
+        assert all(it["factorizations"] == (16 if family == "A" else 27) for it in report.items)
 
 
 def test_hurwitz_braid_orbit_projects_bijectively():

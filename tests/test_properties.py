@@ -10,7 +10,6 @@ from coxbraid.coxeter import coxeter_group  # noqa: E402
 from coxbraid.garside import (  # noqa: E402
     BraidWord,
     braid_equal,
-    braid_from_normal_form,
     delta_normal_form,
     positive_lift,
 )
@@ -100,7 +99,7 @@ def test_normal_form_is_idempotent(family, rank):
     @given(braid_words(rank, max_size=10))
     def check(word):
         nf = delta_normal_form(BraidWord(group, word))
-        assert delta_normal_form(braid_from_normal_form(nf)) == nf
+        assert delta_normal_form(oracles.braid_from_normal_form(nf)) == nf
 
     check()
 
@@ -114,8 +113,8 @@ def test_normal_form_of_a_product(family, rank):
     @given(braid_words(rank), braid_words(rank))
     def check(wu, wv):
         u, v = BraidWord(group, wu), BraidWord(group, wv)
-        nu = braid_from_normal_form(delta_normal_form(u))
-        nv = braid_from_normal_form(delta_normal_form(v))
+        nu = oracles.braid_from_normal_form(delta_normal_form(u))
+        nv = oracles.braid_from_normal_form(delta_normal_form(v))
         assert delta_normal_form(u * v) == delta_normal_form(nu * nv)
 
     check()

@@ -11,7 +11,9 @@ have one kernel: no module but laurent.py defines the row kernel or
 wraps terms as a LaurentPolynomial without the constructor's check.
 Size limits have one home: no module but verify.py, whose budget_guard
 every command calls before it builds a table, and mikado.py, whose count
-caps wait for closed-form counts, raises ResourceError.  This parses each
+caps wait for closed-form counts, raises ResourceError.  A braid folds
+its normal form once: no code outside BraidWord calls _nf_ids on a
+braid's .letters, so every entry point reads BraidWord.nf.  This parses each
 module and rejects the imports, reads, calls and raises that would bring
 any of these back.
 """
@@ -41,14 +43,27 @@ KERNEL_NAMES = {"Rows", "addmul", "_addmul", "combine", "_combine", "poly", "_po
 # Every module but verify.py and mikado.py must leave size limits to
 # verify.budget_guard, which --budget lifts.
 LIMIT_FREE = {p.name for p in MODULES} - {"verify.py", "mikado.py"}
+# BraidWord.nf is the one place that folds a braid's letters; every module
+# reads it instead of refolding.
+REFOLD_OWNER = "BraidWord"
 
 
 def violations(
     tree: ast.AST, payload_free: bool = False, kernel_free: bool = False,
-    limit_free: bool = False,
+    limit_free: bool = False, refold_free: bool = False,
 ) -> list[str]:
     found = []
+    owner = {
+        id(n) for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef) and c.name == REFOLD_OWNER for n in ast.walk(c)
+    }
     for node in ast.walk(tree):
+        if (
+            refold_free and isinstance(node, ast.Call) and id(node) not in owner
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_nf_ids"
+            and any(getattr(a, "attr", None) == "letters" for a in node.args)
+        ):
+            found.append(f"line {node.lineno}: _nf_ids refolds .letters outside BraidWord.nf")
         if limit_free and isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if getattr(exc, "attr", getattr(exc, "id", None)) == "ResourceError":
@@ -99,7 +114,7 @@ def test_no_threads_and_no_environment(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert violations(
         tree, payload_free=path.name in PAYLOAD_FREE, kernel_free=path.name in KERNEL_FREE,
-        limit_free=path.name in LIMIT_FREE,
+        limit_free=path.name in LIMIT_FREE, refold_free=True,
     ) == []
 
 
@@ -123,10 +138,15 @@ def test_no_threads_and_no_environment(path):
         "Rows = dict[int, dict[int, int]]",
         "raise ResourceError(f'order {n} exceeds the cap')",
         "raise coxeter.ResourceError",
+        "def braid_equal(a, b):\n    return _nf_ids(table, a.letters) == b.nf",
+        "k, F = garside._nf_ids(garside_table(b.group), b.letters)",
     ],
 )
 def test_guard_catches(source):
-    assert violations(ast.parse(source), payload_free=True, kernel_free=True, limit_free=True)
+    assert violations(
+        ast.parse(source), payload_free=True, kernel_free=True, limit_free=True,
+        refold_free=True,
+    )
 
 
 def test_payload_guard_spares_table_products():
@@ -137,6 +157,15 @@ def test_payload_guard_spares_table_products():
 def test_limit_guard_spares_other_errors():
     source = "raise ValueError('bad rank')\ntry:\n    f()\nexcept ResourceError:\n    raise"
     assert violations(ast.parse(source), limit_free=True) == []
+
+
+def test_refold_guard_spares_braidword_nf():
+    source = (
+        "class BraidWord:\n    def nf(self):\n"
+        "        return _nf_ids(garside_table(self.group), self.letters)\n"
+        "nf = _nf_ids(table, letters)\nsame = a.nf == b.nf"
+    )
+    assert violations(ast.parse(source), refold_free=True) == []
 
 
 def test_kernel_guard_spares_kernel_calls():
