@@ -271,12 +271,6 @@ class CoxeterElement:
         table, x = self._table_id()
         return frozenset(s + 1 for s in garside.bit_ids(table.ldesc[x]))
 
-    def right_descents(self) -> frozenset[int]:
-        """The letters s with l(w s) < l(w), read off the group's table
-        (GarsideTable.rdesc)."""
-        table, x = self._table_id()
-        return frozenset(s + 1 for s in garside.bit_ids(table.rdesc[x]))
-
     def reduced_word(self) -> tuple[int, ...]:
         """The shortlex minimal reduced word, as a tuple of 1-based letters,
         read off the group's table (GarsideTable.word)."""

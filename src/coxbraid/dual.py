@@ -29,7 +29,6 @@ from .coxeter import (
     coxeter_element_orderings,
     coxeter_group,
     standard_coxeter_elements,
-    type_b_element_embedding,
 )
 from .garside import (
     BraidWord,
@@ -395,16 +394,6 @@ def _t_factor_ids(table: GarsideTable, x: int) -> list[int]:
     return out
 
 
-def t_reduced_factorization(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
-    """Greedy minimal reflection factorisation of x.
-
-    At each step take the first reflection, in the fixed enumeration of T,
-    that divides the remainder in absolute order.
-    """
-    table = garside_table(x.group)
-    return tuple(table.element(t) for t in _t_factor_ids(table, table.id_of(x)))
-
-
 def embed_simple(
     x: CoxeterElement, c: CoxeterElement, ordering: tuple[int, ...] | None = None
 ) -> BraidWord:
@@ -462,20 +451,3 @@ def linear_coxeter_bruhat_check(
         ok = x != y and bruhat_leq(x, y)
         rows.append((u, x, y, ok))
     return tuple(rows)
-
-
-def type_b_absolute_order_embedding_check(c: CoxeterElement) -> bool:
-    """Divisibility in a type B dual monoid matches the type A image.
-
-    For all divisors x, y of c in W(B_n): x divides y in absolute order
-    exactly when the folded images divide in W(A_{2n-1}).
-    """
-    if c.group.type.family != "B":
-        raise ValueError("expected a type B element")
-    div = divisors_of(c)
-    images = {x: type_b_element_embedding(x) for x in div}
-    for x in div:
-        for y in div:
-            if abs_divides(x, y) != abs_divides(images[x], images[y]):
-                return False
-    return True

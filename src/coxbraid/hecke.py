@@ -5,7 +5,8 @@ coefficients keyed by GarsideTable id, normalised by T_s^2 = (v^-2 - 1)
 T_s + v^-2.  Products fold through the table's rmul and length arrays on
 rows of exponent -> coefficient int dicts, updated in place by the row
 kernel of laurent that the Temperley Lieb layer shares.  The braid group maps
-in through a (generators to T_s) and its twist a', and the Kazhdan
+in through a (generators to T_s); its twist a', sending generators to
+v T_s, is a times v to the exponent sum.  The Kazhdan
 Lusztig machinery lives in KLTable, on table ids: polynomials P_{y,w} in
 q = v^-2 computed by the classical recursion with mu corrections over
 lower Bruhat intervals held as bitsets, the bases
@@ -102,10 +103,6 @@ class HeckeElement:
     def unit(group: CoxeterGroup) -> "HeckeElement":
         return HeckeElement(group, {group.identity: _ONE})
 
-    @staticmethod
-    def t_basis(w: CoxeterElement) -> "HeckeElement":
-        return HeckeElement(w.group, {w: _ONE})
-
     @property
     def coeffs(self) -> Mapping[CoxeterElement, LaurentPolynomial]:
         """The coefficients keyed by group element, read only."""
@@ -175,11 +172,6 @@ def braid_image_a(b: BraidWord) -> HeckeElement:
     return HeckeElement._wrap(b.group, {x: poly(p) for x, p in rows.items()})
 
 
-def braid_image_a_prime(b: BraidWord) -> HeckeElement:
-    """The twist of a by v to the exponent sum, sending generators to vT_s."""
-    return braid_image_a(b).scale(LaurentPolynomial.v_power(b.exponent_sum()))
-
-
 def j_h(h: HeckeElement) -> HeckeElement:
     """The semilinear involution with T_s mapped to -v^2 T_s."""
     length = h.table.length
@@ -190,18 +182,6 @@ def j_h(h: HeckeElement) -> HeckeElement:
             for x, c in h.rows.items()
         },
     )
-
-
-@cache
-def _bar_t(group: CoxeterGroup, x: int) -> Rows:
-    """bar(T_w) for the element with id x: the inverse generators along a reduced word."""
-    table = garside_table(group)
-    return _fold(table, {table.e: {0: 1}}, [-s for s in table.word(x)])
-
-
-def bar_involution(h: HeckeElement) -> HeckeElement:
-    total = combine((_bar_t(h.group, x), c.bar().terms) for x, c in h.rows.items())
-    return HeckeElement._wrap(h.group, {x: poly(p) for x, p in total.items()})
 
 
 class KLTable:
@@ -348,6 +328,14 @@ class KLTable:
         elements = self.group.elements()  # in id order
         return {elements[x]: poly(rows[x]) for x in sorted(rows)}
 
+    def pair_is_nonneg(self, x: CoxeterElement, y: CoxeterElement) -> bool:
+        """Whether every C-coordinate of T_x^-1 T_y has nonnegative
+        coefficients, read off the signs of the id rows of _pair_rows."""
+        if x.group is not self.group or y.group is not self.group:
+            raise ValueError("element of a different algebra")
+        rows = self._pair_rows(self.table.id_of(x), self.table.id_of(y))
+        return all(c > 0 for p in rows.values() for c in p.values())
+
     def _step(self, rows: Rows, s: int) -> Rows:
         """Right multiplication of C-coordinates by T_s, s 0-based, along the
         W-graph (Kazhdan-Lusztig 1979, (2.3.a)): C_w T_s = -C_w when ws < w,
@@ -370,8 +358,9 @@ class KLTable:
     def _pair_rows(self, x: int, y: int) -> Rows:
         """C-coordinates of T_x^-1 T_y: T_x^-1 by elimination, then y from
         its parent ys, s its first right descent, by one W-graph step.  The
-        rows of the last x are kept, so a sweep over y in id order takes one
-        step per pair and one elimination per x."""
+        rows of the last x are kept, so a sweep over y in increasing id
+        order, all y or only some, takes at most one step per y and one
+        elimination per x."""
         t = self.table
         last, done = self._pairs
         if last != x:

@@ -3,17 +3,18 @@
 Each named check produces a Report with one verdict per item, in one of
 three shapes, which its registry entry names in ``CheckSpec.sweep``: an
 ordering sweep (``_orderings``) has one item per standard Coxeter element,
-or only the one given as ``coxeter``; a pair sweep (``_pairs``) has one per
-braid b(x)^-1 b(y) over all |W|^2 pairs; a whole-group check reads its
-items off one library call.  ``run_check`` enforces the registry's
-families, ``coxeter`` and the one size guard ``budget_guard`` before any
-table is built, and stamps the theorem id and the elapsed time on the
-report.  The checks hold no mathematics of their own: a verdict is always
-the result of calling the corresponding library operation, so the command
-line layer stays a thin shell.  The conjecture sweep is special in that
-its report is evidence, not an assertion: it passes when the computation
-completes and is internally consistent, and the per divisor outcomes are
-data.
+or only the one given as ``coxeter``; a pair sweep (``_pairs``) has one
+per pair (x, y), |W|^2 in all, whose verdict is that of the braid
+b(x)^-1 b(y), checked once per distinct braid, on its coprime pair; a
+whole-group check reads its items off one library call.  ``run_check``
+enforces the registry's families, ``coxeter`` and the one size guard
+``budget_guard`` before any table is built, and stamps the theorem id and
+the elapsed time on the report.  The checks hold no mathematics of their
+own: a verdict is always the result of calling the corresponding library
+operation, so the command line layer stays a thin shell.  The conjecture
+sweep is special in that its report is evidence, not an assertion: it
+passes when the computation completes and is internally consistent, and
+the per divisor outcomes are data.
 """
 
 from __future__ import annotations
@@ -44,10 +45,12 @@ from .dual import (
 )
 from .garside import (
     BraidWord,
+    GarsideTable,
     _rational_ids,
     braid_equal,
     embed_braid_b_to_a,
     fraction_form,
+    garside_table,
     is_rational_permutation,
     is_square_free,
     positive_lift,
@@ -59,9 +62,10 @@ from .hecke import kl_table, positivity_report
 from .mikado import is_mikado_A, is_mikado_B
 
 DEFAULT_BUDGETS = {"A": 5, "B": 4, "D": 4, "I2": 12, "H3": 3, "F4": 4}
-# Sweeps over all |W|^2 pairs take 0.18 ms (prop-4.4), 0.27 ms (thm-5.9)
-# and 0.86 ms (thm-8.2) a pair on A5, 96 s, 141 s and 447 s for its 518 400
-# pairs: A5, of order 720, is the largest group they run on without --budget.
+# Pair sweeps take 0.026 ms (prop-4.4), 0.040 ms (thm-5.9) and 0.11 ms
+# (thm-8.2) a pair on A5, 13 s, 21 s and 55 s for its 518 400 pairs, of
+# which the 90 921 coprime ones are checked (one run each, 2 cores, Python
+# 3.11): A5, of order 720, is the largest group they run on without --budget.
 PAIR_SWEEP_ORDER_CAP = 720
 
 
@@ -202,17 +206,47 @@ def _orderings(
     return _finish(group, items, extra_counts, coxeter=coxeter)
 
 
+def _coprime_pair(table: GarsideTable, x: int, y: int) -> tuple[int, int]:
+    """The coprime pair of ids with the braid b(x)^-1 b(y).
+
+    For s in D_L(x) & D_L(y), b(x) = s b(sx) and b(y) = s b(sy), so
+    b(x)^-1 b(y) = b(sx)^-1 b(sy); common left descents are stripped until
+    none is left.  Left fractions with coprime terms are unique (Dehornoy
+    et al., Foundations of Garside Theory, 2015), so this is the pair that
+    fraction_form returns.
+    """
+    ldesc, lmul = table.ldesc, table.lmul
+    common = ldesc[x] & ldesc[y]
+    while common:
+        row = lmul[(common & -common).bit_length() - 1]
+        x, y = row[x], row[y]
+        common = ldesc[x] & ldesc[y]
+    return x, y
+
+
 def _pairs(
     group: CoxeterGroup, ok: Callable[[CoxeterElement, CoxeterElement], bool]
 ) -> Report:
-    """One item per pair (x, y): ok(x, y), keyed "wx|wy" by shortlex words ("e" if empty)."""
-    elements = group.elements()
+    """One item per pair (x, y), keyed "wx|wy" by shortlex words ("e" if
+    empty), in x-major id order, with the verdict ok gives its braid.
+
+    A verdict depends only on the braid b(x)^-1 b(y), so ok is called once
+    per distinct braid: on the coprime pairs (no common left descent), in
+    x-major id order, which keeps KLTable._pair_rows at one elimination
+    per x.  Every other pair reads the verdict of its _coprime_pair, whose
+    x is shorter and so was checked earlier.
+    """
+    table = garside_table(group)
+    elements = group.elements()  # in id order
     words = [word_key(w) for w in elements]
-    items = [
-        {"item": f"{wx}|{wy}", "ok": ok(x, y)}
-        for x, wx in zip(elements, words)
-        for y, wy in zip(elements, words)
-    ]
+    verdicts: dict[tuple[int, int], bool] = {}
+    items = []
+    for x, (ex, wx) in enumerate(zip(elements, words)):
+        for y, (ey, wy) in enumerate(zip(elements, words)):
+            key = _coprime_pair(table, x, y)
+            if key == (x, y):
+                verdicts[key] = ok(ex, ey)
+            items.append({"item": f"{wx}|{wy}", "ok": verdicts[key]})
     return _finish(group, items)
 
 
@@ -511,12 +545,7 @@ def check_kl_pair_positivity(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """T_x^-1 T_y expands with nonnegative canonical coefficients."""
-    table = kl_table(group)
-
-    def one(x: CoxeterElement, y: CoxeterElement) -> bool:
-        return all(p.is_nonneg() for p in table.expand_in_C((x, y)).values())
-
-    return _pairs(group, one)
+    return _pairs(group, kl_table(group).pair_is_nonneg)
 
 
 def check_kl_embed_positivity(
@@ -640,7 +669,7 @@ class CheckSpec:
     families: tuple[str, ...]
     description: str
     fn: Callable[..., Report]
-    sweep: str = "orderings"  # or "pairs" over all |W|^2 pairs, or "group"
+    sweep: str = "orderings"  # or "pairs", one item per pair of elements, or "group"
 
 
 CHECKS: dict[str, CheckSpec] = {

@@ -17,13 +17,25 @@ from coxbraid.coxeter import (
     CoxeterElement,
     CoxeterGroup,
     IntegrityError,
+    abs_divides,
     standard_coxeter_elements,
+    type_b_element_embedding,
 )
-from coxbraid.garside import BraidWord, GarsideNormalForm, GarsideTable, right_fraction_form
-from coxbraid.hecke import HeckeElement, braid_image_a
-from coxbraid.laurent import LaurentPolynomial
+from coxbraid.dual import _t_factor_ids, divisors_of
+from coxbraid.garside import (
+    BraidWord,
+    GarsideNormalForm,
+    GarsideTable,
+    bit_ids,
+    garside_table,
+    right_fraction_form,
+    word_key,
+)
+from coxbraid.hecke import HeckeElement, _fold, braid_image_a
+from coxbraid.laurent import LaurentPolynomial, combine, poly
 from coxbraid.mikado import WiringDiagram
 from coxbraid.tl import TLDiagram, TLElement
+from coxbraid.verify import _finish
 
 
 # Every group the parametrized tests of the package cover, as
@@ -1168,3 +1180,73 @@ def positivity_report_by_elimination(table, c: CoxeterElement, ordering: tuple[i
     if worst:
         report["worst"] = worst[0]
     return report
+
+
+# ---------------------------------------------------------------------------
+# operations only the tests use, on the integer tables
+
+
+def right_descents(w: CoxeterElement) -> frozenset[int]:
+    """The letters s with l(w s) < l(w), read off the group's table
+    (GarsideTable.rdesc)."""
+    table = garside_table(w.group)
+    return frozenset(s + 1 for s in bit_ids(table.rdesc[table.id_of(w)]))
+
+
+def t_reduced_factorization(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
+    """Greedy minimal reflection factorisation of x on table ids: the first
+    reflection of T that divides the remainder, at each step."""
+    table = garside_table(x.group)
+    return tuple(table.element(t) for t in _t_factor_ids(table, table.id_of(x)))
+
+
+def type_b_absolute_order_embedding_check(c: CoxeterElement) -> bool:
+    """Divisibility in a type B dual monoid matches the type A image.
+
+    For all divisors x, y of c in W(B_n): x divides y in absolute order
+    exactly when the folded images divide in W(A_{2n-1}).
+    """
+    if c.group.type.family != "B":
+        raise ValueError("expected a type B element")
+    div = divisors_of(c)
+    images = {x: type_b_element_embedding(x) for x in div}
+    return all(
+        abs_divides(x, y) == abs_divides(images[x], images[y]) for x in div for y in div
+    )
+
+
+def t_basis(w: CoxeterElement) -> HeckeElement:
+    """The standard basis element T_w."""
+    return HeckeElement(w.group, {w: LaurentPolynomial.one()})
+
+
+@lru_cache(maxsize=None)
+def _bar_t(group: CoxeterGroup, x: int) -> dict:
+    """bar(T_w) for the element with id x: the inverse generators along a reduced word."""
+    table = garside_table(group)
+    return _fold(table, {table.e: {0: 1}}, [-s for s in table.word(x)])
+
+
+def bar_involution(h: HeckeElement) -> HeckeElement:
+    """The ring involution with v -> v^-1 and T_w -> T_{w^-1}^-1, on table ids."""
+    total = combine((_bar_t(h.group, x), c.bar().terms) for x, c in h.rows.items())
+    return HeckeElement._wrap(h.group, {x: poly(p) for x, p in total.items()})
+
+
+# ---------------------------------------------------------------------------
+# pair sweeps over all |W|^2 pairs
+
+
+def pairs_all(group: CoxeterGroup, ok, rows=None):
+    """The report of verify._pairs with ok called on every pair (x, y),
+    one item per pair keyed "wx|wy", in x-major id order.  rows, a set of
+    ids, keeps only the items of those x."""
+    elements = group.elements()
+    words = [word_key(w) for w in elements]
+    items = [
+        {"item": f"{wx}|{wy}", "ok": ok(x, y)}
+        for i, (x, wx) in enumerate(zip(elements, words))
+        if rows is None or i in rows
+        for y, wy in zip(elements, words)
+    ]
+    return _finish(group, items)

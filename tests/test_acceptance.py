@@ -14,6 +14,7 @@ import time
 import pytest
 
 from oracles import (
+    bar_involution,
     greedy_first_factor_brute,
     reduced_factorizations_brute,
     rewriting_equal,
@@ -39,7 +40,7 @@ from coxbraid.garside import (
     positive_lift,
     signed_lift,
 )
-from coxbraid.hecke import bar_involution, j_h, kl_table
+from coxbraid.hecke import j_h, kl_table
 from coxbraid.laurent import LaurentPolynomial
 from coxbraid.mikado import count_mikado_B, is_mikado_A, is_mikado_B
 from coxbraid.verify import run_check

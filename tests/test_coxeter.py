@@ -90,7 +90,7 @@ def test_descents_and_search_lengths(family, rank, m):
         assert oracles.reflection_length_by_search(w) == w.reflection_length()
         assert (w * w.inverse()).is_identity()
         assert w.left_descents() == oracles.descents_by_search(w)
-        assert w.right_descents() == oracles.descents_by_search(w, left=False)
+        assert oracles.right_descents(w) == oracles.descents_by_search(w, left=False)
         assert w.reduced_word() == oracles.shortlex_word_by_search(w)
     if closed:
         assert frozenset(group.reflections) == oracles.closed_form_reflections(group)

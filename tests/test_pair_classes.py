@@ -1,0 +1,166 @@
+"""Pair sweeps check each distinct braid once.
+
+A pair braid b(x)^-1 b(y) depends only on its coprime pair: for s in
+D_L(x) & D_L(y), b(x)^-1 b(y) = b(sx)^-1 b(sy).  verify._pairs calls its
+check once per coprime pair and lets every other pair read that verdict.
+These tests check the reduction against fraction_form and the word
+problem, count the classes independently of the table, and compare the
+class driver item by item with the driver that checks all |W|^2 pairs.
+"""
+
+import random
+from functools import partial
+
+import pytest
+
+import oracles
+from coxbraid import verify
+from coxbraid.coxeter import coxeter_group
+from coxbraid.garside import braid_equal, fraction_form, garside_table
+from coxbraid.hecke import KLTable
+from coxbraid.mikado import count_mikado_A, count_mikado_B
+from coxbraid.verify import CHECKS, _coprime_pair, _pair_braid, run_check
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+def test_coprime_pair_is_the_left_fraction(family, rank):
+    """For every pair, the id-level reduction is fraction_form of the pair
+    braid, and the two braids are equal, each folding its own letters.
+    Distinct coprime pairs give distinct braids."""
+    group = coxeter_group(family, rank)
+    table = garside_table(group)
+    els = group.elements()
+    coprime, braids = set(), set()
+    for x, ex in enumerate(els):
+        for y, ey in enumerate(els):
+            cx, cy = _coprime_pair(table, x, y)
+            b = _pair_braid(ex, ey)
+            assert fraction_form(b) == (els[cx], els[cy])
+            assert braid_equal(_pair_braid(ex, ey), _pair_braid(els[cx], els[cy]))
+            coprime.add((cx, cy))
+            braids.add(b.nf)
+    assert len(braids) == len(coprime)
+
+
+@pytest.mark.parametrize(
+    "family,rank,classes",
+    [("A", 3, 211), ("A", 4, 3651), ("B", 3, 819), ("D", 4, 9217), ("H3", 3, 5043)],
+)
+def test_pair_classes_are_counted_independently(family, rank, classes):
+    """The reductions of all pairs are the pairs with no common left
+    descent, as many as the descent disjoint pairs that count_mikado_A and
+    count_mikado_B enumerate from permutations."""
+    table = garside_table(coxeter_group(family, rank))
+    ids = range(len(table.payloads))
+    reduced = {_coprime_pair(table, x, y) for x in ids for y in ids}
+    assert reduced == {(x, y) for x in ids for y in ids if not table.ldesc[x] & table.ldesc[y]}
+    assert len(reduced) == classes
+    if family == "A":
+        assert classes == count_mikado_A(rank + 1)
+    if family == "B":
+        assert classes == count_mikado_B(rank)
+
+
+def test_pair_sweep_checks_each_coprime_pair_once_in_x_major_order():
+    group = coxeter_group("A", 3)
+    table = garside_table(group)
+    seen = []
+
+    def ok(x, y):
+        seen.append((table.id_of(x), table.id_of(y)))
+        return True
+
+    report = verify._pairs(group, ok)
+    assert report.passed and report.counts == {"items": 576, "failures": 0}
+    assert seen == [(x, y) for x in range(24) for y in range(24) if not table.ldesc[x] & table.ldesc[y]]
+    assert len(seen) == 211
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
+def test_a_failed_class_fails_every_pair_with_its_braid(family, rank):
+    """A verdict of False on one coprime pair fails exactly the pairs whose
+    braid equals it, found by the word problem rather than the reduction."""
+    group = coxeter_group(family, rank)
+    table = garside_table(group)
+    els = group.elements()
+    nfs = [[_pair_braid(ex, ey).nf for ey in els] for ex in els]
+    coprime = [(x, y) for x in range(len(els)) for y in range(len(els))
+               if not table.ldesc[x] & table.ldesc[y]]
+    for bad in random.Random(16).sample(coprime, 5):
+        report = verify._pairs(group, lambda x, y: (table.id_of(x), table.id_of(y)) != bad)
+        failed = [i for i, it in enumerate(report.items) if not it["ok"]]
+        want = nfs[bad[0]][bad[1]]
+        n = len(els)
+        assert failed == [i for i in range(n * n) if nfs[i // n][i % n] == want]
+        assert report.counts["failures"] == len(failed) >= 1
+
+
+# ---------------------------------------------------------------------------
+# the class driver against the driver over all |W|^2 pairs
+
+PAIR_CHECKS = sorted(tid for tid, spec in CHECKS.items() if spec.sweep == "pairs")
+DIFF_GROUPS = [g for g in oracles.COVERED_GROUPS if g not in (("A", 5, None), ("B", 4, None), ("F4", 4, None))]
+# (check, family) -> x rows: cells whose all-pairs run takes more than
+# about 5 s (the D4 ones, 6-7 s each on 2 cores) compare a seeded sample of
+# x rows, each against every y
+SAMPLED_ROWS = {("prop-4.4", "D"): 48, ("lemma-4.5", "D"): 48, ("thm-8.2", "D"): 48}
+
+
+def _cells():
+    for tid in PAIR_CHECKS:
+        for family, rank, m in DIFF_GROUPS:
+            if family in CHECKS[tid].families:
+                yield tid, family, rank, m
+
+
+@pytest.mark.parametrize("tid,family,rank,m", list(_cells()))
+def test_class_driver_matches_all_pairs(tid, family, rank, m, monkeypatch):
+    group = coxeter_group(family, rank, m=m)
+    check = CHECKS[tid].fn
+    got = check(group).to_json()
+    n = len(group.elements())
+    rows = None
+    if (tid, family) in SAMPLED_ROWS:
+        rows = set(random.Random(16).sample(range(n), SAMPLED_ROWS[tid, family]))
+        got["items"] = [it for i, it in enumerate(got["items"]) if i // n in rows]
+        del got["counts"], got["passed"]
+    monkeypatch.setattr(verify, "_pairs", partial(oracles.pairs_all, rows=rows))
+    want = check(group).to_json()
+    if rows is not None:
+        assert len(want["items"]) == n * len(rows)
+        del want["counts"], want["passed"]
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# thm-8.2 reads signs, not expansions
+
+
+@pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 3, None), ("I2", 2, 5)])
+def test_pair_is_nonneg_agrees_with_the_expansion(family, rank, m):
+    group = coxeter_group(family, rank, m=m)
+    table = KLTable(group)
+    for x in group.elements():
+        for y in group.elements():
+            want = all(p.is_nonneg() for p in table.expand_in_C((x, y)).values())
+            assert table.pair_is_nonneg(x, y) == want
+
+
+def test_pair_is_nonneg_reads_every_sign(monkeypatch):
+    group = coxeter_group("A", 2)
+    table = KLTable(group)
+    x, y = group.elements()[:2]
+    monkeypatch.setattr(table, "_pair_rows", lambda x, y: {0: {0: 1}, 3: {-1: 2, 1: 1}})
+    assert table.pair_is_nonneg(x, y)
+    monkeypatch.setattr(table, "_pair_rows", lambda x, y: {0: {0: 1}, 3: {-1: 2, 1: -1}})
+    assert not table.pair_is_nonneg(x, y)
+    with pytest.raises(ValueError):
+        table.pair_is_nonneg(x, coxeter_group("A", 3).identity)
+
+
+def test_kl_pair_sweep_builds_no_expansion(monkeypatch):
+    def refuse(self, h):
+        raise AssertionError("thm-8.2 expanded a pair")
+
+    monkeypatch.setattr(KLTable, "expand_in_C", refuse)
+    assert run_check("thm-8.2", "B", 3).passed
