@@ -995,6 +995,30 @@ def theta_by_stacking(h: HeckeElement, prime: bool = False) -> TLElement:
     return out
 
 
+def greedy_pairing_rescan(
+    entries: tuple[tuple[LaurentPolynomial, ...], ...]
+) -> tuple[tuple[int, int], ...] | None:
+    """Peel the smallest row whose support has shrunk to one live column,
+    rebuilding the live support of every live row after each peel."""
+    n = len(entries)
+    live_rows = set(range(n))
+    dead_cols: set[int] = set()
+    order = []
+    while live_rows:
+        found = None
+        for r in sorted(live_rows):
+            support = [j for j, p in enumerate(entries[r]) if p and j not in dead_cols]
+            if len(support) == 1:
+                found = (r, support[0])
+                break
+        if found is None:
+            return None
+        order.append(found)
+        live_rows.discard(found[0])
+        dead_cols.add(found[1])
+    return tuple(order)
+
+
 # ---------------------------------------------------------------------------
 # the Hecke algebra on CoxeterElement payloads
 #

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from coxbraid import tl
 from coxbraid.coxeter import (
     IntegrityError,
     bruhat_leq,
+    coxeter_element_orderings,
     coxeter_group,
     standard_coxeter_elements,
 )
@@ -19,6 +21,8 @@ from coxbraid.tl import (
     TLDiagram,
     TLElement,
     _diagram_table,
+    _greedy_pairing,
+    _zinno_rows,
     b_w,
     expand_in_b,
     fg_projection_check,
@@ -246,6 +250,13 @@ def test_omega_on_generators_and_words():
     assert omega(BraidWord(group, ())) == one
 
 
+def test_images_close_a_loop_in_one_term():
+    for scalar, coeff, closed in (
+        tl._GENERATOR, tl._THETA_T, tl._THETA_PRIME_T, tl._OMEGA_POS, tl._OMEGA_NEG
+    ):
+        assert L(closed) == L(scalar) + L(coeff) * DELTA
+
+
 def test_omega_is_multiplicative():
     group = coxeter_group("A", 2)
     words = ((1,), (-2,), (1, 2), (2, -1))
@@ -352,3 +363,92 @@ def test_theta_rejects_other_families():
     group = coxeter_group("B", 2)
     with pytest.raises(ValueError):
         theta(oracles.t_basis(group.generator(1)))
+
+
+# Every standard Coxeter element of A1-A4 with its ordering, and the
+# linear ordering of A5: the Zinno matrices the prefix stack and the
+# pairing are compared on.
+ZINNO_CASES = [
+    (n, ordering)
+    for n in (1, 2, 3, 4)
+    for ordering in coxeter_element_orderings(coxeter_group("A", n)).values()
+] + [(5, (1, 2, 3, 4, 5))]
+
+
+@pytest.mark.parametrize("n, ordering", ZINNO_CASES)
+def test_zinno_rows_match_omega_word_by_word(n, ordering):
+    group = coxeter_group("A", n)
+    c = group.from_word(ordering)
+    dm = dual_monoid(c, ordering)
+    rows = _zinno_rows(c, ordering)
+    assert {x for x, _ in rows} == set(dm.divisors())
+    for x, coeffs in rows:
+        assert coeffs == expand_in_b(omega(dm.embed(x)))
+
+
+def _count_folds(monkeypatch) -> list[int]:
+    """Patch tl._fold to count the letters it folds."""
+    count = [0]
+    fold = tl._fold
+
+    def counting(table, rows, word):
+        word = list(word)
+        count[0] += len(word)
+        return fold(table, rows, word)
+
+    monkeypatch.setattr(tl, "_fold", counting)
+    return count
+
+
+@pytest.mark.parametrize("n, stacked, per_word", [(3, 38, 93), (4, 131, 604), (5, 438, 3330)])
+def test_prefix_stack_folds_each_distinct_prefix_once(monkeypatch, n, stacked, per_word):
+    ordering = tuple(range(1, n + 1))
+    c = coxeter_group("A", n).from_word(ordering)
+    dm = dual_monoid(c, ordering)
+    words = [dm.embed(x).letters for x in dm.divisors()]
+    prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+    assert len(prefixes) == stacked
+    assert sum(map(len, words)) == per_word
+    count = _count_folds(monkeypatch)
+    _zinno_rows.__wrapped__(c, ordering)
+    assert count[0] == stacked
+    count[0] = 0
+    for x in dm.divisors():
+        omega(dm.embed(x))
+    assert count[0] == per_word
+
+
+@pytest.mark.parametrize("n, ordering", ZINNO_CASES)
+def test_greedy_pairing_matches_the_rescan_on_zinno_matrices(n, ordering):
+    c = coxeter_group("A", n).from_word(ordering)
+    zm = zinno_matrix(c, ordering)
+    assert zm.pairing is not None
+    assert zm.pairing == oracles.greedy_pairing_rescan(zm.entries)
+
+
+def test_greedy_pairing_matches_the_rescan_on_random_matrices():
+    rng = random.Random(1701)
+    one, zero = L.one(), L.zero()
+    outcomes = []
+    for trial in range(600):
+        n = rng.randrange(9)
+        if trial % 3:
+            # a row and column permutation of a triangular matrix with
+            # nonzero diagonal, with one more entry set on every other trial
+            rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
+            cells = [[zero] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    if j == i or rng.random() < 0.5:
+                        cells[rp[i]][cp[j]] = one
+            if trial % 2 and n:
+                cells[rng.randrange(n)][rng.randrange(n)] = one
+        else:
+            cols, density = max(0, n + rng.choice((-1, 0, 1))), rng.random()
+            cells = [[one if rng.random() < density else zero for _ in range(cols)]
+                     for _ in range(n)]
+        entries = tuple(map(tuple, cells))
+        got = _greedy_pairing(entries)
+        assert got == oracles.greedy_pairing_rescan(entries)
+        outcomes.append(got is None)
+    assert 100 < sum(outcomes) < 500
