@@ -628,24 +628,6 @@ def type_b_embedding_words(n: int) -> dict[int, tuple[int, ...]]:
     return words
 
 
-def type_b_embedding(n: int) -> dict[int, CoxeterElement]:
-    """Images in W(A_{2n-1}) of the generators of W(B_n)."""
-    target = coxeter_group("A", 2 * n - 1)
-    return {k: target.from_word(word) for k, word in type_b_embedding_words(n).items()}
-
-
-def type_b_element_embedding(w: CoxeterElement) -> CoxeterElement:
-    """Image of a type B element inside W(A_{2n-1}), via any reduced word."""
-    if w.group.type.family != "B":
-        raise ValueError("expected a type B element")
-    images = type_b_embedding(w.group.rank)
-    target = coxeter_group("A", 2 * w.group.rank - 1)
-    out = target.identity
-    for i in w.reduced_word():
-        out = out * images[i]
-    return out
-
-
 # garside builds its tables on the groups above and imports this module, so
 # it comes last, once every name here exists.
 from . import garside  # noqa: E402

@@ -327,13 +327,6 @@ class DualAtomTable:
         return all(_rational_ids(nf) for nf in self._nfs.values())
 
 
-def dual_atoms(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> DualAtomTable:
-    _require_standard(c)
-    if ordering is None:
-        ordering = coxeter_element_orderings(c.group)[c]
-    return DualAtomTable(c, ordering)
-
-
 class DualMonoid:
     """All dual braid data attached to one standard Coxeter element."""
 
@@ -379,6 +372,11 @@ class DualMonoid:
 @cache
 def dual_monoid(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> DualMonoid:
     return DualMonoid(c, ordering)
+
+
+def dual_atoms(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> DualAtomTable:
+    """The atom table of dual_monoid(c, ordering), built once with it."""
+    return dual_monoid(c, ordering).atoms
 
 
 def _t_factor_ids(table: GarsideTable, x: int) -> list[int]:

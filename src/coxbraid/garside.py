@@ -69,9 +69,6 @@ class BraidWord:
         table = garside_table(self.group)
         return table.element(table.image_id(self.letters))
 
-    def exponent_sum(self) -> int:
-        return sum(1 if l > 0 else -1 for l in self.letters)
-
     def to_json(self) -> dict:
         return {"group": self.group.type.to_json(), "letters": list(self.letters)}
 

@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .coxeter import CoxeterElement, CoxeterGroup, IntegrityError
-from .garside import BraidWord, bit_ids, fraction_form, garside_table, word_key
+from .garside import BraidWord, bit_ids, fraction_form, garside_table
 from .laurent import LaurentPolynomial, Rows, addmul, combine, poly
 
 _ZERO = LaurentPolynomial.zero()
@@ -71,6 +71,11 @@ def _axpy(acc: list[int], p: tuple[int, ...], shift: int, m: int) -> None:
         acc.extend([0] * grow)
     for i, c in enumerate(p, shift):
         acc[i] += m * c
+
+
+def _nonneg(rows: Rows) -> bool:
+    """Whether every coefficient of every row is positive (rows hold no zeros)."""
+    return all(c > 0 for p in rows.values() for c in p.values())
 
 
 class HeckeElement:
@@ -313,18 +318,11 @@ class KLTable:
                 raise IntegrityError("triangular elimination failed to clear a term")
         return out
 
-    def expand_in_C(
-        self, h: HeckeElement | tuple[CoxeterElement, CoxeterElement]
-    ) -> dict[CoxeterElement, LaurentPolynomial]:
-        """Coordinates on the basis {C_w}, in increasing id order, of h, or of
-        T_x^-1 T_y when h is a pair (x, y) of elements (see _pair_rows)."""
-        pair = isinstance(h, tuple)
-        if any(g.group is not self.group for g in (h if pair else (h,))):
+    def expand_in_C(self, h: HeckeElement) -> dict[CoxeterElement, LaurentPolynomial]:
+        """Coordinates of h on the basis {C_w}, in increasing id order."""
+        if h.group is not self.group:
             raise ValueError("element of a different algebra")
-        if pair:
-            rows = self._pair_rows(*map(self.table.id_of, h))
-        else:
-            rows = self._eliminate(h._int_rows())
+        rows = self._eliminate(h._int_rows())
         elements = self.group.elements()  # in id order
         return {elements[x]: poly(rows[x]) for x in sorted(rows)}
 
@@ -333,8 +331,19 @@ class KLTable:
         coefficients, read off the signs of the id rows of _pair_rows."""
         if x.group is not self.group or y.group is not self.group:
             raise ValueError("element of a different algebra")
-        rows = self._pair_rows(self.table.id_of(x), self.table.id_of(y))
-        return all(c > 0 for p in rows.values() for c in p.values())
+        return _nonneg(self._pair_rows(self.table.id_of(x), self.table.id_of(y)))
+
+    def braid_is_nonneg(self, b: BraidWord) -> bool:
+        """Whether every C-coordinate of the image of b under a has
+        nonnegative coefficients: pair_is_nonneg on the fraction x^-1 y of
+        a rational braid, elimination of braid_image_a(b) otherwise."""
+        if b.group is not self.group:
+            raise ValueError("braid of a different group")
+        try:
+            x, y = fraction_form(b)
+        except ValueError:  # not rational, which only type D leaves open
+            return _nonneg(self._eliminate(braid_image_a(b)._int_rows()))
+        return self.pair_is_nonneg(x, y)
 
     def _step(self, rows: Rows, s: int) -> Rows:
         """Right multiplication of C-coordinates by T_s, s 0-based, along the
@@ -382,43 +391,3 @@ class KLTable:
 @cache
 def kl_table(group: CoxeterGroup) -> KLTable:
     return KLTable(group)
-
-
-def positivity_report(
-    c: CoxeterElement, ordering: tuple[int, ...] | None = None
-) -> dict:
-    """Expand every simple dual braid of c in {C_w} and record positivity."""
-    from .dual import dual_monoid
-
-    dm = dual_monoid(c, ordering)
-    table = kl_table(c.group)
-    items = []
-    all_ok = True
-    worst = None
-    for u in dm.divisors():
-        b = dm.embed(u)
-        try:
-            h = fraction_form(b)
-        except ValueError:  # not rational, which only type D leaves open
-            h = braid_image_a(b)
-        expansion = table.expand_in_C(h)
-        ok = all(p.is_nonneg() for p in expansion.values())
-        item = {
-            "divisor": list(u.reduced_word()),
-            "coefficients": {word_key(w): str(p) for w, p in expansion.items()},
-            "positive": ok,
-        }
-        items.append(item)
-        if not ok:
-            all_ok = False
-            if worst is None:
-                worst = item
-    report = {
-        "group": c.group.type.to_json(),
-        "coxeter_element": list(dm.ordering),
-        "items": items,
-        "positive": all_ok,
-    }
-    if worst is not None:
-        report["worst"] = worst
-    return report

@@ -21,12 +21,13 @@ expanded on the {b_w} basis.
 Two quotient maps from the Hecke algebra are provided, theta and
 theta_prime, together with the braid group map omega = theta_prime
 after a'.  The images of the simple dual braids of a standard Coxeter
-element assemble into the Zinno matrix, whose triangularity, unit
-determinant and sign alternating positivity are checked here.  Its rows
-are computed once per Coxeter element and ordering, by folding the
-normal-form words of the simple dual braids in lexicographic order along
-one stack of prefix rows, so each distinct prefix is folded once; the
-public omega folds each word on its own and is the reference for it.
+element assemble into the Zinno matrix, which answers for its triangular
+pairing, unit diagonal and Bruhat refinement; sign_alternating reads the
+signs of its rows.  Its rows are computed once per Coxeter element and
+ordering, by folding the normal-form words of the simple dual braids in
+lexicographic order along one stack of prefix rows, so each distinct
+prefix is folded once; the public omega folds each word on its own and
+is the reference for it.
 """
 
 from __future__ import annotations
@@ -474,6 +475,22 @@ class ZinnoMatrix:
         diag = self.diagonal()
         return diag is not None and all(p.is_unit_monomial() for p in diag)
 
+    def bruhat_refined(self) -> bool | None:
+        """Whether the pairing refines Bruhat order: a nonzero entry in the
+        row of x and the column paired with x' forces x' <= x, so every
+        linear extension of Bruhat order triangularises the matrix.  None
+        unless c is the one line element s_1 s_2 ... s_n and the pairing
+        exists."""
+        group = self.c.group
+        if self.pairing is None or self.c != group.from_word(range(1, group.rank + 1)):
+            return None
+        owner = {j: r for r, j in self.pairing}
+        return all(
+            bruhat_leq(self.rows[owner[j]], x)
+            for x, row in zip(self.rows, self.entries)
+            for j, p in enumerate(row) if p
+        )
+
     def to_json(self) -> dict:
         return {
             "group": self.c.group.type.to_json(),
@@ -555,86 +572,26 @@ def zinno_matrix(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> 
     )
 
 
-def triangularity_check(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> dict:
-    """Triangularity and unit diagonal of the Zinno matrix.
-
-    For the one line Coxeter element s_1 s_2 ... s_n the pairing is also
-    checked to refine Bruhat order: a nonzero entry in the row of x and
-    the column paired with x' forces x' <= x, so every linear extension
-    of Bruhat order triangularises the matrix.
-    """
-    zm = zinno_matrix(c, ordering)
-    report = {
-        "group": c.group.type.to_json(),
-        "coxeter_element": list(c.reduced_word()),
-        "square": zm.is_square(),
-        "triangular": zm.pairing is not None,
-        "unit_diagonal": zm.invertible_over_laurent(),
-        "bruhat_refined": None,
-        "size": len(zm.rows),
-    }
-    n = c.group.rank
-    linear = c == c.group.from_word(range(1, n + 1))
-    if linear and zm.pairing is not None:
-        col_owner = {cj: ri for ri, cj in zm.pairing}
-        ok = True
-        for ri, x in enumerate(zm.rows):
-            for cj, p in enumerate(zm.entries[ri]):
-                if p and not bruhat_leq(zm.rows[col_owner[cj]], x):
-                    ok = False
-        report["bruhat_refined"] = ok
-    report["pass"] = bool(
-        report["square"] and report["triangular"] and report["unit_diagonal"]
-        and report["bruhat_refined"] is not False
+def sign_alternating(
+    c: CoxeterElement, ordering: tuple[int, ...] | None = None
+) -> tuple[bool, ...]:
+    """Per Zinno row of c, whether the coefficient of each b_w in the image
+    of its simple dual braid lies in (-1)^{l(w)} N[v, v^-1]."""
+    odd = {w for w in _fc_of_diagram(c.group.rank) if w.length() % 2}
+    return tuple(
+        all((k < 0) == (w in odd) for w, p in coeffs.items() for _, k in p.terms)
+        for _, coeffs in _zinno_rows(c, ordering)
     )
-    return report
 
 
-def positivity_tl_report(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> dict:
-    """Sign alternating positivity of the Zinno rows.
-
-    The coefficient of b_w in the image of each simple dual braid must
-    lie in (-1)^{l(w)} N[v, v^-1].
-    """
-    items = []
-    all_ok = True
-    for x, coeffs in _zinno_rows(c, ordering):
-        ok = all((-p if w.length() % 2 else p).is_nonneg() for w, p in coeffs.items())
-        items.append(
-            {
-                "divisor": list(x.reduced_word()),
-                "coeffs": {
-                    word_key(w): str(p)
-                    for w, p in sorted(
-                        coeffs.items(), key=lambda kv: (kv[0].length(), kv[0].sort_key())
-                    )
-                },
-                "sign_positive": ok,
-            }
-        )
-        all_ok = all_ok and ok
-    return {
-        "group": c.group.type.to_json(),
-        "coxeter_element": list(dual_monoid(c, ordering).ordering),
-        "items": items,
-        "positive": all_ok,
-    }
-
-
-def fg_projection_check(n: int) -> dict:
-    """theta of C'_w is b_w for fully commutative w and zero otherwise."""
+def fg_projection_failures(n: int) -> list[list[int]]:
+    """The reduced words of the w in W(A_n) where theta(C'_w) is not b_w,
+    for w fully commutative, or not zero otherwise."""
     W = coxeter_group("A", n)
     table = kl_table(W)
     fc = set(fully_commutative(n))
-    failures = []
-    for w in W.elements():
-        image = theta(table.c_prime(w))
-        want = b_w(w) if w in fc else TLElement(2 * (n + 1))
-        if image != want:
-            failures.append(list(w.reduced_word()))
-    return {
-        "group": W.type.to_json(),
-        "checked": W.type.order(),
-        "failures": failures,
-        "pass": not failures,
-    }
+    zero = TLElement(2 * (n + 1))
+    return [
+        list(w.reduced_word()) for w in W.elements()
+        if theta(table.c_prime(w)) != (b_w(w) if w in fc else zero)
+    ]

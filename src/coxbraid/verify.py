@@ -11,10 +11,11 @@ enforces the registry's families, ``coxeter`` and the one size guard
 ``budget_guard`` before any table is built, and stamps the theorem id and
 the elapsed time on the report.  The checks hold no mathematics of their
 own: a verdict is always the result of calling the corresponding library
-operation, so the command line layer stays a thin shell.  The conjecture
-sweep is special in that its report is evidence, not an assertion: it
-passes when the computation completes and is internally consistent, and
-the per divisor outcomes are data.
+operation, so the command line layer stays a thin shell.  The library
+hands back verdicts, and this module alone shapes them into report
+items.  The conjecture sweep is special in that its report is evidence,
+not an assertion: it passes when the computation completes and is
+internally consistent, and the per divisor outcomes are data.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .coxeter import (
     reflections_from_coxeter,
 )
 from .dual import (
+    DualAtomTable,
     divisors_of,
     dual_atoms,
     dual_monoid,
@@ -58,7 +60,7 @@ from .garside import (
     signed_lift,
     word_key,
 )
-from .hecke import kl_table, positivity_report
+from .hecke import kl_table
 from .mikado import is_mikado_A, is_mikado_B
 
 DEFAULT_BUDGETS = {"A": 5, "B": 4, "D": 4, "I2": 12, "H3": 3, "F4": 4}
@@ -391,11 +393,19 @@ def _dihedral_atom_words(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _closed_form(group: CoxeterGroup, ordering: tuple[int, ...], table: DualAtomTable) -> dict:
+    """{"closed_form": match} for I2(m) under the ordering (1, 2), where match
+    says whether the atom words are those of _dihedral_atom_words; else {}."""
+    if group.type.family != "I2" or ordering != (1, 2):
+        return {}
+    got = {table.braid(t).letters for t in table.reflections}
+    return {"closed_form": got == set(_dihedral_atom_words(group.type.m))}
+
+
 def check_dual_atoms(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The rotation formula produces one rational atom per reflection."""
-    dihedral = group.type.family == "I2"
 
     def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         table = dual_atoms(c, ordering)
@@ -405,15 +415,9 @@ def check_dual_atoms(
         ok = ok and all(table.braid(t).image() == t for t in reflections)
         nf_keys = {table.normal_form_ids(t) for t in reflections}
         ok = ok and len(nf_keys) == len(reflections)
-        extra: dict = {}
-        if dihedral and ordering == (1, 2):
-            want = _dihedral_atom_words(group.type.m)
-            got = tuple(sorted((table.braid(t).letters for t in reflections), key=lambda w: (len(w), w)))
-            match = got == tuple(sorted(want, key=lambda w: (len(w), w)))
-            ok = ok and match
-            extra["closed_form"] = match
+        extra = _closed_form(group, ordering, table)
         return {
-            "ok": ok,
+            "ok": ok and extra.get("closed_form", True),
             "atoms": len(reflections),
             **extra,
         }
@@ -499,7 +503,6 @@ def check_embed_rational(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Every embedded simple dual braid is a rational permutation braid."""
-    dihedral = group.type.family == "I2"
 
     def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         dm = dual_monoid(c, ordering)
@@ -508,12 +511,7 @@ def check_embed_rational(
             nf = dm.embed_nf_ids(x)
             if not _rational_ids(nf) or dm.embed(x).image() != x:
                 bad.append(_word(x))
-        extra: dict = {}
-        if dihedral and ordering == (1, 2):
-            table = dm.atoms
-            want = set(_dihedral_atom_words(group.type.m))
-            got = {table.braid(t).letters for t in table.reflections}
-            extra["closed_form"] = want == got
+        extra = _closed_form(group, ordering, dm.atoms)
         return {
             "ok": not bad and extra.get("closed_form", True),
             "divisors": len(dm.divisors()),
@@ -552,12 +550,14 @@ def check_kl_embed_positivity(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Simple dual braids expand positively in the canonical basis."""
+    table = kl_table(group)
 
     def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        report = positivity_report(c, ordering)
+        dm = dual_monoid(c, ordering)
+        divisors = dm.divisors()
         return {
-            "ok": report["positive"],
-            "divisors": len(report["items"]),
+            "ok": all(table.braid_is_nonneg(dm.embed(x)) for x in divisors),
+            "divisors": len(divisors),
         }
 
     return _orderings(group, coxeter, one)
@@ -574,24 +574,23 @@ def check_conjecture_evidence(
     divisor either way.
     """
 
+    table = kl_table(group)
+
     def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
         dm = dual_monoid(c, ordering)
         consistent = True
         embed_c = dm.embed(c)
+        verdicts = []
         for x in dm.divisors():
             bx = dm.embed(x)
             if bx.image() != x:
                 consistent = False
             if not braid_equal(bx * dm.embed(x.inverse() * c), embed_c):
                 consistent = False
-        report = positivity_report(c, ordering)
-        verdicts = [
-            {"divisor": it["divisor"], "positive": it["positive"]}
-            for it in report["items"]
-        ]
+            verdicts.append({"divisor": _word(x), "positive": table.braid_is_nonneg(bx)})
         return {
             "ok": consistent,
-            "positive": report["positive"],
+            "positive": all(v["positive"] for v in verdicts),
             "divisors": verdicts,
         }
 
@@ -613,12 +612,12 @@ def check_fg_projection(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """The canonical basis projects onto the diagram basis or to zero."""
-    from .tl import fg_projection_check
+    from .tl import fg_projection_failures
 
-    report = fg_projection_check(group.rank)
+    failures = fg_projection_failures(group.rank)
     items = [
-        {"item": "all-elements", "ok": report["pass"],
-         "checked": report["checked"], "violations": report["failures"]}
+        {"item": "all-elements", "ok": not failures,
+         "checked": group.type.order(), "violations": failures}
     ]
     return _finish(group, items)
 
@@ -627,17 +626,19 @@ def check_zinno(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Dual braid images form a triangular basis of the diagram algebra."""
-    from .tl import triangularity_check
+    from .tl import zinno_matrix
 
     def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        report = triangularity_check(c, ordering)
+        zm = zinno_matrix(c, ordering)
+        square, triangular = zm.is_square(), zm.pairing is not None
+        unit, refined = zm.invertible_over_laurent(), zm.bruhat_refined()
         return {
-            "ok": bool(report["pass"]),
-            "square": report["square"],
-            "triangular": report["triangular"],
-            "unit_diagonal": report["unit_diagonal"],
-            "bruhat_refined": report["bruhat_refined"],
-            "size": report["size"],
+            "ok": square and triangular and unit and refined is not False,
+            "square": square,
+            "triangular": triangular,
+            "unit_diagonal": unit,
+            "bruhat_refined": refined,
+            "size": len(zm.rows),
         }
 
     return _orderings(group, coxeter, one)
@@ -647,14 +648,11 @@ def check_tl_positivity(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
 ) -> Report:
     """Zinno rows alternate in sign against the diagram basis."""
-    from .tl import positivity_tl_report
+    from .tl import sign_alternating
 
     def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        report = positivity_tl_report(c, ordering)
-        return {
-            "ok": report["positive"],
-            "divisors": len(report["items"]),
-        }
+        verdicts = sign_alternating(c, ordering)
+        return {"ok": all(verdicts), "divisors": len(verdicts)}
 
     return _orderings(group, coxeter, one)
 

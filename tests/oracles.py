@@ -18,8 +18,9 @@ from coxbraid.coxeter import (
     CoxeterGroup,
     IntegrityError,
     abs_divides,
+    coxeter_group,
     standard_coxeter_elements,
-    type_b_element_embedding,
+    type_b_embedding_words,
 )
 from coxbraid.dual import _t_factor_ids, divisors_of
 from coxbraid.garside import (
@@ -31,7 +32,7 @@ from coxbraid.garside import (
     right_fraction_form,
     word_key,
 )
-from coxbraid.hecke import HeckeElement, _fold, braid_image_a
+from coxbraid.hecke import HeckeElement, _fold
 from coxbraid.laurent import LaurentPolynomial, combine, poly
 from coxbraid.mikado import WiringDiagram
 from coxbraid.tl import TLDiagram, TLElement
@@ -1178,32 +1179,12 @@ def expand_in_C_payload(coeffs: dict) -> dict:
     return out
 
 
-def positivity_report_by_elimination(table, c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-    """The report of hecke.positivity_report, with each simple dual braid's
-    image expanded in {C_w} by triangular elimination."""
-    from coxbraid.dual import dual_monoid
-
-    dm = dual_monoid(c, ordering)
-    items = []
-    for u in dm.divisors():
-        expansion = table.expand_in_C(braid_image_a(dm.embed(u)))
-        items.append({
-            "divisor": list(u.reduced_word()),
-            "coefficients": {
-                ",".join(map(str, w.reduced_word())) or "e": str(p) for w, p in expansion.items()
-            },
-            "positive": all(p.is_nonneg() for p in expansion.values()),
-        })
-    report = {
-        "group": c.group.type.to_json(),
-        "coxeter_element": list(dm.ordering),
-        "items": items,
-        "positive": all(it["positive"] for it in items),
-    }
-    worst = [it for it in items if not it["positive"]]
-    if worst:
-        report["worst"] = worst[0]
-    return report
+def expand_pair_in_C(table, x: CoxeterElement, y: CoxeterElement) -> dict:
+    """Coordinates on {C_w}, in increasing id order, of T_x^-1 T_y, read off
+    the W-graph steps of KLTable._pair_rows."""
+    rows = table._pair_rows(table.table.id_of(x), table.table.id_of(y))
+    elements = table.group.elements()  # in id order
+    return {elements[i]: poly(rows[i]) for i in sorted(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -1222,6 +1203,24 @@ def t_reduced_factorization(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
     reflection of T that divides the remainder, at each step."""
     table = garside_table(x.group)
     return tuple(table.element(t) for t in _t_factor_ids(table, table.id_of(x)))
+
+
+def type_b_embedding(n: int) -> dict[int, CoxeterElement]:
+    """Images in W(A_{2n-1}) of the generators of W(B_n)."""
+    target = coxeter_group("A", 2 * n - 1)
+    return {k: target.from_word(word) for k, word in type_b_embedding_words(n).items()}
+
+
+def type_b_element_embedding(w: CoxeterElement) -> CoxeterElement:
+    """Image of a type B element inside W(A_{2n-1}), via any reduced word."""
+    if w.group.type.family != "B":
+        raise ValueError("expected a type B element")
+    images = type_b_embedding(w.group.rank)
+    target = coxeter_group("A", 2 * w.group.rank - 1)
+    out = target.identity
+    for i in w.reduced_word():
+        out = out * images[i]
+    return out
 
 
 def type_b_absolute_order_embedding_check(c: CoxeterElement) -> bool:

@@ -18,8 +18,6 @@ from coxbraid.coxeter import (
     reduced_words,
     reflections_from_coxeter,
     standard_coxeter_elements,
-    type_b_element_embedding,
-    type_b_embedding,
 )
 from coxbraid.garside import GarsideTable, garside_table
 
@@ -319,7 +317,7 @@ def test_root_builder_on_unregistered_groups(cartan, coxeter_matrix, roots):
 def test_type_b_embedding_is_a_homomorphism():
     n = 2
     b_group = coxeter_group("B", n)
-    images = type_b_embedding(n)
+    images = oracles.type_b_embedding(n)
     a_group = next(iter(images.values())).group
     assert a_group.type.label() == "A3"
     matrix = oracles.coxeter_matrix(b_group)
@@ -329,7 +327,7 @@ def test_type_b_embedding_is_a_homomorphism():
             assert prod.order() == matrix[i - 1][j - 1]
     seen = {}
     for w in b_group.elements():
-        img = type_b_element_embedding(w)
+        img = oracles.type_b_element_embedding(w)
         assert img not in seen.values()
         seen[w] = img
     for x in b_group.elements():

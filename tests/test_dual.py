@@ -223,6 +223,20 @@ def test_dual_atoms(family, rank, m):
             assert table.braid(t).image() == t
 
 
+def test_dual_atoms_is_the_monoid_table():
+    """dual_atoms returns the table its dual monoid holds: one build per
+    (c, ordering), with the monoid's checks on the ordering."""
+    group = coxeter_group("B", 3)
+    for c, ordering in coxeter_element_orderings(group).items():
+        assert dual_atoms(c, ordering) is dual_monoid(c, ordering).atoms
+        assert dual_atoms(c) is dual_monoid(c, None).atoms
+        assert dual_atoms(c).ordering == ordering
+    with pytest.raises(ValueError):
+        dual_atoms(group.from_word((1, 2)))
+    with pytest.raises(ValueError):
+        dual_atoms(group.from_word((1, 2, 3)), (3, 2, 1))
+
+
 def test_dihedral_atoms_closed_form():
     m = 9
     group = coxeter_group("I2", 2, m)

@@ -20,7 +20,14 @@ from coxbraid.coxeter import (
     coxeter_group,
 )
 from coxbraid.dual import dual_monoid
-from coxbraid.garside import BraidWord, GarsideTable, bit_ids, garside_table, positive_lift
+from coxbraid.garside import (
+    BraidWord,
+    GarsideTable,
+    bit_ids,
+    fraction_form,
+    garside_table,
+    positive_lift,
+)
 from coxbraid.hecke import (
     HeckeElement,
     KLTable,
@@ -28,7 +35,6 @@ from coxbraid.hecke import (
     hecke_mul,
     j_h,
     kl_table,
-    positivity_report,
 )
 from coxbraid.laurent import LaurentPolynomial as L
 
@@ -243,14 +249,11 @@ def test_pair_expansions_are_positive_in_rank_two():
 
 
 def test_positivity_report_shape():
-    group = coxeter_group("A", 2)
-    c = group.from_word((1, 2))
-    report = positivity_report(c, (1, 2))
-    assert report["positive"] is True
-    assert report["coxeter_element"] == [1, 2]
-    assert len(report["items"]) == 5
-    assert all(item["positive"] for item in report["items"])
-    assert "worst" not in report
+    report = verify.run_check("thm-8.5", "A", 2, coxeter=(1, 2))
+    assert report.passed
+    assert report.coxeter_element == [1, 2]
+    assert report.items == ({"item": "1,2", "ok": True, "divisors": 5},)
+    assert report.counts == {"items": 1, "failures": 0}
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(coxbraid.__file__)))
@@ -329,7 +332,7 @@ def test_hecke_element_arithmetic_guards():
     with pytest.raises(ValueError):
         kl_table(a2).expand_in_C(HeckeElement.unit(a3))
     with pytest.raises(ValueError):
-        kl_table(a2).expand_in_C((a2.identity, a3.identity))
+        kl_table(a2).braid_is_nonneg(BraidWord(a3, (1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +494,8 @@ def test_pair_steps_match_elimination(family, rank, m):
     els = group.elements()
     for i, x in enumerate(els):
         want = [pair_by_elimination(up, x, y) for y in els]
-        assert [up.expand_in_C((x, y)) for y in els] == want
-        assert [down.expand_in_C((x, y)) for y in reversed(els)] == want[::-1]
+        assert [oracles.expand_pair_in_C(up, x, y) for y in els] == want
+        assert [oracles.expand_pair_in_C(down, x, y) for y in reversed(els)] == want[::-1]
         assert up._pairs[0] == down._pairs[0] == i  # rows of the last x only
 
 
@@ -504,34 +507,77 @@ def test_pair_steps_match_elimination_on_a_sample(family, rank):
     els = group.elements()
     for _ in range(500):
         x, y = rng.choice(els), rng.choice(els)
-        assert table.expand_in_C((x, y)) == pair_by_elimination(table, x, y)
+        assert oracles.expand_pair_in_C(table, x, y) == pair_by_elimination(table, x, y)
 
 
 @pytest.mark.parametrize(
     "family,rank,m", [("A", 3, None), ("B", 3, None), ("H3", 3, None), ("D", 4, None), ("I2", 2, 5)]
 )
 def test_positivity_report_matches_elimination(family, rank, m):
-    """Reports from the fraction pair's W-graph steps equal, key order
-    included, reports from eliminating the image of each simple dual braid."""
+    """For every simple dual braid b on every ordering, the W-graph steps
+    of its fraction give the coordinates that eliminating the image of b
+    gives, braid_is_nonneg reads their signs, and the thm-8.5 report holds
+    one verdict per ordering from them."""
     group = coxeter_group(family, rank, m=m)
     table = kl_table(group)
+    want = []
     for c, ordering in coxeter_element_orderings(group).items():
-        want = oracles.positivity_report_by_elimination(table, c, ordering)
-        assert json.dumps(positivity_report(c, ordering)) == json.dumps(want)
+        dm = dual_monoid(c, ordering)
+        verdicts = []
+        for u in dm.divisors():
+            b = dm.embed(u)
+            expansion = table.expand_in_C(braid_image_a(b))
+            assert oracles.expand_pair_in_C(table, *fraction_form(b)) == expansion
+            verdicts.append(all(p.is_nonneg() for p in expansion.values()))
+            assert table.braid_is_nonneg(b) is verdicts[-1]
+        item = ",".join(map(str, ordering))
+        want.append({"item": item, "ok": all(verdicts), "divisors": len(verdicts)})
+    assert list(verify.run_check("thm-8.5", family, rank, m).items) == want
 
 
 def test_positivity_report_falls_back_to_elimination(monkeypatch):
-    """A braid that fraction_form rejects is expanded by elimination."""
+    """A braid that fraction_form rejects is expanded by elimination, and
+    its verdict reads every sign of the result."""
     group = coxeter_group("D", 4)
     c, ordering = next(iter(coxeter_element_orderings(group).items()))
-    want = positivity_report(c, ordering)
+    dm = dual_monoid(c, ordering)
+    braids = [dm.embed(u) for u in dm.divisors()]
+    table = kl_table(group)
+    want = [table.braid_is_nonneg(b) for b in braids]
+    report = verify.run_check("thm-8.5", "D", 4, coxeter=ordering).to_json()
 
     def not_rational(b):
         raise ValueError("not a rational permutation braid")
 
     monkeypatch.setattr(hecke, "fraction_form", not_rational)
     monkeypatch.setattr(KLTable, "_pair_rows", None)
-    assert positivity_report(c, ordering) == want
+    assert [table.braid_is_nonneg(b) for b in braids] == want
+    assert not table.braid_is_nonneg(BraidWord(group, (1, 1)))  # T_s^2 has -v^-1 C_s
+    again = verify.run_check("thm-8.5", "D", 4, coxeter=ordering).to_json()
+    assert {**again, "elapsed_seconds": 0} == {**report, "elapsed_seconds": 0}
+
+
+def test_a_negative_pair_row_fails_the_ordering(monkeypatch):
+    """thm-8.5 reads every sign of the pair rows: one negative coefficient
+    in the rows of one simple dual braid's fraction fails its ordering."""
+    group = coxeter_group("A", 3)
+    c, ordering = next(iter(coxeter_element_orderings(group).items()))
+    assert verify.run_check("thm-8.5", "A", 3, coxeter=ordering).passed
+    dm = dual_monoid(c, ordering)
+    x, y = fraction_form(dm.embed(dm.divisors()[-1]))
+    t = garside_table(group)
+    target = (t.id_of(x), t.id_of(y))
+    pair_rows = KLTable._pair_rows
+
+    def patched(self, x, y):
+        rows = pair_rows(self, x, y)
+        return {**rows, t.e: {0: -1}} if (x, y) == target else rows
+
+    monkeypatch.setattr(KLTable, "_pair_rows", patched)
+    assert not kl_table(group).pair_is_nonneg(x, y)
+    report = verify.run_check("thm-8.5", "A", 3, coxeter=ordering)
+    assert not report.passed
+    assert report.items == ({"item": ",".join(map(str, ordering)), "ok": False, "divisors": 14},)
 
 
 def test_kl_layer_takes_no_payload_products(monkeypatch):

@@ -13,9 +13,19 @@ Size limits have one home: no module but verify.py, whose budget_guard
 every command calls before it builds a table, and mikado.py, whose count
 caps wait for closed-form counts, raises ResourceError.  A braid folds
 its normal form once: no code outside BraidWord calls _nf_ids on a
-braid's .letters, so every entry point reads BraidWord.nf.  This parses each
-module and rejects the imports, reads, calls and raises that would bring
-any of these back.
+braid's .letters, so every entry point reads BraidWord.nf.  Each module
+imports only the modules below it, lazy imports included, in the order
+
+    laurent < coxeter < garside < hecke < dual < mikado < render < tl
+            < verify < cli < __init__
+
+with one exception: coxeter imports garside at its bottom, once every
+name of coxeter exists, since garside builds its tables on the groups.
+So hecke, for one, may not import dual, tl, verify or cli.  A name read
+off the package itself, as verify's ``from . import __version__``, is
+not a module import: the package is loaded before any of its modules.
+This parses each module and rejects the imports, reads, calls and raises
+that would bring any of these back.
 """
 
 import ast
@@ -46,11 +56,31 @@ LIMIT_FREE = {p.name for p in MODULES} - {"verify.py", "mikado.py"}
 # BraidWord.nf is the one place that folds a braid's letters; every module
 # reads it instead of refolding.
 REFOLD_OWNER = "BraidWord"
+# Each module imports only the modules before it here, apart from the one
+# bottom import of garside by coxeter.
+LAYERS = (
+    "laurent", "coxeter", "garside", "hecke", "dual", "mikado", "render", "tl",
+    "verify", "cli", "__init__",
+)
+BOTTOM_IMPORTS = {("coxeter", "garside")}
+
+
+def imported_modules(node: ast.AST) -> list[str]:
+    """The package modules an import names, "__init__" for the package."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ("coxbraid" if node.level else "", node.module)))
+        paths = [f"{base}.{a.name}" for a in node.names] if base == "coxbraid" else [base]
+    else:
+        return []
+    parts = [path.split(".") + ["__init__"] for path in paths]
+    return [bits[1] for bits in parts if bits[0] == "coxbraid" and bits[1] in LAYERS]
 
 
 def violations(
     tree: ast.AST, payload_free: bool = False, kernel_free: bool = False,
-    limit_free: bool = False, refold_free: bool = False,
+    limit_free: bool = False, refold_free: bool = False, layer: str | None = None,
 ) -> list[str]:
     found = []
     owner = {
@@ -58,6 +88,11 @@ def violations(
         if isinstance(c, ast.ClassDef) and c.name == REFOLD_OWNER for n in ast.walk(c)
     }
     for node in ast.walk(tree):
+        if layer is not None:
+            for name in imported_modules(node):
+                upward = LAYERS.index(name) >= LAYERS.index(layer)
+                if upward and (layer, name) not in BOTTOM_IMPORTS:
+                    found.append(f"line {node.lineno}: {layer} imports {name}, not below it")
         if (
             refold_free and isinstance(node, ast.Call) and id(node) not in owner
             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_nf_ids"
@@ -107,6 +142,7 @@ def violations(
 
 def test_every_module_is_scanned():
     assert {"cli.py", "hecke.py", "verify.py"} <= {p.name for p in MODULES}
+    assert {p.stem for p in MODULES} == set(LAYERS)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -114,7 +150,7 @@ def test_no_threads_and_no_environment(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert violations(
         tree, payload_free=path.name in PAYLOAD_FREE, kernel_free=path.name in KERNEL_FREE,
-        limit_free=path.name in LIMIT_FREE, refold_free=True,
+        limit_free=path.name in LIMIT_FREE, refold_free=True, layer=path.stem,
     ) == []
 
 
@@ -140,13 +176,30 @@ def test_no_threads_and_no_environment(path):
         "raise coxeter.ResourceError",
         "def braid_equal(a, b):\n    return _nf_ids(table, a.letters) == b.nf",
         "k, F = garside._nf_ids(garside_table(b.group), b.letters)",
+        "from .dual import dual_monoid",
+        "def positivity(c):\n    from .tl import zinno_matrix",
+        "from . import verify",
+        "import coxbraid.cli",
+        "from coxbraid.hecke import kl_table",
     ],
 )
 def test_guard_catches(source):
     assert violations(
         ast.parse(source), payload_free=True, kernel_free=True, limit_free=True,
-        refold_free=True,
+        refold_free=True, layer="hecke",
     )
+
+
+def test_layer_guard_spares_lower_and_bottom_imports():
+    source = (
+        "from .coxeter import CoxeterGroup\nfrom . import laurent\n"
+        "def f():\n    from .garside import fraction_form\n"
+    )
+    assert violations(ast.parse(source), layer="hecke") == []
+    assert violations(ast.parse("from . import garside"), layer="coxeter") == []
+    assert violations(ast.parse("from . import __version__"), layer="verify") == []
+    assert violations(ast.parse("from . import coxeter"), layer="garside") == []
+    assert violations(ast.parse("from . import garside"), layer="laurent") != []
 
 
 def test_payload_guard_spares_table_products():

@@ -25,17 +25,17 @@ from coxbraid.tl import (
     _zinno_rows,
     b_w,
     expand_in_b,
-    fg_projection_check,
+    fg_projection_failures,
     fully_commutative,
     identity_diagram,
     omega,
-    positivity_tl_report,
+    sign_alternating,
     theta,
     theta_prime,
     tl_mul,
-    triangularity_check,
     zinno_matrix,
 )
+from coxbraid.verify import run_check
 
 import oracles
 from oracles import cup_cap_diagram, j_tl
@@ -246,7 +246,8 @@ def test_omega_on_generators_and_words():
         assert omega(BraidWord(group, (-i,))) == one.scale(L.v_power(1)) - b_w(s)
     for word in ((1, 2), (1, -2, 1), (-1, -1)):
         b = BraidWord(group, word)
-        assert omega(b) == theta_prime(braid_image_a(b).scale(L.v_power(b.exponent_sum())))
+        exponent_sum = sum(1 if l > 0 else -1 for l in b.letters)
+        assert omega(b) == theta_prime(braid_image_a(b).scale(L.v_power(exponent_sum)))
     assert omega(BraidWord(group, ())) == one
 
 
@@ -306,18 +307,18 @@ def test_zinno_matrix_depends_on_the_coxeter_element():
 @pytest.mark.parametrize("n", [2, 3])
 def test_triangularity_all_standard_elements(n):
     group = coxeter_group("A", n)
+    linear = group.from_word(range(1, n + 1))
     for c in standard_coxeter_elements(group):
-        report = triangularity_check(c)
-        assert report["pass"] is True
-        assert report["square"] and report["triangular"] and report["unit_diagonal"]
+        zm = zinno_matrix(c)
+        assert zm.is_square() and zm.pairing is not None and zm.invertible_over_laurent()
+        assert zm.bruhat_refined() is (True if c == linear else None)
 
 
 def test_triangularity_bruhat_refinement_for_the_linear_element():
     group = coxeter_group("A", 3)
     c = group.from_word((1, 2, 3))
-    report = triangularity_check(c, (1, 2, 3))
-    assert report["bruhat_refined"] is True
     zm = zinno_matrix(c, (1, 2, 3))
+    assert zm.bruhat_refined() is True
     owner = {cj: ri for ri, cj in zm.pairing}
     for x in zm.rows:
         for j, w in enumerate(zm.cols):
@@ -336,9 +337,9 @@ def test_divisors_and_basis_have_matching_sizes():
 def test_sign_alternating_positivity(n):
     group = coxeter_group("A", n)
     for c in standard_coxeter_elements(group):
-        report = positivity_tl_report(c)
-        assert report["positive"] is True
+        verdicts = sign_alternating(c)
         dm = dual_monoid(c)
+        assert verdicts == (True,) * len(dm.divisors())
         for x in dm.divisors():
             exp = expand_in_b(omega(dm.embed(x)))
             for w, p in exp.items():
@@ -346,17 +347,14 @@ def test_sign_alternating_positivity(n):
 
 
 def test_fg_projection():
-    report = fg_projection_check(2)
-    assert report["pass"] is True
+    assert fg_projection_failures(2) == []
     group = coxeter_group("A", 2)
     table = kl_table(group)
     w0 = group.longest_element
     assert theta(table.c_prime(w0)).is_zero()
     for w in fully_commutative(2):
         assert theta(table.c_prime(w)) == b_w(w)
-    report3 = fg_projection_check(3)
-    assert report3["pass"] is True
-    assert report3["checked"] == 24
+    assert fg_projection_failures(3) == []
 
 
 def test_theta_rejects_other_families():
@@ -452,3 +450,25 @@ def test_greedy_pairing_matches_the_rescan_on_random_matrices():
         assert got == oracles.greedy_pairing_rescan(entries)
         outcomes.append(got is None)
     assert 100 < sum(outcomes) < 500
+
+
+def test_a_wrong_sign_fails_exactly_its_ordering(monkeypatch):
+    """thm-8.17 reads every coefficient's sign: one Zinno row with one
+    coefficient negated fails the item of its ordering and no other."""
+    group = coxeter_group("A", 3)
+    assert run_check("thm-8.17", "A", 3).passed
+    bad = list(coxeter_element_orderings(group).values())[2]
+    rows = tl._zinno_rows
+
+    def patched(c, ordering):
+        got = rows(c, ordering)
+        if ordering != bad:
+            return got
+        x, coeffs = got[3]
+        w = next(iter(coeffs))
+        return got[:3] + ((x, {**coeffs, w: -coeffs[w]}),) + got[4:]
+
+    monkeypatch.setattr(tl, "_zinno_rows", patched)
+    report = run_check("thm-8.17", "A", 3)
+    assert [it["item"] for it in report.items if not it["ok"]] == [",".join(map(str, bad))]
+    assert report.counts["failures"] == 1
