@@ -564,6 +564,24 @@ def standard_coxeter_elements(group: CoxeterGroup) -> tuple[CoxeterElement, ...]
     return tuple(coxeter_element_orderings(group))
 
 
+def standard_ordering(c: CoxeterElement, ordering: Iterable[int] | None = None) -> tuple[int, ...]:
+    """The S-ordering of the standard Coxeter element c: ordering itself,
+    checked to list each generator once and to multiply to c, or by default
+    the first ordering realising c.  Raises ValueError otherwise."""
+    g = c.group
+    if ordering is None:
+        found = coxeter_element_orderings(g).get(c)
+        if found is None:
+            raise ValueError("expected a standard Coxeter element")
+        return found
+    ordering = tuple(ordering)
+    if sorted(ordering) != list(range(1, g.rank + 1)):
+        raise ValueError("ordering must be a permutation of the generator indices")
+    if g.from_word(ordering) != c:
+        raise ValueError("ordering does not multiply to the given element")
+    return ordering
+
+
 def reflections_from_coxeter(
     c: CoxeterElement, ordering: tuple[int, ...]
 ) -> frozenset[CoxeterElement]:
@@ -574,10 +592,7 @@ def reflections_from_coxeter(
     beyond the Coxeter number repeat, so k ranges over one full period.
     """
     g = c.group
-    if sorted(ordering) != list(range(1, g.rank + 1)):
-        raise ValueError("ordering must be a permutation of the generator indices")
-    if g.from_word(ordering) != c:
-        raise ValueError("ordering does not multiply to the given element")
+    ordering = standard_ordering(c, ordering)
     palindromes = []
     prefix = g.identity
     for i in ordering:

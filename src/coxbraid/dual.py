@@ -26,9 +26,9 @@ from .coxeter import (
     IntegrityError,
     abs_divides,
     bruhat_leq,
-    coxeter_element_orderings,
     coxeter_group,
     standard_coxeter_elements,
+    standard_ordering,
 )
 from .garside import (
     BraidWord,
@@ -279,14 +279,9 @@ class DualAtomTable:
     """
 
     def __init__(self, c: CoxeterElement, ordering: tuple[int, ...]) -> None:
-        group = c.group
-        if sorted(ordering) != list(range(1, group.rank + 1)):
-            raise ValueError("ordering must be a permutation of the generator indices")
-        if group.from_word(ordering) != c:
-            raise ValueError("ordering does not multiply to the given element")
-        self.group = group
+        self.group = group = c.group
         self.c = c
-        self.ordering = tuple(ordering)
+        self.ordering = standard_ordering(c, ordering)
         table = garside_table(group)
         n = group.rank
         T = group.reflections
@@ -330,14 +325,11 @@ class DualAtomTable:
 class DualMonoid:
     """All dual braid data attached to one standard Coxeter element."""
 
-    def __init__(self, c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> None:
-        _require_standard(c)
-        if ordering is None:
-            ordering = coxeter_element_orderings(c.group)[c]
+    def __init__(self, c: CoxeterElement, ordering: tuple[int, ...]) -> None:
         self.group = c.group
         self.c = c
-        self.ordering = tuple(ordering)
-        self.atoms = DualAtomTable(c, self.ordering)
+        self.atoms = DualAtomTable(c, ordering)
+        self.ordering = self.atoms.ordering
         self._table: GarsideTable = garside_table(c.group)
         self._cid = self._table.id_of(c)
         self._divisors: tuple[CoxeterElement, ...] | None = None
@@ -369,8 +361,14 @@ class DualMonoid:
         return BraidWord(self.group, _letters_of_nf_ids(self._table, self.embed_nf_ids(x)))
 
 
-@cache
 def dual_monoid(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> DualMonoid:
+    """The one DualMonoid of c under its ordering, by default the first that
+    realises c: dual_monoid(c) is dual_monoid(c, that ordering)."""
+    return _dual_monoid(c, standard_ordering(c, ordering))
+
+
+@cache
+def _dual_monoid(c: CoxeterElement, ordering: tuple[int, ...]) -> DualMonoid:
     return DualMonoid(c, ordering)
 
 

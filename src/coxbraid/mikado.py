@@ -116,10 +116,6 @@ def wiring_from_square_free(b: BraidWord) -> WiringDiagram:
     return d
 
 
-def good_strands(d: WiringDiagram) -> frozenset[int]:
-    return d.good_strands()
-
-
 def _peel_single(d: WiringDiagram) -> bool:
     while d.crossings:
         good = d.good_strands()

@@ -45,6 +45,7 @@ from .coxeter import (
     bruhat_leq,
     coxeter_group,
     reduced_words,
+    standard_ordering,
 )
 from .dual import dual_monoid
 from .garside import BraidWord, garside_table, word_key
@@ -541,10 +542,12 @@ def _greedy_pairing(
 
 @cache
 def _zinno_rows(
-    c: CoxeterElement, ordering: tuple[int, ...] | None
+    c: CoxeterElement, ordering: tuple[int, ...]
 ) -> tuple[tuple[CoxeterElement, dict[CoxeterElement, LaurentPolynomial]], ...]:
     """Each divisor x of c with the {b_w} coordinates of omega of its dual
     braid, ordered by reflection length; shared by every Zinno check.
+    Callers resolve the ordering (standard_ordering), so that each c has
+    one entry per ordering.
 
     The dual braids' words share long prefixes (26 of the 42 words of A4
     under the ordering (1, 2, 3, 4) begin with the same 10 letters), so
@@ -562,7 +565,7 @@ def _zinno_rows(
 
 
 def zinno_matrix(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> ZinnoMatrix:
-    rows = _zinno_rows(c, ordering)
+    rows = _zinno_rows(c, standard_ordering(c, ordering))
     cols = tuple(
         sorted(fully_commutative(c.group.rank), key=lambda w: (w.length(), w.sort_key()))
     )
@@ -580,7 +583,7 @@ def sign_alternating(
     odd = {w for w in _fc_of_diagram(c.group.rank) if w.length() % 2}
     return tuple(
         all((k < 0) == (w in odd) for w, p in coeffs.items() for _, k in p.terms)
-        for _, coeffs in _zinno_rows(c, ordering)
+        for _, coeffs in _zinno_rows(c, standard_ordering(c, ordering))
     )
 
 

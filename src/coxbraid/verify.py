@@ -1,28 +1,27 @@
 """Verification sweeps behind the command line interface.
 
-Each named check produces a Report with one verdict per item, in one of
-three shapes, which its registry entry names in ``CheckSpec.sweep``: an
-ordering sweep (``_orderings``) has one item per standard Coxeter element,
-or only the one given as ``coxeter``; a pair sweep (``_pairs``) has one
-per pair (x, y), |W|^2 in all, whose verdict is that of the braid
-b(x)^-1 b(y), checked once per distinct braid, on its coprime pair; a
-whole-group check reads its items off one library call.  ``run_check``
-enforces the registry's families, ``coxeter`` and the one size guard
-``budget_guard`` before any table is built, and stamps the theorem id and
-the elapsed time on the report.  The checks hold no mathematics of their
-own: a verdict is always the result of calling the corresponding library
-operation, so the command line layer stays a thin shell.  The library
-hands back verdicts, and this module alone shapes them into report
-items.  The conjecture sweep is special in that its report is evidence,
-not an assertion: it passes when the computation completes and is
-internally consistent, and the per divisor outcomes are data.
+Each named check is one row of the registry ``CHECKS``, and ``run_check``
+turns a row into a Report with one verdict per item.  The row's ``sweep``
+names the shape of the items and how its ``verdict`` is called (see
+CheckSpec): an ordering sweep calls verdict(c, ordering) for each standard
+Coxeter element c, or only the one given as ``coxeter``; a pair sweep has
+one item per pair (x, y), |W|^2 in all, and calls verdict(x, y) once per
+distinct braid b(x)^-1 b(y), on its coprime pair; a whole-group check
+takes all its items from verdict(group).  ``run_check`` enforces the
+registry's families, ``coxeter`` and the one size guard ``budget_guard``
+before any table is built, and builds the report.  The checks hold no
+mathematics of their own: a verdict is always the result of calling the
+corresponding library operation, so the command line layer stays a thin
+shell.  The library hands back verdicts, and this module alone shapes
+them into report items.  A conjecture (an id starting "conj-") reports
+evidence, not an assertion: it passes when the computation completes and
+is internally consistent, and the per divisor outcomes are data.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from .coxeter import (
@@ -34,6 +33,7 @@ from .coxeter import (
     coxeter_group_of,
     coxeter_type,
     reflections_from_coxeter,
+    standard_ordering,
 )
 from .dual import (
     DualAtomTable,
@@ -62,6 +62,7 @@ from .garside import (
 )
 from .hecke import kl_table
 from .mikado import is_mikado_A, is_mikado_B
+from .tl import fg_projection_failures, sign_alternating, zinno_matrix
 
 DEFAULT_BUDGETS = {"A": 5, "B": 4, "D": 4, "I2": 12, "H3": 3, "F4": 4}
 # Pair sweeps take 0.026 ms (prop-4.4), 0.040 ms (thm-5.9) and 0.11 ms
@@ -157,55 +158,22 @@ def _word(w: CoxeterElement) -> list[int]:
     return list(w.reduced_word())
 
 
-def _standard_sweep(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None
-) -> tuple[tuple[CoxeterElement, tuple[int, ...]], ...]:
-    """The standard Coxeter elements to sweep, each with an S-ordering."""
-    orderings = coxeter_element_orderings(group)
-    if coxeter is None:
-        return tuple(orderings.items())
-    word = tuple(coxeter)
-    if sorted(word) != list(range(1, group.rank + 1)):
-        raise ValueError("--coxeter must list every generator exactly once")
-    return ((group.from_word(word), word),)
-
-
 def _pair_braid(x: CoxeterElement, y: CoxeterElement) -> BraidWord:
     return positive_lift(x).inverse() * positive_lift(y)
 
 
-def _finish(
-    group: CoxeterGroup,
-    items: list[dict],
-    extra_counts: dict | None = None,
-    coxeter: tuple[int, ...] | None = None,
-) -> Report:
-    """The report of a sweep; run_check fills in the command and the time."""
-    failures = sum(1 for it in items if not it["ok"])
-    counts = {"items": len(items), "failures": failures}
-    if extra_counts:
-        counts.update(extra_counts)
-    return Report(
-        command="",
-        group=group.type.to_json(),
-        passed=failures == 0,
-        items=tuple(items),
-        counts=counts,
-        elapsed=0.0,
-        coxeter_element=list(coxeter) if coxeter is not None else None,
-    )
-
-
 def _orderings(
     group: CoxeterGroup, coxeter: tuple[int, ...] | None,
-    one: Callable[[CoxeterElement, tuple[int, ...]], dict], extra_counts: dict | None = None,
-) -> Report:
-    """One item per standard Coxeter element c: one(c, ordering), keyed "1,2,3"."""
-    items = [
-        {"item": ",".join(map(str, ordering)), **one(c, ordering)}
-        for c, ordering in _standard_sweep(group, coxeter)
-    ]
-    return _finish(group, items, extra_counts, coxeter=coxeter)
+    verdict: Callable[[CoxeterElement, tuple[int, ...]], dict],
+) -> list[dict]:
+    """One item per standard Coxeter element c, or only the one whose
+    ordering is coxeter: verdict(c, ordering), keyed "1,2,3"."""
+    if coxeter is None:
+        sweep = coxeter_element_orderings(group).items()
+    else:
+        c = group.from_word(coxeter)
+        sweep = ((c, standard_ordering(c, coxeter)),)
+    return [{"item": ",".join(map(str, ordering)), **verdict(c, ordering)} for c, ordering in sweep]
 
 
 def _coprime_pair(table: GarsideTable, x: int, y: int) -> tuple[int, int]:
@@ -227,14 +195,14 @@ def _coprime_pair(table: GarsideTable, x: int, y: int) -> tuple[int, int]:
 
 
 def _pairs(
-    group: CoxeterGroup, ok: Callable[[CoxeterElement, CoxeterElement], bool]
-) -> Report:
+    group: CoxeterGroup, verdict: Callable[[CoxeterElement, CoxeterElement], bool]
+) -> list[dict]:
     """One item per pair (x, y), keyed "wx|wy" by shortlex words ("e" if
-    empty), in x-major id order, with the verdict ok gives its braid.
+    empty), in x-major id order, with the verdict of its braid.
 
-    A verdict depends only on the braid b(x)^-1 b(y), so ok is called once
-    per distinct braid: on the coprime pairs (no common left descent), in
-    x-major id order, which keeps KLTable._pair_rows at one elimination
+    A verdict depends only on the braid b(x)^-1 b(y), so verdict is called
+    once per distinct braid: on the coprime pairs (no common left descent),
+    in x-major id order, which keeps KLTable._pair_rows at one elimination
     per x.  Every other pair reads the verdict of its _coprime_pair, whose
     x is shorter and so was checked earlier.
     """
@@ -247,65 +215,46 @@ def _pairs(
         for y, (ey, wy) in enumerate(zip(elements, words)):
             key = _coprime_pair(table, x, y)
             if key == (x, y):
-                verdicts[key] = ok(ex, ey)
+                verdicts[key] = verdict(ex, ey)
             items.append({"item": f"{wx}|{wy}", "ok": verdicts[key]})
-    return _finish(group, items)
+    return items
 
 
 # ---------------------------------------------------------------------------
 # reflection generation and the absolute order
 
 
-def check_reflection_generation(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _reflection_generation(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """Conjugating the partial products of c sweeps out every reflection."""
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        generated = reflections_from_coxeter(c, ordering)
-        ok = generated == frozenset(group.reflections)
-        return {"ok": ok, "generated": len(generated)}
-
-    return _orderings(group, coxeter, one, {"reflections": len(group.reflections)})
+    generated = reflections_from_coxeter(c, ordering)
+    return {"ok": generated == frozenset(c.group.reflections), "generated": len(generated)}
 
 
-def check_parabolic_divisors(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _parabolic_divisors(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """Every divisor completes to c with additive reflection length."""
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        total = c.reflection_length()
-        bad = []
-        divisors = divisors_of(c)
-        for x in divisors:
-            rest = x.inverse() * c
-            if x.reflection_length() + rest.reflection_length() != total:
-                bad.append(_word(x))
-        return {
-            "ok": not bad,
-            "divisors": len(divisors),
-            "violations": bad,
-        }
-
-    return _orderings(group, coxeter, one)
+    total = c.reflection_length()
+    bad = []
+    divisors = divisors_of(c)
+    for x in divisors:
+        rest = x.inverse() * c
+        if x.reflection_length() + rest.reflection_length() != total:
+            bad.append(_word(x))
+    return {
+        "ok": not bad,
+        "divisors": len(divisors),
+        "violations": bad,
+    }
 
 
-def check_dual_relations(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _dual_relations(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """The dual braid relations hold among the atom lifts."""
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        rows = verify_dual_relations(c, ordering)
-        bad = [(_word(t1), _word(t2)) for t1, t2, _, ok in rows if not ok]
-        return {
-            "ok": not bad,
-            "relations": len(rows),
-            "violations": bad,
-        }
-
-    return _orderings(group, coxeter, one)
+    rows = verify_dual_relations(c, ordering)
+    bad = [(_word(t1), _word(t2)) for t1, t2, _, ok in rows if not ok]
+    return {
+        "ok": not bad,
+        "relations": len(rows),
+        "violations": bad,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -340,35 +289,30 @@ def _reduced_factorizations(c: CoxeterElement) -> frozenset[tuple[CoxeterElement
     return frozenset(out)
 
 
-def check_hurwitz(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _hurwitz(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """The Hurwitz orbit of (s_1, ..., s_n) carries all factorizations.
 
     The orbit is compared against an independent brute force
     enumeration, and the braid level orbit must project bijectively.
     """
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        start = tuple(group.generator(i) for i in ordering)
-        orbit = hurwitz_orbit(start)
-        brute = _reduced_factorizations(c)
-        braid_orbit = hurwitz_orbit_braids(
-            tuple(BraidWord(group, (i,)) for i in ordering)
-        )
-        projected = frozenset(tuple(b.image() for b in tup) for tup in braid_orbit)
-        ok = (
-            frozenset(orbit) == brute
-            and len(braid_orbit) == len(orbit)
-            and projected == brute
-        )
-        return {
-            "ok": ok,
-            "orbit": len(orbit),
-            "factorizations": len(brute),
-        }
-
-    return _orderings(group, coxeter, one)
+    group = c.group
+    start = tuple(group.generator(i) for i in ordering)
+    orbit = hurwitz_orbit(start)
+    brute = _reduced_factorizations(c)
+    braid_orbit = hurwitz_orbit_braids(
+        tuple(BraidWord(group, (i,)) for i in ordering)
+    )
+    projected = frozenset(tuple(b.image() for b in tup) for tup in braid_orbit)
+    ok = (
+        frozenset(orbit) == brute
+        and len(braid_orbit) == len(orbit)
+        and projected == brute
+    )
+    return {
+        "ok": ok,
+        "orbit": len(orbit),
+        "factorizations": len(brute),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -393,268 +337,186 @@ def _dihedral_atom_words(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _closed_form(group: CoxeterGroup, ordering: tuple[int, ...], table: DualAtomTable) -> dict:
+def _closed_form(table: DualAtomTable) -> dict:
     """{"closed_form": match} for I2(m) under the ordering (1, 2), where match
     says whether the atom words are those of _dihedral_atom_words; else {}."""
-    if group.type.family != "I2" or ordering != (1, 2):
+    group = table.group
+    if group.type.family != "I2" or table.ordering != (1, 2):
         return {}
     got = {table.braid(t).letters for t in table.reflections}
     return {"closed_form": got == set(_dihedral_atom_words(group.type.m))}
 
 
-def check_dual_atoms(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _atoms(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """The rotation formula produces one rational atom per reflection."""
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        table = dual_atoms(c, ordering)
-        reflections = table.reflections
-        ok = len(reflections) == len(group.reflections)
-        ok = ok and table.all_rational()
-        ok = ok and all(table.braid(t).image() == t for t in reflections)
-        nf_keys = {table.normal_form_ids(t) for t in reflections}
-        ok = ok and len(nf_keys) == len(reflections)
-        extra = _closed_form(group, ordering, table)
-        return {
-            "ok": ok and extra.get("closed_form", True),
-            "atoms": len(reflections),
-            **extra,
-        }
-
-    return _orderings(group, coxeter, one, {"reflections": len(group.reflections)})
+    table = dual_atoms(c, ordering)
+    reflections = table.reflections
+    ok = len(reflections) == len(c.group.reflections)
+    ok = ok and table.all_rational()
+    ok = ok and all(table.braid(t).image() == t for t in reflections)
+    nf_keys = {table.normal_form_ids(t) for t in reflections}
+    ok = ok and len(nf_keys) == len(reflections)
+    extra = _closed_form(table)
+    return {
+        "ok": ok and extra.get("closed_form", True),
+        "atoms": len(reflections),
+        **extra,
+    }
 
 
 # ---------------------------------------------------------------------------
 # rational permutation braids
 
 
-def check_rational_fraction(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _rational_fraction(x: CoxeterElement, y: CoxeterElement) -> bool:
     """Left and right fractions characterise the rational braids.
 
-    For every pair (x, y) the braid b(x)^-1 b(y) must pass the interval
-    test, round trip through both fraction forms, and stay rational
-    under inversion.
+    The braid b(x)^-1 b(y) must pass the interval test, round trip through
+    both fraction forms, and stay rational under inversion.
     """
-
-    def one(x: CoxeterElement, y: CoxeterElement) -> bool:
-        b = _pair_braid(x, y)
-        ok = is_rational_permutation(b) and is_rational_permutation(b.inverse())
-        if ok:
-            fx, fy = fraction_form(b)
-            ok = braid_equal(_pair_braid(fx, fy), b)
-        if ok:
-            gx, gy = right_fraction_form(b)
-            ok = braid_equal(positive_lift(gx) * positive_lift(gy).inverse(), b)
-        return ok
-
-    return _pairs(group, one)
-
-
-def check_square_free(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
-    """Every rational permutation braid has a signed reduced word lift."""
-
-    def one(x: CoxeterElement, y: CoxeterElement) -> bool:
-        b = _pair_braid(x, y)
-        return is_square_free(b) and braid_equal(signed_lift(b), b)
-
-    return _pairs(group, one)
-
-
-def _equivalent(mikado: Callable[[BraidWord], bool], x: CoxeterElement, y: CoxeterElement) -> bool:
-    """b(x)^-1 b(y) is rational, passes mikado and is square free."""
     b = _pair_braid(x, y)
-    ok = is_rational_permutation(b)
-    ok = ok and mikado(b)
+    ok = is_rational_permutation(b) and is_rational_permutation(b.inverse())
     if ok:
         fx, fy = fraction_form(b)
         ok = braid_equal(_pair_braid(fx, fy), b)
-    ok = ok and braid_equal(signed_lift(b), b)
+    if ok:
+        gx, gy = right_fraction_form(b)
+        ok = braid_equal(positive_lift(gx) * positive_lift(gy).inverse(), b)
     return ok
 
 
-def check_equivalence_a(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
-    """Rational, strand removable and square free coincide in family A."""
-    return _pairs(group, partial(_equivalent, is_mikado_A))
+def _square_free(x: CoxeterElement, y: CoxeterElement) -> bool:
+    """Every rational permutation braid has a signed reduced word lift."""
+    b = _pair_braid(x, y)
+    return is_square_free(b) and braid_equal(signed_lift(b), b)
 
 
-def check_equivalence_b(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
-    """The family B counterpart, peeling symmetric strand pairs.
+def _equivalent(x: CoxeterElement, y: CoxeterElement) -> bool:
+    """b(x)^-1 b(y) is rational, strand removable and square free.
 
-    The Mikado test runs on the flip symmetric picture, so each braid is
-    folded into the doubled strand family A group first.
+    In family A good strands peel the braid; in family B symmetric strand
+    pairs do, on the flip symmetric picture, so each braid is folded into
+    the doubled strand family A group first.
     """
-    return _pairs(group, partial(_equivalent, lambda b: is_mikado_B(embed_braid_b_to_a(b))))
+    b = _pair_braid(x, y)
+    ok = is_rational_permutation(b)
+    if ok:
+        family = b.group.type.family
+        ok = is_mikado_A(b) if family == "A" else is_mikado_B(embed_braid_b_to_a(b))
+    if ok:
+        fx, fy = fraction_form(b)
+        ok = braid_equal(_pair_braid(fx, fy), b)
+    return ok and braid_equal(signed_lift(b), b)
 
 
 # ---------------------------------------------------------------------------
 # simple dual braids
 
 
-def check_embed_rational(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _embed_rational(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """Every embedded simple dual braid is a rational permutation braid."""
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        dm = dual_monoid(c, ordering)
-        bad = []
-        for x in dm.divisors():
-            nf = dm.embed_nf_ids(x)
-            if not _rational_ids(nf) or dm.embed(x).image() != x:
-                bad.append(_word(x))
-        extra = _closed_form(group, ordering, dm.atoms)
-        return {
-            "ok": not bad and extra.get("closed_form", True),
-            "divisors": len(dm.divisors()),
-            "violations": bad,
-            **extra,
-        }
-
-    return _orderings(group, coxeter, one)
+    dm = dual_monoid(c, ordering)
+    bad = []
+    for x in dm.divisors():
+        nf = dm.embed_nf_ids(x)
+        if not _rational_ids(nf) or dm.embed(x).image() != x:
+            bad.append(_word(x))
+    extra = _closed_form(dm.atoms)
+    return {
+        "ok": not bad and extra.get("closed_form", True),
+        "divisors": len(dm.divisors()),
+        "violations": bad,
+        **extra,
+    }
 
 
-def check_linear_bruhat(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _linear_bruhat(group: CoxeterGroup) -> list[dict]:
     """Fractions of simple dual braids of the one line c go up in Bruhat order."""
-    rows = linear_coxeter_bruhat_check(group.rank)
-    items = [
+    return [
         {"item": ",".join(map(str, u.reduced_word())), "ok": ok,
          "numerator": _word(x), "denominator": _word(y)}
-        for u, x, y, ok in rows
+        for u, x, y, ok in linear_coxeter_bruhat_check(group.rank)
     ]
-    return _finish(group, items)
 
 
 # ---------------------------------------------------------------------------
 # canonical basis positivity
 
 
-def check_kl_pair_positivity(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _kl_pair_positive(x: CoxeterElement, y: CoxeterElement) -> bool:
     """T_x^-1 T_y expands with nonnegative canonical coefficients."""
-    return _pairs(group, kl_table(group).pair_is_nonneg)
+    return kl_table(x.group).pair_is_nonneg(x, y)
 
 
-def check_kl_embed_positivity(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _kl_embed_positive(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """Simple dual braids expand positively in the canonical basis."""
-    table = kl_table(group)
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        dm = dual_monoid(c, ordering)
-        divisors = dm.divisors()
-        return {
-            "ok": all(table.braid_is_nonneg(dm.embed(x)) for x in divisors),
-            "divisors": len(divisors),
-        }
-
-    return _orderings(group, coxeter, one)
+    table = kl_table(c.group)
+    dm = dual_monoid(c, ordering)
+    divisors = dm.divisors()
+    return {
+        "ok": all(table.braid_is_nonneg(dm.embed(x)) for x in divisors),
+        "divisors": len(divisors),
+    }
 
 
-def check_conjecture_evidence(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _kl_evidence(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """Canonical positivity sweep reported as evidence, not asserted.
 
-    Passing means the sweep completed and was internally consistent:
-    every embedding projects back onto its divisor and is multiplicative
-    against the complement.  The positivity outcomes are recorded per
-    divisor either way.
+    ok means the sweep was internally consistent: every embedding projects
+    back onto its divisor and is multiplicative against the complement.
+    The positivity outcomes are recorded per divisor either way.
     """
-
-    table = kl_table(group)
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        dm = dual_monoid(c, ordering)
-        consistent = True
-        embed_c = dm.embed(c)
-        verdicts = []
-        for x in dm.divisors():
-            bx = dm.embed(x)
-            if bx.image() != x:
-                consistent = False
-            if not braid_equal(bx * dm.embed(x.inverse() * c), embed_c):
-                consistent = False
-            verdicts.append({"divisor": _word(x), "positive": table.braid_is_nonneg(bx)})
-        return {
-            "ok": consistent,
-            "positive": all(v["positive"] for v in verdicts),
-            "divisors": verdicts,
-        }
-
-    report = _orderings(group, coxeter, one)
-    report.counts["positive_sweeps"] = sum(1 for it in report.items if it["positive"])
-    report.evidence_only = True
-    report.notes = (
-        "evidence report: positivity outcomes are data; pass means the "
-        "sweep completed with consistent embeddings",
-    )
-    return report
+    table = kl_table(c.group)
+    dm = dual_monoid(c, ordering)
+    consistent = True
+    embed_c = dm.embed(c)
+    verdicts = []
+    for x in dm.divisors():
+        bx = dm.embed(x)
+        if bx.image() != x:
+            consistent = False
+        if not braid_equal(bx * dm.embed(x.inverse() * c), embed_c):
+            consistent = False
+        verdicts.append({"divisor": _word(x), "positive": table.braid_is_nonneg(bx)})
+    return {
+        "ok": consistent,
+        "positive": all(v["positive"] for v in verdicts),
+        "divisors": verdicts,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Temperley Lieb checks
 
 
-def check_fg_projection(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _fg_projection(group: CoxeterGroup) -> list[dict]:
     """The canonical basis projects onto the diagram basis or to zero."""
-    from .tl import fg_projection_failures
-
     failures = fg_projection_failures(group.rank)
-    items = [
+    return [
         {"item": "all-elements", "ok": not failures,
          "checked": group.type.order(), "violations": failures}
     ]
-    return _finish(group, items)
 
 
-def check_zinno(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _zinno(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """Dual braid images form a triangular basis of the diagram algebra."""
-    from .tl import zinno_matrix
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        zm = zinno_matrix(c, ordering)
-        square, triangular = zm.is_square(), zm.pairing is not None
-        unit, refined = zm.invertible_over_laurent(), zm.bruhat_refined()
-        return {
-            "ok": square and triangular and unit and refined is not False,
-            "square": square,
-            "triangular": triangular,
-            "unit_diagonal": unit,
-            "bruhat_refined": refined,
-            "size": len(zm.rows),
-        }
-
-    return _orderings(group, coxeter, one)
+    zm = zinno_matrix(c, ordering)
+    square, triangular = zm.is_square(), zm.pairing is not None
+    unit, refined = zm.invertible_over_laurent(), zm.bruhat_refined()
+    return {
+        "ok": square and triangular and unit and refined is not False,
+        "square": square,
+        "triangular": triangular,
+        "unit_diagonal": unit,
+        "bruhat_refined": refined,
+        "size": len(zm.rows),
+    }
 
 
-def check_tl_positivity(
-    group: CoxeterGroup, coxeter: tuple[int, ...] | None = None
-) -> Report:
+def _tl_positive(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """Zinno rows alternate in sign against the diagram basis."""
-    from .tl import sign_alternating
-
-    def one(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
-        verdicts = sign_alternating(c, ordering)
-        return {"ok": all(verdicts), "divisors": len(verdicts)}
-
-    return _orderings(group, coxeter, one)
+    verdicts = sign_alternating(c, ordering)
+    return {"ok": all(verdicts), "divisors": len(verdicts)}
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +525,19 @@ def check_tl_positivity(
 
 @dataclass(frozen=True)
 class CheckSpec:
+    """One registered check.  The signature of verdict follows sweep:
+    "orderings", verdict(c, ordering) -> the item's fields, "ok" among them;
+    "pairs", verdict(x, y) -> bool, the verdict of the braid b(x)^-1 b(y);
+    "group", verdict(group) -> all items.  reflections adds the number of
+    reflections of the group to the counts.
+    """
+
     theorem_id: str
     families: tuple[str, ...]
     description: str
-    fn: Callable[..., Report]
-    sweep: str = "orderings"  # or "pairs", one item per pair of elements, or "group"
+    verdict: Callable
+    sweep: str = "orderings"
+    reflections: bool = False
 
 
 CHECKS: dict[str, CheckSpec] = {
@@ -676,97 +546,97 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec(
             "prop-3.2", ("A", "B", "D", "I2", "H3", "F4"),
             "reflections generated from any standard Coxeter element",
-            check_reflection_generation,
+            _reflection_generation, reflections=True,
         ),
         CheckSpec(
             "cor-3.4", ("A", "B", "D", "I2", "H3", "F4"),
             "divisors complete to c with additive reflection length",
-            check_parabolic_divisors,
+            _parabolic_divisors,
         ),
         CheckSpec(
             "prop-3.5", ("A", "B", "D", "I2", "H3", "F4"),
             "dual braid relations hold among atom lifts",
-            check_dual_relations,
+            _dual_relations,
         ),
         CheckSpec(
             "thm-3.7", ("A", "B", "D", "I2", "H3", "F4"),
             "Hurwitz orbit equals all reduced reflection factorizations",
-            check_hurwitz,
+            _hurwitz,
         ),
         CheckSpec(
             "prop-3.9", ("A", "B", "D", "I2", "H3", "F4"),
             "rotation formula atoms: distinct, rational, consistent",
-            check_dual_atoms,
+            _atoms, reflections=True,
         ),
         CheckSpec(
             "prop-4.4", ("A", "B", "D", "I2", "H3", "F4"),
             "rational braids round trip through coprime fractions",
-            check_rational_fraction, sweep="pairs",
+            _rational_fraction, sweep="pairs",
         ),
         CheckSpec(
             "lemma-4.5", ("A", "B", "D", "I2", "H3", "F4"),
             "rational braids are square free",
-            check_square_free, sweep="pairs",
+            _square_free, sweep="pairs",
         ),
         CheckSpec(
             "thm-5.9", ("A",),
             "rational equals strand removable equals square free, family A",
-            check_equivalence_a, sweep="pairs",
+            _equivalent, sweep="pairs",
         ),
         CheckSpec(
             "thm-5.13", ("A",),
             "simple dual braids are rational, family A",
-            check_embed_rational,
+            _embed_rational,
         ),
         CheckSpec(
             "prop-5.14", ("A",),
             "one line Coxeter fractions rise in Bruhat order",
-            check_linear_bruhat, sweep="group",
+            _linear_bruhat, sweep="group",
         ),
         CheckSpec(
             "thm-6.4", ("B",),
             "rational equals symmetric strand removable, family B",
-            check_equivalence_b, sweep="pairs",
+            _equivalent, sweep="pairs",
         ),
         CheckSpec(
             "thm-6.9", ("B",),
             "simple dual braids are rational, family B",
-            check_embed_rational,
+            _embed_rational,
         ),
         CheckSpec(
             "thm-7.1", ("I2", "H3", "F4"),
             "simple dual braids are rational, exceptional families",
-            check_embed_rational,
+            _embed_rational,
         ),
         CheckSpec(
             "thm-8.2", ("A", "B", "D", "I2", "H3"),
             "T_x^-1 T_y has nonnegative canonical coefficients",
-            check_kl_pair_positivity, sweep="pairs",
+            _kl_pair_positive, sweep="pairs",
         ),
         CheckSpec(
             "thm-8.5", ("A", "B", "D", "I2", "H3", "F4"),
             "simple dual braids expand positively in the canonical basis",
-            check_kl_embed_positivity,
+            _kl_embed_positive,
         ),
         CheckSpec(
             "conj-8.6", ("D",),
             "canonical positivity sweep in family D, reported as evidence",
-            check_conjecture_evidence,
+            _kl_evidence,
         ),
         CheckSpec(
             "thm-8.11", ("A",),
             "canonical basis projects onto the diagram basis",
-            check_fg_projection, sweep="group",
+            _fg_projection, sweep="group",
         ),
         CheckSpec(
             "thm-8.13", ("A",),
             "Zinno matrix is a triangular basis with unit diagonal",
-            check_zinno,
+            _zinno,
         ),
         CheckSpec(
             "thm-8.17", ("A",),
             "sign alternating positivity of Zinno rows",
-            check_tl_positivity,
+            _tl_positive,
         ),
     )
 }
@@ -783,9 +653,13 @@ def run_check(
 ) -> Report:
     """Run one named check on one group, in process and on one thread.
 
-    Only ordering sweeps take coxeter.  workers=1 is accepted for callers
-    that pass it; any other value raises ValueError.  The report's time
-    leaves out the group set-up and the guard.
+    The registry row's sweep decides how its verdict is called: only
+    ordering sweeps take coxeter, and only pair sweeps meet the pair limit
+    of budget_guard.  A conjecture's report is evidence: it passes when
+    every item is consistent, and counts as positive_sweeps the items whose
+    divisors all expand positively.  workers=1 is accepted for callers that
+    pass it; any other value raises ValueError.  The report's time leaves
+    out the group set-up and the guard.
     """
     if workers != 1:
         raise ValueError("sweeps run on one thread; workers must be 1")
@@ -803,9 +677,29 @@ def run_check(
     notes = budget_guard(ctype, spec.sweep == "pairs", budget)
     group = coxeter_group_of(ctype)
     started = time.perf_counter()
-    report = spec.fn(group, coxeter=coxeter)
-    report.command = theorem_id
-    report.elapsed = time.perf_counter() - started
-    if notes:
-        report.notes = tuple(report.notes) + notes
-    return report
+    if spec.sweep == "orderings":
+        items = _orderings(group, coxeter, spec.verdict)
+    elif spec.sweep == "pairs":
+        items = _pairs(group, spec.verdict)
+    else:
+        items = spec.verdict(group)
+    failures = sum(1 for it in items if not it["ok"])
+    counts = {"items": len(items), "failures": failures}
+    if spec.reflections:
+        counts["reflections"] = len(group.reflections)
+    evidence = theorem_id.startswith("conj-")
+    if evidence:
+        counts["positive_sweeps"] = sum(1 for it in items if it["positive"])
+        notes = ("evidence report: positivity outcomes are data; pass means the "
+                 "sweep completed with consistent embeddings",) + notes
+    return Report(
+        command=theorem_id,
+        group=group.type.to_json(),
+        passed=failures == 0,
+        items=tuple(items),
+        counts=counts,
+        elapsed=time.perf_counter() - started,
+        coxeter_element=list(coxeter) if coxeter is not None else None,
+        evidence_only=evidence,
+        notes=notes,
+    )

@@ -36,7 +36,6 @@ from coxbraid.hecke import HeckeElement, _fold
 from coxbraid.laurent import LaurentPolynomial, combine, poly
 from coxbraid.mikado import WiringDiagram
 from coxbraid.tl import TLDiagram, TLElement
-from coxbraid.verify import _finish
 
 
 # Every group the parametrized tests of the package cover, as
@@ -1261,15 +1260,14 @@ def bar_involution(h: HeckeElement) -> HeckeElement:
 
 
 def pairs_all(group: CoxeterGroup, ok, rows=None):
-    """The report of verify._pairs with ok called on every pair (x, y),
+    """The items of verify._pairs with ok called on every pair (x, y),
     one item per pair keyed "wx|wy", in x-major id order.  rows, a set of
     ids, keeps only the items of those x."""
     elements = group.elements()
     words = [word_key(w) for w in elements]
-    items = [
+    return [
         {"item": f"{wx}|{wy}", "ok": ok(x, y)}
         for i, (x, wx) in enumerate(zip(elements, words))
         if rows is None or i in rows
         for y, wy in zip(elements, words)
     ]
-    return _finish(group, items)

@@ -102,7 +102,8 @@ def test_verify_pair_sweep_on_f4_exits_3(capsys):
 def test_verify_rejects_arguments_it_would_ignore(capsys):
     for argv in (("prop-3.2", "--type", "A", "--rank", "3", "--m", "7"),
                  ("prop-3.2", "--type", "I2", "--rank", "5", "--m", "7"),
-                 ("prop-4.4", "--type", "A", "--rank", "2", "--coxeter", "1,2")):
+                 ("prop-4.4", "--type", "A", "--rank", "2", "--coxeter", "1,2"),
+                 ("prop-3.2", "--type", "A", "--rank", "3", "--coxeter", "1,1,2")):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2, argv
         assert out == ""
@@ -298,11 +299,11 @@ def test_integrity_error_exit(capsys, monkeypatch):
     from coxbraid.coxeter import IntegrityError
     from coxbraid.verify import CHECKS
 
-    def broken(group, coxeter=None):
+    def broken(c, ordering):
         raise IntegrityError("two paths disagree")
 
     spec = CHECKS["thm-5.13"]
-    monkeypatch.setitem(CHECKS, "thm-5.13", dataclasses.replace(spec, fn=broken))
+    monkeypatch.setitem(CHECKS, "thm-5.13", dataclasses.replace(spec, verdict=broken))
     code, out, err = run(capsys, "verify", "thm-5.13", "--type", "A", "--rank", "2")
     assert code == 4
     assert out == ""

@@ -1,13 +1,15 @@
 """Pair sweeps check each distinct braid once.
 
 A pair braid b(x)^-1 b(y) depends only on its coprime pair: for s in
-D_L(x) & D_L(y), b(x)^-1 b(y) = b(sx)^-1 b(sy).  verify._pairs calls its
-check once per coprime pair and lets every other pair read that verdict.
+D_L(x) & D_L(y), b(x)^-1 b(y) = b(sx)^-1 b(sy).  verify._pairs calls the
+verdict of a pair sweep once per coprime pair and lets every other pair
+read that verdict.
 These tests check the reduction against fraction_form and the word
 problem, count the classes independently of the table, and compare the
 class driver item by item with the driver that checks all |W|^2 pairs.
 """
 
+import dataclasses
 import random
 from functools import partial
 
@@ -61,7 +63,12 @@ def test_pair_classes_are_counted_independently(family, rank, classes):
         assert classes == count_mikado_B(rank)
 
 
-def test_pair_sweep_checks_each_coprime_pair_once_in_x_major_order():
+def _with_verdict(monkeypatch, verdict):
+    """Register verdict as the pair sweep prop-4.4."""
+    monkeypatch.setitem(CHECKS, "prop-4.4", dataclasses.replace(CHECKS["prop-4.4"], verdict=verdict))
+
+
+def test_pair_sweep_checks_each_coprime_pair_once_in_x_major_order(monkeypatch):
     group = coxeter_group("A", 3)
     table = garside_table(group)
     seen = []
@@ -70,14 +77,15 @@ def test_pair_sweep_checks_each_coprime_pair_once_in_x_major_order():
         seen.append((table.id_of(x), table.id_of(y)))
         return True
 
-    report = verify._pairs(group, ok)
+    _with_verdict(monkeypatch, ok)
+    report = run_check("prop-4.4", "A", 3)
     assert report.passed and report.counts == {"items": 576, "failures": 0}
     assert seen == [(x, y) for x in range(24) for y in range(24) if not table.ldesc[x] & table.ldesc[y]]
     assert len(seen) == 211
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
-def test_a_failed_class_fails_every_pair_with_its_braid(family, rank):
+def test_a_failed_class_fails_every_pair_with_its_braid(family, rank, monkeypatch):
     """A verdict of False on one coprime pair fails exactly the pairs whose
     braid equals it, found by the word problem rather than the reduction."""
     group = coxeter_group(family, rank)
@@ -87,7 +95,8 @@ def test_a_failed_class_fails_every_pair_with_its_braid(family, rank):
     coprime = [(x, y) for x in range(len(els)) for y in range(len(els))
                if not table.ldesc[x] & table.ldesc[y]]
     for bad in random.Random(16).sample(coprime, 5):
-        report = verify._pairs(group, lambda x, y: (table.id_of(x), table.id_of(y)) != bad)
+        _with_verdict(monkeypatch, lambda x, y: (table.id_of(x), table.id_of(y)) != bad)
+        report = run_check("prop-4.4", family, rank)
         failed = [i for i, it in enumerate(report.items) if not it["ok"]]
         want = nfs[bad[0]][bad[1]]
         n = len(els)
@@ -115,17 +124,20 @@ def _cells():
 
 @pytest.mark.parametrize("tid,family,rank,m", list(_cells()))
 def test_class_driver_matches_all_pairs(tid, family, rank, m, monkeypatch):
-    group = coxeter_group(family, rank, m=m)
-    check = CHECKS[tid].fn
-    got = check(group).to_json()
-    n = len(group.elements())
+    def report():
+        out = run_check(tid, family, rank, m).to_json()
+        del out["elapsed_seconds"]
+        return out
+
+    got = report()
+    n = len(coxeter_group(family, rank, m=m).elements())
     rows = None
     if (tid, family) in SAMPLED_ROWS:
         rows = set(random.Random(16).sample(range(n), SAMPLED_ROWS[tid, family]))
         got["items"] = [it for i, it in enumerate(got["items"]) if i // n in rows]
         del got["counts"], got["passed"]
     monkeypatch.setattr(verify, "_pairs", partial(oracles.pairs_all, rows=rows))
-    want = check(group).to_json()
+    want = report()
     if rows is not None:
         assert len(want["items"]) == n * len(rows)
         del want["counts"], want["passed"]

@@ -472,3 +472,23 @@ def test_a_wrong_sign_fails_exactly_its_ordering(monkeypatch):
     report = run_check("thm-8.17", "A", 3)
     assert [it["item"] for it in report.items if not it["ok"]] == [",".join(map(str, bad))]
     assert report.counts["failures"] == 1
+
+
+def test_the_default_ordering_shares_the_caches(monkeypatch):
+    """dual_monoid and the Zinno rows resolve a missing ordering before
+    their caches: with or without it, c has one monoid and one set of rows."""
+    seen = []
+    rows = tl._zinno_rows
+
+    def recorded(c, ordering):
+        seen.append(rows(c, ordering))
+        return seen[-1]
+
+    monkeypatch.setattr(tl, "_zinno_rows", recorded)
+    for c, ordering in coxeter_element_orderings(coxeter_group("A", 3)).items():
+        assert dual_monoid(c) is dual_monoid(c, None) is dual_monoid(c, ordering)
+        del seen[:]
+        for reader in (zinno_matrix, sign_alternating):
+            reader(c)
+            reader(c, ordering)
+        assert len(seen) == 4 and all(got is seen[0] for got in seen)

@@ -1,12 +1,20 @@
 """The verification registry: one runnable check per statement."""
 
 import hashlib
+import inspect
 import json
 import time
 
 import pytest
 
-from coxbraid.coxeter import ResourceError, coxeter_group
+from coxbraid import verify
+from coxbraid.coxeter import (
+    ResourceError,
+    coxeter_group,
+    reflections_from_coxeter,
+    standard_ordering,
+)
+from coxbraid.dual import DualAtomTable, dual_monoid
 from coxbraid.verify import CHECKS, Report, budget_guard, normalize_family, run_check, type_for
 
 
@@ -39,7 +47,35 @@ def test_registry_contents():
         assert spec.theorem_id == tid
         assert spec.families
         assert spec.description
-        assert callable(spec.fn)
+        assert callable(spec.verdict)
+        assert spec.sweep in ("orderings", "pairs", "group")
+
+
+def test_run_check_is_the_one_entry_point():
+    """A check is its registry row: coxbraid.verify itself defines no
+    public function or class but these, so no check_* entry point returns."""
+    defined = {
+        name for name, obj in vars(verify).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == verify.__name__ and not name.startswith("_")
+    }
+    assert defined == {"run_check", "budget_guard", "type_for", "normalize_family",
+                       "Report", "CheckSpec"}
+
+
+def test_one_ordering_validator():
+    """Every entry point that takes an ordering of c refuses one that lists
+    a generator twice or multiplies to another element."""
+    c = coxeter_group("A", 3).from_word((1, 2, 3))
+    for entry in (standard_ordering, reflections_from_coxeter, DualAtomTable, dual_monoid):
+        for ordering in ((1, 1, 2), (2, 1, 3)):
+            with pytest.raises(ValueError):
+                entry(c, ordering)
+    assert standard_ordering(c) == standard_ordering(c, [1, 2, 3]) == (1, 2, 3)
+    with pytest.raises(ValueError, match="standard Coxeter element"):
+        standard_ordering(c * c)
+    with pytest.raises(ValueError):
+        run_check("prop-3.2", "A", 3, coxeter=(1, 1, 2))
 
 
 def test_normalize_family():
