@@ -190,7 +190,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         "basis": args.basis,
         "coefficients": {
             word_key(w): str(p)
-            for w, p in sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())
+            for w, p in sorted(coeffs.items(), key=lambda kv: kv[0].id)
         },
         **verdict,
     }

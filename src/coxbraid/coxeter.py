@@ -16,13 +16,15 @@ Products compose right to left, (u * v)(i) = u(v(i)), so that words read
 the way they are written: from_word([1, 2]) applies s2 first.
 
 Each group walks its Cayley graph once, breadth first, on first need
-(CoxeterGroup._walk): one payload product per edge gives the element ids
-of the Garside table, in (length, payload) order, and on them the
-lengths, right products and inverses.  Every family reads the length
-and inverse of an element off the walk, and its descents,
-shortlex word, reflection length and absolute order off the table built
-on it; payload products remain for products, words and the point action.
-The reflections are the closure of the generators under conjugation.
+(CoxeterGroup._walk): one payload product per edge numbers the elements
+in (length, payload) order and gives their lengths, right products and
+inverses.  That walk takes the only payload products there are.  An
+element is its id in the walk: from_word, length and inverse read the
+walk, and products, descents, reduced words, reflection length and
+absolute order the Garside table built on it.  element(payload) looks
+a payload up in the walk, and the payload is read back only for the
+point action.  The reflections are the conjugacy classes of the
+generators.
 
 Generator numbering is 1-based.  For B_n the letter 1 is the sign change
 at the first coordinate and the letter i+1 swaps coordinates i and i+1,
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property, partial
 from math import factorial
 from typing import Iterable
 
@@ -211,71 +213,67 @@ def _root_permutations(cartan: tuple) -> tuple[tuple[int, ...], ...]:
 
 
 class CoxeterElement:
-    """An element of a finite Coxeter group.
+    """An element of a finite Coxeter group: its id in the group's one
+    Cayley graph walk (CoxeterGroup._walk), ids running in (length,
+    payload) order.
 
     Instances are immutable by convention and hashable.  Equality compares
-    the group descriptor and the payload, so elements obtained from the
-    same factory compare as expected.
+    the group descriptor and the id; the hash is the id alone.
     """
 
-    __slots__ = ("group", "payload", "_hash")
+    __slots__ = ("group", "id")
 
-    def __init__(self, group: "CoxeterGroup", payload) -> None:
+    def __init__(self, group: "CoxeterGroup", id: int) -> None:
         self.group = group
-        self.payload = payload
-        self._hash: int | None = None
+        self.id = id
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoxeterElement):
             return NotImplemented
-        return self.group.type == other.group.type and self.payload == other.payload
+        return self.id == other.id and (
+            self.group is other.group or self.group.type == other.group.type
+        )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.group.type, self.payload))
-        return self._hash
+        return self.id
+
+    @property
+    def payload(self) -> tuple:
+        """The payload tuple of the module docstring, read off the walk."""
+        return self.group._walk()[0][self.id]
 
     def __mul__(self, other: "CoxeterElement") -> "CoxeterElement":
         if self.group is not other.group:
             raise ValueError("elements of different groups")
-        return CoxeterElement(self.group, self.group._mul(self.payload, other.payload))
+        return CoxeterElement(self.group, garside.garside_table(self.group).mul(self.id, other.id))
 
     def inverse(self) -> "CoxeterElement":
         """The inverse, read off the group's Cayley graph walk."""
-        payloads, index, _, _, inv = self.group._walk()
-        return CoxeterElement(self.group, payloads[inv[index[self.payload]]])
+        return CoxeterElement(self.group, self.group._walk()[4][self.id])
 
     def is_identity(self) -> bool:
-        return self.payload == self.group.identity.payload
+        return self.id == 0
 
     def length(self) -> int:
         """Coxeter length, the number of letters in any reduced word: the
         depth of this element in the group's Cayley graph walk."""
-        _, index, _, length, _ = self.group._walk()
-        return length[index[self.payload]]
-
-    def _table_id(self) -> tuple:
-        """The group's Garside table and the id of this element in it."""
-        table = garside.garside_table(self.group)
-        return table, table.id_of(self)
+        return self.group._walk()[3][self.id]
 
     def reflection_length(self) -> int:
         """Minimal number of reflections whose product is this element,
         read off the group's table (GarsideTable.rlens)."""
-        table, x = self._table_id()
-        return table.rlens[x]
+        return garside.garside_table(self.group).rlens[self.id]
 
     def left_descents(self) -> frozenset[int]:
         """The letters s with l(s w) < l(w), read off the group's table
         (GarsideTable.ldesc)."""
-        table, x = self._table_id()
-        return frozenset(s + 1 for s in garside.bit_ids(table.ldesc[x]))
+        mask = garside.garside_table(self.group).ldesc[self.id]
+        return frozenset(s + 1 for s in garside.bit_ids(mask))
 
     def reduced_word(self) -> tuple[int, ...]:
         """The shortlex minimal reduced word, as a tuple of 1-based letters,
         read off the group's table (GarsideTable.word)."""
-        table, x = self._table_id()
-        return table.word(x)
+        return garside.garside_table(self.group).word(self.id)
 
     def act(self, x: int) -> int:
         """Apply to a point, for families A, B and D only."""
@@ -294,16 +292,13 @@ class CoxeterElement:
             k += 1
         return k
 
-    def sort_key(self) -> tuple:
-        return (self.length(), self.payload)
-
     def __repr__(self) -> str:
         word = ".".join(str(i) for i in self.reduced_word()) or "e"
         return f"<{self.group.type.label()} {word}>"
 
 
 class CoxeterGroup:
-    """A finite Coxeter group with an exact payload backend.
+    """A finite Coxeter group, walked once from its payload backend.
 
     Do not construct directly, use :func:`coxeter_group` so that groups are
     singletons per descriptor.  All tables built here are immutable after
@@ -324,19 +319,13 @@ class CoxeterGroup:
                 p[i - 1], p[i] = p[i], p[i - 1]
                 gens.append(tuple(p))
             self._mul = _perm_mul
-            self._valid = lambda p: isinstance(p, tuple) and sorted(p) == list(ident)
         elif fam in ("B", "D"):
             ident = tuple(range(1, n + 1))
             first = list(ident)
             if fam == "B":
                 first[0] = -1
-                self._valid = lambda p: sorted(abs(x) for x in p) == list(ident)
             else:
                 first[0], first[1] = -2, -1
-                self._valid = lambda p: (
-                    sorted(abs(x) for x in p) == list(ident)
-                    and sum(1 for x in p if x < 0) % 2 == 0
-                )
             gens = [tuple(first)]
             for i in range(1, n):
                 p = list(ident)
@@ -344,35 +333,35 @@ class CoxeterGroup:
                 gens.append(tuple(p))
             self._mul = _sp_mul
         elif fam == "I2":
-            m = ctype.m
-            assert m is not None
             ident = (0, 0)
-            gens = [(0, 1), (m - 1, 1)]
-            self._mul = lambda p, q: _i2_mul(m, p, q)
-            self._valid = lambda p: (
-                len(p) == 2 and 0 <= p[0] < m and p[1] in (0, 1)
-            )
+            gens = [(0, 1), (ctype.m - 1, 1)]
+            self._mul = partial(_i2_mul, ctype.m)
         else:
             gens = _root_permutations(_CARTAN[fam])
             ident = tuple(range(1, len(gens[0]) + 1))
             self._mul = _perm_mul
-            self._valid = lambda p: p in self._walk()[1]
 
+        self._ident_payload = ident
         self._gen_payloads = tuple(gens)
-        self.identity = CoxeterElement(self, ident)
-        self.generators = tuple(CoxeterElement(self, g) for g in gens)
+        self.identity = CoxeterElement(self, 0)  # the walk starts at the identity
 
         self._cayley: tuple | None = None
         self._elements_cache: tuple | None = None
-        self._reflections_cache: tuple | None = None
         self._orderings_cache: dict | None = None
 
     # -- element factories ---------------------------------------------
 
     def element(self, payload) -> CoxeterElement:
-        if not self._valid(payload):
+        """The element with this payload; ValueError unless the walk reached it."""
+        x = self._walk()[1].get(payload) if isinstance(payload, tuple) else None
+        if x is None:
             raise ValueError(f"invalid payload for {self.type.label()}: {payload!r}")
-        return CoxeterElement(self, payload)
+        return CoxeterElement(self, x)
+
+    @cached_property
+    def generators(self) -> tuple[CoxeterElement, ...]:
+        """The simple reflections, in letter order: e s for each letter s."""
+        return tuple(CoxeterElement(self, row[0]) for row in self._walk()[2])
 
     def generator(self, i: int) -> CoxeterElement:
         if not 1 <= i <= self.rank:
@@ -380,12 +369,14 @@ class CoxeterGroup:
         return self.generators[i - 1]
 
     def from_word(self, word: Iterable[int]) -> CoxeterElement:
-        p = self.identity.payload
+        """The product of the generators of word, folded through the walk."""
+        rmul = self._walk()[2]
+        x = 0
         for i in word:
             if not 1 <= i <= self.rank:
                 raise ValueError(f"letter {i} out of range for {self.type.label()}")
-            p = self._mul(p, self._gen_payloads[i - 1])
-        return CoxeterElement(self, p)
+            x = rmul[i - 1][x]
+        return CoxeterElement(self, x)
 
     # -- global structure ------------------------------------------------
 
@@ -403,7 +394,7 @@ class CoxeterGroup:
         """
         if self._cayley is None:
             mul, gens = self._mul, self._gen_payloads
-            payloads = [self.identity.payload]
+            payloads = [self._ident_payload]
             index = {payloads[0]: 0}
             length = [0]
             last = [-1]  # a generator s with l(x s) < l(x)
@@ -436,9 +427,11 @@ class CoxeterGroup:
         return self._cayley
 
     def elements(self) -> tuple[CoxeterElement, ...]:
-        """All elements, ordered by length then by payload."""
+        """All elements, in id order: by length, then by payload."""
         if self._elements_cache is None:
-            self._elements_cache = tuple(CoxeterElement(self, p) for p in self._walk()[0])
+            self._elements_cache = tuple(
+                CoxeterElement(self, x) for x in range(len(self._walk()[3]))
+            )
         return self._elements_cache
 
     @property
@@ -446,40 +439,14 @@ class CoxeterGroup:
         """The unique element of greatest length, the last one walked."""
         return self.elements()[-1]
 
-    @property
+    @cached_property
     def reflections(self) -> tuple[CoxeterElement, ...]:
-        """All reflections, ordered by length then payload."""
-        if self._reflections_cache is None:
-            # T is the closure of the generators under conjugation by them
-            frontier = set(self._gen_payloads)
-            payloads = set(frontier)
-            while frontier:
-                nxt = set()
-                for t in frontier:
-                    for g in self._gen_payloads:
-                        c = self._mul(self._mul(g, t), g)
-                        if c not in payloads:
-                            payloads.add(c)
-                            nxt.add(c)
-                frontier = nxt
-            if len(payloads) != self.type.reflection_count():
-                raise IntegrityError(
-                    f"found {len(payloads)} reflections in {self.type.label()}, "
-                    f"expected {self.type.reflection_count()}"
-                )
-            index = self._walk()[1]
-            self._reflections_cache = tuple(
-                CoxeterElement(self, p) for p in sorted(payloads, key=index.__getitem__)
-            )
-        return self._reflections_cache
+        """All reflections, the conjugates of the generators, in id order
+        (GarsideTable.reflections)."""
+        return tuple(CoxeterElement(self, t) for t in garside.garside_table(self).reflections)
 
     def __repr__(self) -> str:
         return f"CoxeterGroup({self.type.label()})"
-
-
-@cache
-def _group_of(ctype: CoxeterType) -> CoxeterGroup:
-    return CoxeterGroup(ctype)
 
 
 def coxeter_type(family: str, rank: int | None = None, m: int | None = None) -> CoxeterType:
@@ -498,11 +465,13 @@ def coxeter_group(family: str, rank: int | None = None, m: int | None = None) ->
     >>> coxeter_group("A", 2) is coxeter_group("A", 2)
     True
     """
-    return _group_of(coxeter_type(family, rank, m))
+    return coxeter_group_of(coxeter_type(family, rank, m))
 
 
+@cache
 def coxeter_group_of(ctype: CoxeterType) -> CoxeterGroup:
-    return _group_of(ctype)
+    """The one group of a type."""
+    return CoxeterGroup(ctype)
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +492,18 @@ def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
     Absolute order has no left/right asymmetry since the reflection set is
     closed under conjugation.
     """
-    table = garside.garside_table(_same_group(x, y))
-    return table.abs_divides(table.id_of(x), table.id_of(y))
+    return garside.garside_table(_same_group(x, y)).abs_divides(x.id, y.id)
 
 
 def bruhat_lower_interval(y: CoxeterElement) -> frozenset[CoxeterElement]:
     """The set of all x with x <= y in Bruhat order, read off the id bitset
     of the group's table (GarsideTable.below)."""
-    table = garside.garside_table(y.group)
-    return frozenset(map(table.element, garside.bit_ids(table.below(table.id_of(y)))))
+    below = garside.garside_table(y.group).below(y.id)
+    return frozenset(CoxeterElement(y.group, x) for x in garside.bit_ids(below))
 
 
 def bruhat_leq(x: CoxeterElement, y: CoxeterElement) -> bool:
-    table = garside.garside_table(_same_group(x, y))
-    return bool(table.below(table.id_of(y)) >> table.id_of(x) & 1)
+    return bool(garside.garside_table(_same_group(x, y)).below(y.id) >> x.id & 1)
 
 
 def coxeter_element_orderings(group: CoxeterGroup) -> dict[CoxeterElement, tuple[int, ...]]:

@@ -27,7 +27,6 @@ from .coxeter import (
     abs_divides,
     bruhat_leq,
     coxeter_group,
-    standard_coxeter_elements,
     standard_ordering,
 )
 from .garside import (
@@ -41,21 +40,16 @@ from .garside import (
 )
 
 
-def _require_standard(c: CoxeterElement) -> None:
-    if c not in standard_coxeter_elements(c.group):
-        raise ValueError("expected a standard Coxeter element")
-
-
 def divisors_of(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
     """The divisor set DIV(c) in absolute order, sorted by level.
 
     Breadth first search: level k+1 consists of the products x*t that gain
-    reflection length and still divide c.  Ids run in sort_key order, so
-    each level is sorted by id.
+    reflection length and still divide c.  Ids run in (length, payload)
+    order, so each level is sorted by id.
     """
-    _require_standard(c)
+    standard_ordering(c)
     table = garside_table(c.group)
-    cid = table.id_of(c)
+    cid = c.id
     level = {table.e}
     out = [table.e]
     for k in range(table.rlen(cid)):
@@ -67,7 +61,7 @@ def divisors_of(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
                     nxt.add(y)
         level = nxt
         out.extend(sorted(nxt))
-    return tuple(table.element(x) for x in out)
+    return tuple(CoxeterElement(c.group, x) for x in out)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +129,7 @@ def circle_sequence(c: CoxeterElement) -> tuple[int, ...]:
 
 def ncp_encode(x: CoxeterElement, c: CoxeterElement) -> NoncrossingPartition:
     """The noncrossing partition of a divisor: blocks are the cycles of x."""
-    _require_standard(c)
+    standard_ordering(c)
     if x.group is not c.group:
         raise ValueError("elements of different groups")
     if not abs_divides(x, c):
@@ -167,7 +161,7 @@ def ncp_decode(p: NoncrossingPartition, c: CoxeterElement) -> CoxeterElement:
     when the blocks do not partition the circle, are not symmetric (type B),
     or assemble to an element outside DIV(c).
     """
-    _require_standard(c)
+    standard_ordering(c)
     group = c.group
     seq = circle_sequence(c)
     if tuple(p.sequence) != seq:
@@ -301,7 +295,7 @@ class DualAtomTable:
                     )
             else:
                 nfs[tid] = nf
-                words[table.element(tid)] = BraidWord(group, letters)
+                words[CoxeterElement(group, tid)] = BraidWord(group, letters)
         if len(words) != len(T) or any(h != 2 for h in hits.values()):
             raise IntegrityError("rotation formula did not cover T twice over")
         self._table = table
@@ -316,7 +310,7 @@ class DualAtomTable:
         return self._words[t]
 
     def normal_form_ids(self, t: CoxeterElement) -> tuple:
-        return self._nfs[self._table.id_of(t)]
+        return self._nfs[t.id]
 
     def all_rational(self) -> bool:
         return all(_rational_ids(nf) for nf in self._nfs.values())
@@ -331,7 +325,7 @@ class DualMonoid:
         self.atoms = DualAtomTable(c, ordering)
         self.ordering = self.atoms.ordering
         self._table: GarsideTable = garside_table(c.group)
-        self._cid = self._table.id_of(c)
+        self._cid = c.id
         self._divisors: tuple[CoxeterElement, ...] | None = None
         self._embed_cache: dict[int, tuple] = {}  # keyed by table id
 
@@ -341,11 +335,11 @@ class DualMonoid:
         return self._divisors
 
     def contains(self, x: CoxeterElement) -> bool:
-        return self._table.abs_divides(self._table.id_of(x), self._cid)
+        return self._table.abs_divides(x.id, self._cid)
 
     def embed_nf_ids(self, x: CoxeterElement) -> tuple:
         table = self._table
-        xid = table.id_of(x)
+        xid = x.id
         cached = self._embed_cache.get(xid)
         if cached is not None:
             return cached
@@ -420,7 +414,7 @@ def verify_dual_relations(
             t3 = table.mul(table.mul(t2, t1), t2)
             lhs = _nf_mul_ids(table, nfs[t1], nfs[t2])
             rhs = _nf_mul_ids(table, nfs[t2], nfs[t3])
-            rows.append((table.element(t1), table.element(t2), table.element(t3), lhs == rhs))
+            rows.append((*(CoxeterElement(dm.group, t) for t in (t1, t2, t3)), lhs == rhs))
     return tuple(rows)
 
 

@@ -16,7 +16,9 @@ entry point below reads that form; a rebuilt braid is a new word and
 folds again.
 
 All group level lookups go through a per group table of integer indexed
-multiplication, descent masks and inverses, built once and reused.
+multiplication, descent masks and inverses, built once and reused; its
+ids are the ids of the group's elements, so an element and its id are
+exchanged without a lookup.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ class BraidWord:
 
     def image(self) -> CoxeterElement:
         """The underlying Coxeter group element, forgetting signs."""
-        table = garside_table(self.group)
-        return table.element(table.image_id(self.letters))
+        return CoxeterElement(self.group, garside_table(self.group).image_id(self.letters))
 
     def to_json(self) -> dict:
         return {"group": self.group.type.to_json(), "letters": list(self.letters)}
@@ -87,19 +88,19 @@ class GarsideTable:
 
     Element ids, lengths, inverses and right products by the generators
     come from the group's one breadth-first walk of its Cayley graph, so
-    ids follow the order of group.elements() and no payload product is
-    taken here.  Left products, descent masks and the twist tau are
-    derived from those on ids, and the reflection length of every id is
-    searched once, at construction.  The table is immutable after
-    construction apart from the lazily filled shortlex words and lower
-    Bruhat intervals.
+    ids are CoxeterElement.id and no payload product is taken here.  Left
+    products, descent masks, the twist tau and the reflections (the
+    conjugacy classes of the generators) are derived from those on ids,
+    and the reflection length of every id is searched once, at
+    construction.  The table is immutable after construction apart from
+    the lazily filled shortlex words and lower Bruhat intervals.
     """
 
     def __init__(self, group: CoxeterGroup) -> None:
         self.group = group
         self.n = group.rank
-        self.payloads, self.index, self.rmul, self.length, self.inv = group._walk()
-        size = len(self.payloads)
+        _, _, self.rmul, self.length, self.inv = group._walk()
+        size = len(self.length)
         # s x = (x^-1 s)^-1
         self.lmul = [[self.inv[row[y]] for y in self.inv] for row in self.rmul]
         self.e = 0  # the walk starts at the identity
@@ -126,17 +127,13 @@ class GarsideTable:
         self.tau = tau
         self.gen_ids = [row[self.e] for row in self.rmul]
         self.w0s = [self.rmul[s][self.w0] for s in range(self.n)]
-        self.tau_letters = tuple(t + 1 for t in tau_gen)
         self._words: list[tuple[int, ...] | None] = [None] * size
-        self.reflections = tuple(self.index[t.payload] for t in group.reflections)
-        self.rlens = self._reflection_lengths()
+        # T is the union of the conjugacy classes of the generators
+        rep = self._conjugacy_classes()
+        gen_classes = {rep[s] for s in self.gen_ids}
+        self.reflections = tuple(x for x, r in enumerate(rep) if r in gen_classes)
+        self.rlens = self._reflection_lengths(rep)
         self._below = [1] + [0] * (size - 1)  # [e, e] = {e}; 0 is not yet built
-
-    def element(self, x: int) -> CoxeterElement:
-        return CoxeterElement(self.group, self.payloads[x])
-
-    def id_of(self, w: CoxeterElement) -> int:
-        return self.index[w.payload]
 
     def word(self, x: int) -> tuple[int, ...]:
         """Shortlex reduced word of the simple with id x."""
@@ -153,17 +150,11 @@ class GarsideTable:
             self._words[x] = cached
         return cached
 
-    def _reflection_lengths(self) -> list[int]:
-        """l_T of every id: the breadth-first distance from e over reflections.
-
-        l_T is a class function and T is closed under conjugation: if
-        l_T(x t) = l_T(x) + 1 and x = g r g^-1, then x t is conjugate to
-        r (g^-1 t g).  So the search steps from one representative per
-        conjugacy class, the orbits of x -> s x s, times each reflection.
-        """
-        size = len(self.length)
-        rep = [-1] * size
-        for x in range(size):
+    def _conjugacy_classes(self) -> list[int]:
+        """The least id of the conjugacy class of every id: the orbits of
+        x -> s x s, walked from the least id not yet reached."""
+        rep = [-1] * len(self.length)
+        for x in range(len(rep)):
             if rep[x] < 0:
                 rep[x] = x
                 orbit = [x]
@@ -173,6 +164,16 @@ class GarsideTable:
                         if rep[z] < 0:
                             rep[z] = x
                             orbit.append(z)
+        return rep
+
+    def _reflection_lengths(self, rep: list[int]) -> list[int]:
+        """l_T of every id: the breadth-first distance from e over reflections.
+
+        l_T is a class function and T is closed under conjugation: if
+        l_T(x t) = l_T(x) + 1 and x = g r g^-1, then x t is conjugate to
+        r (g^-1 t g).  So the search steps from one representative per
+        conjugacy class, rep of _conjugacy_classes, times each reflection.
+        """
         depth = {self.e: 0}
         level = [self.e]
         while level:
@@ -347,9 +348,8 @@ class GarsideNormalForm:
 
 
 def delta_normal_form(b: BraidWord) -> GarsideNormalForm:
-    table = garside_table(b.group)
     k, F = b.nf
-    return GarsideNormalForm(b.group, k, tuple(table.element(f) for f in F))
+    return GarsideNormalForm(b.group, k, tuple(CoxeterElement(b.group, f) for f in F))
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -373,6 +373,19 @@ def is_rational_permutation(b: BraidWord) -> bool:
     return _rational_ids(b.nf)
 
 
+def _left_fraction_ids(table: GarsideTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
+    if not _rational_ids(nf):
+        raise ValueError("not a rational permutation braid")
+    k, F = nf
+    if k == 1:
+        return table.e, table.w0
+    if k == 0:
+        return table.e, (F[0] if F else table.e)
+    if not F:
+        return table.w0, table.e
+    return table.mul(table.inv[F[0]], table.w0), (F[1] if len(F) > 1 else table.e)
+
+
 def fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     """Left fraction: the coprime pair (x, y) with b = b(x)^-1 b(y).
 
@@ -380,25 +393,8 @@ def fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     left weak order meet of x and y is the identity.  Raises ValueError
     for braids that are not rational permutation braids.
     """
-    group = b.group
-    table = garside_table(group)
-    k, F = b.nf
-    if not _rational_ids((k, F)):
-        raise ValueError("not a rational permutation braid")
-    e = group.identity
-    w0 = group.longest_element
-    if k == 1:
-        return (e, w0)
-    if k == 0:
-        if not F:
-            return (e, e)
-        return (e, table.element(F[0]))
-    u = table.element(F[0]) if F else None
-    if u is None:
-        return (w0, e)
-    if len(F) == 1:
-        return (u.inverse() * w0, e)
-    return (u.inverse() * w0, table.element(F[1]))
+    x, y = _left_fraction_ids(garside_table(b.group), b.nf)
+    return CoxeterElement(b.group, x), CoxeterElement(b.group, y)
 
 
 def _right_fraction_ids(table: GarsideTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
@@ -421,9 +417,8 @@ def right_fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     This is the decomposition driving the sign rule of signed_lift; the
     denominator y is what the lift consults.
     """
-    table = garside_table(b.group)
-    x, y = _right_fraction_ids(table, b.nf)
-    return table.element(x), table.element(y)
+    x, y = _right_fraction_ids(garside_table(b.group), b.nf)
+    return CoxeterElement(b.group, x), CoxeterElement(b.group, y)
 
 
 def signed_lift(b: BraidWord, word: Iterable[int] | None = None) -> BraidWord:

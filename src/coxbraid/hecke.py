@@ -92,7 +92,7 @@ class HeckeElement:
         self.group = group
         self.table = garside_table(group)
         self.rows: dict[int, LaurentPolynomial] = {
-            self.table.id_of(w): c for w, c in (coeffs or {}).items() if c
+            w.id: c for w, c in (coeffs or {}).items() if c
         }
 
     @staticmethod
@@ -111,14 +111,14 @@ class HeckeElement:
     @property
     def coeffs(self) -> Mapping[CoxeterElement, LaurentPolynomial]:
         """The coefficients keyed by group element, read only."""
-        element = self.table.element
-        return MappingProxyType({element(x): c for x, c in self.rows.items()})
+        group = self.group
+        return MappingProxyType({CoxeterElement(group, x): c for x, c in self.rows.items()})
 
     def coeff(self, w: CoxeterElement) -> LaurentPolynomial:
-        return self.rows.get(self.table.id_of(w), _ZERO)
+        return self.rows.get(w.id, _ZERO)
 
     def support(self) -> frozenset[CoxeterElement]:
-        return frozenset(map(self.table.element, self.rows))
+        return frozenset(CoxeterElement(self.group, x) for x in self.rows)
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -212,7 +212,7 @@ class KLTable:
         # by id w: y -> P_{y,w} and the mu-list, both filled in id order from e
         self._p: list[dict[int, tuple[int, ...]]] = [{self.table.e: _P_ONE}]
         self._mu: list[list[tuple[int, int]]] = [[]]
-        self._c: list[tuple | None] = [None] * len(self.table.payloads)  # C_w by id
+        self._c: list[tuple | None] = [None] * len(self.table.length)  # C_w by id
         self._pairs: tuple[int, dict[int, Rows]] = (-1, {})  # x, y -> T_x^-1 T_y
 
     # -- the polynomials ---------------------------------------------------
@@ -262,13 +262,13 @@ class KLTable:
 
     def p(self, y: CoxeterElement, w: CoxeterElement) -> LaurentPolynomial:
         """P_{y,w} as a polynomial in q."""
-        got = self._row(self.table.id_of(w)).get(self.table.id_of(y), ())
+        got = self._row(w.id).get(y.id, ())
         return poly({k: c for k, c in enumerate(got) if c})
 
     def mu(self, y: CoxeterElement, w: CoxeterElement) -> int:
         """The coefficient of the top allowed q power in P_{y,w}."""
         k, odd = divmod(w.length() - y.length() - 1, 2)
-        got = self._row(self.table.id_of(w)).get(self.table.id_of(y), ())
+        got = self._row(w.id).get(y.id, ())
         return got[k] if not odd and 0 <= k < len(got) else 0
 
     # -- bases -------------------------------------------------------------
@@ -288,7 +288,7 @@ class KLTable:
 
     def c_prime(self, w: CoxeterElement) -> HeckeElement:
         """C'_w = v^{l(w)} sum_y P_{y,w}(v^-2) T_y."""
-        x = self.table.id_of(w)
+        x = w.id
         lw = self.table.length[x]
         return HeckeElement._wrap(self.group, {
             y: LaurentPolynomial.of({lw - 2 * k: c for k, c in enumerate(p)})
@@ -298,14 +298,14 @@ class KLTable:
     def c_basis(self, w: CoxeterElement) -> HeckeElement:
         """C_w = (-1)^{l(w)} j_H(C'_w)."""
         return HeckeElement._wrap(self.group, {
-            y: poly(dict(terms)) for y, terms in self._c_row(self.table.id_of(w))
+            y: poly(dict(terms)) for y, terms in self._c_row(w.id)
         })
 
     # -- expansion ---------------------------------------------------------
 
     def _eliminate(self, work: Rows) -> Rows:
         """Coordinates on {C_w} by triangular elimination of the largest id,
-        i.e. (length, sort_key); work is consumed."""
+        i.e. the largest (length, payload); work is consumed."""
         length = self.table.length
         out: Rows = {}
         while work:
@@ -331,7 +331,7 @@ class KLTable:
         coefficients, read off the signs of the id rows of _pair_rows."""
         if x.group is not self.group or y.group is not self.group:
             raise ValueError("element of a different algebra")
-        return _nonneg(self._pair_rows(self.table.id_of(x), self.table.id_of(y)))
+        return _nonneg(self._pair_rows(x.id, y.id))
 
     def braid_is_nonneg(self, b: BraidWord) -> bool:
         """Whether every C-coordinate of the image of b under a has

@@ -277,10 +277,9 @@ def _avoids_321(payload: tuple[int, ...]) -> bool:
 
 
 def fully_commutative(n: int) -> tuple[CoxeterElement, ...]:
-    """All 321 avoiding elements of the symmetric group on n+1 points."""
-    W = coxeter_group("A", n)
-    out = [w for w in W.elements() if _avoids_321(w.payload)]
-    return tuple(out)
+    """All 321 avoiding elements of the symmetric group on n+1 points, in
+    id order."""
+    return tuple(w for w in coxeter_group("A", n).elements() if _avoids_321(w.payload))
 
 
 @cache
@@ -557,7 +556,7 @@ def _zinno_rows(
     if c.group.type.family != "A":
         raise ValueError("expected a type A element")
     dm = dual_monoid(c, ordering)
-    rows = sorted(dm.divisors(), key=lambda x: (x.reflection_length(), x.sort_key()))
+    rows = sorted(dm.divisors(), key=lambda x: (x.reflection_length(), x.id))
     m = c.group.rank + 1
     words = [dm.embed(x).letters for x in rows]
     coeffs = {k: expand_in_b(TLElement._wrap(2 * m, r)) for k, r in _omega_rows(m, words)}
@@ -566,9 +565,7 @@ def _zinno_rows(
 
 def zinno_matrix(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> ZinnoMatrix:
     rows = _zinno_rows(c, standard_ordering(c, ordering))
-    cols = tuple(
-        sorted(fully_commutative(c.group.rank), key=lambda w: (w.length(), w.sort_key()))
-    )
+    cols = fully_commutative(c.group.rank)
     entries = tuple(tuple(coeffs.get(w, _ZERO) for w in cols) for _, coeffs in rows)
     return ZinnoMatrix(
         c, tuple(x for x, _ in rows), cols, entries, _greedy_pairing(entries)

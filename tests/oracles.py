@@ -52,12 +52,33 @@ COVERED_GROUPS = [
 # lengths by search and by linear algebra
 
 
+def payload_of_word(group: CoxeterGroup, word) -> tuple:
+    """The payload of the product of the generators of word, folded by
+    payload products."""
+    p = group.identity.payload
+    for i in word:
+        p = group._mul(p, group._gen_payloads[i - 1])
+    return p
+
+
+@lru_cache(maxsize=None)
+def reflections_by_conjugation(group: CoxeterGroup) -> frozenset[tuple]:
+    """The payloads of the reflections: the closure of the generators
+    under conjugation by them, by payload products."""
+    gens = group._gen_payloads
+    found = frontier = frozenset(gens)
+    while frontier:
+        frontier = {group._mul(group._mul(g, t), g) for t in frontier for g in gens} - found
+        found |= frontier
+    return found
+
+
 @lru_cache(maxsize=None)
 def _cayley_distances(group: CoxeterGroup, by_reflections: bool) -> dict:
     """Distance from the identity in the Cayley graph of the generators
     or of all reflections, by breadth first search over payloads."""
     if by_reflections:
-        steps = [t.payload for t in group.reflections]
+        steps = sorted(reflections_by_conjugation(group))
     else:
         steps = list(group._gen_payloads)
     dist = {group.identity.payload: 0}
@@ -100,18 +121,20 @@ def descents_by_search(w: CoxeterElement, left: bool = True) -> frozenset[int]:
 def shortlex_word_by_search(w: CoxeterElement) -> tuple[int, ...]:
     """The shortlex reduced word: strip the least left descent until the
     identity is left, by payload products and searched lengths."""
+    g, p = w.group, w.payload
     word = []
-    while not w.is_identity():
-        i = min(descents_by_search(w))
+    while p != g.identity.payload:
+        i = min(descents_by_search(g.element(p)))
         word.append(i)
-        w = w.group.generator(i) * w
+        p = g._mul(g._gen_payloads[i - 1], p)
     return tuple(word)
 
 
 @lru_cache(maxsize=None)
 def inverse_by_search(w: CoxeterElement) -> CoxeterElement:
     """The inverse, as the product of the reversed shortlex word."""
-    return w.group.from_word(reversed(shortlex_word_by_search(w)))
+    group = w.group
+    return group.element(payload_of_word(group, reversed(shortlex_word_by_search(w))))
 
 
 # lengths by search and left descents by payload products: the lengths
@@ -396,7 +419,7 @@ def divisors_of_payload(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
                 if reflection_length_by_search(y) == k + 1 and abs_divides_by_search(y, c):
                     nxt.add(y)
         level = nxt
-        out.extend(sorted(nxt, key=lambda w: w.sort_key()))
+        out.extend(sorted(nxt, key=lambda w: (_length(w), w.payload)))
     return tuple(out)
 
 
@@ -1164,11 +1187,11 @@ def c_basis_payload(w: CoxeterElement) -> dict:
 
 
 def expand_in_C_payload(coeffs: dict) -> dict:
-    """Triangular elimination of the largest (length, sort_key) term."""
+    """Triangular elimination of the largest (length, payload) term."""
     out = {}
     work = dict(coeffs)
     while work:
-        w = max(work, key=lambda u: (_length(u), u.sort_key()))
+        w = max(work, key=lambda u: (_length(u), u.payload))
         gamma = work[w].shifted(-_length(w))
         out[w] = gamma
         for y, c in c_basis_payload(w).items():
@@ -1181,7 +1204,7 @@ def expand_in_C_payload(coeffs: dict) -> dict:
 def expand_pair_in_C(table, x: CoxeterElement, y: CoxeterElement) -> dict:
     """Coordinates on {C_w}, in increasing id order, of T_x^-1 T_y, read off
     the W-graph steps of KLTable._pair_rows."""
-    rows = table._pair_rows(table.table.id_of(x), table.table.id_of(y))
+    rows = table._pair_rows(x.id, y.id)
     elements = table.group.elements()  # in id order
     return {elements[i]: poly(rows[i]) for i in sorted(rows)}
 
@@ -1194,14 +1217,14 @@ def right_descents(w: CoxeterElement) -> frozenset[int]:
     """The letters s with l(w s) < l(w), read off the group's table
     (GarsideTable.rdesc)."""
     table = garside_table(w.group)
-    return frozenset(s + 1 for s in bit_ids(table.rdesc[table.id_of(w)]))
+    return frozenset(s + 1 for s in bit_ids(table.rdesc[w.id]))
 
 
 def t_reduced_factorization(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
     """Greedy minimal reflection factorisation of x on table ids: the first
     reflection of T that divides the remainder, at each step."""
     table = garside_table(x.group)
-    return tuple(table.element(t) for t in _t_factor_ids(table, table.id_of(x)))
+    return tuple(CoxeterElement(x.group, t) for t in _t_factor_ids(table, x.id))
 
 
 def type_b_embedding(n: int) -> dict[int, CoxeterElement]:

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from coxbraid.coxeter import (
-    CoxeterElement,
     CoxeterGroup,
     CoxeterType,
     IntegrityError,
@@ -248,7 +247,7 @@ def check_against_matrix_model(table: GarsideTable) -> None:
                     dist[q] = dist[p] + 1
                     nxt.append(q)
         frontier = nxt
-    image = [oracles.matrix_of_word(fam, table.word(x)) for x in range(len(table.payloads))]
+    image = [oracles.matrix_of_word(fam, table.word(x)) for x in range(len(table.length))]
     assert len(set(image)) == len(image) == len(dist) == group.type.order()
     assert set(image) == set(dist)
     for x, p in enumerate(image):
@@ -261,7 +260,7 @@ def check_against_matrix_model(table: GarsideTable) -> None:
     while frontier:
         frontier = [c for t in frontier for g in gens if (c := mul(mul(g, t), g)) not in conjugates]
         conjugates.update(frontier)
-    assert {image[table.id_of(t)] for t in group.reflections} == conjugates
+    assert {image[t.id] for t in group.reflections} == conjugates
     assert list(table.rlens) == [oracles.matrix_corank(fam, p) for p in image]
 
 
@@ -277,7 +276,6 @@ def test_matrix_differential_catches_swapped_generators():
     gens = list(group._gen_payloads)
     gens[0], gens[1] = gens[1], gens[0]
     group._gen_payloads = tuple(gens)
-    group.generators = tuple(CoxeterElement(group, g) for g in gens)
     with pytest.raises(AssertionError):
         check_against_matrix_model(GarsideTable(group))
 
@@ -349,7 +347,55 @@ def test_element_errors():
 
 
 def test_sort_key_orders_group_deterministically():
+    """Ids are the one sort key: they order the group by length, then payload."""
     group = coxeter_group("B", 2)
-    els = sorted(group.elements(), key=lambda w: w.sort_key())
-    assert len(set(w.sort_key() for w in els)) == len(els)
-    assert els == sorted(group.elements(), key=lambda w: w.sort_key())
+    els = sorted(group.elements(), key=lambda w: (w.length(), w.payload))
+    assert [w.id for w in els] == list(range(len(els)))
+    assert els == list(group.elements())
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_id_kernel_matches_payload_arithmetic(family, rank, m):
+    """Elements are walk ids: their products, words, reflections and payload
+    lookups equal payload arithmetic on every pair of a group of order at
+    most 120, and on a seeded sample of 3000 pairs above that."""
+    group = coxeter_group(family, rank, m=m)
+    els = group.elements()
+    rng = random.Random(rank * 37 + (m or 0))
+    if len(els) <= 120:
+        pairs = [(x, y) for x in els for y in els]
+    else:
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(3000)]
+    for x, y in pairs:
+        assert (x * y).payload == group._mul(x.payload, y.payload)
+    for _ in range(300):
+        word = [rng.randint(1, rank) for _ in range(rng.randint(0, 2 * len(group.reflections)))]
+        assert group.from_word(word).payload == oracles.payload_of_word(group, word)
+    assert {t.payload for t in group.reflections} == oracles.reflections_by_conjugation(group)
+    assert [t.id for t in group.reflections] == sorted(t.id for t in group.reflections)
+    assert [group.element(w.payload).id for w in els] == list(range(len(els)))
+
+
+@pytest.mark.parametrize(
+    "family,rank,m,bad",
+    [
+        ("A", 3, None, (1, 1, 2, 3)),  # not a permutation
+        ("B", 3, None, (1, -1, 2)),  # a repeated |value|
+        ("D", 4, None, (-1, 2, 3, 4)),  # an odd number of negatives
+        ("I2", 2, 5, (5, 0)),  # k >= m
+        ("H3", 3, None, "permuted"),
+        ("F4", 4, None, "permuted"),
+    ],
+)
+def test_element_rejects_payloads_outside_the_walk(family, rank, m, bad):
+    """element(p) is walk membership: one non-member per family, the
+    identity with two roots swapped for H3 and F4, and any list, raise."""
+    group = coxeter_group(family, rank, m=m)
+    ident = group.identity.payload
+    if bad == "permuted":
+        bad = (ident[1], ident[0]) + ident[2:]
+    with pytest.raises(ValueError, match="invalid payload"):
+        group.element(bad)
+    with pytest.raises(ValueError, match="invalid payload"):
+        group.element(list(ident))
+    assert group.element(ident).is_identity()

@@ -339,7 +339,7 @@ def test_id_divisibility_matches_definition(family, rank, m):
     else:
         tops = standard_coxeter_elements(group)
     for y in tops:
-        yid = table.id_of(y)
+        yid = y.id
         for xid, x in enumerate(els):
             assert table.abs_divides(xid, yid) == oracles.abs_divides_by_search(x, y)
     for c in standard_coxeter_elements(group):

@@ -53,7 +53,7 @@ def test_pair_classes_are_counted_independently(family, rank, classes):
     descent, as many as the descent disjoint pairs that count_mikado_A and
     count_mikado_B enumerate from permutations."""
     table = garside_table(coxeter_group(family, rank))
-    ids = range(len(table.payloads))
+    ids = range(len(table.length))
     reduced = {_coprime_pair(table, x, y) for x in ids for y in ids}
     assert reduced == {(x, y) for x in ids for y in ids if not table.ldesc[x] & table.ldesc[y]}
     assert len(reduced) == classes
@@ -74,7 +74,7 @@ def test_pair_sweep_checks_each_coprime_pair_once_in_x_major_order(monkeypatch):
     seen = []
 
     def ok(x, y):
-        seen.append((table.id_of(x), table.id_of(y)))
+        seen.append((x.id, y.id))
         return True
 
     _with_verdict(monkeypatch, ok)
@@ -95,7 +95,7 @@ def test_a_failed_class_fails_every_pair_with_its_braid(family, rank, monkeypatc
     coprime = [(x, y) for x in range(len(els)) for y in range(len(els))
                if not table.ldesc[x] & table.ldesc[y]]
     for bad in random.Random(16).sample(coprime, 5):
-        _with_verdict(monkeypatch, lambda x, y: (table.id_of(x), table.id_of(y)) != bad)
+        _with_verdict(monkeypatch, lambda x, y: (x.id, y.id) != bad)
         report = run_check("prop-4.4", family, rank)
         failed = [i for i, it in enumerate(report.items) if not it["ok"]]
         want = nfs[bad[0]][bad[1]]

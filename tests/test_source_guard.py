@@ -4,11 +4,12 @@ computes with integers only.
 Every verdict must follow from the arguments of a call alone: no worker
 pool can reorder work, and no variable can point a run at state kept on
 disk.  The proof path uses no rational or decimal arithmetic, which is
-left to the test oracles.  The Garside table reads its products off the
-group's Cayley graph walk, and no module but coxeter.py, which builds the
-groups, takes payload products of its own.  Coefficients in Z[v, v^-1]
-have one kernel: no module but laurent.py defines the row kernel or
-wraps terms as a LaurentPolynomial without the constructor's check.
+left to the test oracles.  Elements are ids in the group's Cayley graph
+walk: no module but coxeter.py, which builds the groups, names a payload
+product, and coxeter.py calls one only inside CoxeterGroup._walk.
+Coefficients in Z[v, v^-1] have one kernel: no module but laurent.py
+defines the row kernel or wraps terms as a LaurentPolynomial without the
+constructor's check.
 Size limits have one home: no module but verify.py, whose budget_guard
 every command calls before it builds a table, and mikado.py, whose count
 caps wait for closed-form counts, raises ResourceError.  A braid folds
@@ -41,10 +42,11 @@ CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 INEXACT = {"fractions", "decimal"}
 # Every module but coxeter.py, which builds the groups, must stay off payload
-# products: the Garside table takes its products from the group's Cayley
-# graph walk, and the layers above it compute on its ids.
+# products, and coxeter.py may call them only in the one Cayley graph walk:
+# every other product is read off the walk's ids.
 PAYLOAD_FREE = {p.name for p in MODULES} - {"coxeter.py"}
 PAYLOAD_PRODUCTS = {"_mul", "_perm_mul", "_sp_mul", "_i2_mul"}
+WALK = ("CoxeterGroup", "_walk")
 # Every module but laurent.py must reach the coefficient kernel through
 # laurent's addmul, combine and poly: no unchecked wrap of terms, no second
 # kernel.
@@ -87,6 +89,11 @@ def violations(
         id(n) for c in ast.walk(tree)
         if isinstance(c, ast.ClassDef) and c.name == REFOLD_OWNER for n in ast.walk(c)
     }
+    walk = {
+        id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == WALK[0]
+        for f in c.body if isinstance(f, ast.FunctionDef) and f.name == WALK[1]
+        for n in ast.walk(f)
+    }
     for node in ast.walk(tree):
         if layer is not None:
             for name in imported_modules(node):
@@ -119,6 +126,11 @@ def violations(
                 name = next((a.name for a in node.names if a.name in PAYLOAD_PRODUCTS), None)
             if name in PAYLOAD_PRODUCTS:
                 found.append(f"line {node.lineno}: payload product {name}")
+        if (
+            isinstance(node, ast.Call) and id(node) not in walk
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in PAYLOAD_PRODUCTS
+        ):
+            found.append(f"line {node.lineno}: payload product called outside {'.'.join(WALK)}")
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -169,6 +181,7 @@ def test_no_threads_and_no_environment(path):
         "from .coxeter import _perm_mul",
         "p = coxeter._sp_mul(a, b)",
         "p = coxeter._i2_mul(m, a, b)",
+        "class CoxeterGroup:\n    def reflections(self):\n        return self._mul(g, t)",
         "p = LaurentPolynomial._trusted(((0, 1),))",
         "def _addmul(rows, x, p, q):\n    pass",
         "Rows = dict[int, dict[int, int]]",
@@ -205,6 +218,21 @@ def test_layer_guard_spares_lower_and_bottom_imports():
 def test_payload_guard_spares_table_products():
     source = "x = table.mul(a, b)\ny = table.rmul[s][x]\nr = table.rlen(x)"
     assert violations(ast.parse(source), payload_free=True) == []
+
+
+def test_payload_products_are_called_only_in_the_walk():
+    """coxeter.py may bind payload products anywhere, but call them only
+    inside CoxeterGroup._walk: a lambda around _i2_mul or a product in any
+    other method is caught."""
+    walk = (
+        "class CoxeterGroup:\n    def __init__(self, m):\n"
+        "        self._mul = partial(_i2_mul, m)\n        self._gens = _perm_mul\n"
+        "    def _walk(self):\n        return [self._mul(p, g) for p in level]\n"
+    )
+    assert violations(ast.parse(walk)) == []
+    for call in ("lambda p, q: _i2_mul(m, p, q)", "self._mul(self._mul(g, t), g)"):
+        source = f"class CoxeterGroup:\n    def reflections(self):\n        return {call}\n"
+        assert violations(ast.parse(source)) != []
 
 
 def test_limit_guard_spares_other_errors():

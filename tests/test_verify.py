@@ -161,11 +161,17 @@ def test_family_restriction_is_enforced():
         run_check("thm-8.2", "F4", rank=4)
 
 
-def test_pair_sweeps_above_order_720_need_budget():
+def test_pair_sweeps_above_order_720_need_budget(monkeypatch):
     """F4 is the one group inside the default budgets with more than 720
-    elements: its 1152^2-pair sweeps are refused at once unless --budget is given."""
+    elements: its 1152^2-pair sweeps are refused at once unless --budget is
+    given.  A sweep that starts anyway raises at once instead of running."""
     pair_checks = {tid for tid, spec in CHECKS.items() if spec.sweep == "pairs"}
     assert pair_checks == {"prop-4.4", "lemma-4.5", "thm-5.9", "thm-6.4", "thm-8.2"}
+
+    def unguarded(group, verdict):
+        raise AssertionError(f"the pairs of {group.type.label()} were swept without --budget")
+
+    monkeypatch.setattr(verify, "_pairs", unguarded)
     started = time.perf_counter()
     for tid in ("prop-4.4", "lemma-4.5"):
         with pytest.raises(ResourceError, match="--budget"):
