@@ -49,7 +49,7 @@ def _emit(data: dict, path: str | None) -> None:
 
 def _add_group_flags(parser: argparse.ArgumentParser, default_type: str | None = None) -> None:
     parser.add_argument("--type", default=default_type, required=default_type is None,
-                        help="family: A, B, D, I2, H3 or F4")
+                        help="family: A, B, D, I2 or I2(m), H3 or F4")
     parser.add_argument("--rank", type=int, help="rank for families A, B, D")
     parser.add_argument("--m", type=int, help="parameter for the dihedral family")
     parser.add_argument("--budget", type=int,

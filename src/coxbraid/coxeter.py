@@ -24,7 +24,8 @@ walk, and products, descents, reduced words, reflection length and
 absolute order the Garside table built on it.  element(payload) looks
 a payload up in the walk, and the payload is read back only for the
 point action.  The reflections are the conjugacy classes of the
-generators.
+generators.  An id means nothing outside its group: CoxeterGroup.member
+checks, for every entry point, that an object belongs to a group.
 
 Generator numbering is 1-based.  For B_n the letter 1 is the sign change
 at the first coordinate and the letter i+1 swaps coordinates i and i+1,
@@ -38,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from math import factorial
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 
 class IntegrityError(RuntimeError):
@@ -55,6 +56,7 @@ class ResourceError(RuntimeError):
 _FAMILIES = ("A", "B", "D", "I2", "H3", "F4")
 _MIN_RANK = {"A": 1, "B": 2, "D": 4}
 _FIXED_RANK = {"I2": 2, "H3": 3, "F4": 4}
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ class CoxeterElement:
     payload) order.
 
     Instances are immutable by convention and hashable.  Equality compares
-    the group descriptor and the id; the hash is the id alone.
+    the group object, by identity, and the id; the hash is the id alone.
     """
 
     __slots__ = ("group", "id")
@@ -230,9 +232,7 @@ class CoxeterElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoxeterElement):
             return NotImplemented
-        return self.id == other.id and (
-            self.group is other.group or self.group.type == other.group.type
-        )
+        return self.id == other.id and self.group is other.group
 
     def __hash__(self) -> int:
         return self.id
@@ -243,9 +243,8 @@ class CoxeterElement:
         return self.group._walk()[0][self.id]
 
     def __mul__(self, other: "CoxeterElement") -> "CoxeterElement":
-        if self.group is not other.group:
-            raise ValueError("elements of different groups")
-        return CoxeterElement(self.group, garside.garside_table(self.group).mul(self.id, other.id))
+        g = self.group
+        return CoxeterElement(g, garside.garside_table(g).mul(self.id, g.member(other).id))
 
     def inverse(self) -> "CoxeterElement":
         """The inverse, read off the group's Cayley graph walk."""
@@ -303,6 +302,7 @@ class CoxeterGroup:
     Do not construct directly, use :func:`coxeter_group` so that groups are
     singletons per descriptor.  All tables built here are immutable after
     construction; the lazily built caches are only ever extended.
+    Membership (member) and element equality go by the group object.
     """
 
     def __init__(self, ctype: CoxeterType) -> None:
@@ -348,6 +348,13 @@ class CoxeterGroup:
         self._cayley: tuple | None = None
         self._elements_cache: tuple | None = None
         self._orderings_cache: dict | None = None
+
+    def member(self, obj: _T) -> _T:
+        """obj (an element, braid or Hecke element) if its .group is this
+        group; ValueError naming both groups otherwise."""
+        if obj.group is not self:
+            raise ValueError(f"{type(obj).__name__} of {obj.group!r} used with {self!r}")
+        return obj
 
     # -- element factories ---------------------------------------------
 
@@ -452,11 +459,9 @@ class CoxeterGroup:
 def coxeter_type(family: str, rank: int | None = None, m: int | None = None) -> CoxeterType:
     """The validated type, without building the group.  Rank may be
     omitted for the fixed rank families."""
-    if rank is None:
-        rank = _FIXED_RANK.get(family)
-        if rank is None:
-            raise ValueError(f"family {family} needs an explicit rank")
-    return CoxeterType(family, rank, m)
+    if rank is None and family in _MIN_RANK:
+        raise ValueError(f"family {family} needs an explicit rank")
+    return CoxeterType(family, _FIXED_RANK.get(family) if rank is None else rank, m)
 
 
 def coxeter_group(family: str, rank: int | None = None, m: int | None = None) -> CoxeterGroup:
@@ -478,12 +483,6 @@ def coxeter_group_of(ctype: CoxeterType) -> CoxeterGroup:
 # relations and orders
 
 
-def _same_group(x: CoxeterElement, y: CoxeterElement) -> CoxeterGroup:
-    if x.group is not y.group:
-        raise ValueError("elements of different groups")
-    return x.group
-
-
 def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
     """Left divisibility in absolute order, read off the group's table
     (GarsideTable.abs_divides).
@@ -492,7 +491,7 @@ def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
     Absolute order has no left/right asymmetry since the reflection set is
     closed under conjugation.
     """
-    return garside.garside_table(_same_group(x, y)).abs_divides(x.id, y.id)
+    return garside.garside_table(y.group).abs_divides(y.group.member(x).id, y.id)
 
 
 def bruhat_lower_interval(y: CoxeterElement) -> frozenset[CoxeterElement]:
@@ -503,7 +502,7 @@ def bruhat_lower_interval(y: CoxeterElement) -> frozenset[CoxeterElement]:
 
 
 def bruhat_leq(x: CoxeterElement, y: CoxeterElement) -> bool:
-    return bool(garside.garside_table(_same_group(x, y)).below(y.id) >> x.id & 1)
+    return bool(garside.garside_table(y.group).below(y.id) >> y.group.member(x).id & 1)
 
 
 def coxeter_element_orderings(group: CoxeterGroup) -> dict[CoxeterElement, tuple[int, ...]]:

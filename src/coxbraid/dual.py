@@ -130,8 +130,6 @@ def circle_sequence(c: CoxeterElement) -> tuple[int, ...]:
 def ncp_encode(x: CoxeterElement, c: CoxeterElement) -> NoncrossingPartition:
     """The noncrossing partition of a divisor: blocks are the cycles of x."""
     standard_ordering(c)
-    if x.group is not c.group:
-        raise ValueError("elements of different groups")
     if not abs_divides(x, c):
         raise ValueError("not a divisor of the Coxeter element")
     seq = circle_sequence(c)
@@ -236,7 +234,7 @@ def hurwitz_orbit_braids(
         return BraidWord(group, _letters_of_nf_ids(table, nf))
 
     moves: dict[tuple, tuple] = {}
-    start_key = tuple(b.nf for b in start)
+    start_key = tuple(group.member(b).nf for b in start)
     seen = {start_key}
     frontier = [start_key]
     while frontier:
@@ -270,6 +268,7 @@ class DualAtomTable:
     with a_j running cyclically through the ordering.  Indices 0 to
     2|T| - 1 hit every reflection exactly twice; the two words for the
     same reflection must be equal as braids, which is checked here.
+    Lookups take reflections of c's group only (CoxeterGroup.member).
     """
 
     def __init__(self, c: CoxeterElement, ordering: tuple[int, ...]) -> None:
@@ -307,17 +306,18 @@ class DualAtomTable:
         return self.group.reflections
 
     def braid(self, t: CoxeterElement) -> BraidWord:
-        return self._words[t]
+        return self._words[self.group.member(t)]
 
     def normal_form_ids(self, t: CoxeterElement) -> tuple:
-        return self._nfs[t.id]
+        return self._nfs[self.group.member(t).id]
 
     def all_rational(self) -> bool:
         return all(_rational_ids(nf) for nf in self._nfs.values())
 
 
 class DualMonoid:
-    """All dual braid data attached to one standard Coxeter element."""
+    """All dual braid data attached to one standard Coxeter element, for
+    elements of its group only (CoxeterGroup.member)."""
 
     def __init__(self, c: CoxeterElement, ordering: tuple[int, ...]) -> None:
         self.group = c.group
@@ -335,11 +335,11 @@ class DualMonoid:
         return self._divisors
 
     def contains(self, x: CoxeterElement) -> bool:
-        return self._table.abs_divides(x.id, self._cid)
+        return self._table.abs_divides(self.group.member(x).id, self._cid)
 
     def embed_nf_ids(self, x: CoxeterElement) -> tuple:
         table = self._table
-        xid = x.id
+        xid = self.group.member(x).id  # before the cache, which a foreign id can hit
         cached = self._embed_cache.get(xid)
         if cached is not None:
             return cached

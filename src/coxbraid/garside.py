@@ -59,9 +59,7 @@ class BraidWord:
         return _nf_ids(garside_table(self.group), self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.group is not other.group:
-            raise ValueError("braids over different groups")
-        return BraidWord(self.group, self.letters + other.letters)
+        return BraidWord(self.group, self.letters + self.group.member(other).letters)
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.group, tuple(-l for l in reversed(self.letters)))
@@ -354,9 +352,7 @@ def delta_normal_form(b: BraidWord) -> GarsideNormalForm:
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     """Word problem: compare left greedy normal forms."""
-    if a.group is not b.group:
-        raise ValueError("braids over different groups")
-    return a.nf == b.nf
+    return a.nf == a.group.member(b).nf
 
 
 # ---------------------------------------------------------------------------

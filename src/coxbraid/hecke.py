@@ -80,7 +80,8 @@ def _nonneg(rows: Rows) -> bool:
 
 class HeckeElement:
     """A finitely supported Z[v, v^-1] combination of standard basis terms,
-    stored by GarsideTable id in rows and keyed by element in coeffs."""
+    stored by GarsideTable id in rows and keyed by element in coeffs.  Its
+    methods take arguments of its group only (CoxeterGroup.member)."""
 
     __slots__ = ("group", "table", "rows")
 
@@ -92,7 +93,7 @@ class HeckeElement:
         self.group = group
         self.table = garside_table(group)
         self.rows: dict[int, LaurentPolynomial] = {
-            w.id: c for w, c in (coeffs or {}).items() if c
+            group.member(w).id: c for w, c in (coeffs or {}).items() if c
         }
 
     @staticmethod
@@ -115,7 +116,7 @@ class HeckeElement:
         return MappingProxyType({CoxeterElement(group, x): c for x, c in self.rows.items()})
 
     def coeff(self, w: CoxeterElement) -> LaurentPolynomial:
-        return self.rows.get(w.id, _ZERO)
+        return self.rows.get(self.group.member(w).id, _ZERO)
 
     def support(self) -> frozenset[CoxeterElement]:
         return frozenset(CoxeterElement(self.group, x) for x in self.rows)
@@ -124,10 +125,8 @@ class HeckeElement:
         return not self.rows
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.group is not other.group:
-            raise ValueError("elements of different algebras")
         acc = dict(self.rows)
-        for x, c in other.rows.items():
+        for x, c in self.group.member(other).rows.items():
             acc[x] = acc.get(x, _ZERO) + c
         return HeckeElement._wrap(self.group, acc)
 
@@ -163,10 +162,8 @@ class HeckeElement:
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    if a.group is not b.group:
-        raise ValueError("elements of different algebras")
-    table, start = a.table, a._int_rows()
-    total = combine((_fold(table, start, table.word(y)), c.terms) for y, c in b.rows.items())
+    table, start, rows = a.table, a._int_rows(), a.group.member(b).rows
+    total = combine((_fold(table, start, table.word(y)), c.terms) for y, c in rows.items())
     return HeckeElement._wrap(a.group, {x: poly(p) for x, p in total.items()})
 
 
@@ -203,7 +200,8 @@ class KLTable:
         P_{y,w} = P_{sy,v} + q P_{y,v} - sum mu(z,v) q^{(l(w)-l(z))/2} P_{y,z}
 
     over the z of the mu-list of v with sz < z.  Basis elements come back
-    as HeckeElements over v with q = v^-2 substituted.
+    as HeckeElements over v with q = v^-2 substituted.  Methods take
+    arguments of the table's group only (CoxeterGroup.member).
     """
 
     def __init__(self, group: CoxeterGroup) -> None:
@@ -262,14 +260,14 @@ class KLTable:
 
     def p(self, y: CoxeterElement, w: CoxeterElement) -> LaurentPolynomial:
         """P_{y,w} as a polynomial in q."""
-        got = self._row(w.id).get(y.id, ())
+        got = self._row(self.group.member(w).id).get(self.group.member(y).id, ())
         return poly({k: c for k, c in enumerate(got) if c})
 
     def mu(self, y: CoxeterElement, w: CoxeterElement) -> int:
         """The coefficient of the top allowed q power in P_{y,w}."""
+        terms = dict(self.p(y, w).terms)
         k, odd = divmod(w.length() - y.length() - 1, 2)
-        got = self._row(w.id).get(y.id, ())
-        return got[k] if not odd and 0 <= k < len(got) else 0
+        return 0 if odd else terms.get(k, 0)
 
     # -- bases -------------------------------------------------------------
 
@@ -288,7 +286,7 @@ class KLTable:
 
     def c_prime(self, w: CoxeterElement) -> HeckeElement:
         """C'_w = v^{l(w)} sum_y P_{y,w}(v^-2) T_y."""
-        x = w.id
+        x = self.group.member(w).id
         lw = self.table.length[x]
         return HeckeElement._wrap(self.group, {
             y: LaurentPolynomial.of({lw - 2 * k: c for k, c in enumerate(p)})
@@ -298,7 +296,7 @@ class KLTable:
     def c_basis(self, w: CoxeterElement) -> HeckeElement:
         """C_w = (-1)^{l(w)} j_H(C'_w)."""
         return HeckeElement._wrap(self.group, {
-            y: poly(dict(terms)) for y, terms in self._c_row(w.id)
+            y: poly(dict(terms)) for y, terms in self._c_row(self.group.member(w).id)
         })
 
     # -- expansion ---------------------------------------------------------
@@ -320,25 +318,20 @@ class KLTable:
 
     def expand_in_C(self, h: HeckeElement) -> dict[CoxeterElement, LaurentPolynomial]:
         """Coordinates of h on the basis {C_w}, in increasing id order."""
-        if h.group is not self.group:
-            raise ValueError("element of a different algebra")
-        rows = self._eliminate(h._int_rows())
+        rows = self._eliminate(self.group.member(h)._int_rows())
         elements = self.group.elements()  # in id order
         return {elements[x]: poly(rows[x]) for x in sorted(rows)}
 
     def pair_is_nonneg(self, x: CoxeterElement, y: CoxeterElement) -> bool:
         """Whether every C-coordinate of T_x^-1 T_y has nonnegative
         coefficients, read off the signs of the id rows of _pair_rows."""
-        if x.group is not self.group or y.group is not self.group:
-            raise ValueError("element of a different algebra")
-        return _nonneg(self._pair_rows(x.id, y.id))
+        return _nonneg(self._pair_rows(self.group.member(x).id, self.group.member(y).id))
 
     def braid_is_nonneg(self, b: BraidWord) -> bool:
         """Whether every C-coordinate of the image of b under a has
         nonnegative coefficients: pair_is_nonneg on the fraction x^-1 y of
         a rational braid, elimination of braid_image_a(b) otherwise."""
-        if b.group is not self.group:
-            raise ValueError("braid of a different group")
+        self.group.member(b)  # before the try, which reads ValueError as not rational
         try:
             x, y = fraction_form(b)
         except ValueError:  # not rational, which only type D leaves open

@@ -461,7 +461,8 @@ class ZinnoMatrix:
     pairing: tuple[tuple[int, int], ...] | None
 
     def entry(self, x: CoxeterElement, w: CoxeterElement) -> LaurentPolynomial:
-        return self.entries[self.rows.index(x)][self.cols.index(w)]
+        group = self.c.group
+        return self.entries[self.rows.index(group.member(x))][self.cols.index(group.member(w))]
 
     def is_square(self) -> bool:
         return len(self.rows) == len(self.cols)

@@ -20,6 +20,7 @@ is internally consistent, and the per divisor outcomes are data.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -95,14 +96,22 @@ def budget_guard(ctype: CoxeterType, pairs: bool, budget: int | None) -> tuple[s
     return tuple(f"budget override: {what}; expect long runtimes" for what in over)
 
 
+_I2 = re.compile(r"I2(?:\((\d+)\))?")
+
+
 def type_for(family: str, rank: int | None = None, m: int | None = None) -> CoxeterType:
-    """The type of a family, rank and m; CoxeterType rejects any that do not fit."""
-    return coxeter_type(normalize_family(family), rank, m)
+    """The type of a family, rank and m; CoxeterType rejects any that do not
+    fit.  The spelling I2(m) gives m, which the m argument may only repeat."""
+    spelled = _I2.fullmatch(family.upper())
+    given = int(spelled[1]) if spelled and spelled[1] else m
+    if m not in (None, given):
+        raise ValueError(f"family {family} has m = {given}, got m = {m}")
+    return coxeter_type(normalize_family(family), rank, given)
 
 
 def normalize_family(family: str) -> str:
     fam = family.upper()
-    if fam.startswith("I"):
+    if _I2.fullmatch(fam):
         return "I2"
     if fam in ("H", "H3"):
         return "H3"

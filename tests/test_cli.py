@@ -103,7 +103,9 @@ def test_verify_rejects_arguments_it_would_ignore(capsys):
     for argv in (("prop-3.2", "--type", "A", "--rank", "3", "--m", "7"),
                  ("prop-3.2", "--type", "I2", "--rank", "5", "--m", "7"),
                  ("prop-4.4", "--type", "A", "--rank", "2", "--coxeter", "1,2"),
-                 ("prop-3.2", "--type", "A", "--rank", "3", "--coxeter", "1,1,2")):
+                 ("prop-3.2", "--type", "A", "--rank", "3", "--coxeter", "1,1,2"),
+                 ("prop-3.2", "--type", "I2(7)", "--m", "5"),
+                 ("prop-3.2", "--type", "Ifoo", "--m", "5")):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2, argv
         assert out == ""

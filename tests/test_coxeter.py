@@ -346,6 +346,20 @@ def test_element_errors():
         group.generator(1) * other.generator(1)
 
 
+def test_equality_is_group_identity():
+    """Elements of two group objects never compare equal, even of one type:
+    a group built directly numbers its ids by its own walk, which patched
+    generators change (test_matrix_differential_catches_swapped_generators)."""
+    singleton = coxeter_group("A", 3)
+    direct = CoxeterGroup(CoxeterType("A", 3))
+    for x in (0, 5, 23):
+        assert direct.elements()[x] != singleton.elements()[x]
+        assert direct.elements()[x] == direct.elements()[x]
+    with pytest.raises(ValueError, match="used with"):
+        singleton.member(direct.longest_element)
+    assert singleton.member(singleton.longest_element) is singleton.longest_element
+
+
 def test_sort_key_orders_group_deterministically():
     """Ids are the one sort key: they order the group by length, then payload."""
     group = coxeter_group("B", 2)

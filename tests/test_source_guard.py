@@ -14,7 +14,12 @@ Size limits have one home: no module but verify.py, whose budget_guard
 every command calls before it builds a table, and mikado.py, whose count
 caps wait for closed-form counts, raises ResourceError.  A braid folds
 its normal form once: no code outside BraidWord calls _nf_ids on a
-braid's .letters, so every entry point reads BraidWord.nf.  Each module
+braid's .letters, so every entry point reads BraidWord.nf.  Group
+membership has one home, CoxeterGroup.member: no module but coxeter.py
+raises from an if that compares .group objects, so every entry point that
+takes an element, braid or Hecke element asks member instead of keeping
+its own copy of the check (a comparison that only answers, as
+HeckeElement.__eq__, is left alone).  Each module
 imports only the modules below it, lazy imports included, in the order
 
     laurent < coxeter < garside < hecke < dual < mikado < render < tl
@@ -58,6 +63,10 @@ LIMIT_FREE = {p.name for p in MODULES} - {"verify.py", "mikado.py"}
 # BraidWord.nf is the one place that folds a braid's letters; every module
 # reads it instead of refolding.
 REFOLD_OWNER = "BraidWord"
+# Every module but coxeter.py must leave group membership to
+# CoxeterGroup.member: no if that compares .group objects and raises.
+MEMBERSHIP_FREE = {p.name for p in MODULES} - {"coxeter.py"}
+GROUP_COMPARISONS = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)
 # Each module imports only the modules before it here, apart from the one
 # bottom import of garside by coxeter.
 LAYERS = (
@@ -80,9 +89,23 @@ def imported_modules(node: ast.AST) -> list[str]:
     return [bits[1] for bits in parts if bits[0] == "coxbraid" and bits[1] in LAYERS]
 
 
+def compares_groups(test: ast.AST) -> bool:
+    """Whether an if test compares a .group object with is, is not, == or !=."""
+    return any(
+        isinstance(node, ast.Compare)
+        and any(isinstance(op, GROUP_COMPARISONS) for op in node.ops)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "group"
+            for side in (node.left, *node.comparators)
+        )
+        for node in ast.walk(test)
+    )
+
+
 def violations(
     tree: ast.AST, payload_free: bool = False, kernel_free: bool = False,
     limit_free: bool = False, refold_free: bool = False, layer: str | None = None,
+    membership_free: bool = False,
 ) -> list[str]:
     found = []
     owner = {
@@ -106,6 +129,11 @@ def violations(
             and any(getattr(a, "attr", None) == "letters" for a in node.args)
         ):
             found.append(f"line {node.lineno}: _nf_ids refolds .letters outside BraidWord.nf")
+        if (
+            membership_free and isinstance(node, ast.If) and compares_groups(node.test)
+            and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+        ):
+            found.append(f"line {node.lineno}: membership checked outside CoxeterGroup.member")
         if limit_free and isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if getattr(exc, "attr", getattr(exc, "id", None)) == "ResourceError":
@@ -163,6 +191,7 @@ def test_no_threads_and_no_environment(path):
     assert violations(
         tree, payload_free=path.name in PAYLOAD_FREE, kernel_free=path.name in KERNEL_FREE,
         limit_free=path.name in LIMIT_FREE, refold_free=True, layer=path.stem,
+        membership_free=path.name in MEMBERSHIP_FREE,
     ) == []
 
 
@@ -194,12 +223,14 @@ def test_no_threads_and_no_environment(path):
         "from . import verify",
         "import coxbraid.cli",
         "from coxbraid.hecke import kl_table",
+        "if x.group is not y.group:\n    raise ValueError('elements of different groups')",
+        "if b.group != self.group:\n    raise ValueError('braid of a different group')",
     ],
 )
 def test_guard_catches(source):
     assert violations(
         ast.parse(source), payload_free=True, kernel_free=True, limit_free=True,
-        refold_free=True, layer="hecke",
+        refold_free=True, layer="hecke", membership_free=True,
     )
 
 
@@ -233,6 +264,19 @@ def test_payload_products_are_called_only_in_the_walk():
     for call in ("lambda p, q: _i2_mul(m, p, q)", "self._mul(self._mul(g, t), g)"):
         source = f"class CoxeterGroup:\n    def reflections(self):\n        return {call}\n"
         assert violations(ast.parse(source)) != []
+
+
+def test_membership_guard_spares_member_and_answers():
+    """Asking CoxeterGroup.member, comparing groups without raising, and
+    raising after a test of the family or of TL points all pass."""
+    source = (
+        "x = group.member(x).id\n"
+        "def __eq__(self, other):\n"
+        "    return self.group is other.group and self.rows == other.rows\n"
+        "if w.group.type.family != 'A':\n    raise ValueError('expected a type A element')\n"
+        "if self.points != other.points:\n    raise ValueError('elements of different algebras')\n"
+    )
+    assert violations(ast.parse(source), membership_free=True) == []
 
 
 def test_limit_guard_spares_other_errors():
