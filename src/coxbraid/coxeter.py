@@ -16,16 +16,17 @@ Products compose right to left, (u * v)(i) = u(v(i)), so that words read
 the way they are written: from_word([1, 2]) applies s2 first.
 
 Each group walks its Cayley graph once, breadth first, on first need
-(CoxeterGroup._walk): one payload product per edge numbers the elements
+(CoxeterGroup._walk): one generator action per edge numbers the elements
 in (length, payload) order and gives their lengths, right products and
-inverses.  That walk takes the only payload products there are.  An
-element is its id in the walk: from_word, length and inverse read the
-walk, and products, descents, reduced words, reflection length and
-absolute order the Garside table built on it.  element(payload) looks
-a payload up in the walk, and the payload is read back only for the
-point action.  The reflections are the conjugacy classes of the
-generators.  An id means nothing outside its group: CoxeterGroup.member
-checks, for every entry point, that an object belongs to a group.
+inverses.  That walk takes the only payload products there are, each by
+a generator on the right.  An element is its id in the walk: from_word,
+length and inverse read the walk, and products, descents, reduced words,
+reflection length and absolute order the Garside table built on it.
+element(payload) looks a payload up in the walk, and the payload is read
+back only for the point action.  The reflections are the conjugacy
+classes of the generators.  An id means nothing outside its group:
+CoxeterGroup.member checks, for every entry point, that an object
+belongs to a group.
 
 Generator numbering is 1-based.  For B_n the letter 1 is the sign change
 at the first coordinate and the letter i+1 swaps coordinates i and i+1,
@@ -36,10 +37,11 @@ so m(1, 2) = 4.  For D_n the letter 1 maps (1, 2) to (-2, -1), the letter
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from math import factorial
-from typing import Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 
 class IntegrityError(RuntimeError):
@@ -141,29 +143,29 @@ class CoxeterType:
 
 
 # ---------------------------------------------------------------------------
-# permutation and signed permutation payloads
-
-
-def _perm_mul(u: tuple, v: tuple) -> tuple:
-    return tuple(u[x - 1] for x in v)
+# payload actions
 
 
 def _sp_apply(u: tuple, x: int) -> int:
     return u[x - 1] if x > 0 else -u[-x - 1]
 
 
-def _sp_mul(u: tuple, v: tuple) -> tuple:
-    return tuple(_sp_apply(u, x) for x in v)
+def _right_action(ctype: CoxeterType, g: tuple) -> Callable[[tuple], tuple]:
+    """p -> p g for the payload g of a generator of ctype.
 
-
-# ---------------------------------------------------------------------------
-# dihedral payloads
-
-
-def _i2_mul(m: int, p: tuple, q: tuple) -> tuple:
-    a, f = p
-    b, g = q
-    return ((a + b if f == 0 else a - b) % m, f ^ g)
+    (p g)(j) = p(g(j)), so a permutation generator is one itemgetter over
+    the positions |g(j)| - 1, times the sign of g(j) for a signed one.  A
+    dihedral generator is (b, 1), and rho^a s^f rho^b s is rho^(a + b)
+    s for f = 0 and rho^(a - b) for f = 1.
+    """
+    if ctype.family == "I2":
+        m, b = ctype.m, g[0]
+        return lambda p: ((p[0] - b if p[1] else p[0] + b) % m, 1 - p[1])
+    get = operator.itemgetter(*(abs(x) - 1 for x in g))
+    signs = tuple(1 if x > 0 else -1 for x in g)
+    if -1 not in signs:
+        return get
+    return lambda p: tuple(map(operator.mul, get(p), signs))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,8 @@ def _root_permutations(cartan: tuple) -> tuple[tuple[int, ...], ...]:
     for a + b*phi, and s_i changes coordinate i of v by -sum_j A_ij v_j.
     The roots are the closure of the simple roots under the s_i, labelled
     1, 2, ... in sorted order; s_i is the tuple of the labels of s_i(r), r
-    running over the roots in that order, and _perm_mul composes them.
+    running over the roots in that order, and acts as a permutation of the
+    labels (_right_action).
     """
     n = len(cartan)
 
@@ -318,7 +321,6 @@ class CoxeterGroup:
                 p = list(ident)
                 p[i - 1], p[i] = p[i], p[i - 1]
                 gens.append(tuple(p))
-            self._mul = _perm_mul
         elif fam in ("B", "D"):
             ident = tuple(range(1, n + 1))
             first = list(ident)
@@ -331,15 +333,12 @@ class CoxeterGroup:
                 p = list(ident)
                 p[i - 1], p[i] = p[i], p[i - 1]
                 gens.append(tuple(p))
-            self._mul = _sp_mul
         elif fam == "I2":
             ident = (0, 0)
             gens = [(0, 1), (ctype.m - 1, 1)]
-            self._mul = partial(_i2_mul, ctype.m)
         else:
             gens = _root_permutations(_CARTAN[fam])
             ident = tuple(range(1, len(gens[0]) + 1))
-            self._mul = _perm_mul
 
         self._ident_payload = ident
         self._gen_payloads = tuple(gens)
@@ -393,43 +392,49 @@ class CoxeterGroup:
         Depth is the Coxeter length.  Ids number the elements level by
         level, each level sorted by payload, and the walk returns
         (payloads, index, rmul, length, inv) with rmul[s][x] the id of x
-        times generator s + 1.  Each edge p s is one payload product, made
-        an id once the next level is numbered.  x = y s with l(y) < l(x)
-        gives x^-1 = s y^-1, so inverses fold the letters of x through
-        rmul from right to left, without payload products.  Callers share
-        these lists and must not change them.
+        times generator s + 1.  Each edge p s is one generator action
+        (_right_action, built here from _gen_payloads), made an id once the
+        next level is numbered.  Inverses take one step of ids per element,
+        without payloads: x = y s with l(y) < l(x) passes a left descent
+        of y on to x.  Callers share these lists and must not change them.
         """
         if self._cayley is None:
-            mul, gens = self._mul, self._gen_payloads
+            acts = [_right_action(self.type, g) for g in self._gen_payloads]
             payloads = [self._ident_payload]
             index = {payloads[0]: 0}
             length = [0]
             last = [-1]  # a generator s with l(x s) < l(x)
-            rmul: list[list[int]] = [[] for _ in gens]
+            rmul: list[list[int]] = [[] for _ in acts]
             level = payloads[:]
             while level:
-                prods = [[mul(p, g) for g in gens] for p in level]
+                cols = [list(map(act, level)) for act in acts]
+                found: dict[tuple, int] = {}
+                for s, col in enumerate(cols):
+                    found.update(zip(col, itertools.repeat(s)))
                 # each product p s not yet numbered lies one level deeper
-                found = {q: s for row in prods for s, q in enumerate(row) if q not in index}
-                level = sorted(found)
-                index.update((q, len(payloads) + i) for i, q in enumerate(level))
+                level = sorted(set(found).difference(index))
+                index.update(zip(level, itertools.count(len(payloads))))
                 payloads += level
                 length += [length[-1] + 1] * len(level)
-                last += [found[q] for q in level]
-                for s, col in enumerate(rmul):
-                    col.extend(index[row[s]] for row in prods)
+                last += map(found.__getitem__, level)
+                for out, col in zip(rmul, cols):
+                    out.extend(map(index.__getitem__, col))
             if len(payloads) != self.type.order() or length[-1] != self.type.reflection_count():
                 raise IntegrityError(
                     f"{self.type.label()}: {len(payloads)} elements up to length {length[-1]}, "
                     f"expected {self.type.order()} up to length {self.type.reflection_count()}"
                 )
-            inv = []
-            for x in range(len(payloads)):
-                z, c = 0, x
-                while c:
-                    row = rmul[last[c]]
-                    z, c = row[z], row[c]
-                inv.append(z)
+            # x = y s: a left descent t of y is one of x, with t x = (t y) s,
+            # and x = s has t = s, t x = e.  Then x^-1 = (t x)^-1 t, and t x
+            # comes before x since ids run by length.
+            first, lpar, inv = [-1], [0], [0]
+            for x in range(1, len(payloads)):
+                s = last[x]
+                y = rmul[s][x]
+                t, z = (first[y], rmul[s][lpar[y]]) if y else (s, 0)
+                first.append(t)
+                lpar.append(z)
+                inv.append(rmul[t][inv[z]])
             self._cayley = (payloads, index, rmul, length, inv)
         return self._cayley
 

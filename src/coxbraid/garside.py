@@ -325,6 +325,10 @@ class GarsideNormalForm:
     inf: int
     factors: tuple[CoxeterElement, ...]
 
+    def __post_init__(self) -> None:
+        for f in self.factors:
+            self.group.member(f)
+
     def is_identity(self) -> bool:
         return self.inf == 0 and not self.factors
 

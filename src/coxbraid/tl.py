@@ -312,7 +312,7 @@ def b_w(w: CoxeterElement) -> TLElement:
     if w.group.type.family != "A":
         raise ValueError("expected a type A element")
     ids = _b_w_table(w.group.rank)
-    if w not in ids:
+    if coxeter_group("A", w.group.rank).member(w) not in ids:
         raise ValueError("element is not fully commutative")
     return TLElement._wrap(2 * (w.group.rank + 1), {ids[w]: {0: 1}})
 

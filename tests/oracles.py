@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from coxbraid.coxeter import (
     CoxeterElement,
@@ -52,12 +52,23 @@ COVERED_GROUPS = [
 # lengths by search and by linear algebra
 
 
+def payload_mul(group: CoxeterGroup, p: tuple, q: tuple) -> tuple:
+    """The payload of p q, for any two payloads of group, composed right to
+    left as in the coxbraid.coxeter module docstring: (p q)(j) = p(q(j))
+    on (signed) permutations, and rho^a s^f rho^b s^g = rho^(a +- b)
+    s^(f + g) on the dihedral pairs (a, f), (b, g)."""
+    if group.type.family == "I2":
+        (a, f), (b, g) = p, q
+        return ((a + b if f == 0 else a - b) % group.type.m, f ^ g)
+    return tuple(p[x - 1] if x > 0 else -p[-x - 1] for x in q)
+
+
 def payload_of_word(group: CoxeterGroup, word) -> tuple:
     """The payload of the product of the generators of word, folded by
     payload products."""
     p = group.identity.payload
     for i in word:
-        p = group._mul(p, group._gen_payloads[i - 1])
+        p = payload_mul(group, p, group._gen_payloads[i - 1])
     return p
 
 
@@ -66,9 +77,10 @@ def reflections_by_conjugation(group: CoxeterGroup) -> frozenset[tuple]:
     """The payloads of the reflections: the closure of the generators
     under conjugation by them, by payload products."""
     gens = group._gen_payloads
+    mul = partial(payload_mul, group)
     found = frontier = frozenset(gens)
     while frontier:
-        frontier = {group._mul(group._mul(g, t), g) for t in frontier for g in gens} - found
+        frontier = {mul(mul(g, t), g) for t in frontier for g in gens} - found
         found |= frontier
     return found
 
@@ -87,7 +99,7 @@ def _cayley_distances(group: CoxeterGroup, by_reflections: bool) -> dict:
         nxt = []
         for p in frontier:
             for step in steps:
-                q = group._mul(p, step)
+                q = payload_mul(group, p, step)
                 if q not in dist:
                     dist[q] = dist[p] + 1
                     nxt.append(q)
@@ -113,7 +125,7 @@ def descents_by_search(w: CoxeterElement, left: bool = True) -> frozenset[int]:
     dist = _cayley_distances(g, False)
     return frozenset(
         i for i, s in enumerate(g._gen_payloads, 1)
-        if dist[g._mul(s, p) if left else g._mul(p, s)] < dist[p]
+        if dist[payload_mul(g, s, p) if left else payload_mul(g, p, s)] < dist[p]
     )
 
 
@@ -126,7 +138,7 @@ def shortlex_word_by_search(w: CoxeterElement) -> tuple[int, ...]:
     while p != g.identity.payload:
         i = min(descents_by_search(g.element(p)))
         word.append(i)
-        p = g._mul(g._gen_payloads[i - 1], p)
+        p = payload_mul(g, g._gen_payloads[i - 1], p)
     return tuple(word)
 
 

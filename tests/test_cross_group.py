@@ -26,7 +26,7 @@ from coxbraid.dual import (
     hurwitz_orbit_braids,
     ncp_encode,
 )
-from coxbraid.garside import BraidWord, braid_equal
+from coxbraid.garside import BraidWord, GarsideNormalForm, braid_equal
 from coxbraid.hecke import HeckeElement, hecke_mul, kl_table
 from coxbraid.laurent import LaurentPolynomial
 from coxbraid.tl import zinno_matrix
@@ -60,6 +60,7 @@ PROBES = {
     "bruhat_leq": lambda: bruhat_leq(X, W0),
     "BraidWord.__mul__": lambda: braid(A3) * braid(B2),
     "braid_equal": lambda: braid_equal(braid(A3), braid(B2)),
+    "GarsideNormalForm.__init__": lambda: GarsideNormalForm(A3, 0, (X,)),
     "HeckeElement.__init__": lambda: HeckeElement(A3, {X: LaurentPolynomial.one()}),
     "HeckeElement.coeff": lambda: unit(A3).coeff(X),
     "HeckeElement.__add__": lambda: unit(A3) + unit(B2),
@@ -102,7 +103,7 @@ ONE_GROUP = {
     "ncp_decode", "DualAtomTable.__init__", "DualMonoid.__init__", "dual_monoid",
     "dual_atoms", "verify_dual_relations", "b_w", "theta", "theta_prime", "omega",
     "zinno_matrix", "sign_alternating",
-    "GarsideNormalForm.__init__", "ZinnoMatrix.__init__",
+    "ZinnoMatrix.__init__",
 }
 OBJECTS = ("CoxeterElement", "BraidWord", "HeckeElement")
 

@@ -1,6 +1,7 @@
 """Classical Garside structure: normal forms, fractions, signed lifts."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -262,7 +263,7 @@ def test_table_matches_payload_arithmetic(family, rank, m):
     group = coxeter_group(family, rank, m=m)
     table = garside_table(group)
     P = group._walk()[0]
-    mul = group._mul
+    mul = partial(oracles.payload_mul, group)
     ident = group.identity.payload
     w0 = group.longest_element.payload
     for x, p in enumerate(P):
@@ -322,7 +323,7 @@ def test_walk_matches_checks_outside_the_walk(family, rank, m):
     assert counts == poincare_coefficients(degrees(family, rank, m))
     ident = group.identity.payload
     for x, p in enumerate(P):
-        assert group._mul(p, P[table.inv[x]]) == ident
+        assert oracles.payload_mul(group, p, P[table.inv[x]]) == ident
     by_search = {w.payload: oracles.length_by_search(w) for w in group.elements()}
     assert table.length == [by_search[p] for p in P]
     assert P == sorted(by_search, key=lambda p: (by_search[p], p))
@@ -330,22 +331,27 @@ def test_walk_matches_checks_outside_the_walk(family, rank, m):
 
 
 def test_f4_walk_takes_one_product_per_edge(monkeypatch):
-    """A fresh F4 group, its elements and its table make one root
-    permutation product per edge of the 4608-edge Cayley graph, plus at
-    most 200 elsewhere (three separate walks made about 15 000)."""
+    """A fresh F4 group, its elements and its table take exactly one
+    generator action per edge of the 4608-edge Cayley graph, and no
+    other payload product (three separate walks made about 15 000)."""
     calls = 0
-    perm_mul = coxeter._perm_mul
+    right_action = coxeter._right_action
 
-    def counted(x, y):
-        nonlocal calls
-        calls += 1
-        return perm_mul(x, y)
+    def counted(ctype, g):
+        act = right_action(ctype, g)
 
-    monkeypatch.setattr(coxeter, "_perm_mul", counted)
+        def step(p):
+            nonlocal calls
+            calls += 1
+            return act(p)
+
+        return step
+
+    monkeypatch.setattr(coxeter, "_right_action", counted)
     group = CoxeterGroup(CoxeterType("F4", 4))
     group.elements()
     GarsideTable(group)
-    assert 4608 <= calls <= 4608 + 200
+    assert calls == 4608
 
 
 def test_bruhat_intervals_are_built_on_first_use():

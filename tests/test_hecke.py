@@ -11,7 +11,7 @@ import pytest
 
 import coxbraid
 import oracles
-from coxbraid import hecke, verify
+from coxbraid import coxeter, hecke, verify
 from coxbraid.coxeter import (
     CoxeterElement,
     CoxeterType,
@@ -583,11 +583,11 @@ def test_a_negative_pair_row_fails_the_ordering(monkeypatch):
 
 def test_kl_layer_takes_no_payload_products(monkeypatch):
     """After the walk, every C_w of B3 and the thm-8.2 sweep of A3 run on
-    table ids alone: no payload product and no payload length."""
+    table ids alone: no generator action and no payload length."""
     b3, a3 = coxeter_group("B", 3), coxeter_group("A", 3)
     for group in (b3, a3):
         garside_table(group)
-    calls = {"mul": 0, "length": 0}
+    calls = {"act": 0, "length": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -595,12 +595,14 @@ def test_kl_layer_takes_no_payload_products(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for group in (b3, a3):
-        monkeypatch.setattr(group, "_mul", counted("mul", group._mul))
+    right_action = coxeter._right_action
+    monkeypatch.setattr(
+        coxeter, "_right_action", lambda *args: counted("act", right_action(*args))
+    )
     monkeypatch.setattr(CoxeterElement, "length", counted("length", CoxeterElement.length))
     monkeypatch.setattr(verify, "kl_table", cache(KLTable))  # a fresh A3 table
     table = KLTable(b3)
     built = [table.c_basis(w) for w in b3.elements()]
     assert len(built) == 48 and all(not h.is_zero() for h in built)
     assert verify.run_check("thm-8.2", "A", 3).passed
-    assert calls == {"mul": 0, "length": 0}
+    assert calls == {"act": 0, "length": 0}

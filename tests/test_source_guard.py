@@ -6,7 +6,8 @@ pool can reorder work, and no variable can point a run at state kept on
 disk.  The proof path uses no rational or decimal arithmetic, which is
 left to the test oracles.  Elements are ids in the group's Cayley graph
 walk: no module but coxeter.py, which builds the groups, names a payload
-product, and coxeter.py calls one only inside CoxeterGroup._walk.
+product, and coxeter.py reads one, the generator actions of
+_right_action included, only inside CoxeterGroup._walk.
 Coefficients in Z[v, v^-1] have one kernel: no module but laurent.py
 defines the row kernel or wraps terms as a LaurentPolynomial without the
 constructor's check.
@@ -47,10 +48,12 @@ CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 INEXACT = {"fractions", "decimal"}
 # Every module but coxeter.py, which builds the groups, must stay off payload
-# products, and coxeter.py may call them only in the one Cayley graph walk:
-# every other product is read off the walk's ids.
+# products, and coxeter.py may read them only in the one Cayley graph walk:
+# every other product is read off the walk's ids.  A read, not only a call,
+# so that no other method can build the actions and call them through a
+# subscript.
 PAYLOAD_FREE = {p.name for p in MODULES} - {"coxeter.py"}
-PAYLOAD_PRODUCTS = {"_mul", "_perm_mul", "_sp_mul", "_i2_mul"}
+PAYLOAD_PRODUCTS = {"_mul", "_perm_mul", "_sp_mul", "_i2_mul", "_right_action"}
 WALK = ("CoxeterGroup", "_walk")
 # Every module but laurent.py must reach the coefficient kernel through
 # laurent's addmul, combine and poly: no unchecked wrap of terms, no second
@@ -155,10 +158,10 @@ def violations(
             if name in PAYLOAD_PRODUCTS:
                 found.append(f"line {node.lineno}: payload product {name}")
         if (
-            isinstance(node, ast.Call) and id(node) not in walk
-            and getattr(node.func, "attr", getattr(node.func, "id", None)) in PAYLOAD_PRODUCTS
+            isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in walk
+            and getattr(node, "attr", getattr(node, "id", None)) in PAYLOAD_PRODUCTS
         ):
-            found.append(f"line {node.lineno}: payload product called outside {'.'.join(WALK)}")
+            found.append(f"line {node.lineno}: payload product read outside {'.'.join(WALK)}")
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -211,6 +214,8 @@ def test_no_threads_and_no_environment(path):
         "p = coxeter._sp_mul(a, b)",
         "p = coxeter._i2_mul(m, a, b)",
         "class CoxeterGroup:\n    def reflections(self):\n        return self._mul(g, t)",
+        "from .coxeter import _right_action",
+        "acts = [_right_action(ctype, g) for g in gens]\np = acts[s](q)",
         "p = LaurentPolynomial._trusted(((0, 1),))",
         "def _addmul(rows, x, p, q):\n    pass",
         "Rows = dict[int, dict[int, int]]",
@@ -251,18 +256,25 @@ def test_payload_guard_spares_table_products():
     assert violations(ast.parse(source), payload_free=True) == []
 
 
-def test_payload_products_are_called_only_in_the_walk():
-    """coxeter.py may bind payload products anywhere, but call them only
-    inside CoxeterGroup._walk: a lambda around _i2_mul or a product in any
-    other method is caught."""
+def test_payload_products_are_read_only_in_the_walk():
+    """coxeter.py may define the generator action factory, but read it only
+    inside CoxeterGroup._walk: binding actions to the group, a lambda around
+    one, an action called through a subscript or a product in any other
+    method is caught."""
     walk = (
-        "class CoxeterGroup:\n    def __init__(self, m):\n"
-        "        self._mul = partial(_i2_mul, m)\n        self._gens = _perm_mul\n"
-        "    def _walk(self):\n        return [self._mul(p, g) for p in level]\n"
+        "def _right_action(ctype, g):\n    return itemgetter(*g)\n"
+        "class CoxeterGroup:\n    def _walk(self):\n"
+        "        acts = [_right_action(self.type, g) for g in self._gen_payloads]\n"
+        "        return [list(map(act, level)) for act in acts]\n"
     )
     assert violations(ast.parse(walk)) == []
-    for call in ("lambda p, q: _i2_mul(m, p, q)", "self._mul(self._mul(g, t), g)"):
-        source = f"class CoxeterGroup:\n    def reflections(self):\n        return {call}\n"
+    for body in (
+        "self._acts = [_right_action(self.type, g) for g in gens]",
+        "return lambda p: _right_action(self.type, g)(p)",
+        "return [_right_action(self.type, g) for g in gens][s](t)",
+        "return self._mul(self._mul(g, t), g)",
+    ):
+        source = f"class CoxeterGroup:\n    def reflections(self):\n        {body}\n"
         assert violations(ast.parse(source)) != []
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from coxbraid import tl
 from coxbraid.coxeter import (
+    CoxeterGroup,
+    CoxeterType,
     IntegrityError,
     bruhat_leq,
     coxeter_element_orderings,
@@ -179,6 +181,14 @@ def test_b_basis_is_a_bijection_onto_diagrams():
             assert x.coeff(support[0]) == L.one()
             diagrams.add(support[0])
         assert len(diagrams) == len(fc)
+
+
+def test_b_w_refuses_an_element_of_a_group_built_directly():
+    """A type A group built directly is not the package's A3: its element
+    is refused as foreign, not as not fully commutative."""
+    s1 = CoxeterGroup(CoxeterType("A", 3)).generator(1)
+    with pytest.raises(ValueError, match=r"of CoxeterGroup\(A3\) used with CoxeterGroup\(A3\)"):
+        b_w(s1)
 
 
 def test_expand_in_b_inverts_the_basis():
