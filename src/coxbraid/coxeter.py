@@ -15,18 +15,19 @@ F4.  Element payloads are flat tuples of integers:
 Products compose right to left, (u * v)(i) = u(v(i)), so that words read
 the way they are written: from_word([1, 2]) applies s2 first.
 
-Each group walks its Cayley graph once, breadth first, on first need
-(CoxeterGroup._walk): one generator action per edge numbers the elements
-in (length, payload) order and gives their lengths, right products and
-inverses.  That walk takes the only payload products there are, each by
-a generator on the right.  An element is its id in the walk: from_word,
-length and inverse read the walk, and products, descents, reduced words,
-reflection length and absolute order the Garside table built on it.
-element(payload) looks a payload up in the walk, and the payload is read
-back only for the point action.  The reflections are the conjugacy
+Each group has one id table, CoxeterGroup.table, built on first need by
+one breadth-first walk of its Cayley graph (GroupTable): one generator
+action per edge numbers the elements in (length, payload) order and
+gives their lengths, right products and inverses.  That walk takes the
+only payload products there are, each by a generator on the right.  An
+element is its id in the table: from_word, length and inverse read the
+walk, and products, descents, reduced words, reflection length and
+absolute order what the table derives from it on first read.
+element(payload) looks a payload up in the table, and the payload is
+read back only for the point action.  The reflections are the conjugacy
 classes of the generators.  An id means nothing outside its group:
 CoxeterGroup.member checks, for every entry point, that an object
-belongs to a group.
+belongs to a group.  Every other module reads group.table.
 
 Generator numbering is 1-based.  For B_n the letter 1 is the sign change
 at the first coordinate and the letter i+1 swaps coordinates i and i+1,
@@ -219,8 +220,7 @@ def _root_permutations(cartan: tuple) -> tuple[tuple[int, ...], ...]:
 
 class CoxeterElement:
     """An element of a finite Coxeter group: its id in the group's one
-    Cayley graph walk (CoxeterGroup._walk), ids running in (length,
-    payload) order.
+    id table (CoxeterGroup.table), ids running in (length, payload) order.
 
     Instances are immutable by convention and hashable.  Equality compares
     the group object, by identity, and the id; the hash is the id alone.
@@ -243,15 +243,15 @@ class CoxeterElement:
     @property
     def payload(self) -> tuple:
         """The payload tuple of the module docstring, read off the walk."""
-        return self.group._walk()[0][self.id]
+        return self.group.table.payloads[self.id]
 
     def __mul__(self, other: "CoxeterElement") -> "CoxeterElement":
         g = self.group
-        return CoxeterElement(g, garside.garside_table(g).mul(self.id, g.member(other).id))
+        return CoxeterElement(g, g.table.mul(self.id, g.member(other).id))
 
     def inverse(self) -> "CoxeterElement":
         """The inverse, read off the group's Cayley graph walk."""
-        return CoxeterElement(self.group, self.group._walk()[4][self.id])
+        return CoxeterElement(self.group, self.group.table.inv[self.id])
 
     def is_identity(self) -> bool:
         return self.id == 0
@@ -259,23 +259,22 @@ class CoxeterElement:
     def length(self) -> int:
         """Coxeter length, the number of letters in any reduced word: the
         depth of this element in the group's Cayley graph walk."""
-        return self.group._walk()[3][self.id]
+        return self.group.table.length[self.id]
 
     def reflection_length(self) -> int:
         """Minimal number of reflections whose product is this element,
-        read off the group's table (GarsideTable.rlens)."""
-        return garside.garside_table(self.group).rlens[self.id]
+        read off the group's table (GroupTable.rlens)."""
+        return self.group.table.rlens[self.id]
 
     def left_descents(self) -> frozenset[int]:
         """The letters s with l(s w) < l(w), read off the group's table
-        (GarsideTable.ldesc)."""
-        mask = garside.garside_table(self.group).ldesc[self.id]
-        return frozenset(s + 1 for s in garside.bit_ids(mask))
+        (GroupTable.ldesc)."""
+        return frozenset(s + 1 for s in bit_ids(self.group.table.ldesc[self.id]))
 
     def reduced_word(self) -> tuple[int, ...]:
         """The shortlex minimal reduced word, as a tuple of 1-based letters,
-        read off the group's table (GarsideTable.word)."""
-        return garside.garside_table(self.group).word(self.id)
+        read off the group's table (GroupTable.word)."""
+        return self.group.table.word(self.id)
 
     def act(self, x: int) -> int:
         """Apply to a point, for families A, B and D only."""
@@ -303,8 +302,7 @@ class CoxeterGroup:
     """A finite Coxeter group, walked once from its payload backend.
 
     Do not construct directly, use :func:`coxeter_group` so that groups are
-    singletons per descriptor.  All tables built here are immutable after
-    construction; the lazily built caches are only ever extended.
+    singletons per descriptor.  Its one id table is walked on first need.
     Membership (member) and element equality go by the group object.
     """
 
@@ -344,10 +342,6 @@ class CoxeterGroup:
         self._gen_payloads = tuple(gens)
         self.identity = CoxeterElement(self, 0)  # the walk starts at the identity
 
-        self._cayley: tuple | None = None
-        self._elements_cache: tuple | None = None
-        self._orderings_cache: dict | None = None
-
     def member(self, obj: _T) -> _T:
         """obj (an element, braid or Hecke element) if its .group is this
         group; ValueError naming both groups otherwise."""
@@ -359,7 +353,7 @@ class CoxeterGroup:
 
     def element(self, payload) -> CoxeterElement:
         """The element with this payload; ValueError unless the walk reached it."""
-        x = self._walk()[1].get(payload) if isinstance(payload, tuple) else None
+        x = self.table.index.get(payload) if isinstance(payload, tuple) else None
         if x is None:
             raise ValueError(f"invalid payload for {self.type.label()}: {payload!r}")
         return CoxeterElement(self, x)
@@ -367,7 +361,7 @@ class CoxeterGroup:
     @cached_property
     def generators(self) -> tuple[CoxeterElement, ...]:
         """The simple reflections, in letter order: e s for each letter s."""
-        return tuple(CoxeterElement(self, row[0]) for row in self._walk()[2])
+        return tuple(CoxeterElement(self, x) for x in self.table.gen_ids)
 
     def generator(self, i: int) -> CoxeterElement:
         if not 1 <= i <= self.rank:
@@ -376,7 +370,7 @@ class CoxeterGroup:
 
     def from_word(self, word: Iterable[int]) -> CoxeterElement:
         """The product of the generators of word, folded through the walk."""
-        rmul = self._walk()[2]
+        rmul = self.table.rmul
         x = 0
         for i in word:
             if not 1 <= i <= self.rank:
@@ -386,65 +380,18 @@ class CoxeterGroup:
 
     # -- global structure ------------------------------------------------
 
-    def _walk(self) -> tuple[list, dict, list[list[int]], list[int], list[int]]:
-        """One breadth-first walk of the Cayley graph of the generators.
+    @cached_property
+    def table(self) -> GroupTable:
+        """The group's id table (GroupTable), built by its Cayley graph walk."""
+        return GroupTable(self)
 
-        Depth is the Coxeter length.  Ids number the elements level by
-        level, each level sorted by payload, and the walk returns
-        (payloads, index, rmul, length, inv) with rmul[s][x] the id of x
-        times generator s + 1.  Each edge p s is one generator action
-        (_right_action, built here from _gen_payloads), made an id once the
-        next level is numbered.  Inverses take one step of ids per element,
-        without payloads: x = y s with l(y) < l(x) passes a left descent
-        of y on to x.  Callers share these lists and must not change them.
-        """
-        if self._cayley is None:
-            acts = [_right_action(self.type, g) for g in self._gen_payloads]
-            payloads = [self._ident_payload]
-            index = {payloads[0]: 0}
-            length = [0]
-            last = [-1]  # a generator s with l(x s) < l(x)
-            rmul: list[list[int]] = [[] for _ in acts]
-            level = payloads[:]
-            while level:
-                cols = [list(map(act, level)) for act in acts]
-                found: dict[tuple, int] = {}
-                for s, col in enumerate(cols):
-                    found.update(zip(col, itertools.repeat(s)))
-                # each product p s not yet numbered lies one level deeper
-                level = sorted(set(found).difference(index))
-                index.update(zip(level, itertools.count(len(payloads))))
-                payloads += level
-                length += [length[-1] + 1] * len(level)
-                last += map(found.__getitem__, level)
-                for out, col in zip(rmul, cols):
-                    out.extend(map(index.__getitem__, col))
-            if len(payloads) != self.type.order() or length[-1] != self.type.reflection_count():
-                raise IntegrityError(
-                    f"{self.type.label()}: {len(payloads)} elements up to length {length[-1]}, "
-                    f"expected {self.type.order()} up to length {self.type.reflection_count()}"
-                )
-            # x = y s: a left descent t of y is one of x, with t x = (t y) s,
-            # and x = s has t = s, t x = e.  Then x^-1 = (t x)^-1 t, and t x
-            # comes before x since ids run by length.
-            first, lpar, inv = [-1], [0], [0]
-            for x in range(1, len(payloads)):
-                s = last[x]
-                y = rmul[s][x]
-                t, z = (first[y], rmul[s][lpar[y]]) if y else (s, 0)
-                first.append(t)
-                lpar.append(z)
-                inv.append(rmul[t][inv[z]])
-            self._cayley = (payloads, index, rmul, length, inv)
-        return self._cayley
+    @cached_property
+    def _elements(self) -> tuple[CoxeterElement, ...]:
+        return tuple(CoxeterElement(self, x) for x in range(len(self.table.length)))
 
     def elements(self) -> tuple[CoxeterElement, ...]:
         """All elements, in id order: by length, then by payload."""
-        if self._elements_cache is None:
-            self._elements_cache = tuple(
-                CoxeterElement(self, x) for x in range(len(self._walk()[3]))
-            )
-        return self._elements_cache
+        return self._elements
 
     @property
     def longest_element(self) -> CoxeterElement:
@@ -454,8 +401,8 @@ class CoxeterGroup:
     @cached_property
     def reflections(self) -> tuple[CoxeterElement, ...]:
         """All reflections, the conjugates of the generators, in id order
-        (GarsideTable.reflections)."""
-        return tuple(CoxeterElement(self, t) for t in garside.garside_table(self).reflections)
+        (GroupTable.reflections)."""
+        return tuple(CoxeterElement(self, t) for t in self.table.reflections)
 
     def __repr__(self) -> str:
         return f"CoxeterGroup({self.type.label()})"
@@ -484,46 +431,271 @@ def coxeter_group_of(ctype: CoxeterType) -> CoxeterGroup:
     return CoxeterGroup(ctype)
 
 
+class GroupTable:
+    """The integer indexed tables of one finite Coxeter group, its one
+    CoxeterGroup.table; ids are CoxeterElement.id.
+
+    The Cayley graph walk gives the fields payloads, index (id by payload),
+    rmul (rmul[s][x] is the id of x times generator s + 1), length and inv.
+    The rest is derived from those on ids, without payloads, on first read:
+    left products, descent masks, the twist tau, the reflections (the
+    conjugacy classes of the generators) and their lengths, and one id at a
+    time shortlex words and lower Bruhat intervals.  Callers share these
+    lists and must not change them.  The walk's fields are slots, read about
+    3x faster on CPython 3.11 than the derived ones cached in __dict__.
+    """
+
+    __slots__ = ("group", "payloads", "index", "rmul", "length", "inv", "e", "w0", "gen_ids",
+                 "_words", "_below", "__dict__")
+
+    def __init__(self, group: CoxeterGroup) -> None:
+        """One breadth-first walk of the Cayley graph of the generators.
+
+        Depth is the Coxeter length.  Ids number the elements level by
+        level, each level sorted by payload.  Each edge p s is one
+        generator action (_right_action, built here from the group's
+        generator payloads), made an id once the next level is numbered.
+        Inverses take one step of ids per element, without payloads:
+        x = y s with l(y) < l(x) passes a left descent of y on to x.
+        """
+        ctype = group.type
+        acts = [_right_action(ctype, g) for g in group._gen_payloads]
+        payloads = [group._ident_payload]
+        index = {payloads[0]: 0}
+        length = [0]
+        last = [-1]  # a generator s with l(x s) < l(x)
+        rmul: list[list[int]] = [[] for _ in acts]
+        level = payloads[:]
+        while level:
+            cols = [list(map(act, level)) for act in acts]
+            found: dict[tuple, int] = {}
+            for s, col in enumerate(cols):
+                found.update(zip(col, itertools.repeat(s)))
+            # each product p s not yet numbered lies one level deeper
+            level = sorted(set(found).difference(index))
+            index.update(zip(level, itertools.count(len(payloads))))
+            payloads += level
+            length += [length[-1] + 1] * len(level)
+            last += map(found.__getitem__, level)
+            for out, col in zip(rmul, cols):
+                out.extend(map(index.__getitem__, col))
+        if len(payloads) != ctype.order() or length[-1] != ctype.reflection_count():
+            raise IntegrityError(
+                f"{ctype.label()}: {len(payloads)} elements up to length {length[-1]}, "
+                f"expected {ctype.order()} up to length {ctype.reflection_count()}"
+            )
+        # x = y s: a left descent t of y is one of x, with t x = (t y) s,
+        # and x = s has t = s, t x = e.  Then x^-1 = (t x)^-1 t, and t x
+        # comes before x since ids run by length.
+        first, lpar, inv = [-1], [0], [0]
+        for x in range(1, len(payloads)):
+            s = last[x]
+            y = rmul[s][x]
+            t, z = (first[y], rmul[s][lpar[y]]) if y else (s, 0)
+            first.append(t)
+            lpar.append(z)
+            inv.append(rmul[t][inv[z]])
+        self.group = group
+        self.payloads, self.index, self.rmul, self.length, self.inv = (
+            payloads, index, rmul, length, inv)
+        self.e = 0  # the walk starts at the identity
+        self.w0 = len(length) - 1
+        self.gen_ids = [row[self.e] for row in rmul]
+        self._words: list[tuple[int, ...] | None] = [None] * len(length)
+        self._below = [1] + [0] * (len(length) - 1)  # [e, e] = {e}; 0 is not yet built
+
+    @cached_property
+    def lmul(self) -> list[list[int]]:
+        """lmul[s][x], the id of generator s + 1 times x: s x = (x^-1 s)^-1."""
+        inv = self.inv
+        return [[inv[row[y]] for y in inv] for row in self.rmul]
+
+    @cached_property
+    def rdesc(self) -> list[int]:
+        """Right descent masks: bit s is set when l(x s) < l(x)."""
+        length, rmul = self.length, self.rmul
+        return [sum(1 << s for s, r in enumerate(rmul) if length[r[x]] < lx)
+                for x, lx in enumerate(length)]
+
+    @cached_property
+    def ldesc(self) -> list[int]:
+        """Left descent masks, D_L(x) = D_R(x^-1) (Bjorner-Brenti,
+        Combinatorics of Coxeter Groups, 2005, section 1.4)."""
+        rdesc, length = self.rdesc, self.length
+        ldesc = [rdesc[y] for y in self.inv]
+        if length.count(length[-1]) != 1 or 0 in ldesc[1:]:
+            raise IntegrityError(f"{self.group!r}: walk lengths are not Coxeter lengths")
+        return ldesc
+
+    @cached_property
+    def tau(self) -> list[int]:
+        """tau(x) = w0 x w0.  tau(s) is the generator t with s w0 = w0 t;
+        then tau(x) = tau(x s) tau(s) for a right descent s of x, and ids
+        run in length order, so tau(x s) is already known."""
+        rmul, rdesc = self.rmul, self.rdesc
+        below_w0 = {row[self.w0]: t for t, row in enumerate(rmul)}
+        tau_gen = [below_w0[row[self.w0]] for row in self.lmul]
+        tau = [self.e] * len(rdesc)
+        for x in range(1, len(tau)):
+            mask = rdesc[x]
+            s = (mask & -mask).bit_length() - 1
+            tau[x] = rmul[tau_gen[s]][tau[rmul[s][x]]]
+        return tau
+
+    def word(self, x: int) -> tuple[int, ...]:
+        """Shortlex reduced word of the element with id x."""
+        cached = self._words[x]
+        if cached is None:
+            ldesc, lmul = self.ldesc, self.lmul
+            out = []
+            c = x
+            while c != self.e:
+                mask = ldesc[c]
+                s = (mask & -mask).bit_length() - 1
+                out.append(s + 1)
+                c = lmul[s][c]
+            cached = tuple(out)
+            self._words[x] = cached
+        return cached
+
+    @cached_property
+    def _classes(self) -> list[int]:
+        """The least id of the conjugacy class of every id: the orbits of
+        x -> s x s, walked from the least id not yet reached."""
+        rep = [-1] * len(self.length)
+        for x in range(len(rep)):
+            if rep[x] < 0:
+                rep[x] = x
+                orbit = [x]
+                for y in orbit:
+                    for lrow, rrow in zip(self.lmul, self.rmul):
+                        z = lrow[rrow[y]]
+                        if rep[z] < 0:
+                            rep[z] = x
+                            orbit.append(z)
+        return rep
+
+    @cached_property
+    def reflections(self) -> tuple[int, ...]:
+        """The ids of T, the union of the conjugacy classes of the generators."""
+        rep = self._classes
+        gen_classes = {rep[s] for s in self.gen_ids}
+        return tuple(x for x, r in enumerate(rep) if r in gen_classes)
+
+    @cached_property
+    def rlens(self) -> list[int]:
+        """l_T of every id: the breadth-first distance from e over reflections.
+
+        l_T is a class function and T is closed under conjugation: if
+        l_T(x t) = l_T(x) + 1 and x = g r g^-1, then x t is conjugate to
+        r (g^-1 t g).  So the search steps from one representative per
+        conjugacy class (_classes) times each reflection.
+        """
+        rep = self._classes
+        depth = {self.e: 0}
+        level = [self.e]
+        while level:
+            nxt = []
+            for r in level:
+                for t in self.reflections:
+                    c = rep[self.mul(r, t)]
+                    if c not in depth:
+                        depth[c] = depth[r] + 1
+                        nxt.append(c)
+            level = nxt
+        rlens = [depth.get(r, -1) for r in rep]
+        want = self.group.type.reflection_count()
+        if -1 in rlens or max(rlens) != self.group.rank or rlens.count(1) != want:
+            raise IntegrityError(
+                f"{self.group.type.label()}: the reflections reach {len(depth)} classes, "
+                f"up to l_T = {max(rlens)}, with {rlens.count(1)} reflections; "
+                f"expected every class, up to the rank {self.group.rank}, with {want} reflections"
+            )
+        return rlens
+
+    def below(self, w: int) -> int:
+        """The lower Bruhat interval [e, w] as a bitset of ids, built on
+        first use: with s a left descent of w the lifting property gives
+        [e, w] = [e, sw] u s[e, sw]."""
+        got = self._below[w]
+        if not got:
+            row = self.lmul[(self.ldesc[w] & -self.ldesc[w]).bit_length() - 1]
+            lower = self.below(row[w])
+            got = self._below[w] = lower | sum(1 << row[y] for y in bit_ids(lower))
+        return got
+
+    def mul(self, x: int, y: int) -> int:
+        """Id of the product x y, folding the word of y into x."""
+        for s in self.word(y):
+            x = self.rmul[s - 1][x]
+        return x
+
+    def image_id(self, letters: Iterable[int]) -> int:
+        """Id of the group image of a word of nonzero letters, signs forgotten."""
+        x = self.e
+        for l in letters:
+            x = self.rmul[abs(l) - 1][x]
+        return x
+
+    def abs_divides(self, x: int, y: int) -> bool:
+        """Whether x divides y in absolute order: l_T(x) + l_T(x^-1 y) = l_T(y)."""
+        r = self.rlens
+        return r[x] + r[self.mul(self.inv[x], y)] == r[y]
+
+    def renorm(self, x: int, y: int) -> tuple[int, int]:
+        """Slide left descents of y that are not right descents of x."""
+        ldesc, rdesc, lmul, rmul = self.ldesc, self.rdesc, self.lmul, self.rmul
+        mask = ldesc[y] & ~rdesc[x]
+        while mask:
+            s = (mask & -mask).bit_length() - 1
+            x = rmul[s][x]
+            y = lmul[s][y]
+            mask = ldesc[y] & ~rdesc[x]
+        return x, y
+
+
+def bit_ids(bits: int) -> list[int]:
+    """The positions of the set bits, in increasing order."""
+    return [i for i, b in enumerate(bin(bits)[:1:-1]) if b == "1"]
+
+
 # ---------------------------------------------------------------------------
 # relations and orders
 
 
 def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
     """Left divisibility in absolute order, read off the group's table
-    (GarsideTable.abs_divides).
+    (GroupTable.abs_divides).
 
     x divides y when reflection lengths add up along x * (x^-1 y) = y.
     Absolute order has no left/right asymmetry since the reflection set is
     closed under conjugation.
     """
-    return garside.garside_table(y.group).abs_divides(y.group.member(x).id, y.id)
+    return y.group.table.abs_divides(y.group.member(x).id, y.id)
 
 
 def bruhat_lower_interval(y: CoxeterElement) -> frozenset[CoxeterElement]:
     """The set of all x with x <= y in Bruhat order, read off the id bitset
-    of the group's table (GarsideTable.below)."""
-    below = garside.garside_table(y.group).below(y.id)
-    return frozenset(CoxeterElement(y.group, x) for x in garside.bit_ids(below))
+    of the group's table (GroupTable.below)."""
+    below = y.group.table.below(y.id)
+    return frozenset(CoxeterElement(y.group, x) for x in bit_ids(below))
 
 
 def bruhat_leq(x: CoxeterElement, y: CoxeterElement) -> bool:
-    return bool(garside.garside_table(y.group).below(y.id) >> y.group.member(x).id & 1)
+    return bool(y.group.table.below(y.id) >> y.group.member(x).id & 1)
 
 
+@cache
 def coxeter_element_orderings(group: CoxeterGroup) -> dict[CoxeterElement, tuple[int, ...]]:
     """Map each standard Coxeter element to the first ordering realising it.
 
     Orderings are permutations of (1, ..., rank) tried in lexicographic
     order; the product of the corresponding generators is the element.
     """
-    if group._orderings_cache is None:
-        found: dict[CoxeterElement, tuple[int, ...]] = {}
-        for perm in itertools.permutations(range(1, group.rank + 1)):
-            c = group.from_word(perm)
-            if c not in found:
-                found[c] = perm
-        group._orderings_cache = found
-    return group._orderings_cache
+    found: dict[CoxeterElement, tuple[int, ...]] = {}
+    for perm in itertools.permutations(range(1, group.rank + 1)):
+        found.setdefault(group.from_word(perm), perm)
+    return found
 
 
 def standard_coxeter_elements(group: CoxeterGroup) -> tuple[CoxeterElement, ...]:
@@ -612,8 +784,3 @@ def type_b_embedding_words(n: int) -> dict[int, tuple[int, ...]]:
     for k in range(2, n + 1):
         words[k] = (n - k + 1, n + k - 1)
     return words
-
-
-# garside builds its tables on the groups above and imports this module, so
-# it comes last, once every name here exists.
-from . import garside  # noqa: E402

@@ -23,6 +23,7 @@ from functools import cache
 
 from .coxeter import (
     CoxeterElement,
+    GroupTable,
     IntegrityError,
     abs_divides,
     bruhat_leq,
@@ -31,12 +32,10 @@ from .coxeter import (
 )
 from .garside import (
     BraidWord,
-    GarsideTable,
     _letters_of_nf_ids,
     _nf_ids,
     _nf_mul_ids,
     _rational_ids,
-    garside_table,
 )
 
 
@@ -48,16 +47,16 @@ def divisors_of(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
     order, so each level is sorted by id.
     """
     standard_ordering(c)
-    table = garside_table(c.group)
+    table = c.group.table
     cid = c.id
     level = {table.e}
     out = [table.e]
-    for k in range(table.rlen(cid)):
+    for k in range(table.rlens[cid]):
         nxt: set[int] = set()
         for x in level:
             for t in table.reflections:
                 y = table.mul(x, t)
-                if table.rlen(y) == k + 1 and table.abs_divides(y, cid):
+                if table.rlens[y] == k + 1 and table.abs_divides(y, cid):
                     nxt.add(y)
         level = nxt
         out.extend(sorted(nxt))
@@ -228,7 +227,7 @@ def hurwitz_orbit_braids(
     if not start:
         return frozenset({start})
     group = start[0].group
-    table = garside_table(group)
+    table = group.table
 
     def rebuild(nf: tuple) -> BraidWord:
         return BraidWord(group, _letters_of_nf_ids(table, nf))
@@ -275,7 +274,7 @@ class DualAtomTable:
         self.group = group = c.group
         self.c = c
         self.ordering = standard_ordering(c, ordering)
-        table = garside_table(group)
+        table = group.table
         n = group.rank
         T = group.reflections
         words: dict[CoxeterElement, BraidWord] = {}
@@ -297,7 +296,6 @@ class DualAtomTable:
                 words[CoxeterElement(group, tid)] = BraidWord(group, letters)
         if len(words) != len(T) or any(h != 2 for h in hits.values()):
             raise IntegrityError("rotation formula did not cover T twice over")
-        self._table = table
         self._nfs = nfs
         self._words = words
 
@@ -324,7 +322,6 @@ class DualMonoid:
         self.c = c
         self.atoms = DualAtomTable(c, ordering)
         self.ordering = self.atoms.ordering
-        self._table: GarsideTable = garside_table(c.group)
         self._cid = c.id
         self._divisors: tuple[CoxeterElement, ...] | None = None
         self._embed_cache: dict[int, tuple] = {}  # keyed by table id
@@ -335,10 +332,10 @@ class DualMonoid:
         return self._divisors
 
     def contains(self, x: CoxeterElement) -> bool:
-        return self._table.abs_divides(self.group.member(x).id, self._cid)
+        return self.group.table.abs_divides(self.group.member(x).id, self._cid)
 
     def embed_nf_ids(self, x: CoxeterElement) -> tuple:
-        table = self._table
+        table = self.group.table
         xid = self.group.member(x).id  # before the cache, which a foreign id can hit
         cached = self._embed_cache.get(xid)
         if cached is not None:
@@ -352,7 +349,7 @@ class DualMonoid:
         return nf
 
     def embed(self, x: CoxeterElement) -> BraidWord:
-        return BraidWord(self.group, _letters_of_nf_ids(self._table, self.embed_nf_ids(x)))
+        return BraidWord(self.group, _letters_of_nf_ids(self.group.table, self.embed_nf_ids(x)))
 
 
 def dual_monoid(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> DualMonoid:
@@ -371,7 +368,7 @@ def dual_atoms(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> Du
     return dual_monoid(c, ordering).atoms
 
 
-def _t_factor_ids(table: GarsideTable, x: int) -> list[int]:
+def _t_factor_ids(table: GroupTable, x: int) -> list[int]:
     out = []
     while x != table.e:
         for t in table.reflections:
@@ -401,7 +398,7 @@ def verify_dual_relations(
     one row (t1, t2, t3, ok) per relation.
     """
     dm = dual_monoid(c, ordering)
-    table = dm._table
+    table = dm.group.table
     nfs = dm.atoms._nfs
     T = table.reflections
     rows = []

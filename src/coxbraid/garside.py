@@ -15,23 +15,24 @@ folds its own letters once, on first use of BraidWord.nf, and every
 entry point below reads that form; a rebuilt braid is a new word and
 folds again.
 
-All group level lookups go through a per group table of integer indexed
-multiplication, descent masks and inverses, built once and reused; its
-ids are the ids of the group's elements, so an element and its id are
-exchanged without a lookup.
+All group level lookups go through the group's one id table
+(coxeter.GroupTable, read as group.table) of integer indexed products,
+descent masks and inverses; its ids are the ids of the group's elements,
+so an element and its id are exchanged without a lookup.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable
 
 from .coxeter import (
     CoxeterElement,
     CoxeterGroup,
     CoxeterType,
+    GroupTable,
     IntegrityError,
     coxeter_group,
     coxeter_group_of,
@@ -56,7 +57,7 @@ class BraidWord:
     def nf(self) -> tuple[int, tuple[int, ...]]:
         """Left greedy normal form as (Delta exponent, simple ids), folded
         from the letters on first use; the frozen word cannot make it stale."""
-        return _nf_ids(garside_table(self.group), self.letters)
+        return _nf_ids(self.group.table, self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         return BraidWord(self.group, self.letters + self.group.member(other).letters)
@@ -66,7 +67,7 @@ class BraidWord:
 
     def image(self) -> CoxeterElement:
         """The underlying Coxeter group element, forgetting signs."""
-        return CoxeterElement(self.group, garside_table(self.group).image_id(self.letters))
+        return CoxeterElement(self.group, self.group.table.image_id(self.letters))
 
     def to_json(self) -> dict:
         return {"group": self.group.type.to_json(), "letters": list(self.letters)}
@@ -81,179 +82,13 @@ class BraidWord:
         return f"Braid({self.group.type.label()}; {body})"
 
 
-class GarsideTable:
-    """Integer indexed multiplication tables for one finite Coxeter group.
-
-    Element ids, lengths, inverses and right products by the generators
-    come from the group's one breadth-first walk of its Cayley graph, so
-    ids are CoxeterElement.id and no payload product is taken here.  Left
-    products, descent masks, the twist tau and the reflections (the
-    conjugacy classes of the generators) are derived from those on ids,
-    and the reflection length of every id is searched once, at
-    construction.  The table is immutable after construction apart from
-    the lazily filled shortlex words and lower Bruhat intervals.
-    """
-
-    def __init__(self, group: CoxeterGroup) -> None:
-        self.group = group
-        self.n = group.rank
-        _, _, self.rmul, self.length, self.inv = group._walk()
-        size = len(self.length)
-        # s x = (x^-1 s)^-1
-        self.lmul = [[self.inv[row[y]] for y in self.inv] for row in self.rmul]
-        self.e = 0  # the walk starts at the identity
-        self.w0 = size - 1
-        # descent masks: bit s is set when s lowers the length on that side
-        length = self.length
-        self.ldesc, self.rdesc = [
-            [sum(1 << s for s, r in enumerate(rows) if length[r[x]] < lx)
-             for x, lx in enumerate(length)]
-            for rows in (self.lmul, self.rmul)
-        ]
-        if length.count(length[-1]) != 1 or 0 in self.ldesc[1:]:
-            raise IntegrityError(f"{group.type.label()}: walk lengths are not Coxeter lengths")
-        # tau(s) = w0 s w0 is the generator t with s w0 = w0 t; then
-        # tau(x) = tau(x s) tau(s) for a right descent s of x, and ids run
-        # in length order, so tau(x s) is already known
-        below_w0 = {row[self.w0]: t for t, row in enumerate(self.rmul)}
-        tau_gen = [below_w0[row[self.w0]] for row in self.lmul]
-        tau = [self.e] * size
-        for x in range(1, size):
-            mask = self.rdesc[x]
-            s = (mask & -mask).bit_length() - 1
-            tau[x] = self.rmul[tau_gen[s]][tau[self.rmul[s][x]]]
-        self.tau = tau
-        self.gen_ids = [row[self.e] for row in self.rmul]
-        self.w0s = [self.rmul[s][self.w0] for s in range(self.n)]
-        self._words: list[tuple[int, ...] | None] = [None] * size
-        # T is the union of the conjugacy classes of the generators
-        rep = self._conjugacy_classes()
-        gen_classes = {rep[s] for s in self.gen_ids}
-        self.reflections = tuple(x for x, r in enumerate(rep) if r in gen_classes)
-        self.rlens = self._reflection_lengths(rep)
-        self._below = [1] + [0] * (size - 1)  # [e, e] = {e}; 0 is not yet built
-
-    def word(self, x: int) -> tuple[int, ...]:
-        """Shortlex reduced word of the simple with id x."""
-        cached = self._words[x]
-        if cached is None:
-            out = []
-            c = x
-            while c != self.e:
-                mask = self.ldesc[c]
-                s = (mask & -mask).bit_length() - 1
-                out.append(s + 1)
-                c = self.lmul[s][c]
-            cached = tuple(out)
-            self._words[x] = cached
-        return cached
-
-    def _conjugacy_classes(self) -> list[int]:
-        """The least id of the conjugacy class of every id: the orbits of
-        x -> s x s, walked from the least id not yet reached."""
-        rep = [-1] * len(self.length)
-        for x in range(len(rep)):
-            if rep[x] < 0:
-                rep[x] = x
-                orbit = [x]
-                for y in orbit:
-                    for lrow, rrow in zip(self.lmul, self.rmul):
-                        z = lrow[rrow[y]]
-                        if rep[z] < 0:
-                            rep[z] = x
-                            orbit.append(z)
-        return rep
-
-    def _reflection_lengths(self, rep: list[int]) -> list[int]:
-        """l_T of every id: the breadth-first distance from e over reflections.
-
-        l_T is a class function and T is closed under conjugation: if
-        l_T(x t) = l_T(x) + 1 and x = g r g^-1, then x t is conjugate to
-        r (g^-1 t g).  So the search steps from one representative per
-        conjugacy class, rep of _conjugacy_classes, times each reflection.
-        """
-        depth = {self.e: 0}
-        level = [self.e]
-        while level:
-            nxt = []
-            for r in level:
-                for t in self.reflections:
-                    c = rep[self.mul(r, t)]
-                    if c not in depth:
-                        depth[c] = depth[r] + 1
-                        nxt.append(c)
-            level = nxt
-        rlens = [depth.get(r, -1) for r in rep]
-        want = self.group.type.reflection_count()
-        if -1 in rlens or max(rlens) != self.n or rlens.count(1) != want:
-            raise IntegrityError(
-                f"{self.group.type.label()}: the reflections reach {len(depth)} classes, "
-                f"up to l_T = {max(rlens)}, with {rlens.count(1)} reflections; "
-                f"expected every class, up to the rank {self.n}, with {want} reflections"
-            )
-        return rlens
-
-    def rlen(self, x: int) -> int:
-        """Reflection length of the element with id x."""
-        return self.rlens[x]
-
-    def below(self, w: int) -> int:
-        """The lower Bruhat interval [e, w] as a bitset of ids, built on
-        first use: with s a left descent of w the lifting property gives
-        [e, w] = [e, sw] u s[e, sw]."""
-        got = self._below[w]
-        if not got:
-            row = self.lmul[(self.ldesc[w] & -self.ldesc[w]).bit_length() - 1]
-            lower = self.below(row[w])
-            got = self._below[w] = lower | sum(1 << row[y] for y in bit_ids(lower))
-        return got
-
-    def mul(self, x: int, y: int) -> int:
-        """Id of the product x y, folding the word of y into x."""
-        for s in self.word(y):
-            x = self.rmul[s - 1][x]
-        return x
-
-    def image_id(self, letters: Iterable[int]) -> int:
-        """Id of the group image of a word of nonzero letters, signs forgotten."""
-        x = self.e
-        for l in letters:
-            x = self.rmul[abs(l) - 1][x]
-        return x
-
-    def abs_divides(self, x: int, y: int) -> bool:
-        """Whether x divides y in absolute order: l_T(x) + l_T(x^-1 y) = l_T(y)."""
-        r = self.rlens
-        return r[x] + r[self.mul(self.inv[x], y)] == r[y]
-
-    def renorm(self, x: int, y: int) -> tuple[int, int]:
-        """Slide left descents of y that are not right descents of x."""
-        mask = self.ldesc[y] & ~self.rdesc[x]
-        while mask:
-            s = (mask & -mask).bit_length() - 1
-            x = self.rmul[s][x]
-            y = self.lmul[s][y]
-            mask = self.ldesc[y] & ~self.rdesc[x]
-        return x, y
-
-
-@cache
-def garside_table(group: CoxeterGroup) -> GarsideTable:
-    return GarsideTable(group)
-
-
-def bit_ids(bits: int) -> list[int]:
-    """The positions of the set bits, in increasing order."""
-    return [i for i, b in enumerate(bin(bits)[:1:-1]) if b == "1"]
-
-
 def word_key(w: CoxeterElement) -> str:
     """The shortlex word of w as "1,2,3", or "e" for the identity: how
     reports key elements."""
     return ",".join(map(str, w.reduced_word())) or "e"
 
 
-def _append(table: GarsideTable, F: list[int], s: int) -> None:
+def _append(table: GroupTable, F: list[int], s: int) -> None:
     """Append the simple s to the normal form F in place.
 
     One right-to-left pass renormalises the pairs ending at the new
@@ -271,7 +106,7 @@ def _append(table: GarsideTable, F: list[int], s: int) -> None:
         F.pop()
 
 
-def _strip_w0(table: GarsideTable, k: int, F: list[int]) -> tuple[int, tuple[int, ...]]:
+def _strip_w0(table: GroupTable, k: int, F: list[int]) -> tuple[int, tuple[int, ...]]:
     """Move the leading copies of w0 into the Delta exponent."""
     shift = 0
     while shift < len(F) and F[shift] == table.w0:
@@ -279,7 +114,7 @@ def _strip_w0(table: GarsideTable, k: int, F: list[int]) -> tuple[int, tuple[int
     return k + shift, tuple(F[shift:])
 
 
-def _nf_ids(table: GarsideTable, letters: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+def _nf_ids(table: GroupTable, letters: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     k = 0
     F: list[int] = []
     for letter in letters:
@@ -289,12 +124,12 @@ def _nf_ids(table: GarsideTable, letters: Iterable[int]) -> tuple[int, tuple[int
         else:
             k -= 1
             F = [table.tau[x] for x in F]
-            _append(table, F, table.w0s[s])
+            _append(table, F, table.rmul[s][table.w0])
     return _strip_w0(table, k, F)
 
 
 def _nf_mul_ids(
-    table: GarsideTable, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]
+    table: GroupTable, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]
 ) -> tuple[int, tuple[int, ...]]:
     ka, Fa = a
     kb, Fb = b
@@ -304,7 +139,7 @@ def _nf_mul_ids(
     return _strip_w0(table, ka + kb, F)
 
 
-def _letters_of_nf_ids(table: GarsideTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+def _letters_of_nf_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     k, F = nf
     w0word = table.word(table.w0)
     out: list[int] = []
@@ -373,7 +208,7 @@ def is_rational_permutation(b: BraidWord) -> bool:
     return _rational_ids(b.nf)
 
 
-def _left_fraction_ids(table: GarsideTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
+def _left_fraction_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
     if not _rational_ids(nf):
         raise ValueError("not a rational permutation braid")
     k, F = nf
@@ -393,11 +228,11 @@ def fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     left weak order meet of x and y is the identity.  Raises ValueError
     for braids that are not rational permutation braids.
     """
-    x, y = _left_fraction_ids(garside_table(b.group), b.nf)
+    x, y = _left_fraction_ids(b.group.table, b.nf)
     return CoxeterElement(b.group, x), CoxeterElement(b.group, y)
 
 
-def _right_fraction_ids(table: GarsideTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
+def _right_fraction_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
     if not _rational_ids(nf):
         raise ValueError("not a rational permutation braid")
     k, F = nf
@@ -417,7 +252,7 @@ def right_fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     This is the decomposition driving the sign rule of signed_lift; the
     denominator y is what the lift consults.
     """
-    x, y = _right_fraction_ids(garside_table(b.group), b.nf)
+    x, y = _right_fraction_ids(b.group.table, b.nf)
     return CoxeterElement(b.group, x), CoxeterElement(b.group, y)
 
 
@@ -429,11 +264,11 @@ def signed_lift(b: BraidWord, word: Iterable[int] | None = None) -> BraidWord:
     positive sign exactly when multiplying the standing suffix product
     s_i ... s_k y makes the length go up by one.
     """
-    table = garside_table(b.group)
+    table = b.group.table
     w = table.image_id(b.letters)
     word = table.word(w) if word is None else tuple(word)
     if (
-        not all(0 < i <= table.n for i in word)
+        not all(0 < i <= b.group.rank for i in word)
         or table.image_id(word) != w
         or len(word) != table.length[w]
     ):

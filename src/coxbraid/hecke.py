@@ -1,23 +1,23 @@
 """The Iwahori Hecke algebra over Z[v, v^-1] and its canonical bases.
 
 Elements are stored on the standard basis {T_w} with exact Laurent
-coefficients keyed by GarsideTable id, normalised by T_s^2 = (v^-2 - 1)
-T_s + v^-2.  Products fold through the table's rmul and length arrays on
-rows of exponent -> coefficient int dicts, updated in place by the row
-kernel of laurent that the Temperley Lieb layer shares.  The braid group maps
-in through a (generators to T_s); its twist a', sending generators to
-v T_s, is a times v to the exponent sum.  The Kazhdan
-Lusztig machinery lives in KLTable, on table ids: polynomials P_{y,w} in
-q = v^-2 computed by the classical recursion with mu corrections over
-lower Bruhat intervals held as bitsets, the bases
+coefficients keyed by the ids of the group's table (coxeter.GroupTable),
+normalised by T_s^2 = (v^-2 - 1) T_s + v^-2.  Products fold through the
+table's rmul and length arrays on rows of exponent -> coefficient int
+dicts, updated in place by the row kernel of laurent that the Temperley
+Lieb layer shares.  The braid group maps in through a (generators to T_s);
+its twist a', sending generators to v T_s, is a times v to the exponent
+sum.  The Kazhdan Lusztig machinery lives in KLTable, on table ids:
+polynomials P_{y,w} in q = v^-2 computed by the classical recursion with
+mu corrections over lower Bruhat intervals held as bitsets, the bases
 C'_w = v^{l(w)} sum P_{y,w}(v^-2) T_y and C_w = (-1)^{l(w)} j_H(C'_w),
 triangular expansion of arbitrary elements in {C_w}, and right
 multiplication of C-coordinates by T_s along the W-graph, which expands
 T_x^-1 T_y one letter of y at a time.  A table has no size limit of its
 own: the command line refuses large groups in verify.budget_guard, before
 any table is built.  P_{y,w} storage grows roughly with |W|^2: D5, of
-order 1920, has 745 377 polynomials, filled in 1.2 s at a 68 MB peak
-(one run, 2 cores, Python 3.11).
+order 1920, has 745 377 polynomials, filled in 1.2 s at a 68 MB peak (one
+run, 2 cores, Python 3.11).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .coxeter import CoxeterElement, CoxeterGroup, IntegrityError
-from .garside import BraidWord, bit_ids, fraction_form, garside_table
+from .coxeter import CoxeterElement, CoxeterGroup, IntegrityError, bit_ids
+from .garside import BraidWord, fraction_form
 from .laurent import LaurentPolynomial, Rows, addmul, combine, poly
 
 _ZERO = LaurentPolynomial.zero()
@@ -80,10 +80,10 @@ def _nonneg(rows: Rows) -> bool:
 
 class HeckeElement:
     """A finitely supported Z[v, v^-1] combination of standard basis terms,
-    stored by GarsideTable id in rows and keyed by element in coeffs.  Its
+    stored by GroupTable id in rows and keyed by element in coeffs.  Its
     methods take arguments of its group only (CoxeterGroup.member)."""
 
-    __slots__ = ("group", "table", "rows")
+    __slots__ = ("group", "rows")
 
     def __init__(
         self,
@@ -91,7 +91,6 @@ class HeckeElement:
         coeffs: Mapping[CoxeterElement, LaurentPolynomial] | None = None,
     ) -> None:
         self.group = group
-        self.table = garside_table(group)
         self.rows: dict[int, LaurentPolynomial] = {
             group.member(w).id: c for w, c in (coeffs or {}).items() if c
         }
@@ -156,27 +155,27 @@ class HeckeElement:
             return "HeckeElement(0)"
         bits = []
         for x in sorted(self.rows):
-            word = ",".join(map(str, self.table.word(x))) or "e"
+            word = ",".join(map(str, self.group.table.word(x))) or "e"
             bits.append(f"({self.rows[x]})T[{word}]")
         return "HeckeElement(" + " + ".join(bits) + ")"
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    table, start, rows = a.table, a._int_rows(), a.group.member(b).rows
+    table, start, rows = a.group.table, a._int_rows(), a.group.member(b).rows
     total = combine((_fold(table, start, table.word(y)), c.terms) for y, c in rows.items())
     return HeckeElement._wrap(a.group, {x: poly(p) for x, p in total.items()})
 
 
 def braid_image_a(b: BraidWord) -> HeckeElement:
     """The group morphism into units sending each generator to T_s."""
-    table = garside_table(b.group)
+    table = b.group.table
     rows = _fold(table, {table.e: {0: 1}}, b.letters)
     return HeckeElement._wrap(b.group, {x: poly(p) for x, p in rows.items()})
 
 
 def j_h(h: HeckeElement) -> HeckeElement:
     """The semilinear involution with T_s mapped to -v^2 T_s."""
-    length = h.table.length
+    length = h.group.table.length
     return HeckeElement._wrap(
         h.group,
         {
@@ -188,7 +187,7 @@ def j_h(h: HeckeElement) -> HeckeElement:
 
 class KLTable:
     """Kazhdan Lusztig polynomials, W-graph and bases for one finite group,
-    on the ids of its GarsideTable.
+    on the ids of its GroupTable.
 
     The table is filled one w at a time in id order (ids run in length
     order), up to the largest id asked for.  For each w it holds P_{y,w}
@@ -206,7 +205,7 @@ class KLTable:
 
     def __init__(self, group: CoxeterGroup) -> None:
         self.group = group
-        self.table = garside_table(group)
+        self.table = group.table
         # by id w: y -> P_{y,w} and the mu-list, both filled in id order from e
         self._p: list[dict[int, tuple[int, ...]]] = [{self.table.e: _P_ONE}]
         self._mu: list[list[tuple[int, int]]] = [[]]

@@ -48,7 +48,7 @@ from .coxeter import (
     standard_ordering,
 )
 from .dual import dual_monoid
-from .garside import BraidWord, garside_table, word_key
+from .garside import BraidWord, word_key
 from .hecke import HeckeElement, kl_table
 from .laurent import LaurentPolynomial, Rows, addmul, combine, poly
 
@@ -375,8 +375,7 @@ def _quotient_t(group: CoxeterGroup, x: int, image: tuple) -> Rows:
     """The image of T_w, w the element with table id x, folded along its
     reduced word, under the quotient map sending T_s to image."""
     table = _diagram_table(group.rank + 1)
-    word = garside_table(group).word(x)
-    return _fold(table, {table.identity: {0: 1}}, ((i, image) for i in word))
+    return _fold(table, {table.identity: {0: 1}}, ((i, image) for i in group.table.word(x)))
 
 
 def _quotient(h: HeckeElement, image: tuple) -> TLElement:

@@ -29,6 +29,7 @@ from .coxeter import (
     CoxeterElement,
     CoxeterGroup,
     CoxeterType,
+    GroupTable,
     ResourceError,
     coxeter_element_orderings,
     coxeter_group_of,
@@ -48,12 +49,10 @@ from .dual import (
 )
 from .garside import (
     BraidWord,
-    GarsideTable,
     _rational_ids,
     braid_equal,
     embed_braid_b_to_a,
     fraction_form,
-    garside_table,
     is_rational_permutation,
     is_square_free,
     positive_lift,
@@ -185,7 +184,7 @@ def _orderings(
     return [{"item": ",".join(map(str, ordering)), **verdict(c, ordering)} for c, ordering in sweep]
 
 
-def _coprime_pair(table: GarsideTable, x: int, y: int) -> tuple[int, int]:
+def _coprime_pair(table: GroupTable, x: int, y: int) -> tuple[int, int]:
     """The coprime pair of ids with the braid b(x)^-1 b(y).
 
     For s in D_L(x) & D_L(y), b(x) = s b(sx) and b(y) = s b(sy), so
@@ -215,7 +214,7 @@ def _pairs(
     per x.  Every other pair reads the verdict of its _coprime_pair, whose
     x is shorter and so was checked earlier.
     """
-    table = garside_table(group)
+    table = group.table
     elements = group.elements()  # in id order
     words = [word_key(w) for w in elements]
     verdicts: dict[tuple[int, int], bool] = {}

@@ -16,8 +16,10 @@ from functools import lru_cache, partial
 from coxbraid.coxeter import (
     CoxeterElement,
     CoxeterGroup,
+    GroupTable,
     IntegrityError,
     abs_divides,
+    bit_ids,
     coxeter_group,
     standard_coxeter_elements,
     type_b_embedding_words,
@@ -26,9 +28,6 @@ from coxbraid.dual import _t_factor_ids, divisors_of
 from coxbraid.garside import (
     BraidWord,
     GarsideNormalForm,
-    GarsideTable,
-    bit_ids,
-    garside_table,
     right_fraction_form,
     word_key,
 )
@@ -457,7 +456,7 @@ def t_reduced_factorization_payload(x: CoxeterElement) -> tuple[CoxeterElement, 
 # forms, the Delta twist and strand paths
 
 
-def normalize_bubble(table: GarsideTable, factors: list[int]) -> tuple[int, list[int]]:
+def normalize_bubble(table: GroupTable, factors: list[int]) -> tuple[int, list[int]]:
     """Bubble adjacent renormalisations to the unique locally greedy form.
 
     Returns (shift, factors) where shift counts stripped leading copies of
@@ -483,7 +482,7 @@ def normalize_bubble(table: GarsideTable, factors: list[int]) -> tuple[int, list
     return shift, factors
 
 
-def nf_ids_bubble(table: GarsideTable, letters) -> tuple[int, tuple[int, ...]]:
+def nf_ids_bubble(table: GroupTable, letters) -> tuple[int, tuple[int, ...]]:
     """The normal form of a word: all simples first, then one bubble."""
     k = 0
     F: list[int] = []
@@ -494,12 +493,12 @@ def nf_ids_bubble(table: GarsideTable, letters) -> tuple[int, tuple[int, ...]]:
         else:
             k -= 1
             F = [table.tau[x] for x in F]
-            F.append(table.w0s[s])
+            F.append(table.rmul[s][table.w0])
     shift, F = normalize_bubble(table, F)
     return k + shift, tuple(F)
 
 
-def nf_mul_ids_bubble(table: GarsideTable, a, b) -> tuple[int, tuple[int, ...]]:
+def nf_mul_ids_bubble(table: GroupTable, a, b) -> tuple[int, tuple[int, ...]]:
     """The normal form of a product of two normal forms, by one bubble."""
     (ka, Fa), (kb, Fb) = a, b
     if kb % 2:
@@ -1227,15 +1226,15 @@ def expand_pair_in_C(table, x: CoxeterElement, y: CoxeterElement) -> dict:
 
 def right_descents(w: CoxeterElement) -> frozenset[int]:
     """The letters s with l(w s) < l(w), read off the group's table
-    (GarsideTable.rdesc)."""
-    table = garside_table(w.group)
+    (GroupTable.rdesc)."""
+    table = w.group.table
     return frozenset(s + 1 for s in bit_ids(table.rdesc[w.id]))
 
 
 def t_reduced_factorization(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
     """Greedy minimal reflection factorisation of x on table ids: the first
     reflection of T that divides the remainder, at each step."""
-    table = garside_table(x.group)
+    table = x.group.table
     return tuple(CoxeterElement(x.group, t) for t in _t_factor_ids(table, x.id))
 
 
@@ -1280,7 +1279,7 @@ def t_basis(w: CoxeterElement) -> HeckeElement:
 @lru_cache(maxsize=None)
 def _bar_t(group: CoxeterGroup, x: int) -> dict:
     """bar(T_w) for the element with id x: the inverse generators along a reduced word."""
-    table = garside_table(group)
+    table = group.table
     return _fold(table, {table.e: {0: 1}}, [-s for s in table.word(x)])
 
 

@@ -1,5 +1,7 @@
 """Coxeter group backends, length functions, and both orders."""
 
+import hashlib
+import json
 import random
 from functools import partial
 
@@ -8,6 +10,7 @@ import pytest
 from coxbraid.coxeter import (
     CoxeterGroup,
     CoxeterType,
+    GroupTable,
     IntegrityError,
     _root_permutations,
     bruhat_leq,
@@ -18,7 +21,6 @@ from coxbraid.coxeter import (
     reflections_from_coxeter,
     standard_coxeter_elements,
 )
-from coxbraid.garside import GarsideTable, garside_table
 
 import oracles
 
@@ -126,7 +128,7 @@ def test_bruhat_bitsets_match_payload_oracles(family, rank, m):
     """The table's lifting-property bitsets give the intervals of the
     subword dynamic program and the order of the one step recursion."""
     group = coxeter_group(family, rank, m=m)
-    table = garside_table(group)
+    table = group.table
     els = group.elements()
     for x, v in enumerate(els):
         assert bruhat_lower_interval(v) == oracles.bruhat_lower_interval_payload(v)
@@ -222,13 +224,13 @@ def test_fixed_space_corank_is_reflection_length():
         for w in group.elements():
             assert oracles.fixed_space_corank(w) == w.reflection_length()
     for group in (coxeter_group("H3"), coxeter_group("F4")):
-        table = garside_table(group)
+        table = group.table
         for x, w in enumerate(group.elements()):
             want = oracles.fixed_space_corank(w)
-            assert table.rlen(x) == want == oracles.reflection_length_by_search(w)
+            assert table.rlens[x] == want == oracles.reflection_length_by_search(w)
 
 
-def check_against_matrix_model(table: GarsideTable) -> None:
+def check_against_matrix_model(table: GroupTable) -> None:
     """The root permutation table of H3 or F4, against the matrix model of
     tests/oracles.py: x maps to the matrix of table.word(x), and that map
     must be a bijection onto the matrix group that carries over lengths,
@@ -266,7 +268,7 @@ def check_against_matrix_model(table: GarsideTable) -> None:
 
 @pytest.mark.parametrize("family", ["H3", "F4"])
 def test_root_model_matches_matrix_model(family):
-    check_against_matrix_model(garside_table(coxeter_group(family)))
+    check_against_matrix_model(coxeter_group(family).table)
 
 
 def test_matrix_differential_catches_swapped_generators():
@@ -277,7 +279,7 @@ def test_matrix_differential_catches_swapped_generators():
     gens[0], gens[1] = gens[1], gens[0]
     group._gen_payloads = tuple(gens)
     with pytest.raises(AssertionError):
-        check_against_matrix_model(GarsideTable(group))
+        check_against_matrix_model(group.table)
 
 
 # Cartan matrices over Z[phi], entries (a, b) meaning a + b*phi, for two
@@ -414,3 +416,61 @@ def test_element_rejects_payloads_outside_the_walk(family, rank, m, bad):
     with pytest.raises(ValueError, match="invalid payload"):
         group.element(list(ident))
     assert group.element(ident).is_identity()
+
+
+# sha256 of each covered group's id table (see table_digest), recorded from
+# the code before the table moved into coxeter.py
+TABLE_DIGESTS = {
+    "A1": "6aa2fe48afa534cc3597402f06d27b91bcf16f2ea76f73b0bd20a4be3169c165",
+    "A2": "ff99d3edf1e9cad5048c401ca0ef64423dca45d0fecb73209b33f83bf7a7674b",
+    "A3": "71092f1e0b23dfaf9fa72ec8178d4f76abdd35a673b54c11e2e978616f226876",
+    "A4": "50bf7a88cee23a4112da11daa954a0cb6ae93e0ee09f081c962500e16ac7539a",
+    "A5": "536fc9bc237b741fd0e55518c7f596574dc1f8c238cf0b7368c73d1618e45a5c",
+    "B2": "bd16293c63515318159776fbf0b9be8d06605fe3704a60ee8af2cf4723379a55",
+    "B3": "90afb9d99fa6b2409ab5b92ca5653b705722d880a747bf69b728ccbc409a1cc4",
+    "B4": "16781a6b1cedfaf66f5bfcd8372cb8102c0c3b9ff85b6966f38e0cefa33885a2",
+    "D4": "c8564bcbe8b711dfc1d0548e46eac128bbd369be88dc9a4185f6aadff44f8331",
+    "I2(5)": "3feb082a48610e950fbf75c9ae9fadc3e908db7b3684b06e659c18188c38e256",
+    "I2(6)": "cc49c71157ca3335b171b64f7af7d6f9e25c144ffb01e717ad3c97ab9a457758",
+    "I2(7)": "772dde5f392c0b5c7a3c397a3dd96a70cfdfa3b0a64e140337fe84ae5f509fce",
+    "I2(8)": "871175d53b44f48e7d97b13baecd8d2a20482406f84739f8abd8caca1e29d7d9",
+    "I2(9)": "0df30b7d9b1a60a0c4d11d41540018a699cba0d8f24396b1b8c8df4ac6c50766",
+    "H3": "773d67d6013e0b98b145105e307b2c23f862e3f8a16508576cac1ed45416e43c",
+    "F4": "d2d0a2b43f9895b299a7f35ff81f3e95c1a0253af9224bc0982a53ffddc57edc",
+}
+
+
+def table_digest(group: CoxeterGroup) -> str:
+    t = group.table
+    fields = [t.payloads, t.rmul, t.length, t.inv, t.lmul, t.ldesc, t.rdesc, t.tau,
+              t.reflections, t.rlens, [t.word(x) for x in range(len(t.length))]]
+    return hashlib.sha256(json.dumps(fields, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_table_digests_are_pinned(family, rank, m):
+    """The id layout and everything derived from it, pinned per group: the
+    JSON of payloads, rmul, length, inv, lmul, ldesc, rdesc, tau,
+    reflections, rlens and the shortlex word of every id.  A deliberate
+    relabelling of the ids, such as an id order that does not depend on
+    the payload backend (ROADMAP), changes these digests and must re-pin
+    them."""
+    group = coxeter_group(family, rank, m=m)
+    assert table_digest(group) == TABLE_DIGESTS[group.type.label()]
+
+
+def test_walk_queries_leave_the_derived_table_unbuilt():
+    """elements, element(payload), from_word, generators, length and inverse
+    read only the walk's fields, so the benchmark's set-up, which times
+    coxeter_group(...).elements(), builds nothing the walk does not."""
+    group = CoxeterGroup(CoxeterType("F4", 4))
+    w = group.elements()[600]
+    assert group.element(w.payload) == w
+    assert group.from_word((1, 2, 3, 4)) != w
+    assert len(group.generators) == 4
+    assert w.length() == w.inverse().length()
+    table = group.table
+    derived = {"lmul", "rdesc", "ldesc", "tau", "_classes", "reflections", "rlens"}
+    assert derived.isdisjoint(vars(table))
+    assert table._words.count(None) == len(table.length)
+    assert table._below.count(0) == len(table.length) - 1

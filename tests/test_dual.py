@@ -7,6 +7,7 @@ import pytest
 
 from coxbraid import dual, verify
 from coxbraid.coxeter import (
+    GroupTable,
     IntegrityError,
     coxeter_element_orderings,
     coxeter_group,
@@ -27,7 +28,7 @@ from coxbraid.dual import (
     ncp_encode,
     verify_dual_relations,
 )
-from coxbraid.garside import GarsideTable, braid_equal, garside_table, is_rational_permutation
+from coxbraid.garside import braid_equal, is_rational_permutation
 
 import oracles
 
@@ -196,16 +197,16 @@ def test_f4_atom_table_renorm_count(monkeypatch):
     appended factor: at most 10 000 renorm calls (a bubble over the whole
     factor list after every word made 77 780)."""
     group = coxeter_group("F4")
-    garside_table(group)
+    group.table
     calls = 0
-    renorm = GarsideTable.renorm
+    renorm = GroupTable.renorm
 
     def counted(self, x, y):
         nonlocal calls
         calls += 1
         return renorm(self, x, y)
 
-    monkeypatch.setattr(GarsideTable, "renorm", counted)
+    monkeypatch.setattr(GroupTable, "renorm", counted)
     DualAtomTable(group.from_word((1, 2, 3, 4)), (1, 2, 3, 4))
     assert 0 < calls <= 10_000
 
@@ -332,7 +333,7 @@ def test_id_divisibility_matches_definition(family, rank, m):
     """Absolute order on table ids against reflection lengths by search:
     all pairs in groups of at most 120 elements, all (x, c) otherwise."""
     group = coxeter_group(family, rank, m=m)
-    table = garside_table(group)
+    table = group.table
     els = group.elements()
     if len(els) <= 120:
         tops = els

@@ -18,14 +18,12 @@ from coxbraid.coxeter import (
 from coxbraid.garside import (
     BraidWord,
     GarsideNormalForm,
-    GarsideTable,
     _nf_ids,
     _nf_mul_ids,
     braid_equal,
     delta_normal_form,
     embed_braid_b_to_a,
     fraction_form,
-    garside_table,
     is_rational_permutation,
     is_square_free,
     is_tau_fixed,
@@ -261,8 +259,8 @@ def test_table_matches_payload_arithmetic(family, rank, m):
     """The derived left products, twists, inverses and shortlex words equal
     payload arithmetic."""
     group = coxeter_group(family, rank, m=m)
-    table = garside_table(group)
-    P = group._walk()[0]
+    table = group.table
+    P = table.payloads
     mul = partial(oracles.payload_mul, group)
     ident = group.identity.payload
     w0 = group.longest_element.payload
@@ -315,8 +313,8 @@ def test_walk_matches_checks_outside_the_walk(family, rank, m):
     Poincare polynomial, payload products and a separate breadth first
     search: every family's element lengths come from the walk itself."""
     group = coxeter_group(family, rank, m=m)
-    table = garside_table(group)
-    P = group._walk()[0]
+    table = group.table
+    P = table.payloads
     counts = [0] * (max(table.length) + 1)
     for l in table.length:
         counts[l] += 1
@@ -350,14 +348,15 @@ def test_f4_walk_takes_one_product_per_edge(monkeypatch):
     monkeypatch.setattr(coxeter, "_right_action", counted)
     group = CoxeterGroup(CoxeterType("F4", 4))
     group.elements()
-    GarsideTable(group)
+    table = group.table
+    table.ldesc, table.tau, table.rlens  # the whole derived table
     assert calls == 4608
 
 
 def test_bruhat_intervals_are_built_on_first_use():
     """A new table holds only [e, e]; asking for [e, w0] builds the
     intervals along one chain of left descents, and w0 is above everything."""
-    table = GarsideTable(CoxeterGroup(CoxeterType("F4", 4)))
+    table = CoxeterGroup(CoxeterType("F4", 4)).table
     size = len(table.length)
     assert table._below.count(0) == size - 1
     assert table.below(table.w0) == (1 << size) - 1
@@ -376,10 +375,10 @@ def test_walk_checks_group_order(monkeypatch, family, rank, count):
     with pytest.raises(IntegrityError):
         group.elements()
     with pytest.raises(IntegrityError):
-        GarsideTable(group)
+        group.table
 
 
-def test_reflection_search_checks_reflection_set(monkeypatch):
+def test_reflection_search_checks_reflection_set():
     """The reflection length search fails loudly when its reflections miss
     conjugacy classes: the six reflections of B3 that are not sign changes
     are closed under conjugation but generate only D3."""
@@ -387,24 +386,19 @@ def test_reflection_search_checks_reflection_set(monkeypatch):
     kept = tuple(t for t in group.reflections if sum(x < 0 for x in t.payload) != 1)
     assert len(kept) == 6
     assert {s * t * s for s in group.generators for t in kept} == set(kept)
-    search = GarsideTable._reflection_lengths
-
-    def search_kept(table, rep):
-        table.reflections = tuple(t.id for t in kept)
-        return search(table, rep)
-
-    monkeypatch.setattr(GarsideTable, "_reflection_lengths", search_kept)
+    table = group.table
+    table.reflections = tuple(t.id for t in kept)
     with pytest.raises(IntegrityError):
-        GarsideTable(group)
+        table.rlens
 
 
 @pytest.mark.parametrize("family,rank,m", [*oracles.COVERED_GROUPS, ("D", 5, None)])
 def test_table_reflection_length_matches_search(family, rank, m):
     group = coxeter_group(family, rank, m=m)
-    table = garside_table(group)
+    table = group.table
     for x, w in enumerate(group.elements()):
-        assert table.rlen(x) == oracles.reflection_length_by_search(w)
-        assert w.reflection_length() == table.rlen(x)
+        assert table.rlens[x] == oracles.reflection_length_by_search(w)
+        assert w.reflection_length() == table.rlens[x]
 
 
 @pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
@@ -412,7 +406,7 @@ def test_incremental_normal_form_matches_bubble(family, rank, m):
     """Appending one simple at a time gives the normal form that bubbling
     the whole factor list gives, for words and for products of normal forms."""
     group = coxeter_group(family, rank, m=m)
-    table = garside_table(group)
+    table = group.table
     nfs = []
     for word in random_words(group, 60, 30, seed=rank * 13 + (m or 0)):
         nf = _nf_ids(table, word)
@@ -429,7 +423,7 @@ def test_cached_fold_matches_a_fresh_fold(family, rank, m):
     and the bubble give; a second word with the same letters folds its own
     and compares equal, and one more letter makes a braid unequal to it."""
     group = coxeter_group(family, rank, m=m)
-    table = garside_table(group)
+    table = group.table
     for word in random_words(group, 40, 20, seed=rank * 29 + (m or 0)):
         b = BraidWord(group, word)
         assert b.nf == _nf_ids(table, word) == oracles.nf_ids_bubble(table, word)
@@ -467,7 +461,7 @@ def test_atom_words_match_bubble(family, rank):
     the bubble, image against payload products, and the products of
     consecutive atoms against the bubble."""
     group = coxeter_group(family, rank)
-    table = garside_table(group)
+    table = group.table
     for ordering in coxeter_element_orderings(group).values():
         nfs = []
         for i in range(2 * len(group.reflections)):

@@ -15,6 +15,7 @@ from coxbraid import coxeter, hecke, verify
 from coxbraid.coxeter import (
     CoxeterElement,
     CoxeterType,
+    bit_ids,
     bruhat_leq,
     coxeter_element_orderings,
     coxeter_group,
@@ -22,9 +23,7 @@ from coxbraid.coxeter import (
 from coxbraid.dual import dual_monoid
 from coxbraid.garside import (
     BraidWord,
-    bit_ids,
     fraction_form,
-    garside_table,
     positive_lift,
 )
 from coxbraid.hecke import (
@@ -566,7 +565,7 @@ def test_a_negative_pair_row_fails_the_ordering(monkeypatch):
     assert verify.run_check("thm-8.5", "A", 3, coxeter=ordering).passed
     dm = dual_monoid(c, ordering)
     x, y = fraction_form(dm.embed(dm.divisors()[-1]))
-    t = garside_table(group)
+    t = group.table
     target = (x.id, y.id)
     pair_rows = KLTable._pair_rows
 
@@ -586,7 +585,7 @@ def test_kl_layer_takes_no_payload_products(monkeypatch):
     table ids alone: no generator action and no payload length."""
     b3, a3 = coxeter_group("B", 3), coxeter_group("A", 3)
     for group in (b3, a3):
-        garside_table(group)
+        group.table
     calls = {"act": 0, "length": 0}
 
     def counted(key, fn):

@@ -18,7 +18,7 @@ import pytest
 import oracles
 from coxbraid import verify
 from coxbraid.coxeter import coxeter_group
-from coxbraid.garside import braid_equal, fraction_form, garside_table
+from coxbraid.garside import braid_equal, fraction_form
 from coxbraid.hecke import KLTable
 from coxbraid.mikado import count_mikado_A, count_mikado_B
 from coxbraid.verify import CHECKS, _coprime_pair, _pair_braid, run_check
@@ -30,7 +30,7 @@ def test_coprime_pair_is_the_left_fraction(family, rank):
     braid, and the two braids are equal, each folding its own letters.
     Distinct coprime pairs give distinct braids."""
     group = coxeter_group(family, rank)
-    table = garside_table(group)
+    table = group.table
     els = group.elements()
     coprime, braids = set(), set()
     for x, ex in enumerate(els):
@@ -52,7 +52,7 @@ def test_pair_classes_are_counted_independently(family, rank, classes):
     """The reductions of all pairs are the pairs with no common left
     descent, as many as the descent disjoint pairs that count_mikado_A and
     count_mikado_B enumerate from permutations."""
-    table = garside_table(coxeter_group(family, rank))
+    table = coxeter_group(family, rank).table
     ids = range(len(table.length))
     reduced = {_coprime_pair(table, x, y) for x in ids for y in ids}
     assert reduced == {(x, y) for x in ids for y in ids if not table.ldesc[x] & table.ldesc[y]}
@@ -70,7 +70,7 @@ def _with_verdict(monkeypatch, verdict):
 
 def test_pair_sweep_checks_each_coprime_pair_once_in_x_major_order(monkeypatch):
     group = coxeter_group("A", 3)
-    table = garside_table(group)
+    table = group.table
     seen = []
 
     def ok(x, y):
@@ -89,7 +89,7 @@ def test_a_failed_class_fails_every_pair_with_its_braid(family, rank, monkeypatc
     """A verdict of False on one coprime pair fails exactly the pairs whose
     braid equals it, found by the word problem rather than the reduction."""
     group = coxeter_group(family, rank)
-    table = garside_table(group)
+    table = group.table
     els = group.elements()
     nfs = [[_pair_braid(ex, ey).nf for ey in els] for ex in els]
     coprime = [(x, y) for x in range(len(els)) for y in range(len(els))

@@ -7,7 +7,7 @@ disk.  The proof path uses no rational or decimal arithmetic, which is
 left to the test oracles.  Elements are ids in the group's Cayley graph
 walk: no module but coxeter.py, which builds the groups, names a payload
 product, and coxeter.py reads one, the generator actions of
-_right_action included, only inside CoxeterGroup._walk.
+_right_action included, only inside the walk, GroupTable.__init__.
 Coefficients in Z[v, v^-1] have one kernel: no module but laurent.py
 defines the row kernel or wraps terms as a LaurentPolynomial without the
 constructor's check.
@@ -26,8 +26,6 @@ imports only the modules below it, lazy imports included, in the order
     laurent < coxeter < garside < hecke < dual < mikado < render < tl
             < verify < cli < __init__
 
-with one exception: coxeter imports garside at its bottom, once every
-name of coxeter exists, since garside builds its tables on the groups.
 So hecke, for one, may not import dual, tl, verify or cli.  A name read
 off the package itself, as verify's ``from . import __version__``, is
 not a module import: the package is loaded before any of its modules.
@@ -48,13 +46,14 @@ CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 INEXACT = {"fractions", "decimal"}
 # Every module but coxeter.py, which builds the groups, must stay off payload
-# products, and coxeter.py may read them only in the one Cayley graph walk:
+# products, and coxeter.py may read them only in the one Cayley graph walk
+# that builds each group's table:
 # every other product is read off the walk's ids.  A read, not only a call,
 # so that no other method can build the actions and call them through a
 # subscript.
 PAYLOAD_FREE = {p.name for p in MODULES} - {"coxeter.py"}
 PAYLOAD_PRODUCTS = {"_mul", "_perm_mul", "_sp_mul", "_i2_mul", "_right_action"}
-WALK = ("CoxeterGroup", "_walk")
+WALK = ("GroupTable", "__init__")
 # Every module but laurent.py must reach the coefficient kernel through
 # laurent's addmul, combine and poly: no unchecked wrap of terms, no second
 # kernel.
@@ -70,13 +69,11 @@ REFOLD_OWNER = "BraidWord"
 # CoxeterGroup.member: no if that compares .group objects and raises.
 MEMBERSHIP_FREE = {p.name for p in MODULES} - {"coxeter.py"}
 GROUP_COMPARISONS = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)
-# Each module imports only the modules before it here, apart from the one
-# bottom import of garside by coxeter.
+# Each module imports only the modules before it here.
 LAYERS = (
     "laurent", "coxeter", "garside", "hecke", "dual", "mikado", "render", "tl",
     "verify", "cli", "__init__",
 )
-BOTTOM_IMPORTS = {("coxeter", "garside")}
 
 
 def imported_modules(node: ast.AST) -> list[str]:
@@ -123,8 +120,7 @@ def violations(
     for node in ast.walk(tree):
         if layer is not None:
             for name in imported_modules(node):
-                upward = LAYERS.index(name) >= LAYERS.index(layer)
-                if upward and (layer, name) not in BOTTOM_IMPORTS:
+                if LAYERS.index(name) >= LAYERS.index(layer):
                     found.append(f"line {node.lineno}: {layer} imports {name}, not below it")
         if (
             refold_free and isinstance(node, ast.Call) and id(node) not in owner
@@ -222,7 +218,7 @@ def test_no_threads_and_no_environment(path):
         "raise ResourceError(f'order {n} exceeds the cap')",
         "raise coxeter.ResourceError",
         "def braid_equal(a, b):\n    return _nf_ids(table, a.letters) == b.nf",
-        "k, F = garside._nf_ids(garside_table(b.group), b.letters)",
+        "k, F = garside._nf_ids(b.group.table, b.letters)",
         "from .dual import dual_monoid",
         "def positivity(c):\n    from .tl import zinno_matrix",
         "from . import verify",
@@ -240,31 +236,33 @@ def test_guard_catches(source):
 
 
 def test_layer_guard_spares_lower_and_bottom_imports():
+    """Lower imports, lazy ones included, and names read off the package
+    pass.  coxeter, the bottom layer above laurent, imports no garside."""
     source = (
         "from .coxeter import CoxeterGroup\nfrom . import laurent\n"
         "def f():\n    from .garside import fraction_form\n"
     )
     assert violations(ast.parse(source), layer="hecke") == []
-    assert violations(ast.parse("from . import garside"), layer="coxeter") == []
+    assert violations(ast.parse("from . import garside"), layer="coxeter") != []
     assert violations(ast.parse("from . import __version__"), layer="verify") == []
     assert violations(ast.parse("from . import coxeter"), layer="garside") == []
     assert violations(ast.parse("from . import garside"), layer="laurent") != []
 
 
 def test_payload_guard_spares_table_products():
-    source = "x = table.mul(a, b)\ny = table.rmul[s][x]\nr = table.rlen(x)"
+    source = "x = table.mul(a, b)\ny = table.rmul[s][x]\nr = table.rlens[x]"
     assert violations(ast.parse(source), payload_free=True) == []
 
 
 def test_payload_products_are_read_only_in_the_walk():
     """coxeter.py may define the generator action factory, but read it only
-    inside CoxeterGroup._walk: binding actions to the group, a lambda around
-    one, an action called through a subscript or a product in any other
-    method is caught."""
+    inside the walk, GroupTable.__init__: binding actions to the group, a
+    lambda around one, an action called through a subscript or a product in
+    any other method is caught."""
     walk = (
         "def _right_action(ctype, g):\n    return itemgetter(*g)\n"
-        "class CoxeterGroup:\n    def _walk(self):\n"
-        "        acts = [_right_action(self.type, g) for g in self._gen_payloads]\n"
+        "class GroupTable:\n    def __init__(self, group):\n"
+        "        acts = [_right_action(group.type, g) for g in group._gen_payloads]\n"
         "        return [list(map(act, level)) for act in acts]\n"
     )
     assert violations(ast.parse(walk)) == []
@@ -299,7 +297,7 @@ def test_limit_guard_spares_other_errors():
 def test_refold_guard_spares_braidword_nf():
     source = (
         "class BraidWord:\n    def nf(self):\n"
-        "        return _nf_ids(garside_table(self.group), self.letters)\n"
+        "        return _nf_ids(self.group.table, self.letters)\n"
         "nf = _nf_ids(table, letters)\nsame = a.nf == b.nf"
     )
     assert violations(ast.parse(source), refold_free=True) == []
