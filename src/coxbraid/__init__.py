@@ -2,7 +2,7 @@
 
 Submodules cover finite Coxeter groups (coxeter), the classical Garside
 structure and word problem (garside), dual braid monoids and noncrossing
-partitions (dual), strand removal geometry and enumeration (mikado), SVG
+partitions (dual), strand removal geometry and counts (mikado), SVG
 rendering (render), exact Laurent and Hecke algebra arithmetic with
 canonical bases (laurent, hecke), the Temperley-Lieb quotient (tl),
 verification sweeps (verify) and the command line front end (cli).

@@ -97,30 +97,22 @@ class CoxeterType:
             raise ValueError(f"family {self.family} takes no parameter m")
 
     def order(self) -> int:
-        n = self.rank
-        if self.family == "A":
-            return factorial(n + 1)
-        if self.family == "B":
-            return 2**n * factorial(n)
-        if self.family == "D":
-            return 2 ** (n - 1) * factorial(n)
-        if self.family == "I2":
-            assert self.m is not None
-            return 2 * self.m
-        return {"H3": 120, "F4": 1152}[self.family]
+        """|W|, the product of the orders of the Coxeter graph's components."""
+        return _parabolic(self.coxeter_matrix(), (1 << self.rank) - 1)[0]
 
     def reflection_count(self) -> int:
-        n = self.rank
-        if self.family == "A":
-            return n * (n + 1) // 2
-        if self.family == "B":
-            return n * n
-        if self.family == "D":
-            return n * (n - 1)
-        if self.family == "I2":
-            assert self.m is not None
-            return self.m
-        return {"H3": 15, "F4": 24}[self.family]
+        return _parabolic(self.coxeter_matrix(), (1 << self.rank) - 1)[1]
+
+    def coxeter_matrix(self) -> dict[tuple[int, int], int]:
+        """The labels m(s, t) >= 3 of the Coxeter graph, keyed by 0-based
+        letters s < t (module docstring); other letters commute."""
+        labels = {(s, s + 1): 3 for s in range(self.rank - 1)}
+        if self.family == "D":  # letters 1 and 2 both join 3
+            labels[0, 2] = labels.pop((0, 1))
+        elif self.family != "A":  # one label above 3, on letters 1, 2 (2, 3 in F4)
+            edge = (1, 2) if self.family == "F4" else (0, 1)
+            labels[edge] = {"B": 4, "I2": self.m, "H3": 5, "F4": 4}[self.family]
+        return labels
 
     def coxeter_number(self) -> int:
         return 2 * self.reflection_count() // self.rank
@@ -141,6 +133,55 @@ class CoxeterType:
     @staticmethod
     def from_json(data: dict) -> "CoxeterType":
         return CoxeterType(data["family"], data["rank"], data.get("m"))
+
+
+def _parabolic(labels: dict[tuple[int, int], int], mask: int) -> tuple[int, int]:
+    """|W_K| and the number of its reflections, K the letters of mask: the
+    product of the orders and the sum of the reflection counts of the
+    connected components of the Coxeter graph (labels) on K."""
+    order, reflections = 1, 0
+    while mask:
+        comp, grown = 0, mask & -mask
+        while comp != grown:
+            comp = grown
+            for s, t in labels:
+                if (comp >> s | comp >> t) & 1:
+                    grown |= (1 << s | 1 << t) & mask
+        mask &= ~comp
+        inner = {(s, t): m for (s, t), m in labels.items() if comp >> s & comp >> t & 1}
+        ends = [v for edge in inner for v in edge]
+        k, top = comp.bit_count(), max(inner.values(), default=3)
+        if k == 2:  # I2(m), A2 = I2(3) and B2 = I2(4) included
+            got = 2 * top, top
+        elif top == 5:  # H3
+            got = 120, 15
+        elif top == 4:  # F4 has its 4 between two letters of degree 2, B_k at an end
+            s, t = next(edge for edge, m in inner.items() if m == 4)
+            got = (1152, 24) if ends.count(s) + ends.count(t) == 4 else (2**k * factorial(k), k * k)
+        elif 3 in map(ends.count, ends):  # D_k, the one family that branches
+            got = 2 ** (k - 1) * factorial(k), k * (k - 1)
+        else:  # A_k
+            got = factorial(k + 1), k * (k + 1) // 2
+        order, reflections = order * got[0], reflections + got[1]
+    return order, reflections
+
+
+@cache
+def coprime_pair_count(ctype: CoxeterType) -> int:
+    """The pairs (x, y) with no common left descent, one per rational
+    permutation braid b(x)^-1 b(y): with alpha(J) = #{x : D_L(x) in J} =
+    |W| / |W_(S - J)|, S all letters (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, section 2.4), and beta(I) = #{x : D_L(x) = I} its Moebius
+    inverse, the sum of beta(I) alpha(S - I).  O(n 2^n) steps at rank n."""
+    labels, full = ctype.coxeter_matrix(), (1 << ctype.rank) - 1
+    orders = [_parabolic(labels, mask)[0] for mask in range(full + 1)]
+    alpha = [orders[full] // orders[full - mask] for mask in range(full + 1)]
+    beta = alpha[:]
+    for s in range(ctype.rank):
+        for mask in range(full + 1):
+            if mask >> s & 1:
+                beta[mask] -= beta[mask ^ 1 << s]
+    return sum(b * alpha[full - mask] for mask, b in enumerate(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +590,13 @@ class GroupTable:
             ldesc, lmul = self.ldesc, self.lmul
             out = []
             c = x
-            while c != self.e:
+            for _ in range(self.length[x]):
                 mask = ldesc[c]
                 s = (mask & -mask).bit_length() - 1
                 out.append(s + 1)
                 c = lmul[s][c]
+            if c != self.e:
+                raise IntegrityError(f"{self.group!r}: the left descents of id {x} reach no reduced word")
             cached = tuple(out)
             self._words[x] = cached
         return cached

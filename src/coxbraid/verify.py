@@ -30,7 +30,9 @@ from .coxeter import (
     CoxeterGroup,
     CoxeterType,
     GroupTable,
+    IntegrityError,
     ResourceError,
+    coprime_pair_count,
     coxeter_element_orderings,
     coxeter_group_of,
     coxeter_type,
@@ -212,7 +214,8 @@ def _pairs(
     once per distinct braid: on the coprime pairs (no common left descent),
     in x-major id order, which keeps KLTable._pair_rows at one elimination
     per x.  Every other pair reads the verdict of its _coprime_pair, whose
-    x is shorter and so was checked earlier.
+    x is shorter and so was checked earlier.  Their number must be
+    coprime_pair_count.
     """
     table = group.table
     elements = group.elements()  # in id order
@@ -225,6 +228,8 @@ def _pairs(
             if key == (x, y):
                 verdicts[key] = verdict(ex, ey)
             items.append({"item": f"{wx}|{wy}", "ok": verdicts[key]})
+    if len(verdicts) != (want := coprime_pair_count(group.type)):
+        raise IntegrityError(f"{group!r}: {len(verdicts)} coprime pairs met, expected {want}")
     return items
 
 

@@ -9,7 +9,7 @@ against implementations too simple to share their bugs.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -1305,3 +1305,67 @@ def pairs_all(group: CoxeterGroup, ok, rows=None):
         if rows is None or i in rows
         for y, wy in zip(elements, words)
     ]
+
+
+# ---------------------------------------------------------------------------
+# rational permutation braid counts by enumeration
+
+
+def a_descent_mask(x: tuple[int, ...]) -> int:
+    """Left descent set of a permutation in one line form, as a bit mask."""
+    n = len(x)
+    inv = [0] * n
+    for i, v in enumerate(x):
+        inv[v - 1] = i
+    mask = 0
+    for i in range(n - 1):
+        if inv[i] > inv[i + 1]:
+            mask |= 1 << i
+    return mask
+
+
+def b_descent_mask(w: tuple[int, ...]) -> int:
+    """Left descent set of a signed permutation, as a bit mask.
+
+    Letter 1 flips the first coordinate, letter i + 1 swaps coordinates
+    i and i + 1; left descents are right descents of the inverse.
+    """
+    n = len(w)
+    inv = [0] * n
+    for i, v in enumerate(w, start=1):
+        inv[abs(v) - 1] = i if v > 0 else -i
+    mask = 0
+    if inv[0] < 0:
+        mask |= 1
+    for i in range(1, n):
+        if inv[i - 1] > inv[i]:
+            mask |= 1 << i
+    return mask
+
+
+def disjoint_pair_count(masks: Counter[int]) -> int:
+    """The pairs of elements with disjoint descent masks, from the number
+    of elements with each mask."""
+    total = 0
+    for ma, ca in masks.items():
+        for mb, cb in masks.items():
+            if ma & mb == 0:
+                total += ca * cb
+    return total
+
+
+def count_a_by_enumeration(n: int) -> int:
+    """Mikado braids on n strands: descent disjoint pairs in S_n x S_n."""
+    masks = Counter(
+        a_descent_mask(p) for p in itertools.permutations(range(1, n + 1))
+    )
+    return disjoint_pair_count(masks)
+
+
+def count_b_by_enumeration(n: int) -> int:
+    """Descent disjoint pairs of signed permutations on n coordinates."""
+    masks: Counter[int] = Counter()
+    for p in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            masks[b_descent_mask(tuple(s * v for s, v in zip(signs, p)))] += 1
+    return disjoint_pair_count(masks)

@@ -123,7 +123,7 @@ def test_count(capsys):
 def test_count_bad_inputs(capsys):
     code, _, err = run(capsys, "count", "--type", "A", "--n", "0")
     assert code == 2
-    code, _, err = run(capsys, "count", "--type", "A", "--n", "11")
+    code, _, err = run(capsys, "count", "--type", "A", "--n", "18")
     assert code == 3
     code, _, err = run(capsys, "count", "--type", "D", "--n", "3")
     assert code == 2

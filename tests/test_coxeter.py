@@ -12,6 +12,7 @@ from coxbraid.coxeter import (
     CoxeterType,
     GroupTable,
     IntegrityError,
+    _parabolic,
     _root_permutations,
     bruhat_leq,
     bruhat_lower_interval,
@@ -96,6 +97,36 @@ def test_descents_and_search_lengths(family, rank, m):
     else:
         want = {w for w in group.elements() if oracles.fixed_space_corank(w) == 1}
         assert frozenset(group.reflections) == want
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_coxeter_matrix_and_parabolic_subgroups(family, rank, m):
+    """The type's Coxeter graph is the one its generators multiply out to,
+    special letters of B and D included.  The parabolic subgroup on a set
+    of letters has as many elements, and reflections, as there are of the
+    group's whose reduced words use only those letters."""
+    group = coxeter_group(family, rank, m=m)
+    labels = group.type.coxeter_matrix()
+    matrix = tuple(tuple(1 if s == t else labels.get((min(s, t), max(s, t)), 2) for t in range(rank))
+                   for s in range(rank))
+    assert matrix == oracles.coxeter_matrix(group)
+
+    def supports(elements):
+        return [sum(1 << s - 1 for s in set(w.reduced_word())) for w in elements]
+
+    elements, reflections = supports(group.elements()), supports(group.reflections)
+    for mask in range(1 << rank):
+        want = tuple(sum(k & ~mask == 0 for k in ks) for ks in (elements, reflections))
+        assert _parabolic(labels, mask) == want
+
+
+def test_word_stops_when_descents_miss_the_identity():
+    """Right descent masks in place of left ones send the word astray:
+    word raises after length[x] steps instead of walking on."""
+    table = CoxeterGroup(CoxeterType("A", 3)).table
+    table.__dict__["ldesc"] = list(table.rdesc)
+    with pytest.raises(IntegrityError, match="no reduced word"):
+        table.word(table.w0)
 
 
 def test_longest_element():

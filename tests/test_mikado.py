@@ -1,6 +1,7 @@
 """Wiring diagrams, the over strand game, counting, and rendering."""
 
 import os
+from math import comb
 
 import pytest
 
@@ -13,6 +14,7 @@ from coxbraid.garside import (
     positive_lift,
 )
 from coxbraid.mikado import (
+    COUNT_MAX_RANK,
     WiringDiagram,
     count_mikado_A,
     count_mikado_B,
@@ -147,11 +149,31 @@ def test_mikado_counts():
     assert [count_mikado_A(n) for n in range(1, 5)] == [1, 3, 19, 211]
     assert [count_mikado_B(n) for n in range(1, 4)] == [3, 33, 819]
     with pytest.raises(ResourceError):
-        count_mikado_A(11)
+        count_mikado_A(18)
     with pytest.raises(ResourceError):
-        count_mikado_B(7)
+        count_mikado_B(17)
     with pytest.raises(ValueError):
         count_mikado_A(0)
+
+
+def test_counts_match_permutation_enumeration():
+    """The counts from parabolic orders against descent disjoint pairs of
+    permutations up to 9 strands and of signed permutations up to rank 6."""
+    assert [count_mikado_A(n) for n in range(1, 10)] == [
+        oracles.count_a_by_enumeration(n) for n in range(1, 10)]
+    assert [count_mikado_B(n) for n in range(1, 7)] == [
+        oracles.count_b_by_enumeration(n) for n in range(1, 7)]
+
+
+def test_a_counts_follow_the_a000275_recurrence():
+    """Pairs of permutations of n letters with no common descent are OEIS
+    A000275: a_n = sum over k >= 1 of (-1)^(k+1) C(n, k)^2 a_(n-k), a_0 = 1
+    (Carlitz, Scoville and Vaughan, Enumeration of pairs of permutations,
+    1976); checked up to the rank cap of the count."""
+    a = [1]
+    for n in range(1, COUNT_MAX_RANK + 2):
+        a.append(sum((-1) ** (k + 1) * comb(n, k) ** 2 * a[n - k] for k in range(1, n + 1)))
+        assert count_mikado_A(n) == a[n]
 
 
 def test_count_matches_distinct_fraction_enumeration():

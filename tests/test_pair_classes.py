@@ -11,13 +11,21 @@ class driver item by item with the driver that checks all |W|^2 pairs.
 
 import dataclasses
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
 
 import oracles
 from coxbraid import verify
-from coxbraid.coxeter import coxeter_group
+from coxbraid.coxeter import (
+    CoxeterGroup,
+    CoxeterType,
+    IntegrityError,
+    coprime_pair_count,
+    coxeter_group,
+    coxeter_group_of,
+)
 from coxbraid.garside import braid_equal, fraction_form
 from coxbraid.hecke import KLTable
 from coxbraid.mikado import count_mikado_A, count_mikado_B
@@ -50,8 +58,7 @@ def test_coprime_pair_is_the_left_fraction(family, rank):
 )
 def test_pair_classes_are_counted_independently(family, rank, classes):
     """The reductions of all pairs are the pairs with no common left
-    descent, as many as the descent disjoint pairs that count_mikado_A and
-    count_mikado_B enumerate from permutations."""
+    descent, as many as count_mikado_A and count_mikado_B count."""
     table = coxeter_group(family, rank).table
     ids = range(len(table.length))
     reduced = {_coprime_pair(table, x, y) for x in ids for y in ids}
@@ -61,6 +68,36 @@ def test_pair_classes_are_counted_independently(family, rank, classes):
         assert classes == count_mikado_A(rank + 1)
     if family == "B":
         assert classes == count_mikado_B(rank)
+
+
+PINNED_COUNTS = {("A", 5, None): 90_921, ("B", 5, None): 2_505_123,
+                 ("D", 5, None): 635_811, ("F4", 4, None): 323_713}
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS + [("B", 5, None), ("D", 5, None)])
+def test_coprime_pair_count_is_the_number_of_ldesc_disjoint_pairs(family, rank, m):
+    """The count from parabolic orders against the pairs of the table
+    with disjoint left descent masks."""
+    group = coxeter_group(family, rank, m=m)
+    count = oracles.disjoint_pair_count(Counter(group.table.ldesc))
+    assert coprime_pair_count(group.type) == count == PINNED_COUNTS.get((family, rank, m), count)
+
+
+def test_coprime_pair_count_builds_no_group():
+    before = coxeter_group_of.cache_info().currsize
+    assert coprime_pair_count.__wrapped__(CoxeterType("D", 9)) > 0
+    assert coxeter_group_of.cache_info().currsize == before
+
+
+def test_pair_sweep_checks_its_coprime_pair_count():
+    """A left descent mask short of one real bit lets _pairs meet more
+    coprime pairs than the count from parabolic orders, and it raises."""
+    group = CoxeterGroup(CoxeterType("A", 3))
+    ldesc = group.table.ldesc
+    w0 = group.table.w0
+    ldesc[w0] &= ldesc[w0] - 1
+    with pytest.raises(IntegrityError, match="coprime pairs"):
+        verify._pairs(group, lambda x, y: True)
 
 
 def _with_verdict(monkeypatch, verdict):
