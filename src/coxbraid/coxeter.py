@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import factorial
 from typing import Callable, Iterable, TypeVar
@@ -62,8 +61,43 @@ _FIXED_RANK = {"I2": 2, "H3": 3, "F4": 4}
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class CoxeterType:
+class Record:
+    """A frozen value record.  Its fields are its __slots__, which __init__
+    sets once, through _set in slot order or object.__setattr__.  Records
+    are equal when they have the same type and equal fields, hash and repr
+    read the fields in slot order, and assigning or deleting an attribute
+    raises AttributeError.  A record with a cache slot, as BraidWord's
+    __dict__, writes its own __eq__, __hash__ and __repr__."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> dict:
+        return {s: getattr(self, s) for s in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CoxeterType(Record):
     """Descriptor of a finite Coxeter group.
 
     JSON form is {"family": ..., "rank": ...} with an extra "m" entry for
@@ -75,26 +109,23 @@ class CoxeterType:
     7
     """
 
-    family: str
-    rank: int
-    m: int | None = None
+    __slots__ = ("family", "rank", "m")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family in _FIXED_RANK:
-            want = _FIXED_RANK[self.family]
-            if self.rank != want:
-                raise ValueError(f"family {self.family} has rank {want}, got {self.rank}")
-        elif self.rank < _MIN_RANK[self.family]:
-            raise ValueError(
-                f"family {self.family} needs rank >= {_MIN_RANK[self.family]}, got {self.rank}"
-            )
-        if self.family == "I2":
-            if self.m is None or self.m < 3:
+    def __init__(self, family: str, rank: int, m: int | None = None) -> None:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family in _FIXED_RANK:
+            want = _FIXED_RANK[family]
+            if rank != want:
+                raise ValueError(f"family {family} has rank {want}, got {rank}")
+        elif rank < _MIN_RANK[family]:
+            raise ValueError(f"family {family} needs rank >= {_MIN_RANK[family]}, got {rank}")
+        if family == "I2":
+            if m is None or m < 3:
                 raise ValueError("family I2 needs a parameter m >= 3")
-        elif self.m is not None:
-            raise ValueError(f"family {self.family} takes no parameter m")
+        elif m is not None:
+            raise ValueError(f"family {family} takes no parameter m")
+        self._set(family, rank, m)
 
     def order(self) -> int:
         """|W|, the product of the orders of the Coxeter graph's components."""
@@ -135,18 +166,24 @@ class CoxeterType:
         return CoxeterType(data["family"], data["rank"], data.get("m"))
 
 
+def _component(labels: dict[tuple[int, int], int], mask: int) -> int:
+    """The letters of mask joined to its lowest one in the Coxeter graph on mask."""
+    comp, grown = 0, mask & -mask
+    while comp != grown:
+        comp = grown
+        for s, t in labels:
+            if (comp >> s | comp >> t) & 1:
+                grown |= (1 << s | 1 << t) & mask
+    return comp
+
+
 def _parabolic(labels: dict[tuple[int, int], int], mask: int) -> tuple[int, int]:
     """|W_K| and the number of its reflections, K the letters of mask: the
     product of the orders and the sum of the reflection counts of the
     connected components of the Coxeter graph (labels) on K."""
     order, reflections = 1, 0
     while mask:
-        comp, grown = 0, mask & -mask
-        while comp != grown:
-            comp = grown
-            for s, t in labels:
-                if (comp >> s | comp >> t) & 1:
-                    grown |= (1 << s | 1 << t) & mask
+        comp = _component(labels, mask)
         mask &= ~comp
         inner = {(s, t): m for (s, t), m in labels.items() if comp >> s & comp >> t & 1}
         ends = [v for edge in inner for v in edge]
@@ -172,9 +209,15 @@ def coprime_pair_count(ctype: CoxeterType) -> int:
     permutation braid b(x)^-1 b(y): with alpha(J) = #{x : D_L(x) in J} =
     |W| / |W_(S - J)|, S all letters (Bjorner-Brenti, Combinatorics of
     Coxeter Groups, section 2.4), and beta(I) = #{x : D_L(x) = I} its Moebius
-    inverse, the sum of beta(I) alpha(S - I).  O(n 2^n) steps at rank n."""
+    inverse, the sum of beta(I) alpha(S - I).  O(n 2^n) steps at rank n:
+    |W_K| is |W_C| |W_(K - C)|, C the component of K's lowest letter, so
+    each connected letter set is recognised once."""
     labels, full = ctype.coxeter_matrix(), (1 << ctype.rank) - 1
-    orders = [_parabolic(labels, mask)[0] for mask in range(full + 1)]
+    orders = [1] * (full + 1)
+    for mask in range(1, full + 1):
+        comp = _component(labels, mask)
+        rest = mask - comp
+        orders[mask] = orders[comp] * orders[rest] if rest else _parabolic(labels, mask)[0]
     alpha = [orders[full] // orders[full - mask] for mask in range(full + 1)]
     beta = alpha[:]
     for s in range(ctype.rank):

@@ -18,13 +18,13 @@ of the divisor, and crossing freeness is checked on circular positions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 
 from .coxeter import (
     CoxeterElement,
     GroupTable,
     IntegrityError,
+    Record,
     abs_divides,
     bruhat_leq,
     coxeter_group,
@@ -67,12 +67,13 @@ def divisors_of(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
 # noncrossing partitions, types A and B
 
 
-@dataclass(frozen=True)
-class NoncrossingPartition:
+class NoncrossingPartition(Record):
     """A partition of circle labels into blocks, blocks in cycle order."""
 
-    sequence: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("sequence", "blocks")
+
+    def __init__(self, sequence: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> None:
+        self._set(sequence, blocks)
 
     def positions(self) -> dict[int, int]:
         return {label: i for i, label in enumerate(self.sequence)}

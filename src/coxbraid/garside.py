@@ -24,7 +24,6 @@ so an element and its id are exchanged without a lookup.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -34,6 +33,7 @@ from .coxeter import (
     CoxeterType,
     GroupTable,
     IntegrityError,
+    Record,
     coxeter_group,
     coxeter_group_of,
     reduced_words,
@@ -41,17 +41,25 @@ from .coxeter import (
 )
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A word in the Artin generators of a spherical type braid group."""
 
-    group: CoxeterGroup
-    letters: tuple[int, ...]
+    __slots__ = ("group", "letters", "__dict__")
 
-    def __post_init__(self) -> None:
-        for l in self.letters:
-            if l == 0 or abs(l) > self.group.rank:
-                raise ValueError(f"letter {l} out of range for {self.group.type.label()}")
+    def __init__(self, group: CoxeterGroup, letters: tuple[int, ...]) -> None:
+        for l in letters:
+            if l == 0 or abs(l) > group.rank:
+                raise ValueError(f"letter {l} out of range for {group.type.label()}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.group, self.letters) == (other.group, other.letters)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.letters))
 
     @cached_property
     def nf(self) -> tuple[int, tuple[int, ...]]:
@@ -152,17 +160,15 @@ def _letters_of_nf_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> tu
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GarsideNormalForm:
+class GarsideNormalForm(Record):
     """Left greedy normal form Delta^inf f_1 ... f_l."""
 
-    group: CoxeterGroup
-    inf: int
-    factors: tuple[CoxeterElement, ...]
+    __slots__ = ("group", "inf", "factors")
 
-    def __post_init__(self) -> None:
-        for f in self.factors:
-            self.group.member(f)
+    def __init__(self, group: CoxeterGroup, inf: int, factors: tuple[CoxeterElement, ...]) -> None:
+        for f in factors:
+            group.member(f)
+        self._set(group, inf, factors)
 
     def is_identity(self) -> bool:
         return self.inf == 0 and not self.factors

@@ -7,28 +7,44 @@ two term lists into a row in place, ``combine`` sums sets of rows times
 term lists, and ``poly`` builds the LaurentPolynomial of a row when a
 value is handed out.  A LaurentPolynomial is a sorted tuple of
 (exponent, coefficient) pairs with no zero entries; its product runs
-through ``addmul`` too.  The public constructor checks that form;
-results of the arithmetic below have it by construction and skip the
-check.  Positivity means every stored coefficient is nonnegative, and
-the bar map inverts the variable.
+through ``addmul`` too.  The constructor, LaurentPolynomial(terms),
+checks that form; results of the arithmetic below have it by
+construction, and LaurentPolynomial._trusted, the one wrap that skips
+the constructor, stores their terms unchecked.  Positivity means every
+stored coefficient is nonnegative, and the bar map inverts the variable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 
-@dataclass(frozen=True)
 class LaurentPolynomial:
-    terms: tuple[tuple[int, int], ...]
+    """A frozen record like coxeter.Record, which this bottom layer cannot import."""
 
-    def __post_init__(self) -> None:
-        exps = [e for e, _ in self.terms]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...]) -> None:
+        exps = [e for e, _ in terms]
         if exps != sorted(exps) or len(set(exps)) != len(exps):
             raise ValueError("terms must be sorted by exponent without repeats")
-        if any(c == 0 for _, c in self.terms):
+        if any(c == 0 for _, c in terms):
             raise ValueError("zero coefficients must not be stored")
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @staticmethod
     def _trusted(terms: tuple[tuple[int, int], ...]) -> "LaurentPolynomial":

@@ -33,7 +33,6 @@ is the reference for it.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
@@ -42,6 +41,7 @@ from .coxeter import (
     CoxeterElement,
     CoxeterGroup,
     IntegrityError,
+    Record,
     bruhat_leq,
     coxeter_group,
     reduced_words,
@@ -56,8 +56,7 @@ _ZERO = LaurentPolynomial.zero()
 _ONE = LaurentPolynomial.one()
 
 
-@dataclass(frozen=True)
-class TLDiagram:
+class TLDiagram(Record):
     """A noncrossing perfect matching on 2m boundary points.
 
     Points 0..m-1 run along the top from left to right and points
@@ -65,21 +64,29 @@ class TLDiagram:
     right is 2m-1 down to m.
     """
 
-    points: int
-    pairing: tuple[int, ...]
+    __slots__ = ("points", "pairing")
 
-    def __post_init__(self) -> None:
-        p = self.pairing
-        if self.points % 2 or len(p) != self.points:
+    def __init__(self, points: int, pairing: tuple[int, ...]) -> None:
+        p = pairing
+        if points % 2 or len(p) != points:
             raise ValueError("need an even number of points, all matched")
         for i, j in enumerate(p):
-            if not 0 <= j < self.points or j == i or p[j] != i:
+            if not 0 <= j < points or j == i or p[j] != i:
                 raise ValueError("pairing is not a fixed point free involution")
         chords = [(i, j) for i, j in enumerate(p) if i < j]
         for a, b in chords:
             for c, d in chords:
                 if a < c < b < d:
                     raise IntegrityError("crossing chords in a planar diagram")
+        self._set(points, pairing)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.points, self.pairing) == (other.points, other.pairing)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.pairing))
 
     def chords(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i, j in enumerate(self.pairing) if i < j)
@@ -443,8 +450,7 @@ def _omega_rows(m: int, words: list[tuple[int, ...]]) -> Iterator[tuple[int, Row
 # the Zinno basis
 
 
-@dataclass(frozen=True)
-class ZinnoMatrix:
+class ZinnoMatrix(Record):
     """Images of the simple dual braids of c on the {b_w} basis.
 
     Rows are divisors of c ordered by reflection length; columns are
@@ -453,11 +459,14 @@ class ZinnoMatrix:
     diagonal entries, when the elimination succeeds.
     """
 
-    c: CoxeterElement
-    rows: tuple[CoxeterElement, ...]
-    cols: tuple[CoxeterElement, ...]
-    entries: tuple[tuple[LaurentPolynomial, ...], ...]
-    pairing: tuple[tuple[int, int], ...] | None
+    __slots__ = ("c", "rows", "cols", "entries", "pairing")
+
+    def __init__(
+        self, c: CoxeterElement, rows: tuple[CoxeterElement, ...],
+        cols: tuple[CoxeterElement, ...], entries: tuple[tuple[LaurentPolynomial, ...], ...],
+        pairing: tuple[tuple[int, int], ...] | None,
+    ) -> None:
+        self._set(c, rows, cols, entries, pairing)
 
     def entry(self, x: CoxeterElement, w: CoxeterElement) -> LaurentPolynomial:
         group = self.c.group

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from .coxeter import (
@@ -31,6 +30,7 @@ from .coxeter import (
     CoxeterType,
     GroupTable,
     IntegrityError,
+    Record,
     ResourceError,
     coprime_pair_count,
     coxeter_element_orderings,
@@ -121,19 +121,23 @@ def normalize_family(family: str) -> str:
     return fam
 
 
-@dataclass
-class Report:
-    """Outcome of one verification sweep."""
+class Report(Record):
+    """Outcome of one verification sweep; unlike other records, mutable."""
 
-    command: str
-    group: dict
-    passed: bool
-    items: tuple[dict, ...]
-    counts: dict
-    elapsed: float
-    coxeter_element: list[int] | None = None
-    evidence_only: bool = False
-    notes: tuple[str, ...] = ()
+    __slots__ = ("command", "group", "passed", "items", "counts", "elapsed",
+                 "coxeter_element", "evidence_only", "notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, command: str, group: dict, passed: bool, items: tuple[dict, ...], counts: dict,
+        elapsed: float, coxeter_element: list[int] | None = None, evidence_only: bool = False,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self._set(
+            command, group, passed, items, counts, elapsed, coxeter_element, evidence_only, notes
+        )
 
     def to_json(self) -> dict:
         return {
@@ -536,8 +540,7 @@ def _tl_positive(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
 # registry
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(Record):
     """One registered check.  The signature of verdict follows sweep:
     "orderings", verdict(c, ordering) -> the item's fields, "ok" among them;
     "pairs", verdict(x, y) -> bool, the verdict of the braid b(x)^-1 b(y);
@@ -545,12 +548,13 @@ class CheckSpec:
     reflections of the group to the counts.
     """
 
-    theorem_id: str
-    families: tuple[str, ...]
-    description: str
-    verdict: Callable
-    sweep: str = "orderings"
-    reflections: bool = False
+    __slots__ = ("theorem_id", "families", "description", "verdict", "sweep", "reflections")
+
+    def __init__(
+        self, theorem_id: str, families: tuple[str, ...], description: str, verdict: Callable,
+        sweep: str = "orderings", reflections: bool = False,
+    ) -> None:
+        self._set(theorem_id, families, description, verdict, sweep, reflections)
 
 
 CHECKS: dict[str, CheckSpec] = {

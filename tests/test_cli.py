@@ -296,16 +296,16 @@ def test_usage_errors(capsys):
 
 
 def test_integrity_error_exit(capsys, monkeypatch):
-    import dataclasses
-
     from coxbraid.coxeter import IntegrityError
-    from coxbraid.verify import CHECKS
+    from coxbraid.verify import CHECKS, CheckSpec
 
     def broken(c, ordering):
         raise IntegrityError("two paths disagree")
 
     spec = CHECKS["thm-5.13"]
-    monkeypatch.setitem(CHECKS, "thm-5.13", dataclasses.replace(spec, verdict=broken))
+    monkeypatch.setitem(CHECKS, "thm-5.13", CheckSpec(
+        spec.theorem_id, spec.families, spec.description, broken, spec.sweep, spec.reflections,
+    ))
     code, out, err = run(capsys, "verify", "thm-5.13", "--type", "A", "--rank", "2")
     assert code == 4
     assert out == ""

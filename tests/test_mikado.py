@@ -74,6 +74,49 @@ def test_remove_strand():
         d.remove_strand(4)
 
 
+def replayed_removal(d, strand):
+    """The removal through the checking constructor, replaying every crossing."""
+    occ = list(range(1, d.strand_count + 1))
+    kept = []
+    for pos, sign in d.crossings:
+        a, b = occ[pos - 1], occ[pos]
+        if strand not in (a, b):
+            kept.append((pos if occ.index(strand) > pos else pos - 1, sign))
+        occ[pos - 1], occ[pos] = b, a
+    return WiringDiagram(d.strand_count - 1, tuple(kept))
+
+
+@pytest.mark.parametrize("rank,braids", [(3, 211), (4, 3651)])
+def test_trusted_strand_removal_matches_the_checking_constructor(rank, braids, monkeypatch):
+    """remove_strand skips the constructor's checks.  Every diagram that
+    is_mikado_A reaches on the square free braids of A3 and A4, one per
+    coprime pair, loses each of its strands to the same diagram as through
+    the checking constructor, by the same slots or by a replay of every
+    crossing."""
+    group = coxeter_group("A", rank)
+    ldesc = group.table.ldesc
+    reached = set()
+    remove = WiringDiagram.remove_strand
+
+    def recorded(d, strand):
+        got = remove(d, strand)
+        reached.update((d, got))
+        return got
+
+    monkeypatch.setattr(WiringDiagram, "remove_strand", recorded)
+    lifts = [(positive_lift(x), ldesc[x.id]) for x in group.elements()]
+    square_free = [
+        bx.inverse() * by for bx, dx in lifts for by, dy in lifts if not dx & dy
+    ]
+    assert len(square_free) == braids and all(is_mikado_A(b) for b in square_free)
+    assert {d.strand_count for d in reached} == set(range(1, rank + 2))
+    for d in reached:
+        for strand in range(1, d.strand_count + 1):
+            got = remove(d, strand)
+            assert got == WiringDiagram(got.strand_count, got.crossings)
+            assert got == replayed_removal(d, strand)
+
+
 def test_wiring_from_square_free():
     group = coxeter_group("A", 2)
     b = BraidWord(group, (-1, 2, 1))

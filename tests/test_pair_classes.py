@@ -9,7 +9,6 @@ problem, count the classes independently of the table, and compare the
 class driver item by item with the driver that checks all |W|^2 pairs.
 """
 
-import dataclasses
 import random
 from collections import Counter
 from functools import partial
@@ -29,7 +28,7 @@ from coxbraid.coxeter import (
 from coxbraid.garside import braid_equal, fraction_form
 from coxbraid.hecke import KLTable
 from coxbraid.mikado import count_mikado_A, count_mikado_B
-from coxbraid.verify import CHECKS, _coprime_pair, _pair_braid, run_check
+from coxbraid.verify import CHECKS, CheckSpec, _coprime_pair, _pair_braid, run_check
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
@@ -102,7 +101,10 @@ def test_pair_sweep_checks_its_coprime_pair_count():
 
 def _with_verdict(monkeypatch, verdict):
     """Register verdict as the pair sweep prop-4.4."""
-    monkeypatch.setitem(CHECKS, "prop-4.4", dataclasses.replace(CHECKS["prop-4.4"], verdict=verdict))
+    spec = CHECKS["prop-4.4"]
+    monkeypatch.setitem(CHECKS, "prop-4.4", CheckSpec(
+        spec.theorem_id, spec.families, spec.description, verdict, spec.sweep, spec.reflections,
+    ))
 
 
 def test_pair_sweep_checks_each_coprime_pair_once_in_x_major_order(monkeypatch):

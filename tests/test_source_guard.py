@@ -12,15 +12,19 @@ Coefficients in Z[v, v^-1] have one kernel: no module but laurent.py
 defines the row kernel or wraps terms as a LaurentPolynomial without the
 constructor's check.
 Size limits have one home: no module but verify.py, whose budget_guard
-every command calls before it builds a table, and mikado.py, whose count
-caps wait for closed-form counts, raises ResourceError.  A braid folds
-its normal form once: no code outside BraidWord calls _nf_ids on a
-braid's .letters, so every entry point reads BraidWord.nf.  Group
-membership has one home, CoxeterGroup.member: no module but coxeter.py
+every command calls before it builds a table, and mikado.py, whose
+COUNT_MAX_RANK keeps a count within a time budget, raises ResourceError.
+A braid folds its normal form once: no code outside BraidWord calls
+_nf_ids on a braid's .letters, so every entry point reads BraidWord.nf.
+Group membership has one home, CoxeterGroup.member: no module but coxeter.py
 raises from an if that compares .group objects, so every entry point that
 takes an element, braid or Hecke element asks member instead of keeping
 its own copy of the check (a comparison that only answers, as
-HeckeElement.__eq__, is left alone).  Each module
+HeckeElement.__eq__, is left alone).  Records are plain classes with
+their fields in __slots__ (coxeter.Record): no module imports
+dataclasses, which with the inspect module it loads would make import
+coxbraid about three times slower, and a fresh interpreter that imports
+the package loads neither.  Each module
 imports only the modules below it, lazy imports included, in the order
 
     laurent < coxeter < garside < hecke < dual < mikado < render < tl
@@ -34,6 +38,8 @@ that would bring any of these back.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +51,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 INEXACT = {"fractions", "decimal"}
+SLOW_IMPORTS = {"dataclasses"}
+BANNED = CONCURRENCY | INEXACT | SLOW_IMPORTS
 # Every module but coxeter.py, which builds the groups, must stay off payload
 # products, and coxeter.py may read them only in the one Cayley graph walk
 # that builds each group's table:
@@ -174,7 +182,7 @@ def violations(
         else:
             continue
         for name in names:
-            if name.split(".")[0] in CONCURRENCY | INEXACT or name.startswith("os."):
+            if name.split(".")[0] in BANNED or name.startswith("os."):
                 found.append(f"line {node.lineno}: {name}")
     return found
 
@@ -205,6 +213,8 @@ def test_no_threads_and_no_environment(path):
         "from os import environ",
         "from fractions import Fraction",
         "import decimal",
+        "import dataclasses",
+        "from dataclasses import dataclass",
         "p = group._mul(a, b)",
         "from .coxeter import _perm_mul",
         "p = coxeter._sp_mul(a, b)",
@@ -233,6 +243,19 @@ def test_guard_catches(source):
         ast.parse(source), payload_free=True, kernel_free=True, limit_free=True,
         refold_free=True, layer="hecke", membership_free=True,
     )
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """-S keeps site hooks out, so only what the package imports counts."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import coxbraid; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_layer_guard_spares_lower_and_bottom_imports():
