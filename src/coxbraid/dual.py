@@ -4,11 +4,11 @@ Divisors of a Coxeter element c in absolute order form the lattice of
 noncrossing partitions; their minimal factorisations into reflections
 carry a Hurwitz braid group action; and the atoms of the dual monoid
 embed into the classical braid group through an explicit family of
-conjugated generators.  This module computes all of these exactly:
-divisor sets by breadth first search through reflection length levels,
-Hurwitz orbits by closure under the elementary moves, atom braid words
-by the rotation formula over a fixed generator ordering, and simple
-dual braids as products of atom normal forms.
+conjugated generators.  This module computes all of these exactly: the
+divisor lattice by one breadth first pass per c, Hurwitz orbits by
+closure under the elementary moves, atom braids of the rotation formula
+by conjugation, and each simple dual braid as its lattice parent's times
+one atom normal form.
 
 The noncrossing partition model is combinatorial for types A and B: the
 circle carries the orbit of the point 1 under c, blocks are the cycles
@@ -18,11 +18,11 @@ of the divisor, and crossing freeness is checked on circular positions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache
+from functools import cache, cached_property
+from itertools import compress
 
 from .coxeter import (
     CoxeterElement,
-    GroupTable,
     IntegrityError,
     Record,
     abs_divides,
@@ -40,27 +40,35 @@ from .garside import (
 
 
 def divisors_of(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
-    """The divisor set DIV(c) in absolute order, sorted by level.
+    """The divisor set DIV(c) in absolute order: the ids of c's interval
+    lattice (_interval), by reflection length, then by id."""
+    return tuple(CoxeterElement(c.group, x) for x in _interval(c))
 
-    Breadth first search: level k+1 consists of the products x*t that gain
-    reflection length and still divide c.  Ids run in (length, payload)
-    order, so each level is sorted by id.
-    """
+
+@cache
+def _interval(c: CoxeterElement) -> dict[int, tuple[int, int] | None]:
+    """[1, c]_T by one breadth first pass from e: each divisor id x maps to
+    (parent, t) with x = parent t, and e to None, by l_T and then by id.
+    The t with l_T(t r) = l_T(r) - 1, r = x^-1 c, divide r, so x t divides c
+    with remainder t r, and every divisor is reached so.  The parent kept
+    is the least id, then the least t."""
     standard_ordering(c)
     table = c.group.table
-    cid = c.id
-    level = {table.e}
-    out = [table.e]
-    for k in range(table.rlens[cid]):
-        nxt: set[int] = set()
-        for x in level:
-            for t in table.reflections:
-                y = table.mul(x, t)
-                if table.rlens[y] == k + 1 and table.abs_divides(y, cid):
-                    nxt.add(y)
-        level = nxt
-        out.extend(sorted(nxt))
-    return tuple(CoxeterElement(c.group, x) for x in out)
+    rmul, rlens, T = table.rmul, table.rlens, table.reflections
+    interval: dict[int, tuple[int, int] | None] = {}
+    level = [(table.e, (None, c.id))]  # (x, (its entry, x^-1 c)), by id
+    while level:
+        interval.update((x, step) for x, (step, _) in level)
+        found: dict[int, tuple[tuple[int, int], int]] = {}
+        for x, (_, r) in level:
+            products = T  # t r for every t in T, folding the word of r
+            for s in table.word(r):
+                products = list(map(rmul[s - 1].__getitem__, products))
+            divides = map((rlens[r] - 1).__eq__, map(rlens.__getitem__, products))
+            for t, tr in compress(zip(T, products), divides):
+                found.setdefault(table.mul(x, t), ((x, t), tr))
+        level = sorted(found.items())
+    return interval
 
 
 # ---------------------------------------------------------------------------
@@ -267,33 +275,36 @@ class DualAtomTable:
     The word at rotation index i is a_1 ... a_i a_{i+1} a_i^-1 ... a_1^-1
     with a_j running cyclically through the ordering.  Indices 0 to
     2|T| - 1 hit every reflection exactly twice; the two words for the
-    same reflection must be equal as braids, which is checked here.
+    same reflection must be equal as braids, which is checked here.  Each
+    braid is a_1 times the one at i - 1 of the rotated ordering times a_1^-1.
     Lookups take reflections of c's group only (CoxeterGroup.member).
     """
 
     def __init__(self, c: CoxeterElement, ordering: tuple[int, ...]) -> None:
         self.group = group = c.group
         self.c = c
-        self.ordering = standard_ordering(c, ordering)
+        self.ordering = order = standard_ordering(c, ordering)
         table = group.table
-        n = group.rank
         T = group.reflections
+        signed = [(_nf_ids(table, (a,)), _nf_ids(table, (-a,))) for a in order]
+        row = [(pos, table.gen_ids[a - 1]) for (pos, _), a in zip(signed, order)]
         words: dict[CoxeterElement, BraidWord] = {}
         nfs: dict[int, tuple] = {}  # keyed by table id
         hits: dict[int, int] = {}
         for i in range(2 * len(T)):
-            seq = [self.ordering[j % n] for j in range(i + 1)]
-            letters = tuple(seq) + tuple(-l for l in reversed(seq[:-1]))
-            nf = _nf_ids(table, letters)
-            tid = table.image_id(letters)
+            if i:  # row[r] is index i of the ordering rotated by r: a_r row[r + 1] a_r^-1
+                row = [
+                    (_nf_mul_ids(table, _nf_mul_ids(table, pos, nf), neg),
+                     table.lmul[a - 1][table.rmul[a - 1][tid]])
+                    for a, (pos, neg), (nf, tid) in zip(order, signed, row[1:] + row[:1])
+                ]
+            nf, tid = row[0]
             hits[tid] = hits.get(tid, 0) + 1
-            if tid in nfs:
-                if nfs[tid] != nf:
-                    raise IntegrityError(
-                        "rotation formula produced unequal braids for one reflection"
-                    )
-            else:
-                nfs[tid] = nf
+            if nfs.setdefault(tid, nf) != nf:
+                raise IntegrityError("rotation formula produced unequal braids for one reflection")
+            if hits[tid] == 1:
+                seq = [order[j % len(order)] for j in range(i + 1)]
+                letters = (*seq, *(-l for l in reversed(seq[:-1])))
                 words[CoxeterElement(group, tid)] = BraidWord(group, letters)
         if len(words) != len(T) or any(h != 2 for h in hits.values()):
             raise IntegrityError("rotation formula did not cover T twice over")
@@ -316,37 +327,36 @@ class DualAtomTable:
 
 class DualMonoid:
     """All dual braid data attached to one standard Coxeter element, for
-    elements of its group only (CoxeterGroup.member)."""
+    elements of its group only (CoxeterGroup.member).  The divisors are
+    c's lattice (_interval).  The simple dual braid of x = y t, y its
+    parent there, is y's times the atom of t, all filled on first use."""
 
     def __init__(self, c: CoxeterElement, ordering: tuple[int, ...]) -> None:
         self.group = c.group
         self.c = c
         self.atoms = DualAtomTable(c, ordering)
         self.ordering = self.atoms.ordering
-        self._cid = c.id
-        self._divisors: tuple[CoxeterElement, ...] | None = None
-        self._embed_cache: dict[int, tuple] = {}  # keyed by table id
+        self._interval = _interval(c)
+        self._divisors = tuple(CoxeterElement(c.group, x) for x in self._interval)
+
+    @cached_property
+    def _embedded(self) -> dict[int, tuple]:
+        table, atoms = self.group.table, self.atoms._nfs
+        out: dict[int, tuple] = {}
+        for x, step in self._interval.items():
+            out[x] = (0, ()) if step is None else _nf_mul_ids(table, out[step[0]], atoms[step[1]])
+        return out
 
     def divisors(self) -> tuple[CoxeterElement, ...]:
-        if self._divisors is None:
-            self._divisors = divisors_of(self.c)
         return self._divisors
 
     def contains(self, x: CoxeterElement) -> bool:
-        return self.group.table.abs_divides(self.group.member(x).id, self._cid)
+        return self.group.member(x).id in self._interval
 
     def embed_nf_ids(self, x: CoxeterElement) -> tuple:
-        table = self.group.table
-        xid = self.group.member(x).id  # before the cache, which a foreign id can hit
-        cached = self._embed_cache.get(xid)
-        if cached is not None:
-            return cached
-        if not self.contains(x):
+        nf = self._embedded.get(self.group.member(x).id)
+        if nf is None:
             raise ValueError("element is not a divisor of the Coxeter element")
-        nf = (0, ())
-        for t in _t_factor_ids(table, xid):
-            nf = _nf_mul_ids(table, nf, self.atoms._nfs[t])
-        self._embed_cache[xid] = nf
         return nf
 
     def embed(self, x: CoxeterElement) -> BraidWord:
@@ -367,19 +377,6 @@ def _dual_monoid(c: CoxeterElement, ordering: tuple[int, ...]) -> DualMonoid:
 def dual_atoms(c: CoxeterElement, ordering: tuple[int, ...] | None = None) -> DualAtomTable:
     """The atom table of dual_monoid(c, ordering), built once with it."""
     return dual_monoid(c, ordering).atoms
-
-
-def _t_factor_ids(table: GroupTable, x: int) -> list[int]:
-    out = []
-    while x != table.e:
-        for t in table.reflections:
-            if table.abs_divides(t, x):
-                out.append(t)
-                x = table.mul(t, x)
-                break
-        else:
-            raise IntegrityError("no reflection divides a nonidentity element")
-    return out
 
 
 def embed_simple(
@@ -407,7 +404,7 @@ def verify_dual_relations(
         for t2 in T:
             if t1 == t2:
                 continue
-            if not table.abs_divides(table.mul(t1, t2), dm._cid):
+            if not table.abs_divides(table.mul(t1, t2), dm.c.id):
                 continue
             t3 = table.mul(table.mul(t2, t1), t2)
             lhs = _nf_mul_ids(table, nfs[t1], nfs[t2])

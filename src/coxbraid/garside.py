@@ -6,8 +6,10 @@ left greedy normal form writes any braid as Delta^k f_1 ... f_l with
 simple factors f_i (copies of Coxeter group elements), f_1 != w0 and all
 factors nonidentity, adjacent pairs locally maximal.  Words are folded
 into this form left to right: a positive letter appends a simple, a
-negative letter rewrites through sigma^-1 = Delta^-1 b(w0 s) and twists
-the accumulated factors by the diagram automorphism tau(x) = w0 x w0.
+negative letter rewrites through sigma^-1 = Delta^-1 b(w0 s), twisting
+the factors before it by the diagram automorphism tau(x) = w0 x w0.  So
+after k negative letters the fold appends tau^k of each simple, and
+untwists once at the end (tau commutes with renorm, fixes e and w0).
 Each appended simple costs one right-to-left renormalisation pass over
 the factors, which stops at the first pair whose left factor does not
 change; leading copies of w0 are stripped once, at the end.  A braid
@@ -125,14 +127,15 @@ def _strip_w0(table: GroupTable, k: int, F: list[int]) -> tuple[int, tuple[int, 
 def _nf_ids(table: GroupTable, letters: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     k = 0
     F: list[int] = []
-    for letter in letters:
-        s = abs(letter) - 1
+    for letter in letters:  # F is kept twisted by tau^k: see the module docstring
         if letter > 0:
-            _append(table, F, table.gen_ids[s])
+            s = table.gen_ids[letter - 1]
         else:
             k -= 1
-            F = [table.tau[x] for x in F]
-            _append(table, F, table.rmul[s][table.w0])
+            s = table.rmul[-letter - 1][table.w0]
+        _append(table, F, table.tau[s] if k % 2 else s)
+    if k % 2:
+        F = [table.tau[x] for x in F]
     return _strip_w0(table, k, F)
 
 

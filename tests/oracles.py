@@ -22,12 +22,15 @@ from coxbraid.coxeter import (
     bit_ids,
     coxeter_group,
     standard_coxeter_elements,
+    standard_ordering,
     type_b_embedding_words,
 )
-from coxbraid.dual import _t_factor_ids, divisors_of
+from coxbraid.dual import divisors_of
 from coxbraid.garside import (
     BraidWord,
     GarsideNormalForm,
+    _nf_ids,
+    _nf_mul_ids,
     right_fraction_form,
     word_key,
 )
@@ -1235,7 +1238,87 @@ def t_reduced_factorization(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
     """Greedy minimal reflection factorisation of x on table ids: the first
     reflection of T that divides the remainder, at each step."""
     table = x.group.table
-    return tuple(CoxeterElement(x.group, t) for t in _t_factor_ids(table, x.id))
+    return tuple(CoxeterElement(x.group, t) for t in t_factor_ids(table, x.id))
+
+
+# ---------------------------------------------------------------------------
+# the dual monoid by divisibility tests and by folding rotation words
+#
+# The search, factorisation and fold that coxbraid.dual used before it
+# built [1, c]_T as one lattice and its atoms by conjugation; kept as the
+# reference for both.
+
+
+def divisors_by_search(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
+    """DIV(c) by breadth first search on table ids, sorted by level: level
+    k+1 holds the products x*t that gain reflection length and still
+    divide c, each level sorted by id."""
+    standard_ordering(c)
+    table = c.group.table
+    cid = c.id
+    level = {table.e}
+    out = [table.e]
+    for k in range(table.rlens[cid]):
+        nxt: set[int] = set()
+        for x in level:
+            for t in table.reflections:
+                y = table.mul(x, t)
+                if table.rlens[y] == k + 1 and table.abs_divides(y, cid):
+                    nxt.add(y)
+        level = nxt
+        out.extend(sorted(nxt))
+    return tuple(CoxeterElement(c.group, x) for x in out)
+
+
+def t_factor_ids(table: GroupTable, x: int) -> list[int]:
+    """Greedy minimal reflection factorisation of the id x: the first
+    reflection of T that divides the remainder, at each step."""
+    out = []
+    while x != table.e:
+        for t in table.reflections:
+            if table.abs_divides(t, x):
+                out.append(t)
+                x = table.mul(t, x)
+                break
+        else:
+            raise IntegrityError("no reflection divides a nonidentity element")
+    return out
+
+
+def atoms_by_rotation_words(
+    c: CoxeterElement, ordering: tuple[int, ...]
+) -> tuple[dict[int, tuple], dict[int, tuple[int, ...]]]:
+    """Atom normal forms and letters by reflection id, each folded from its
+    rotation word a_1 ... a_i a_{i+1} a_i^-1 ... a_1^-1, i < 2|T|; the first
+    word that hits a reflection keeps its letters."""
+    group = c.group
+    ordering = standard_ordering(c, ordering)
+    table = group.table
+    n = group.rank
+    nfs: dict[int, tuple] = {}
+    words: dict[int, tuple[int, ...]] = {}
+    hits: Counter = Counter()
+    for i in range(2 * len(group.reflections)):
+        seq = [ordering[j % n] for j in range(i + 1)]
+        letters = tuple(seq) + tuple(-l for l in reversed(seq[:-1]))
+        nf = _nf_ids(table, letters)
+        tid = table.image_id(letters)
+        hits[tid] += 1
+        if nfs.setdefault(tid, nf) != nf:
+            raise IntegrityError("rotation formula produced unequal braids for one reflection")
+        words.setdefault(tid, letters)
+    if len(words) != len(group.reflections) or set(hits.values()) != {2}:
+        raise IntegrityError("rotation formula did not cover T twice over")
+    return nfs, words
+
+
+def embed_nf_ids_by_t_factors(table: GroupTable, atom_nfs: dict[int, tuple], x: int) -> tuple:
+    """The simple dual braid of the divisor id x: the product of the atom
+    normal forms along t_factor_ids(x), from the identity braid."""
+    nf = (0, ())
+    for t in t_factor_ids(table, x):
+        nf = _nf_mul_ids(table, nf, atom_nfs[t])
+    return nf
 
 
 def type_b_embedding(n: int) -> dict[int, CoxeterElement]:

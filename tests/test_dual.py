@@ -1,7 +1,9 @@
 """Dual monoid: divisors, circle model, Hurwitz action, embeddings."""
 
 import inspect
+import itertools
 import textwrap
+from math import comb
 
 import pytest
 
@@ -193,9 +195,12 @@ def test_hurwitz_braid_orbit_projects_bijectively():
 
 
 def test_f4_atom_table_renorm_count(monkeypatch):
-    """Building the F4 atom table makes one renormalisation pass per
-    appended factor: at most 10 000 renorm calls (a bubble over the whole
-    factor list after every word made 77 780)."""
+    """Building the F4 atom table by conjugation makes at most 1000 renorm
+    calls (716 on ordering (1, 2, 3, 4); folding the 48 rotation words
+    made 4426, and a bubble over the whole factor list after every word
+    77 780).  Embedding its 105 divisors, one product each from the
+    lattice parent, makes at most 300 (259; a product of l_T(x) atoms per
+    divisor made 340)."""
     group = coxeter_group("F4")
     group.table
     calls = 0
@@ -207,8 +212,13 @@ def test_f4_atom_table_renorm_count(monkeypatch):
         return renorm(self, x, y)
 
     monkeypatch.setattr(GroupTable, "renorm", counted)
-    DualAtomTable(group.from_word((1, 2, 3, 4)), (1, 2, 3, 4))
-    assert 0 < calls <= 10_000
+    c = group.from_word((1, 2, 3, 4))
+    monoid = dual.DualMonoid(c, (1, 2, 3, 4))
+    assert 0 < calls <= 1000
+    calls = 0
+    for x in monoid.divisors():
+        monoid.embed_nf_ids(x)
+    assert 0 < calls <= 300
 
 
 @pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 3, None), ("I2", 2, 8), ("H3", 3, None)])
@@ -356,3 +366,63 @@ def test_divisors_and_factorizations_match_payload_versions(family, rank, m):
         assert divisors_of(c) == oracles.divisors_of_payload(c)
     for x in group.elements():
         assert oracles.t_reduced_factorization(x) == oracles.t_reduced_factorization_payload(x)
+
+
+def catalan(family, rank, m):
+    """Cat(W), the number of divisors of a Coxeter element, by family."""
+    if family == "A":
+        return comb(2 * rank + 2, rank + 1) // (rank + 2)
+    if family == "B":
+        return comb(2 * rank, rank)
+    if family == "D":
+        return (3 * rank - 2) * comb(2 * rank - 2, rank - 1) // rank
+    return {"I2": (m or 0) + 2, "H3": 32, "F4": 105}[family]
+
+
+def test_catalan_numbers():
+    assert [catalan("A", n, None) for n in range(1, 6)] == [2, 5, 14, 42, 132]
+    assert [catalan("B", n, None) for n in range(2, 5)] == [6, 20, 70]
+    assert [catalan("D", n, None) for n in range(4, 8)] == [50, 182, 672, 2508]
+    assert catalan("I2", 2, 7) == 9
+
+
+@pytest.mark.parametrize("family,rank,m", [*oracles.COVERED_GROUPS, ("D", 5, None)])
+def test_divisor_count_is_catalan_on_every_ordering(family, rank, m):
+    group = coxeter_group(family, rank, m=m)
+    for c, ordering in coxeter_element_orderings(group).items():
+        assert len(divisors_of(c)) == len(dual_monoid(c, ordering).divisors()) == catalan(family, rank, m)
+
+
+@pytest.mark.parametrize("family,rank,m", [*oracles.COVERED_GROUPS, ("D", 5, None)])
+def test_lattice_and_atoms_match_the_search_and_fold(family, rank, m):
+    """On every ordering: the divisors against the search, order included;
+    the atom normal forms and letters against folding the rotation words;
+    the simple dual braids against products along a greedy T-factorisation,
+    id for id; and each divisor's path of lattice parents is a
+    T-factorisation of it, of l_T(x) letters."""
+    group = coxeter_group(family, rank, m=m)
+    table = group.table
+    els = group.elements()
+    for c in standard_coxeter_elements(group):
+        assert divisors_of(c) == oracles.divisors_by_search(c)
+        interval = dual._interval(c)
+        for x in interval:
+            path, y = [], x
+            while interval[y] is not None:
+                y, t = interval[y]
+                path.append(els[t])
+            product = group.identity
+            for t in reversed(path):
+                product = product * t
+            assert product == els[x]
+            assert len(path) == els[x].reflection_length()
+            assert set(path) <= set(group.reflections)
+    for ordering in itertools.permutations(range(1, rank + 1)):
+        c = group.from_word(ordering)
+        monoid = dual.DualMonoid(c, ordering)
+        nfs, letters = oracles.atoms_by_rotation_words(c, ordering)
+        for t in group.reflections:
+            assert monoid.atoms.normal_form_ids(t) == nfs[t.id]
+            assert monoid.atoms.braid(t).letters == letters[t.id]
+        for x in monoid.divisors():
+            assert monoid.embed_nf_ids(x) == oracles.embed_nf_ids_by_t_factors(table, nfs, x.id)

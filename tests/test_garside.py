@@ -49,6 +49,21 @@ def random_words(group, count, max_len, seed):
 
 
 @pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 2, None), ("I2", 2, 5)])
+def fraction_words(group, count, max_len, seed):
+    """Words x^-1 y and x y^-1 for random positive words x and y, the shape
+    of a fraction: runs of one sign, so that the fold's twist frame flips at
+    every letter of a negative run and holds through a positive one."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        x, y = (tuple(rng.randint(1, group.rank) for _ in range(rng.randrange(max_len + 1)))
+                for _ in range(2))
+        inv = tuple(-l for l in reversed(x if i % 2 == 0 else y))
+        out.append(inv + y if i % 2 == 0 else x + inv)
+    return out
+
+
+@pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 2, None), ("I2", 2, 5)])
 def test_normal_form_round_trip(family, rank, m):
     group = coxeter_group(family, rank, m=m)
     for word in random_words(group, 80, 9, seed=rank * 17 + (m or 0)):
@@ -404,11 +419,14 @@ def test_table_reflection_length_matches_search(family, rank, m):
 @pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
 def test_incremental_normal_form_matches_bubble(family, rank, m):
     """Appending one simple at a time gives the normal form that bubbling
-    the whole factor list gives, for words and for products of normal forms."""
+    the whole factor list gives, for words and for products of normal forms.
+    The words are mixed-sign letter by letter, or fractions whose negative
+    runs leave the fold in either twist frame."""
     group = coxeter_group(family, rank, m=m)
     table = group.table
     nfs = []
-    for word in random_words(group, 60, 30, seed=rank * 13 + (m or 0)):
+    seed = rank * 13 + (m or 0)
+    for word in random_words(group, 60, 30, seed) + fraction_words(group, 40, 15, seed):
         nf = _nf_ids(table, word)
         assert nf == oracles.nf_ids_bubble(table, word)
         assert BraidWord(group, word).image() == group.from_word(abs(l) for l in word)
