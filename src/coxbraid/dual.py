@@ -49,25 +49,26 @@ def divisors_of(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
 def _interval(c: CoxeterElement) -> dict[int, tuple[int, int] | None]:
     """[1, c]_T by one breadth first pass from e: each divisor id x maps to
     (parent, t) with x = parent t, and e to None, by l_T and then by id.
-    The t with l_T(t r) = l_T(r) - 1, r = x^-1 c, divide r, so x t divides c
-    with remainder t r, and every divisor is reached so.  The parent kept
-    is the least id, then the least t."""
+    The t with l_T(t r) = l_T(r) - 1, r = x^-1 c, divide r; x t then divides
+    c with remainder t r, which divides r, so only those t are tried on it.
+    Every divisor is reached so; the parent kept is the least id, then t."""
     standard_ordering(c)
     table = c.group.table
-    rmul, rlens, T = table.rmul, table.rlens, table.reflections
+    rmul, rlens = table.rmul, table.rlens
     interval: dict[int, tuple[int, int] | None] = {}
-    level = [(table.e, (None, c.id))]  # (x, (its entry, x^-1 c)), by id
+    level = [(table.e, (None, c.id, table.reflections))]  # (x, (entry, x^-1 c, t to try))
     while level:
-        interval.update((x, step) for x, (step, _) in level)
-        found: dict[int, tuple[tuple[int, int], int]] = {}
-        for x, (_, r) in level:
-            products = T  # t r for every t in T, folding the word of r
+        interval.update((x, step) for x, (step, _, _) in level)
+        found: dict[int, tuple[int, int, list[int]]] = {}  # keyed by remainder
+        for x, (_, r, tried) in level:
+            products = tried  # t r for every t tried, folding the word of r
             for s in table.word(r):
                 products = list(map(rmul[s - 1].__getitem__, products))
-            divides = map((rlens[r] - 1).__eq__, map(rlens.__getitem__, products))
-            for t, tr in compress(zip(T, products), divides):
-                found.setdefault(table.mul(x, t), ((x, t), tr))
-        level = sorted(found.items())
+            divides = list(map((rlens[r] - 1).__eq__, map(rlens.__getitem__, products)))
+            ts = list(compress(tried, divides))  # the t dividing r
+            for t, tr in compress(zip(tried, products), divides):
+                found.setdefault(tr, (x, t, ts))
+        level = sorted((table.mul(x, t), ((x, t), tr, ts)) for tr, (x, t, ts) in found.items())
     return interval
 
 
@@ -285,13 +286,12 @@ class DualAtomTable:
         self.c = c
         self.ordering = order = standard_ordering(c, ordering)
         table = group.table
-        T = group.reflections
         signed = [(_nf_ids(table, (a,)), _nf_ids(table, (-a,))) for a in order]
         row = [(pos, table.gen_ids[a - 1]) for (pos, _), a in zip(signed, order)]
         words: dict[CoxeterElement, BraidWord] = {}
         nfs: dict[int, tuple] = {}  # keyed by table id
         hits: dict[int, int] = {}
-        for i in range(2 * len(T)):
+        for i in range(2 * len(group.reflections)):
             if i:  # row[r] is index i of the ordering rotated by r: a_r row[r + 1] a_r^-1
                 row = [
                     (_nf_mul_ids(table, _nf_mul_ids(table, pos, nf), neg),
@@ -306,7 +306,7 @@ class DualAtomTable:
                 seq = [order[j % len(order)] for j in range(i + 1)]
                 letters = (*seq, *(-l for l in reversed(seq[:-1])))
                 words[CoxeterElement(group, tid)] = BraidWord(group, letters)
-        if len(words) != len(T) or any(h != 2 for h in hits.values()):
+        if len(words) != len(group.reflections) or any(h != 2 for h in hits.values()):
             raise IntegrityError("rotation formula did not cover T twice over")
         self._nfs = nfs
         self._words = words

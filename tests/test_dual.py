@@ -35,6 +35,18 @@ from coxbraid.garside import braid_equal, is_rational_permutation
 import oracles
 
 
+def catalan(family, rank, m):
+    """Cat(W), the number of divisors of a Coxeter element, by family."""
+    if family == "A":
+        return comb(2 * rank + 2, rank + 1) // (rank + 2)
+    if family == "B":
+        return comb(2 * rank, rank)
+    if family == "D":
+        return (3 * rank - 2) * comb(2 * rank - 2, rank - 1) // rank
+    return {"I2": (m or 0) + 2, "H3": 32, "F4": 105}[family]
+
+
+# Every group of oracles.COVERED_GROUPS, D5, and I2(7)
 DIVISOR_COUNTS = [
     ("A", 2, None, 5),
     ("A", 3, None, 14),
@@ -45,15 +57,27 @@ DIVISOR_COUNTS = [
     ("I2", 2, 7, 9),
     ("H3", 3, None, 32),
     ("F4", 4, None, 105),
+    ("A", 1, None, 2),
+    ("A", 5, None, 132),
+    ("B", 4, None, 70),
+    ("D", 5, None, 182),
+    ("I2", 2, 5, 7),
+    ("I2", 2, 6, 8),
+    ("I2", 2, 8, 10),
+    ("I2", 2, 9, 11),
 ]
 
 
 @pytest.mark.parametrize("family,rank,m,count", DIVISOR_COUNTS)
 def test_divisor_counts(family, rank, m, count):
+    """Every standard Coxeter element, and its dual monoid under its first
+    ordering, has Cat(W) divisors: the family's closed form and the pinned
+    number agree."""
+    assert count == catalan(family, rank, m)
     group = coxeter_group(family, rank, m=m)
-    for c in standard_coxeter_elements(group):
+    for c, ordering in coxeter_element_orderings(group).items():
         div = divisors_of(c)
-        assert len(div) == count
+        assert len(div) == len(dual_monoid(c, ordering).divisors()) == count
         assert len(set(div)) == count
         assert group.identity in div and c in div
         for x in div:
@@ -366,31 +390,6 @@ def test_divisors_and_factorizations_match_payload_versions(family, rank, m):
         assert divisors_of(c) == oracles.divisors_of_payload(c)
     for x in group.elements():
         assert oracles.t_reduced_factorization(x) == oracles.t_reduced_factorization_payload(x)
-
-
-def catalan(family, rank, m):
-    """Cat(W), the number of divisors of a Coxeter element, by family."""
-    if family == "A":
-        return comb(2 * rank + 2, rank + 1) // (rank + 2)
-    if family == "B":
-        return comb(2 * rank, rank)
-    if family == "D":
-        return (3 * rank - 2) * comb(2 * rank - 2, rank - 1) // rank
-    return {"I2": (m or 0) + 2, "H3": 32, "F4": 105}[family]
-
-
-def test_catalan_numbers():
-    assert [catalan("A", n, None) for n in range(1, 6)] == [2, 5, 14, 42, 132]
-    assert [catalan("B", n, None) for n in range(2, 5)] == [6, 20, 70]
-    assert [catalan("D", n, None) for n in range(4, 8)] == [50, 182, 672, 2508]
-    assert catalan("I2", 2, 7) == 9
-
-
-@pytest.mark.parametrize("family,rank,m", [*oracles.COVERED_GROUPS, ("D", 5, None)])
-def test_divisor_count_is_catalan_on_every_ordering(family, rank, m):
-    group = coxeter_group(family, rank, m=m)
-    for c, ordering in coxeter_element_orderings(group).items():
-        assert len(divisors_of(c)) == len(dual_monoid(c, ordering).divisors()) == catalan(family, rank, m)
 
 
 @pytest.mark.parametrize("family,rank,m", [*oracles.COVERED_GROUPS, ("D", 5, None)])
