@@ -21,8 +21,8 @@ action per edge numbers the elements in (length, payload) order and
 gives their lengths, right products and inverses.  That walk takes the
 only payload products there are, each by a generator on the right.  An
 element is its id in the table: from_word, length and inverse read the
-walk, and products, descents, reduced words, reflection length and
-absolute order what the table derives from it on first read.
+walk, and products, descents, reduced words and reflection length what
+the table derives from it on first read; dual.py decides absolute order.
 element(payload) looks a payload up in the table, and the payload is
 read back only for the point action.  The reflections are the conjugacy
 classes of the generators.  An id means nothing outside its group:
@@ -723,11 +723,6 @@ class GroupTable:
             x = self.rmul[abs(l) - 1][x]
         return x
 
-    def abs_divides(self, x: int, y: int) -> bool:
-        """Whether x divides y in absolute order: l_T(x) + l_T(x^-1 y) = l_T(y)."""
-        r = self.rlens
-        return r[x] + r[self.mul(self.inv[x], y)] == r[y]
-
     def renorm(self, x: int, y: int) -> tuple[int, int]:
         """Slide left descents of y that are not right descents of x."""
         ldesc, rdesc, lmul, rmul = self.ldesc, self.rdesc, self.lmul, self.rmul
@@ -747,17 +742,6 @@ def bit_ids(bits: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # relations and orders
-
-
-def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
-    """Left divisibility in absolute order, read off the group's table
-    (GroupTable.abs_divides).
-
-    x divides y when reflection lengths add up along x * (x^-1 y) = y.
-    Absolute order has no left/right asymmetry since the reflection set is
-    closed under conjugation.
-    """
-    return y.group.table.abs_divides(y.group.member(x).id, y.id)
 
 
 def bruhat_lower_interval(y: CoxeterElement) -> frozenset[CoxeterElement]:

@@ -5,10 +5,11 @@ noncrossing partitions; their minimal factorisations into reflections
 carry a Hurwitz braid group action; and the atoms of the dual monoid
 embed into the classical braid group through an explicit family of
 conjugated generators.  This module computes all of these exactly: the
-divisor lattice by one breadth first pass per c, Hurwitz orbits by
-closure under the elementary moves, atom braids of the rotation formula
-by conjugation, and each simple dual braid as its lattice parent's times
-one atom normal form.
+divisor lattice [1, c]_T by one breadth first pass per c, which alone
+decides whether an element divides c; Hurwitz orbits of reflections and
+of braids by one closure under the elementary moves; atom braids of the
+rotation formula by conjugation; and each simple dual braid as its
+lattice parent's times one atom normal form.
 
 The noncrossing partition model is combinatorial for types A and B: the
 circle carries the orbit of the point 1 under c, blocks are the cycles
@@ -20,12 +21,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache, cached_property
 from itertools import compress
+from typing import Callable
 
 from .coxeter import (
     CoxeterElement,
     IntegrityError,
     Record,
-    abs_divides,
     bruhat_leq,
     coxeter_group,
     standard_ordering,
@@ -36,6 +37,7 @@ from .garside import (
     _nf_ids,
     _nf_mul_ids,
     _rational_ids,
+    fraction_form,
 )
 
 
@@ -138,8 +140,7 @@ def circle_sequence(c: CoxeterElement) -> tuple[int, ...]:
 
 def ncp_encode(x: CoxeterElement, c: CoxeterElement) -> NoncrossingPartition:
     """The noncrossing partition of a divisor: blocks are the cycles of x."""
-    standard_ordering(c)
-    if not abs_divides(x, c):
+    if c.group.member(x).id not in _interval(c):
         raise ValueError("not a divisor of the Coxeter element")
     seq = circle_sequence(c)
     unseen = set(seq)
@@ -190,7 +191,7 @@ def ncp_decode(p: NoncrossingPartition, c: CoxeterElement) -> CoxeterElement:
                 raise ValueError("blocks are not symmetric under negation")
         payload = tuple(mapping[i] for i in range(1, n + 1))
     x = group.element(payload)
-    if not abs_divides(x, c):
+    if x.id not in _interval(c):
         raise ValueError("decoded element is not a divisor")
     return x
 
@@ -199,13 +200,12 @@ def ncp_decode(p: NoncrossingPartition, c: CoxeterElement) -> CoxeterElement:
 # Hurwitz action
 
 
-def hurwitz_orbit(
-    start: tuple[CoxeterElement, ...],
-) -> frozenset[tuple[CoxeterElement, ...]]:
-    """Closure of a tuple under the Hurwitz moves and their inverses.
+def _hurwitz_closure(start: tuple, move: Callable[[object, object], tuple]) -> frozenset[tuple]:
+    """Closure of a tuple under the Hurwitz moves and their inverses, where
+    move(a, b) returns (a b a^-1, b^-1 a b).
 
     Move i sends (..., a, b, ...) to (..., a b a^-1, a, ...) in slots
-    i, i+1; the inverse move conjugates the other way.
+    i, i+1; the inverse move sends it to (..., b, b^-1 a b, ...).
     """
     seen = {start}
     frontier = [start]
@@ -214,8 +214,9 @@ def hurwitz_orbit(
         for tup in frontier:
             for i in range(len(tup) - 1):
                 a, b = tup[i], tup[i + 1]
-                fwd = tup[:i] + (a * b * a.inverse(), a) + tup[i + 2 :]
-                bwd = tup[:i] + (b, b.inverse() * a * b) + tup[i + 2 :]
+                fwd_first, bwd_second = move(a, b)
+                fwd = tup[:i] + (fwd_first, a) + tup[i + 2 :]
+                bwd = tup[:i] + (b, bwd_second) + tup[i + 2 :]
                 for cand in (fwd, bwd):
                     if cand not in seen:
                         seen.add(cand)
@@ -224,10 +225,17 @@ def hurwitz_orbit(
     return frozenset(seen)
 
 
+def hurwitz_orbit(
+    start: tuple[CoxeterElement, ...],
+) -> frozenset[tuple[CoxeterElement, ...]]:
+    """The Hurwitz orbit of a tuple of elements (_hurwitz_closure)."""
+    return _hurwitz_closure(start, lambda a, b: (a * b * a.inverse(), b.inverse() * a * b))
+
+
 def hurwitz_orbit_braids(
     start: tuple[BraidWord, ...],
 ) -> frozenset[tuple[BraidWord, ...]]:
-    """Hurwitz closure at the braid group level.
+    """The Hurwitz orbit of a tuple of braids (_hurwitz_closure).
 
     Entries are kept in canonical letters (rebuilt from their normal
     forms) so that tuples compare by braid equality, not word equality.
@@ -243,26 +251,15 @@ def hurwitz_orbit_braids(
         return BraidWord(group, _letters_of_nf_ids(table, nf))
 
     moves: dict[tuple, tuple] = {}
-    start_key = tuple(group.member(b).nf for b in start)
-    seen = {start_key}
-    frontier = [start_key]
-    while frontier:
-        nxt = []
-        for tup in frontier:
-            for i in range(len(tup) - 1):
-                na, nb = tup[i], tup[i + 1]
-                moved = moves.get((na, nb))
-                if moved is None:
-                    a, b = rebuild(na), rebuild(nb)
-                    moved = moves[na, nb] = ((a * b * a.inverse()).nf, (b.inverse() * a * b).nf)
-                fwd_first, bwd_second = moved
-                fwd = tup[:i] + (fwd_first, na) + tup[i + 2 :]
-                bwd = tup[:i] + (nb, bwd_second) + tup[i + 2 :]
-                for cand in (fwd, bwd):
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
+
+    def move(na: tuple, nb: tuple) -> tuple:
+        moved = moves.get((na, nb))
+        if moved is None:
+            a, b = rebuild(na), rebuild(nb)
+            moved = moves[na, nb] = ((a * b * a.inverse()).nf, (b.inverse() * a * b).nf)
+        return moved
+
+    seen = _hurwitz_closure(tuple(group.member(b).nf for b in start), move)
     return frozenset(tuple(rebuild(nf) for nf in tup) for tup in seen)
 
 
@@ -391,20 +388,18 @@ def verify_dual_relations(
 ) -> tuple[tuple[CoxeterElement, CoxeterElement, CoxeterElement, bool], ...]:
     """Check the dual braid relations inside the classical braid group.
 
-    For every ordered pair of distinct reflections with t1 t2 dividing c,
-    the relation is b(t1) b(t2) = b(t2) b(t3) with t3 = t2 t1 t2.  Returns
-    one row (t1, t2, t3, ok) per relation.
+    For every ordered pair of distinct reflections with t1 t2 in c's
+    lattice (_interval), the relation is b(t1) b(t2) = b(t2) b(t3) with
+    t3 = t2 t1 t2.  Returns one row (t1, t2, t3, ok) per relation.
     """
     dm = dual_monoid(c, ordering)
     table = dm.group.table
-    nfs = dm.atoms._nfs
+    nfs, lattice = dm.atoms._nfs, dm._interval
     T = table.reflections
     rows = []
     for t1 in T:
         for t2 in T:
-            if t1 == t2:
-                continue
-            if not table.abs_divides(table.mul(t1, t2), dm.c.id):
+            if t1 == t2 or table.mul(t1, t2) not in lattice:
                 continue
             t3 = table.mul(table.mul(t2, t1), t2)
             lhs = _nf_mul_ids(table, nfs[t1], nfs[t2])
@@ -422,8 +417,6 @@ def linear_coxeter_bruhat_check(
     fraction b(x)^-1 b(y) of the simple dual braid must satisfy x < y
     strictly in Bruhat order.  Returns rows (u, x, y, ok).
     """
-    from .garside import fraction_form
-
     W = coxeter_group("A", n)
     ordering = tuple(range(1, n + 1))
     c = W.from_word(ordering)

@@ -565,7 +565,7 @@ def _zinno_rows(
     if c.group.type.family != "A":
         raise ValueError("expected a type A element")
     dm = dual_monoid(c, ordering)
-    rows = sorted(dm.divisors(), key=lambda x: (x.reflection_length(), x.id))
+    rows = dm.divisors()
     m = c.group.rank + 1
     words = [dm.embed(x).letters for x in rows]
     coeffs = {k: expand_in_b(TLElement._wrap(2 * m, r)) for k, r in _omega_rows(m, words)}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import time
+from functools import reduce
 from typing import Callable
 
 from .coxeter import (
@@ -433,10 +434,12 @@ def _equivalent(x: CoxeterElement, y: CoxeterElement) -> bool:
 def _embed_rational(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """Every embedded simple dual braid is a rational permutation braid."""
     dm = dual_monoid(c, ordering)
+    table = c.group.table
     bad = []
     for x in dm.divisors():
-        nf = dm.embed_nf_ids(x)
-        if not _rational_ids(nf) or dm.embed(x).image() != x:
+        k, factors = nf = dm.embed_nf_ids(x)
+        image = reduce(table.mul, factors, table.w0 if k % 2 else table.e)  # Delta maps to w0
+        if not _rational_ids(nf) or image != x.id:
             bad.append(_word(x))
     extra = _closed_form(dm.atoms)
     return {

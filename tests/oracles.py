@@ -18,7 +18,6 @@ from coxbraid.coxeter import (
     CoxeterGroup,
     GroupTable,
     IntegrityError,
-    abs_divides,
     bit_ids,
     coxeter_group,
     standard_coxeter_elements,
@@ -1249,6 +1248,17 @@ def t_reduced_factorization(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
 # reference for both.
 
 
+def abs_divides_ids(table: GroupTable, x: int, y: int) -> bool:
+    """Whether x divides y in absolute order: l_T(x) + l_T(x^-1 y) = l_T(y)."""
+    r = table.rlens
+    return r[x] + r[table.mul(table.inv[x], y)] == r[y]
+
+
+def abs_divides(x: CoxeterElement, y: CoxeterElement) -> bool:
+    """Left divisibility in absolute order on the table of y's group."""
+    return abs_divides_ids(y.group.table, y.group.member(x).id, y.id)
+
+
 def divisors_by_search(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
     """DIV(c) by breadth first search on table ids, sorted by level: level
     k+1 holds the products x*t that gain reflection length and still
@@ -1263,7 +1273,7 @@ def divisors_by_search(c: CoxeterElement) -> tuple[CoxeterElement, ...]:
         for x in level:
             for t in table.reflections:
                 y = table.mul(x, t)
-                if table.rlens[y] == k + 1 and table.abs_divides(y, cid):
+                if table.rlens[y] == k + 1 and abs_divides_ids(table, y, cid):
                     nxt.add(y)
         level = nxt
         out.extend(sorted(nxt))
@@ -1276,7 +1286,7 @@ def t_factor_ids(table: GroupTable, x: int) -> list[int]:
     out = []
     while x != table.e:
         for t in table.reflections:
-            if table.abs_divides(t, x):
+            if abs_divides_ids(table, t, x):
                 out.append(t)
                 x = table.mul(t, x)
                 break

@@ -95,6 +95,8 @@ def test_divisors_need_a_standard_coxeter_element():
 
 @pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 3, None)])
 def test_ncp_round_trip(family, rank, m):
+    """Divisors round trip through their partitions; every element that
+    does not divide c in absolute order (oracles.abs_divides) is refused."""
     group = coxeter_group(family, rank, m=m)
     for c in standard_coxeter_elements(group):
         seen = set()
@@ -106,6 +108,11 @@ def test_ncp_round_trip(family, rank, m):
             back = NoncrossingPartition.from_json(p.to_json())
             assert back == p
         assert len(seen) == len(divisors_of(c))
+        outside = [x for x in group.elements() if not oracles.abs_divides(x, c)]
+        assert len(outside) == len(group.elements()) - len(seen)
+        for x in outside:
+            with pytest.raises(ValueError, match="not a divisor"):
+                ncp_encode(x, c)
 
 
 def test_ncp_decode_rejects_bad_partitions():
@@ -181,7 +188,8 @@ def test_hurwitz_orbit_is_all_factorizations(family, rank, m, count):
 
 # Mutants of hurwitz_orbit_braids, made from its source.  A broken move
 # leaves the braid orbit infinite, so every variant, the unbroken control
-# included, stops growing the orbit past 200 tuples.
+# included, runs through a copy of _hurwitz_closure that stops growing the
+# orbit past 200 tuples.
 HURWITZ_CAP = ("frontier = nxt", "frontier = nxt if len(seen) < 200 else []")
 HURWITZ_MUTANTS = {
     "control": (),
@@ -193,12 +201,14 @@ HURWITZ_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", HURWITZ_MUTANTS)
 def test_broken_hurwitz_moves_fail_thm_3_7(monkeypatch, mutant):
-    source = textwrap.dedent(inspect.getsource(dual.hurwitz_orbit_braids))
-    for old, new in (HURWITZ_CAP, *HURWITZ_MUTANTS[mutant]):
-        assert source.count(old) == 1
-        source = source.replace(old, new)
     namespace = dict(vars(dual))
-    exec(source, namespace)
+    for fn, edits in ((dual._hurwitz_closure, (HURWITZ_CAP,)),
+                      (dual.hurwitz_orbit_braids, HURWITZ_MUTANTS[mutant])):
+        source = textwrap.dedent(inspect.getsource(fn))
+        for old, new in edits:
+            assert source.count(old) == 1
+            source = source.replace(old, new)
+        exec(source, namespace)
     monkeypatch.setattr(verify, "hurwitz_orbit_braids", namespace["hurwitz_orbit_braids"])
     for family in ("A", "B"):
         report = verify.run_check("thm-3.7", family, 3)
@@ -337,15 +347,17 @@ def test_t_reduced_factorization(family, rank, m):
         assert acc == x
 
 
-@pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 2, None), ("I2", 2, 5)])
+@pytest.mark.parametrize("family,rank,m", [*oracles.COVERED_GROUPS, ("D", 5, None)])
 def test_dual_relations_hold(family, rank, m):
+    """One row per ordered pair of distinct reflections whose product
+    divides c in absolute order (oracles.abs_divides), in the order of T."""
     group = coxeter_group(family, rank, m=m)
-    for c in standard_coxeter_elements(group):
-        rows = verify_dual_relations(c)
-        assert rows
-        assert all(ok for _, _, _, ok in rows)
-        for t1, t2, t3, _ in rows:
-            assert t3 == t2 * t1 * t2
+    T = group.reflections
+    for c, ordering in coxeter_element_orderings(group).items():
+        rows = verify_dual_relations(c, ordering)
+        expected = [(t1, t2, t2 * t1 * t2, True) for t1 in T for t2 in T
+                    if t1 != t2 and oracles.abs_divides(t1 * t2, c)]
+        assert (rows or rank == 1) and list(rows) == expected
 
 
 def test_linear_coxeter_bruhat():
@@ -376,7 +388,8 @@ def test_id_divisibility_matches_definition(family, rank, m):
     for y in tops:
         yid = y.id
         for xid, x in enumerate(els):
-            assert table.abs_divides(xid, yid) == oracles.abs_divides_by_search(x, y)
+            expected = oracles.abs_divides_by_search(x, y)
+            assert oracles.abs_divides_ids(table, xid, yid) == expected
     for c in standard_coxeter_elements(group):
         dm = dual_monoid(c)
         for x in els:
