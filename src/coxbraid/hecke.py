@@ -11,13 +11,13 @@ sum.  The Kazhdan Lusztig machinery lives in KLTable, on table ids:
 polynomials P_{y,w} in q = v^-2 computed by the classical recursion with
 mu corrections over lower Bruhat intervals held as bitsets, the bases
 C'_w = v^{l(w)} sum P_{y,w}(v^-2) T_y and C_w = (-1)^{l(w)} j_H(C'_w),
-triangular expansion of arbitrary elements in {C_w}, and right
-multiplication of C-coordinates by T_s along the W-graph, which expands
-T_x^-1 T_y one letter of y at a time.  A table has no size limit of its
-own: the command line refuses large groups in verify.budget_guard, before
-any table is built.  P_{y,w} storage grows roughly with |W|^2: D5, of
-order 1920, has 745 377 polynomials, filled in 1.2 s at a 68 MB peak (one
-run, 2 cores, Python 3.11).
+and right multiplication of C-coordinates by T_s or T_s^-1 along the
+W-graph, the one way into {C_w}: elements expand one letter of each
+support word at a time, T_x^-1 T_y one letter of x and then of y.  A
+table has no size limit of its own: the command line refuses large groups
+in verify.budget_guard, before any table is built.  P_{y,w} storage grows
+roughly with |W|^2: D5, of order 1920, has 745 377 polynomials, filled in
+1.2 s at a 68 MB peak (one run, 2 cores, Python 3.11).
 """
 
 from __future__ import annotations
@@ -199,8 +199,9 @@ class KLTable:
         P_{y,w} = P_{sy,v} + q P_{y,v} - sum mu(z,v) q^{(l(w)-l(z))/2} P_{y,z}
 
     over the z of the mu-list of v with sz < z.  Basis elements come back
-    as HeckeElements over v with q = v^-2 substituted.  Methods take
-    arguments of the table's group only (CoxeterGroup.member).
+    as HeckeElements over v with q = v^-2 substituted; coordinates on
+    {C_w} come only from W-graph steps by T_s or T_s^-1 from C_e (_step).
+    Methods take arguments of the table's group only (CoxeterGroup.member).
     """
 
     def __init__(self, group: CoxeterGroup) -> None:
@@ -209,7 +210,6 @@ class KLTable:
         # by id w: y -> P_{y,w} and the mu-list, both filled in id order from e
         self._p: list[dict[int, tuple[int, ...]]] = [{self.table.e: _P_ONE}]
         self._mu: list[list[tuple[int, int]]] = [[]]
-        self._c: list[tuple | None] = [None] * len(self.table.length)  # C_w by id
         self._pairs: tuple[int, dict[int, Rows]] = (-1, {})  # x, y -> T_x^-1 T_y
 
     # -- the polynomials ---------------------------------------------------
@@ -270,19 +270,6 @@ class KLTable:
 
     # -- bases -------------------------------------------------------------
 
-    def _c_row(self, w: int) -> tuple:
-        """C_w on the standard basis as (y, terms) pairs: the coefficient of
-        T_y is (-1)^{l(w)-l(y)} v^{2l(y)-l(w)} P_{y,w}(v^2)."""
-        got = self._c[w]
-        if got is None:
-            length = self.table.length
-            got = self._c[w] = tuple(
-                (y, tuple((2 * (k + length[y]) - length[w], c * (-1) ** (length[w] - length[y]))
-                          for k, c in enumerate(p) if c))
-                for y, p in self._row(w).items()
-            )
-        return got
-
     def c_prime(self, w: CoxeterElement) -> HeckeElement:
         """C'_w = v^{l(w)} sum_y P_{y,w}(v^-2) T_y."""
         x = self.group.member(w).id
@@ -293,82 +280,52 @@ class KLTable:
         })
 
     def c_basis(self, w: CoxeterElement) -> HeckeElement:
-        """C_w = (-1)^{l(w)} j_H(C'_w)."""
+        """C_w = (-1)^{l(w)} j_H(C'_w): the coefficient of T_y is
+        (-1)^{l(w)-l(y)} v^{2l(y)-l(w)} P_{y,w}(v^2)."""
+        x = self.group.member(w).id
+        length, lw = self.table.length, self.table.length[x]
         return HeckeElement._wrap(self.group, {
-            y: poly(dict(terms)) for y, terms in self._c_row(self.group.member(w).id)
+            y: LaurentPolynomial.of({
+                2 * (k + length[y]) - lw: c * (-1) ** (lw - length[y]) for k, c in enumerate(p)
+            })
+            for y, p in self._row(x).items()
         })
 
-    # -- expansion ---------------------------------------------------------
+    # -- expansion along the W-graph ---------------------------------------
 
-    def _eliminate(self, work: Rows) -> Rows:
-        """Coordinates on {C_w} by triangular elimination of the largest id,
-        i.e. the largest (length, payload); work is consumed."""
-        length = self.table.length
-        out: Rows = {}
-        while work:
-            x = max(work)
-            gamma = out[x] = {e - length[x]: c for e, c in work[x].items()}
-            minus_gamma = [(e, -c) for e, c in gamma.items()]
-            for y, terms in self._c_row(x):
-                addmul(work, y, minus_gamma, terms)
-            if x in work:
-                raise IntegrityError("triangular elimination failed to clear a term")
-        return out
-
-    def expand_in_C(self, h: HeckeElement) -> dict[CoxeterElement, LaurentPolynomial]:
-        """Coordinates of h on the basis {C_w}, in increasing id order."""
-        rows = self._eliminate(self.group.member(h)._int_rows())
-        elements = self.group.elements()  # in id order
-        return {elements[x]: poly(rows[x]) for x in sorted(rows)}
-
-    def pair_is_nonneg(self, x: CoxeterElement, y: CoxeterElement) -> bool:
-        """Whether every C-coordinate of T_x^-1 T_y has nonnegative
-        coefficients, read off the signs of the id rows of _pair_rows."""
-        return _nonneg(self._pair_rows(self.group.member(x).id, self.group.member(y).id))
-
-    def braid_is_nonneg(self, b: BraidWord) -> bool:
-        """Whether every C-coordinate of the image of b under a has
-        nonnegative coefficients: pair_is_nonneg on the fraction x^-1 y of
-        a rational braid, elimination of braid_image_a(b) otherwise."""
-        self.group.member(b)  # before the try, which reads ValueError as not rational
-        try:
-            x, y = fraction_form(b)
-        except ValueError:  # not rational, which only type D leaves open
-            return _nonneg(self._eliminate(braid_image_a(b)._int_rows()))
-        return self.pair_is_nonneg(x, y)
-
-    def _step(self, rows: Rows, s: int) -> Rows:
-        """Right multiplication of C-coordinates by T_s, s 0-based, along the
-        W-graph (Kazhdan-Lusztig 1979, (2.3.a)): C_w T_s = -C_w when ws < w,
-        and otherwise C_w T_s = v^-1 C_ws + v^-2 C_w + v^-1 sum mu(z, w) C_z
-        over the z of the mu-list of w with zs < z."""
+    def _step(self, rows: Rows, s: int, inverse: bool = False) -> Rows:
+        """Right multiplication of C-coordinates by T_s, or T_s^-1, for the
+        0-based s along the W-graph (Kazhdan-Lusztig 1979, (2.3.a)): C_w T_s
+        = -C_w when ws < w, and otherwise C_w T_s = v^-1 C_ws + v^-2 C_w +
+        v^-1 sum mu(z, w) C_z over the z of the mu-list of w with zs < z.
+        As T_s^-1 = v^2 T_s + v^2 - 1, C_w T_s^-1 is -C_w, or that sum with
+        exponents (1, 2, 1).  The mu-list of each w read must be filled."""
         rdesc, ws_of, bit = self.table.rdesc, self.table.rmul[s], 1 << s
+        k = 1 if inverse else -1
         out: Rows = {}
         for w, p in rows.items():
             items = p.items()
             if rdesc[w] & bit:
                 addmul(out, w, items, ((0, -1),))
                 continue
-            addmul(out, ws_of[w], items, ((-1, 1),))
-            addmul(out, w, items, ((-2, 1),))
+            addmul(out, ws_of[w], items, ((k, 1),))
+            addmul(out, w, items, ((2 * k, 1),))
             for z, m in self._mu[w]:
                 if rdesc[z] & bit:
-                    addmul(out, z, items, ((-1, m),))
+                    addmul(out, z, items, ((k, m),))
         return out
 
-    def _pair_rows(self, x: int, y: int) -> Rows:
-        """C-coordinates of T_x^-1 T_y: T_x^-1 by elimination, then y from
-        its parent ys, s its first right descent, by one W-graph step.  The
-        rows of the last x are kept, so a sweep over y in increasing id
-        order, all y or only some, takes at most one step per y and one
-        elimination per x."""
+    def _fold_steps(self, letters: Iterable[int]) -> Rows:
+        """C-coordinates from C_e = T_e by T_s for each letter s, T_s^-1 for each -s."""
+        rows = {self.table.e: {0: 1}}
+        for l in letters:
+            rows = self._step(rows, abs(l) - 1, l < 0)
+        return rows
+
+    def _walk(self, done: dict[int, Rows], y: int) -> Rows:
+        """done[y] = done[e] T_y, stepping from the nearest kept prefix to
+        each y from its parent ys, s its first right descent, kept on the way."""
         t = self.table
-        last, done = self._pairs
-        if last != x:
-            self._fill(t.w0)  # steps may reach every mu-list
-            inverse = _fold(t, {t.e: {0: 1}}, [-s for s in reversed(t.word(x))])
-            done = {t.e: self._eliminate(inverse)}
-            self._pairs = (x, done)
         chain = []
         while y not in done:
             s = (t.rdesc[y] & -t.rdesc[y]).bit_length() - 1
@@ -378,6 +335,48 @@ class KLTable:
         for y, s in reversed(chain):
             rows = done[y] = self._step(rows, s)
         return rows
+
+    def expand_in_C(self, h: HeckeElement) -> dict[CoxeterElement, LaurentPolynomial]:
+        """Coordinates of h on the basis {C_w}, in increasing id order: the
+        sum of c_y T_y, each T_y walked from C_e by W-graph steps.  T_y has
+        only C_w with w <= y, so the table is filled up to h's largest id."""
+        rows, e = self.group.member(h).rows, self.table.e
+        self._fill(max(rows, default=e))
+        done = {e: {e: {0: 1}}}
+        total = combine((self._walk(done, y), c.terms) for y, c in rows.items())
+        elements = self.group.elements()  # in id order
+        return {elements[x]: poly(total[x]) for x in sorted(total)}
+
+    def pair_is_nonneg(self, x: CoxeterElement, y: CoxeterElement) -> bool:
+        """Whether every C-coordinate of T_x^-1 T_y has nonnegative
+        coefficients, read off the signs of the id rows of _pair_rows."""
+        return _nonneg(self._pair_rows(self.group.member(x).id, self.group.member(y).id))
+
+    def braid_is_nonneg(self, b: BraidWord) -> bool:
+        """Whether every C-coordinate of the image of b under a has
+        nonnegative coefficients: pair_is_nonneg on the fraction x^-1 y of
+        a rational braid, and otherwise the letters of b folded from C_e by
+        W-graph steps, T_s^-1 for each negative letter."""
+        self.group.member(b)  # before the try, which reads ValueError as not rational
+        try:
+            x, y = fraction_form(b)
+        except ValueError:  # not rational, which only type D leaves open
+            self._fill(self.table.w0)  # the letters may reach every mu-list
+            return _nonneg(self._fold_steps(b.letters))
+        return self.pair_is_nonneg(x, y)
+
+    def _pair_rows(self, x: int, y: int) -> Rows:
+        """C-coordinates of T_x^-1 T_y: T_x^-1 by l(x) inverse W-graph steps
+        from C_e, then y walked by steps.  The rows of the last x are kept,
+        so a sweep over y in increasing id order, all y or only some, takes
+        at most one step per y and l(x) inverse steps per x."""
+        t = self.table
+        last, done = self._pairs
+        if last != x:
+            self._fill(t.w0)  # steps may reach every mu-list
+            done = {t.e: self._fold_steps([-s for s in reversed(t.word(x))])}
+            self._pairs = (x, done)
+        return self._walk(done, y)
 
 
 @cache

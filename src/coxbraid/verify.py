@@ -217,8 +217,8 @@ def _pairs(
 
     A verdict depends only on the braid b(x)^-1 b(y), so verdict is called
     once per distinct braid: on the coprime pairs (no common left descent),
-    in x-major id order, which keeps KLTable._pair_rows at one elimination
-    per x.  Every other pair reads the verdict of its _coprime_pair, whose
+    in x-major id order, which keeps KLTable._pair_rows at one T_x^-1 per
+    x.  Every other pair reads the verdict of its _coprime_pair, whose
     x is shorter and so was checked earlier.  Their number must be
     coprime_pair_count.
     """

@@ -34,7 +34,7 @@ from coxbraid.garside import (
     word_key,
 )
 from coxbraid.hecke import HeckeElement, _fold
-from coxbraid.laurent import LaurentPolynomial, combine, poly
+from coxbraid.laurent import LaurentPolynomial, addmul, combine, poly
 from coxbraid.mikado import WiringDiagram
 from coxbraid.tl import TLDiagram, TLElement
 
@@ -1212,6 +1212,32 @@ def expand_in_C_payload(coeffs: dict) -> dict:
         if w in work:
             raise IntegrityError("triangular elimination failed to clear a term")
     return out
+
+
+@lru_cache(maxsize=None)
+def _c_rows(table, x: int) -> tuple:
+    """C_x on the standard basis as (y, terms) pairs, read off KLTable.c_basis."""
+    c = table.c_basis(table.group.elements()[x])
+    return tuple((y, p.terms) for y, p in c.rows.items())
+
+
+def expand_in_C_by_elimination(table, h: HeckeElement) -> dict:
+    """Coordinates of h on {C_w}, in increasing id order, by triangular
+    elimination of the largest id, i.e. the largest (length, payload), with
+    the C_w of the table's P_{y,w}: the reference for the W-graph steps of
+    KLTable.expand_in_C."""
+    length = table.table.length
+    work, out = table.group.member(h)._int_rows(), {}
+    while work:
+        x = max(work)
+        gamma = out[x] = {e - length[x]: c for e, c in work[x].items()}
+        minus_gamma = [(e, -c) for e, c in gamma.items()]
+        for y, terms in _c_rows(table, x):
+            addmul(work, y, minus_gamma, terms)
+        if x in work:
+            raise IntegrityError("triangular elimination failed to clear a term")
+    elements = table.group.elements()  # in id order
+    return {elements[x]: poly(out[x]) for x in sorted(out)}
 
 
 def expand_pair_in_C(table, x: CoxeterElement, y: CoxeterElement) -> dict:

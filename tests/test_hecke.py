@@ -212,10 +212,9 @@ def test_expand_in_C_worked_example():
 
 
 def test_expand_in_C_reads_c_rows_by_id(monkeypatch):
-    """Once the C_w it eliminates with are built, one expansion builds at
-    most one CoxeterElement per returned term and calls no c_basis: C_w
-    rows are read by id, not through c_basis(element) on every elimination
-    step."""
+    """Once the table is filled, one expansion builds at most one
+    CoxeterElement per returned term and calls no c_basis: the W-graph
+    steps run on id rows, and elements are made only for the result."""
     group = coxeter_group("B", 3)
     table = KLTable(group)
     h = braid_image_a(BraidWord(group, (1, -2, 3, 2, -1, 3, -2)))
@@ -359,6 +358,37 @@ def test_pair_braids_match_payload_oracles(family, rank, m):
             assert_matches_oracles(table, positive_lift(x).inverse() * positive_lift(y))
 
 
+def test_expand_in_C_fills_the_table_only_up_to_its_largest_id():
+    """T_y has only C_w with w <= y, so an expansion fills P_{y,w} up to
+    the largest id of its element, not to w0; the zero element fills
+    nothing and expands to no terms."""
+    group = coxeter_group("F4")
+    table = KLTable(group)
+    assert table.expand_in_C(HeckeElement(group)) == {} and len(table._p) == 1
+    h = braid_image_a(BraidWord(group, (1, -2, 3, 4, -3)))
+    exp = table.expand_in_C(h)
+    assert len(table._p) <= max(h.rows) + 1 < len(group.table.length)
+    assert exp == oracles.expand_in_C_by_elimination(table, h) and len(exp) > 1
+
+
+@pytest.mark.parametrize(
+    "family,rank,sample", [("A", 4, None), ("B", 3, None), ("H3", 3, None), ("D", 4, 40)]
+)
+def test_inverse_steps_match_payload_elimination(family, rank, sample):
+    """T_x^-1 by l(x) inverse W-graph steps from C_e (_pair_rows(x, e))
+    has the coordinates that payload elimination gives, for every x, or a
+    seeded sample of x on D4."""
+    group = coxeter_group(family, rank)
+    table = kl_table(group)
+    xs = group.elements()
+    if sample:
+        xs = random.Random(28).sample(xs, sample)
+    for x in xs:
+        t_inverse = oracles.braid_image_a_payload(positive_lift(x).inverse())
+        want = oracles.expand_in_C_payload(t_inverse)
+        assert oracles.expand_pair_in_C(table, x, group.identity) == want
+
+
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("H3", 3)])
 def test_random_braids_match_payload_oracles(family, rank):
     group = coxeter_group(family, rank)
@@ -477,7 +507,8 @@ def test_kl_inversion_catches_one_changed_coefficient():
 
 
 def pair_by_elimination(table, x, y):
-    return table.expand_in_C(braid_image_a(positive_lift(x).inverse() * positive_lift(y)))
+    b = positive_lift(x).inverse() * positive_lift(y)
+    return oracles.expand_in_C_by_elimination(table, braid_image_a(b))
 
 
 @pytest.mark.parametrize(
@@ -526,7 +557,7 @@ def test_positivity_report_matches_elimination(family, rank, m):
         verdicts = []
         for u in dm.divisors():
             b = dm.embed(u)
-            expansion = table.expand_in_C(braid_image_a(b))
+            expansion = oracles.expand_in_C_by_elimination(table, braid_image_a(b))
             assert oracles.expand_pair_in_C(table, *fraction_form(b)) == expansion
             verdicts.append(all(p.is_nonneg() for p in expansion.values()))
             assert table.braid_is_nonneg(b) is verdicts[-1]
@@ -535,9 +566,9 @@ def test_positivity_report_matches_elimination(family, rank, m):
     assert list(verify.run_check("thm-8.5", family, rank, m).items) == want
 
 
-def test_positivity_report_falls_back_to_elimination(monkeypatch):
-    """A braid that fraction_form rejects is expanded by elimination, and
-    its verdict reads every sign of the result."""
+def test_positivity_report_falls_back_to_letter_steps(monkeypatch):
+    """A braid that fraction_form rejects is folded letter by letter by
+    W-graph steps, and its verdict reads every sign of the result."""
     group = coxeter_group("D", 4)
     c, ordering = next(iter(coxeter_element_orderings(group).items()))
     dm = dual_monoid(c, ordering)
@@ -555,6 +586,27 @@ def test_positivity_report_falls_back_to_elimination(monkeypatch):
     assert not table.braid_is_nonneg(BraidWord(group, (1, 1)))  # T_s^2 has -v^-1 C_s
     again = verify.run_check("thm-8.5", "D", 4, coxeter=ordering).to_json()
     assert {**again, "elapsed_seconds": 0} == {**report, "elapsed_seconds": 0}
+
+
+def test_braid_is_nonneg_steps_through_non_rational_braids():
+    """On braids that fraction_form rejects, the verdict of the letter
+    steps is the one the payload oracles give, negative for s^2.  (No
+    such braid of at most 5 letters on D4 has a nonnegative image; the
+    fallback test above pins positive verdicts, on rational braids.)"""
+    group = coxeter_group("D", 4)
+    table = kl_table(group)
+    verdicts = []
+    for b in [BraidWord(group, (1, 1))] + random_braids(group, 80, 6, 28):
+        try:
+            fraction_form(b)
+            continue
+        except ValueError:
+            pass
+        image = oracles.braid_image_a_payload(b)
+        want = all(p.is_nonneg() for p in oracles.expand_in_C_payload(image).values())
+        verdicts.append(table.braid_is_nonneg(b))
+        assert verdicts[-1] is want
+    assert verdicts[0] is False and len(verdicts) > 10
 
 
 def test_a_negative_pair_row_fails_the_ordering(monkeypatch):

@@ -91,6 +91,25 @@ def test_c_basis_expansion_rebuilds_the_element(family, rank):
     check()
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("H3", 3)])
+def test_w_graph_steps_by_t_s_and_its_inverse_cancel(family, rank):
+    """T_s T_s^-1 = T_s^-1 T_s = 1 on C-coordinates: a W-graph step and its
+    inverse undo each other on any rows."""
+    group = coxeter_group(family, rank)
+    table = kl_table(group)
+    table._fill(group.table.w0)
+    poly_rows = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool), min_size=1)
+    ids = st.integers(0, len(group.table.length) - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(ids, poly_rows, max_size=6), st.integers(0, rank - 1))
+    def check(rows, s):
+        assert table._step(table._step(rows, s), s, inverse=True) == rows
+        assert table._step(table._step(rows, s, inverse=True), s) == rows
+
+    check()
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
 def test_normal_form_is_idempotent(family, rank):
     group = coxeter_group(family, rank)
