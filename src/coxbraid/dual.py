@@ -33,11 +33,11 @@ from .coxeter import (
 )
 from .garside import (
     BraidWord,
+    _left_fraction_ids,
     _letters_of_nf_ids,
-    _nf_ids,
+    _nf_inv_ids,
     _nf_mul_ids,
     _rational_ids,
-    fraction_form,
 )
 
 
@@ -205,8 +205,10 @@ def _hurwitz_closure(start: tuple, move: Callable[[object, object], tuple]) -> f
     move(a, b) returns (a b a^-1, b^-1 a b).
 
     Move i sends (..., a, b, ...) to (..., a b a^-1, a, ...) in slots
-    i, i+1; the inverse move sends it to (..., b, b^-1 a b, ...).
+    i, i+1; the inverse move sends it to (..., b, b^-1 a b, ...).  Each
+    distinct pair is moved once: D5's 8192 moves per orbit meet 176 pairs.
     """
+    move = cache(move)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -235,32 +237,24 @@ def hurwitz_orbit(
 def hurwitz_orbit_braids(
     start: tuple[BraidWord, ...],
 ) -> frozenset[tuple[BraidWord, ...]]:
-    """The Hurwitz orbit of a tuple of braids (_hurwitz_closure).
-
-    Entries are kept in canonical letters (rebuilt from their normal
-    forms) so that tuples compare by braid equality, not word equality.
-    The two moves of an adjacent pair depend only on its normal forms
-    (na, nb), so each distinct pair is rebuilt and folded once per call.
+    """The Hurwitz orbit of a tuple of braids (_hurwitz_closure), run on
+    normal forms so that tuples compare by braid equality, not word
+    equality.  Moves compose normal forms (_nf_mul_ids, _nf_inv_ids); each
+    distinct entry becomes a braid once, in the canonical letters of its form.
     """
     if not start:
         return frozenset({start})
     group = start[0].group
     table = group.table
 
-    def rebuild(nf: tuple) -> BraidWord:
-        return BraidWord(group, _letters_of_nf_ids(table, nf))
-
-    moves: dict[tuple, tuple] = {}
-
     def move(na: tuple, nb: tuple) -> tuple:
-        moved = moves.get((na, nb))
-        if moved is None:
-            a, b = rebuild(na), rebuild(nb)
-            moved = moves[na, nb] = ((a * b * a.inverse()).nf, (b.inverse() * a * b).nf)
-        return moved
+        ab = _nf_mul_ids(table, na, nb)
+        return (_nf_mul_ids(table, ab, _nf_inv_ids(table, na)),
+                _nf_mul_ids(table, _nf_inv_ids(table, nb), ab))
 
     seen = _hurwitz_closure(tuple(group.member(b).nf for b in start), move)
-    return frozenset(tuple(rebuild(nf) for nf in tup) for tup in seen)
+    braid = {nf: BraidWord(group, _letters_of_nf_ids(table, nf)) for nf in set().union(*seen)}
+    return frozenset(tuple(map(braid.__getitem__, tup)) for tup in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +277,10 @@ class DualAtomTable:
         self.c = c
         self.ordering = order = standard_ordering(c, ordering)
         table = group.table
-        signed = [(_nf_ids(table, (a,)), _nf_ids(table, (-a,))) for a in order]
-        row = [(pos, table.gen_ids[a - 1]) for (pos, _), a in zip(signed, order)]
-        words: dict[CoxeterElement, BraidWord] = {}
+        gens = [table.gen_ids[a - 1] for a in order]
+        row = [((1, ()) if g == table.w0 else (0, (g,)), g) for g in gens]  # A1's generator is w0
+        signed = [(pos, _nf_inv_ids(table, pos)) for pos, _ in row]
+        words: dict[int, BraidWord] = {}  # keyed by table id
         nfs: dict[int, tuple] = {}  # keyed by table id
         hits: dict[int, int] = {}
         for i in range(2 * len(group.reflections)):
@@ -302,7 +297,7 @@ class DualAtomTable:
             if hits[tid] == 1:
                 seq = [order[j % len(order)] for j in range(i + 1)]
                 letters = (*seq, *(-l for l in reversed(seq[:-1])))
-                words[CoxeterElement(group, tid)] = BraidWord(group, letters)
+                words[tid] = BraidWord(group, letters)
         if len(words) != len(group.reflections) or any(h != 2 for h in hits.values()):
             raise IntegrityError("rotation formula did not cover T twice over")
         self._nfs = nfs
@@ -313,10 +308,14 @@ class DualAtomTable:
         return self.group.reflections
 
     def braid(self, t: CoxeterElement) -> BraidWord:
-        return self._words[self.group.member(t)]
+        self.normal_form_ids(t)  # refuses foreign elements and non-reflections
+        return self._words[t.id]
 
     def normal_form_ids(self, t: CoxeterElement) -> tuple:
-        return self._nfs[self.group.member(t).id]
+        nf = self._nfs.get(self.group.member(t).id)
+        if nf is None:
+            raise ValueError("not a reflection")
+        return nf
 
     def all_rational(self) -> bool:
         return all(_rational_ids(nf) for nf in self._nfs.values())
@@ -422,10 +421,7 @@ def linear_coxeter_bruhat_check(
     c = W.from_word(ordering)
     dm = dual_monoid(c, ordering)
     rows = []
-    for u in dm.divisors():
-        if u.is_identity():
-            continue
-        x, y = fraction_form(dm.embed(u))
-        ok = x != y and bruhat_leq(x, y)
-        rows.append((u, x, y, ok))
+    for u in dm.divisors()[1:]:  # the identity comes first
+        x, y = (CoxeterElement(W, i) for i in _left_fraction_ids(W.table, dm.embed_nf_ids(u)))
+        rows.append((u, x, y, x != y and bruhat_leq(x, y)))
     return tuple(rows)

@@ -14,8 +14,8 @@ Each appended simple costs one right-to-left renormalisation pass over
 the factors, which stops at the first pair whose left factor does not
 change; leading copies of w0 are stripped once, at the end.  A braid
 folds its own letters once, on first use of BraidWord.nf, and every
-entry point below reads that form; a rebuilt braid is a new word and
-folds again.
+entry point below reads that form; products and inverses of normal forms
+are composed from the forms (_nf_mul_ids, _nf_inv_ids), not from letters.
 
 All group level lookups go through the group's one id table
 (coxeter.GroupTable, read as group.table) of integer indexed products,
@@ -150,17 +150,21 @@ def _nf_mul_ids(
     return _strip_w0(table, ka + kb, F)
 
 
+def _nf_inv_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """Normal form of the inverse, with no letters: b(f)^-1 = Delta^-1 b(w0 f^-1),
+    as b(f) b(f^-1 w0) = Delta and w0 f^-1 = tau(f^-1 w0), so (Delta^k f_1 ... f_l)^-1
+    is Delta^(-k-l) times the pieces w0 f_i^-1, i = l .. 1, twisted by tau^(k+i-1)."""
+    k, F = nf
+    G = [table.mul(table.w0, table.inv[f]) for f in F]
+    G = [table.tau[g] if (k + i) % 2 else g for i, g in enumerate(G)]
+    return _nf_mul_ids(table, (-k - len(F), ()), (0, tuple(reversed(G))))
+
+
 def _letters_of_nf_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     k, F = nf
     w0word = table.word(table.w0)
-    out: list[int] = []
-    if k >= 0:
-        out.extend(w0word * k)
-    else:
-        out.extend(tuple(-l for l in reversed(w0word)) * (-k))
-    for f in F:
-        out.extend(table.word(f))
-    return tuple(out)
+    delta = w0word * k if k >= 0 else tuple(-l for l in reversed(w0word)) * -k
+    return delta + tuple(l for f in F for l in table.word(f))
 
 
 class GarsideNormalForm(Record):

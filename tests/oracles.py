@@ -28,6 +28,7 @@ from coxbraid.dual import divisors_of
 from coxbraid.garside import (
     BraidWord,
     GarsideNormalForm,
+    _letters_of_nf_ids,
     _nf_ids,
     _nf_mul_ids,
     right_fraction_form,
@@ -1355,6 +1356,40 @@ def embed_nf_ids_by_t_factors(table: GroupTable, atom_nfs: dict[int, tuple], x: 
     for t in t_factor_ids(table, x):
         nf = _nf_mul_ids(table, nf, atom_nfs[t])
     return nf
+
+
+def hurwitz_orbit_braids_by_letters(
+    start: tuple[BraidWord, ...],
+) -> frozenset[tuple[BraidWord, ...]]:
+    """The Hurwitz orbit of a tuple of braids by letter moves, breadth
+    first: each distinct adjacent pair (a, b) of normal forms is rebuilt
+    as words and a b a^-1 and b^-1 a b are folded from their letters.
+    Entries are rebuilt in the canonical letters of their normal forms."""
+    if not start:
+        return frozenset({start})
+    group = start[0].group
+
+    def rebuild(nf: tuple) -> BraidWord:
+        return BraidWord(group, _letters_of_nf_ids(group.table, nf))
+
+    @lru_cache(maxsize=None)
+    def move(na: tuple, nb: tuple) -> tuple:
+        a, b = rebuild(na), rebuild(nb)
+        return (a * b * a.inverse()).nf, (b.inverse() * a * b).nf
+
+    first = tuple(b.nf for b in start)
+    seen, queue = {first}, deque([first])
+    while queue:
+        tup = queue.popleft()
+        for i in range(len(tup) - 1):
+            a, b = tup[i], tup[i + 1]
+            fwd_first, bwd_second = move(a, b)
+            for cand in (tup[:i] + (fwd_first, a) + tup[i + 2:],
+                         tup[:i] + (b, bwd_second) + tup[i + 2:]):
+                if cand not in seen:
+                    seen.add(cand)
+                    queue.append(cand)
+    return frozenset(tuple(rebuild(nf) for nf in tup) for tup in seen)
 
 
 def type_b_embedding(n: int) -> dict[int, CoxeterElement]:

@@ -3,11 +3,11 @@
 import inspect
 import itertools
 import textwrap
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from coxbraid import dual, verify
+from coxbraid import dual, garside, verify
 from coxbraid.coxeter import (
     GroupTable,
     IntegrityError,
@@ -30,7 +30,7 @@ from coxbraid.dual import (
     ncp_encode,
     verify_dual_relations,
 )
-from coxbraid.garside import braid_equal, is_rational_permutation
+from coxbraid.garside import BraidWord, braid_equal, is_rational_permutation
 
 import oracles
 
@@ -167,52 +167,110 @@ def test_circle_sequence_shape():
         circle_sequence(standard_coxeter_elements(coxeter_group("D", 4))[0])
 
 
+def cap_hurwitz_moves(monkeypatch, group):
+    """Stop the Hurwitz closure past |T|^2 moves, so that a broken move,
+    which makes a braid orbit infinite, fails instead of running on.  The
+    closure moves each distinct adjacent pair once, and the entries of an
+    orbit of reflection lifts are the |T| atom braids."""
+    closure = dual._hurwitz_closure
+
+    def capped(start, move):
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            assert calls <= len(group.reflections) ** 2, "the Hurwitz orbit does not close"
+            return move(a, b)
+
+        return closure(start, counted)
+
+    monkeypatch.setattr(dual, "_hurwitz_closure", capped)
+
+
+# Deligne's count n! h^n / |W| of the reduced reflection factorisations of
+# c, for every standard Coxeter element of each group.
 HURWITZ_COUNTS = [
     ("A", 2, None, 3),
     ("A", 3, None, 16),
     ("B", 2, None, 4),
     ("B", 3, None, 27),
     ("I2", 2, 7, 7),
+    ("A", 4, None, 125),
+    ("B", 4, None, 256),
+    ("D", 4, None, 162),
+    ("I2", 2, 5, 5),
+    ("H3", 3, None, 50),
+    ("F4", 4, None, 432),
 ]
 
 
 @pytest.mark.parametrize("family,rank,m,count", HURWITZ_COUNTS)
-def test_hurwitz_orbit_is_all_factorizations(family, rank, m, count):
+def test_hurwitz_orbit_is_all_factorizations(monkeypatch, family, rank, m, count):
+    """The orbit of the first c's reduced factorisation is every one of
+    them (brute force), and on every standard ordering the orbits of the
+    generators and of their braids have Deligne's count of elements."""
     group = coxeter_group(family, rank, m=m)
+    assert count * group.type.order() == factorial(rank) * group.type.coxeter_number() ** rank
     c = standard_coxeter_elements(group)[0]
     start = oracles.t_reduced_factorization(c)
     orbit = hurwitz_orbit(start)
     assert len(orbit) == count
     assert orbit == oracles.reduced_factorizations_brute(c)
+    cap_hurwitz_moves(monkeypatch, group)
+    for ordering in coxeter_element_orderings(group).values():
+        assert len(hurwitz_orbit(tuple(group.generator(i) for i in ordering))) == count
+        assert len(hurwitz_orbit_braids(tuple(BraidWord(group, (i,)) for i in ordering))) == count
 
 
-# Mutants of hurwitz_orbit_braids, made from its source.  A broken move
-# leaves the braid orbit infinite, so every variant, the unbroken control
-# included, runs through a copy of _hurwitz_closure that stops growing the
-# orbit past 200 tuples.
+@pytest.mark.parametrize(
+    "family,rank,m",
+    [("A", 3, None), ("A", 4, None), ("B", 3, None), ("B", 4, None), ("D", 4, None),
+     ("D", 5, None), ("I2", 2, 5), ("I2", 2, 8), ("H3", 3, None), ("F4", 4, None)],
+)
+def test_hurwitz_braid_orbit_matches_letter_moves(monkeypatch, family, rank, m):
+    """Moves composed from normal forms give the orbit that folding each
+    move from its letters gives, tuple for tuple, on every standard ordering."""
+    group = coxeter_group(family, rank, m=m)
+    cap_hurwitz_moves(monkeypatch, group)
+    for ordering in coxeter_element_orderings(group).values():
+        start = tuple(BraidWord(group, (i,)) for i in ordering)
+        assert hurwitz_orbit_braids(start) == oracles.hurwitz_orbit_braids_by_letters(start)
+
+
+# Mutants of the braid move, made from the source of hurwitz_orbit_braids
+# and of garside._nf_inv_ids, with the families whose thm-3.7 each must
+# fail.  tau is the identity in type B, so dropping it fails A3 only.  A
+# broken move leaves the braid orbit infinite, so every variant, the
+# unbroken control included, runs through a copy of _hurwitz_closure that
+# stops growing the orbit past 200 tuples.
 HURWITZ_CAP = ("frontier = nxt", "frontier = nxt if len(seen) < 200 else []")
 HURWITZ_MUTANTS = {
-    "control": (),
-    "b a b^-1 for a b a^-1": (("a * b * a.inverse()", "b * a * b.inverse()"),),
-    "moves keyed by a alone": (("moves.get((na, nb))", "moves.get(na)"),
-                               ("moves[na, nb] =", "moves[na] =")),
+    "control": ((), ()),
+    "b a b^-1 for a b a^-1": (
+        (("_nf_mul_ids(table, ab, _nf_inv_ids(table, na))",
+          "_nf_mul_ids(table, _nf_mul_ids(table, nb, na), _nf_inv_ids(table, nb))"),),
+        ("A", "B"),
+    ),
+    "inverse without tau": ((("table.tau[g] if (k + i) % 2 else g", "g"),), ("A",)),
 }
 
 
 @pytest.mark.parametrize("mutant", HURWITZ_MUTANTS)
 def test_broken_hurwitz_moves_fail_thm_3_7(monkeypatch, mutant):
-    namespace = dict(vars(dual))
-    for fn, edits in ((dual._hurwitz_closure, (HURWITZ_CAP,)),
-                      (dual.hurwitz_orbit_braids, HURWITZ_MUTANTS[mutant])):
-        source = textwrap.dedent(inspect.getsource(fn))
-        for old, new in edits:
-            assert source.count(old) == 1
-            source = source.replace(old, new)
+    edits, failing = HURWITZ_MUTANTS[mutant]
+    namespace = {**vars(garside), **vars(dual)}
+    sources = [textwrap.dedent(inspect.getsource(fn))
+               for fn in (garside._nf_inv_ids, dual._hurwitz_closure, dual.hurwitz_orbit_braids)]
+    for old, new in (HURWITZ_CAP, *edits):
+        assert sum(source.count(old) for source in sources) == 1
+        sources = [source.replace(old, new) for source in sources]
+    for source in sources:
         exec(source, namespace)
     monkeypatch.setattr(verify, "hurwitz_orbit_braids", namespace["hurwitz_orbit_braids"])
     for family in ("A", "B"):
         report = verify.run_check("thm-3.7", family, 3)
-        assert report.passed is (mutant == "control")
+        assert report.passed is (family not in failing)
         assert all(it["factorizations"] == (16 if family == "A" else 27) for it in report.items)
 
 
@@ -266,6 +324,10 @@ def test_dual_atoms(family, rank, m):
         assert len(keys) == len(group.reflections)
         for t in table.reflections:
             assert table.braid(t).image() == t
+        for w in set(group.elements()) - set(group.reflections):
+            for lookup in (table.braid, table.normal_form_ids):
+                with pytest.raises(ValueError, match="not a reflection"):
+                    lookup(w)
 
 
 def test_dual_atoms_is_the_monoid_table():

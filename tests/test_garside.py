@@ -19,6 +19,7 @@ from coxbraid.garside import (
     BraidWord,
     GarsideNormalForm,
     _nf_ids,
+    _nf_inv_ids,
     _nf_mul_ids,
     braid_equal,
     delta_normal_form,
@@ -433,6 +434,20 @@ def test_incremental_normal_form_matches_bubble(family, rank, m):
         nfs.append(nf)
     for a, b in zip(nfs, nfs[1:]):
         assert _nf_mul_ids(table, a, b) == oracles.nf_mul_ids_bubble(table, a, b)
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS + [("D", 5, None)])
+def test_inverse_normal_form_matches_the_inverse_word(family, rank, m):
+    """_nf_inv_ids, read off a normal form with no letters, is the form
+    that the inverse word folds to, and times the form it is the identity.
+    The words are mixed-sign letter by letter."""
+    group = coxeter_group(family, rank, m=m)
+    table = group.table
+    for word in random_words(group, 300, 20, seed=rank * 31 + (m or 0)):
+        b = BraidWord(group, word)
+        inverse = _nf_inv_ids(table, b.nf)
+        assert inverse == b.inverse().nf
+        assert _nf_mul_ids(table, b.nf, inverse) == (0, ())
 
 
 @pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)

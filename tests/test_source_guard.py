@@ -15,7 +15,8 @@ Size limits have one home: no module but verify.py, whose budget_guard
 every command calls before it builds a table, and mikado.py, whose
 COUNT_MAX_RANK keeps a count within a time budget, raises ResourceError.
 A braid folds its normal form once: no code outside BraidWord calls
-_nf_ids on a braid's .letters, so every entry point reads BraidWord.nf.
+_nf_ids, on any arguments, so every entry point reads BraidWord.nf and
+every other braid is composed from normal forms.
 Group membership has one home, CoxeterGroup.member: no module but coxeter.py
 raises from an if that compares .group objects, so every entry point that
 takes an element, braid or Hecke element asks member instead of keeping
@@ -70,8 +71,8 @@ KERNEL_NAMES = {"Rows", "addmul", "_addmul", "combine", "_combine", "poly", "_po
 # Every module but verify.py and mikado.py must leave size limits to
 # verify.budget_guard, which --budget lifts.
 LIMIT_FREE = {p.name for p in MODULES} - {"verify.py", "mikado.py"}
-# BraidWord.nf is the one place that folds a braid's letters; every module
-# reads it instead of refolding.
+# BraidWord.nf is the one place that folds letters; every module reads it,
+# or composes normal forms, instead of refolding.
 REFOLD_OWNER = "BraidWord"
 # Every module but coxeter.py must leave group membership to
 # CoxeterGroup.member: no if that compares .group objects and raises.
@@ -133,9 +134,8 @@ def violations(
         if (
             refold_free and isinstance(node, ast.Call) and id(node) not in owner
             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_nf_ids"
-            and any(getattr(a, "attr", None) == "letters" for a in node.args)
         ):
-            found.append(f"line {node.lineno}: _nf_ids refolds .letters outside BraidWord.nf")
+            found.append(f"line {node.lineno}: _nf_ids folds letters outside BraidWord")
         if (
             membership_free and isinstance(node, ast.If) and compares_groups(node.test)
             and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
@@ -229,6 +229,8 @@ def test_no_threads_and_no_environment(path):
         "raise coxeter.ResourceError",
         "def braid_equal(a, b):\n    return _nf_ids(table, a.letters) == b.nf",
         "k, F = garside._nf_ids(b.group.table, b.letters)",
+        "nf = _nf_ids(table, letters)",
+        "signed = [(_nf_ids(table, (a,)), _nf_ids(table, (-a,))) for a in order]",
         "from .dual import dual_monoid",
         "def positivity(c):\n    from .tl import zinno_matrix",
         "from . import verify",
@@ -318,12 +320,16 @@ def test_limit_guard_spares_other_errors():
 
 
 def test_refold_guard_spares_braidword_nf():
+    """BraidWord.nf may fold, and reading or composing normal forms passes;
+    the same fold in any other class is caught."""
     source = (
         "class BraidWord:\n    def nf(self):\n"
         "        return _nf_ids(self.group.table, self.letters)\n"
-        "nf = _nf_ids(table, letters)\nsame = a.nf == b.nf"
+        "same = a.nf == b.nf\nab = _nf_mul_ids(table, a.nf, _nf_inv_ids(table, b.nf))"
     )
     assert violations(ast.parse(source), refold_free=True) == []
+    elsewhere = source.replace("class BraidWord", "class DualAtomTable")
+    assert violations(ast.parse(elsewhere), refold_free=True) != []
 
 
 def test_kernel_guard_spares_kernel_calls():
