@@ -15,7 +15,8 @@ the factors, which stops at the first pair whose left factor does not
 change; leading copies of w0 are stripped once, at the end.  A braid
 folds its own letters once, on first use of BraidWord.nf, and every
 entry point below reads that form; products and inverses of normal forms
-are composed from the forms (_nf_mul_ids, _nf_inv_ids), not from letters.
+are composed from the forms (_nf_mul_ids, _nf_inv_ids), not from letters,
+and so is a pair braid b(x)^-1 b(y) from its two ids (_pair_nf_ids).
 
 All group level lookups go through the group's one id table
 (coxeter.GroupTable, read as group.table) of integer indexed products,
@@ -26,7 +27,7 @@ so an element and its id are exchanged without a lookup.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable
 
 from .coxeter import (
@@ -160,6 +161,23 @@ def _nf_inv_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int
     return _nf_mul_ids(table, (-k - len(F), ()), (0, tuple(reversed(G))))
 
 
+def _simple_nf_ids(table: GroupTable, x: int) -> tuple[int, tuple[int, ...]]:
+    """b(x) as a normal form to compose: (0, (x,)), e as (0, ()); a w0 factor
+    moves into the Delta exponent wherever _nf_mul_ids or _nf_inv_ids meets it."""
+    return (0, (x,) if x != table.e else ())
+
+
+def _pair_nf_ids(table: GroupTable, x: int, y: int) -> tuple[int, tuple[int, ...]]:
+    """Normal form of the pair braid b(x)^-1 b(y), composed from the two ids."""
+    return _nf_mul_ids(table, _nf_inv_ids(table, _simple_nf_ids(table, x)), _simple_nf_ids(table, y))
+
+
+def _image_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> int:
+    """Id of the group image of the braid with normal form nf; Delta maps to w0."""
+    k, F = nf
+    return reduce(table.mul, F, table.w0 if k % 2 else table.e)
+
+
 def _letters_of_nf_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     k, F = nf
     w0word = table.word(table.w0)
@@ -269,6 +287,22 @@ def right_fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
     return CoxeterElement(b.group, x), CoxeterElement(b.group, y)
 
 
+def _signed_lift_ids(
+    table: GroupTable, nf: tuple[int, tuple[int, ...]], word: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The letters of signed_lift for the rational braid with normal form nf
+    and the reduced word of its image, from its right fraction's denominator."""
+    _, cur = _right_fraction_ids(table, nf)
+    length = table.length
+    letters: list[int] = []
+    for i in reversed(word):
+        nxt = table.lmul[i - 1][cur]
+        letters.append(i if length[nxt] == length[cur] + 1 else -i)
+        cur = nxt
+    letters.reverse()
+    return tuple(letters)
+
+
 def signed_lift(b: BraidWord, word: Iterable[int] | None = None) -> BraidWord:
     """Lift a reduced word of p(b) to a braid word equal to b.
 
@@ -286,15 +320,18 @@ def signed_lift(b: BraidWord, word: Iterable[int] | None = None) -> BraidWord:
         or len(word) != table.length[w]
     ):
         raise ValueError("not a reduced word of the braid's image")
-    _, cur = _right_fraction_ids(table, b.nf)
-    length = table.length
-    letters: list[int] = []
-    for i in reversed(word):
-        nxt = table.lmul[i - 1][cur]
-        letters.append(i if length[nxt] == length[cur] + 1 else -i)
-        cur = nxt
-    letters.reverse()
-    return BraidWord(b.group, tuple(letters))
+    return BraidWord(b.group, _signed_lift_ids(table, b.nf, word))
+
+
+def _checked_lift(group: CoxeterGroup, nf: tuple[int, tuple[int, ...]]) -> BraidWord:
+    """The signed lift, on the shortlex word of its image, of the rational
+    braid with normal form nf, folded once: IntegrityError unless it folds
+    back to nf."""
+    table = group.table
+    lift = BraidWord(group, _signed_lift_ids(table, nf, table.word(_image_ids(table, nf))))
+    if lift.nf != nf:
+        raise IntegrityError("constructive lift of a rational braid failed")
+    return lift
 
 
 def square_free_witness(
@@ -307,17 +344,12 @@ def square_free_witness(
     over reduced words and sign vectors, which is only meant for small
     images.
     """
-    w = b.image()
-    k = w.length()
     if _rational_ids(b.nf):
-        word = w.reduced_word()
-        lift = signed_lift(b, word)
-        if not braid_equal(lift, b):
-            raise IntegrityError("constructive lift of a rational braid failed")
-        signs = tuple(1 if l > 0 else -1 for l in lift.letters)
-        return word, signs
+        letters = _checked_lift(b.group, b.nf).letters
+        return tuple(abs(l) for l in letters), tuple(1 if l > 0 else -1 for l in letters)
+    w = b.image()
     for word in reduced_words(w):
-        for signs in itertools.product((1, -1), repeat=k):
+        for signs in itertools.product((1, -1), repeat=w.length()):
             cand = BraidWord(b.group, tuple(i * s for i, s in zip(word, signs)))
             if braid_equal(cand, b):
                 return word, signs

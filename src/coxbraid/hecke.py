@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .coxeter import CoxeterElement, CoxeterGroup, IntegrityError, bit_ids
-from .garside import BraidWord, fraction_form
+from .garside import BraidWord, _left_fraction_ids, _letters_of_nf_ids, _rational_ids
 from .laurent import LaurentPolynomial, Rows, addmul, combine, poly
 
 _ZERO = LaurentPolynomial.zero()
@@ -354,16 +354,19 @@ class KLTable:
 
     def braid_is_nonneg(self, b: BraidWord) -> bool:
         """Whether every C-coordinate of the image of b under a has
-        nonnegative coefficients: pair_is_nonneg on the fraction x^-1 y of
-        a rational braid, and otherwise the letters of b folded from C_e by
-        W-graph steps, T_s^-1 for each negative letter."""
-        self.group.member(b)  # before the try, which reads ValueError as not rational
-        try:
-            x, y = fraction_form(b)
-        except ValueError:  # not rational, which only type D leaves open
-            self._fill(self.table.w0)  # the letters may reach every mu-list
-            return _nonneg(self._fold_steps(b.letters))
-        return self.pair_is_nonneg(x, y)
+        nonnegative coefficients (_nf_is_nonneg on its normal form)."""
+        return self._nf_is_nonneg(self.group.member(b).nf)
+
+    def _nf_is_nonneg(self, nf: tuple[int, tuple[int, ...]]) -> bool:
+        """braid_is_nonneg for the braid with normal form nf: the signs of
+        _pair_rows on the fraction x^-1 y of a rational braid, and otherwise
+        of its letters folded from C_e by W-graph steps, T_s^-1 for each
+        negative letter."""
+        t = self.table
+        if _rational_ids(nf):
+            return _nonneg(self._pair_rows(*_left_fraction_ids(t, nf)))
+        self._fill(t.w0)  # the letters may reach every mu-list
+        return _nonneg(self._fold_steps(_letters_of_nf_ids(t, nf)))
 
     def _pair_rows(self, x: int, y: int) -> Rows:
         """C-coordinates of T_x^-1 T_y: T_x^-1 by l(x) inverse W-graph steps

@@ -15,10 +15,8 @@ counts are coxeter.coprime_pair_count, taken from parabolic orders.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .coxeter import CoxeterType, IntegrityError, Record, ResourceError, coprime_pair_count
-from .garside import BraidWord, is_tau_fixed, square_free_witness
+from .garside import BraidWord, embed_braid_b_to_a, is_tau_fixed, square_free_witness
 
 # Rank 16 takes 0.6 s in a fresh process (2 cores, Python 3.11), rank 15 about 0.35 s.
 COUNT_MAX_RANK = 16
@@ -38,7 +36,7 @@ class WiringDiagram(Record):
     def __init__(self, strand_count: int, crossings: tuple[tuple[int, int], ...]) -> None:
         if strand_count < 0:
             raise ValueError("strand count cannot be negative")
-        pair_counts: Counter[frozenset[int]] = Counter()
+        crossed: set[tuple[int, int]] = set()
         occ = list(range(1, strand_count + 1))
         for pos, sign in crossings:
             if not 1 <= pos < strand_count:
@@ -46,9 +44,9 @@ class WiringDiagram(Record):
             if sign not in (1, -1):
                 raise ValueError("crossing sign must be +1 or -1")
             a, b = occ[pos - 1], occ[pos]
-            pair_counts[frozenset((a, b))] += 1
+            crossed.add((a, b) if a < b else (b, a))
             occ[pos - 1], occ[pos] = b, a
-        if any(k > 1 for k in pair_counts.values()):
+        if len(crossed) < len(crossings):
             raise IntegrityError("two strands cross more than once")
         self._set(strand_count, crossings)
 
@@ -114,13 +112,24 @@ def wiring_from_square_free(b: BraidWord) -> WiringDiagram:
     return d
 
 
+def _top_good_strand(d: WiringDiagram) -> int | None:
+    """The good strand with the largest end slot, or None if no strand is
+    good, from one replay of the crossings."""
+    occ = list(range(1, d.strand_count + 1))
+    under = set()
+    for pos, sign in d.crossings:
+        a, b = occ[pos - 1], occ[pos]
+        under.add(a if sign > 0 else b)
+        occ[pos - 1], occ[pos] = b, a
+    return next((s for s in reversed(occ) if s not in under), None)
+
+
 def _peel_single(d: WiringDiagram) -> bool:
     while d.crossings:
-        good = d.good_strands()
-        if not good:
+        s = _top_good_strand(d)
+        if s is None:
             return False
-        ends = d.end_positions()
-        d = d.remove_strand(max(good, key=lambda s: ends[s]))
+        d = d.remove_strand(s)
     return True
 
 
@@ -128,15 +137,22 @@ def _peel_pairs(d: WiringDiagram) -> bool:
     N = d.strand_count
     removed = 0
     while d.crossings:
-        good = d.good_strands()
-        if not good:
+        s = _top_good_strand(d)
+        if s is None:
             return False
-        ends = d.end_positions()
-        s = max(good, key=lambda g: ends[g])
         partner = (N - 2 * removed) + 1 - s
         d = d.remove_strand(max(s, partner)).remove_strand(min(s, partner))
         removed += 1
     return True
+
+
+def _peel_symmetric(d: WiringDiagram) -> bool:
+    """Single strand and symmetric pair peeling of a flip symmetric diagram,
+    which must agree."""
+    single = _peel_single(d)
+    if single != _peel_pairs(d):
+        raise IntegrityError("single strand and symmetric pair peeling disagree")
+    return single
 
 
 def is_mikado_A(b: BraidWord) -> bool:
@@ -165,13 +181,17 @@ def is_mikado_B(b: BraidWord) -> bool:
     if not is_tau_fixed(b):
         return False
     d = _diagram(b)
-    if d is None:
-        return False
-    single = _peel_single(d)
-    paired = _peel_pairs(d)
-    if single != paired:
-        raise IntegrityError("single strand and symmetric pair peeling disagree")
-    return single
+    return d is not None and _peel_symmetric(d)
+
+
+def is_mikado_lift(lift: BraidWord) -> bool:
+    """Whether the diagram of a signed reduced word (a signed lift) peels:
+    in family A on rank + 1 strands, as in is_mikado_A; in family B the
+    diagram of its image in A_(2n-1) (embed_braid_b_to_a), flip symmetric
+    by construction, alone and in symmetric pairs, as in is_mikado_B."""
+    b = lift if lift.group.type.family == "A" else embed_braid_b_to_a(lift)
+    d = WiringDiagram(b.group.rank + 1, tuple((abs(l), 1 if l > 0 else -1) for l in b.letters))
+    return _peel_single(d) if b is lift else _peel_symmetric(d)
 
 
 # ---------------------------------------------------------------------------

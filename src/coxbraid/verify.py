@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import time
-from functools import reduce
 from typing import Callable
 
 from .coxeter import (
@@ -52,26 +51,27 @@ from .dual import (
 )
 from .garside import (
     BraidWord,
+    _checked_lift,
+    _image_ids,
+    _left_fraction_ids,
+    _nf_inv_ids,
+    _nf_mul_ids,
+    _pair_nf_ids,
     _rational_ids,
-    braid_equal,
-    embed_braid_b_to_a,
-    fraction_form,
-    is_rational_permutation,
-    is_square_free,
-    positive_lift,
-    right_fraction_form,
-    signed_lift,
+    _right_fraction_ids,
+    _simple_nf_ids,
     word_key,
 )
 from .hecke import kl_table
-from .mikado import is_mikado_A, is_mikado_B
+from .mikado import is_mikado_lift
 from .tl import fg_projection_failures, sign_alternating, zinno_matrix
 
 DEFAULT_BUDGETS = {"A": 5, "B": 4, "D": 4, "I2": 12, "H3": 3, "F4": 4}
-# Pair sweeps take 0.026 ms (prop-4.4), 0.040 ms (thm-5.9) and 0.11 ms
-# (thm-8.2) a pair on A5, 13 s, 21 s and 55 s for its 518 400 pairs, of
-# which the 90 921 coprime ones are checked (one run each, 2 cores, Python
-# 3.11): A5, of order 720, is the largest group they run on without --budget.
+# Pair sweeps take 0.0045 ms (prop-4.4), 0.013 ms (thm-5.9) and 0.11 ms
+# (thm-8.2) a pair on A5, 2.3 s, 6.5 s and 55 s for its 518 400 pairs, of
+# which the 90 921 coprime ones are checked (fresh processes, 2 cores,
+# Python 3.11): A5, of order 720, is the largest group they run on without
+# --budget.
 PAIR_SWEEP_ORDER_CAP = 720
 
 
@@ -171,10 +171,6 @@ def _artifact_version() -> str:
 
 def _word(w: CoxeterElement) -> list[int]:
     return list(w.reduced_word())
-
-
-def _pair_braid(x: CoxeterElement, y: CoxeterElement) -> BraidWord:
-    return positive_lift(x).inverse() * positive_lift(y)
 
 
 def _orderings(
@@ -282,29 +278,29 @@ def _dual_relations(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
 def _reduced_factorizations(c: CoxeterElement) -> frozenset[tuple[CoxeterElement, ...]]:
     """All factorizations of c into reflection_length(c) reflections.
 
-    Independent of the Hurwitz machinery: a depth first enumeration
-    pruned by the reflection length of the running prefix.
+    Independent of the Hurwitz machinery: a depth first enumeration on
+    table ids, pruned by the reflection length of the running prefix and
+    of its remainder to c.
     """
     group = c.group
-    total = c.reflection_length()
-    reflections = group.reflections
-    out: list[tuple[CoxeterElement, ...]] = []
+    table = group.table
+    mul, inv, rlens, target = table.mul, table.inv, table.rlens, c.id
+    total = rlens[target]
+    out: list[tuple[int, ...]] = []
 
-    def extend(prefix: tuple[CoxeterElement, ...], x: CoxeterElement) -> None:
+    def extend(prefix: tuple[int, ...], x: int) -> None:
         depth = len(prefix)
         if depth == total:
-            if x == c:
+            if x == target:
                 out.append(prefix)
             return
-        for t in reflections:
-            y = x * t
-            if y.reflection_length() == depth + 1:
-                rest = y.inverse() * c
-                if depth + 1 + rest.reflection_length() == total:
-                    extend(prefix + (t,), y)
+        for t in table.reflections:
+            y = mul(x, t)
+            if rlens[y] == depth + 1 and depth + 1 + rlens[mul(inv[y], target)] == total:
+                extend(prefix + (t,), y)
 
-    extend((), group.identity)
-    return frozenset(out)
+    extend((), table.e)
+    return frozenset(tuple(CoxeterElement(group, t) for t in f) for f in out)
 
 
 def _hurwitz(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
@@ -389,42 +385,45 @@ def _atoms(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
 def _rational_fraction(x: CoxeterElement, y: CoxeterElement) -> bool:
     """Left and right fractions characterise the rational braids.
 
-    The braid b(x)^-1 b(y) must pass the interval test, round trip through
-    both fraction forms, and stay rational under inversion.
+    The normal form of b(x)^-1 b(y), composed from the ids, must pass the
+    interval test, stay rational under inversion, and round trip through
+    both fraction forms.
     """
-    b = _pair_braid(x, y)
-    ok = is_rational_permutation(b) and is_rational_permutation(b.inverse())
-    if ok:
-        fx, fy = fraction_form(b)
-        ok = braid_equal(_pair_braid(fx, fy), b)
-    if ok:
-        gx, gy = right_fraction_form(b)
-        ok = braid_equal(positive_lift(gx) * positive_lift(gy).inverse(), b)
-    return ok
+    table = x.group.table
+    nf = _pair_nf_ids(table, x.id, y.id)
+    if not (_rational_ids(nf) and _rational_ids(_nf_inv_ids(table, nf))):
+        return False
+    gx, gy = _right_fraction_ids(table, nf)
+    right = _nf_mul_ids(table, _simple_nf_ids(table, gx), _nf_inv_ids(table, _simple_nf_ids(table, gy)))
+    return _left_round_trip(table, nf) and right == nf
+
+
+def _left_round_trip(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> bool:
+    return _pair_nf_ids(table, *_left_fraction_ids(table, nf)) == nf
+
+
+def _lift(x: CoxeterElement, y: CoxeterElement) -> BraidWord | None:
+    """The signed lift of b(x)^-1 b(y), or None unless it is rational: its
+    normal form is composed from the ids, and the lift folded once against
+    it (garside._checked_lift), so the lift's nf is the pair braid's."""
+    nf = _pair_nf_ids(x.group.table, x.id, y.id)
+    return _checked_lift(x.group, nf) if _rational_ids(nf) else None
 
 
 def _square_free(x: CoxeterElement, y: CoxeterElement) -> bool:
     """Every rational permutation braid has a signed reduced word lift."""
-    b = _pair_braid(x, y)
-    return is_square_free(b) and braid_equal(signed_lift(b), b)
+    return _lift(x, y) is not None
 
 
 def _equivalent(x: CoxeterElement, y: CoxeterElement) -> bool:
     """b(x)^-1 b(y) is rational, strand removable and square free.
 
-    In family A good strands peel the braid; in family B symmetric strand
-    pairs do, on the flip symmetric picture, so each braid is folded into
-    the doubled strand family A group first.
+    The diagram is that of its signed lift: in family A good strands peel
+    it; in family B symmetric strand pairs do, on the flip symmetric
+    picture of the lift folded into the doubled strand family A group.
     """
-    b = _pair_braid(x, y)
-    ok = is_rational_permutation(b)
-    if ok:
-        family = b.group.type.family
-        ok = is_mikado_A(b) if family == "A" else is_mikado_B(embed_braid_b_to_a(b))
-    if ok:
-        fx, fy = fraction_form(b)
-        ok = braid_equal(_pair_braid(fx, fy), b)
-    return ok and braid_equal(signed_lift(b), b)
+    lift = _lift(x, y)
+    return lift is not None and is_mikado_lift(lift) and _left_round_trip(x.group.table, lift.nf)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +436,8 @@ def _embed_rational(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     table = c.group.table
     bad = []
     for x in dm.divisors():
-        k, factors = nf = dm.embed_nf_ids(x)
-        image = reduce(table.mul, factors, table.w0 if k % 2 else table.e)  # Delta maps to w0
-        if not _rational_ids(nf) or image != x.id:
+        nf = dm.embed_nf_ids(x)
+        if not _rational_ids(nf) or _image_ids(table, nf) != x.id:
             bad.append(_word(x))
     extra = _closed_form(dm.atoms)
     return {
@@ -474,7 +472,7 @@ def _kl_embed_positive(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     dm = dual_monoid(c, ordering)
     divisors = dm.divisors()
     return {
-        "ok": all(table.braid_is_nonneg(dm.embed(x)) for x in divisors),
+        "ok": all(table._nf_is_nonneg(dm.embed_nf_ids(x)) for x in divisors),
         "divisors": len(divisors),
     }
 
@@ -488,16 +486,15 @@ def _kl_evidence(c: CoxeterElement, ordering: tuple[int, ...]) -> dict:
     """
     table = kl_table(c.group)
     dm = dual_monoid(c, ordering)
+    gt = c.group.table
+    embed_c = dm.embed_nf_ids(c)
     consistent = True
-    embed_c = dm.embed(c)
     verdicts = []
     for x in dm.divisors():
-        bx = dm.embed(x)
-        if bx.image() != x:
+        nf = dm.embed_nf_ids(x)
+        if _image_ids(gt, nf) != x.id or _nf_mul_ids(gt, nf, dm.embed_nf_ids(x.inverse() * c)) != embed_c:
             consistent = False
-        if not braid_equal(bx * dm.embed(x.inverse() * c), embed_c):
-            consistent = False
-        verdicts.append({"divisor": _word(x), "positive": table.braid_is_nonneg(bx)})
+        verdicts.append({"divisor": _word(x), "positive": table._nf_is_nonneg(nf)})
     return {
         "ok": consistent,
         "positive": all(v["positive"] for v in verdicts),

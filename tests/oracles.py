@@ -31,12 +31,19 @@ from coxbraid.garside import (
     _letters_of_nf_ids,
     _nf_ids,
     _nf_mul_ids,
+    braid_equal,
+    embed_braid_b_to_a,
+    fraction_form,
+    is_rational_permutation,
+    is_square_free,
+    positive_lift,
     right_fraction_form,
+    signed_lift,
     word_key,
 )
 from coxbraid.hecke import HeckeElement, _fold
 from coxbraid.laurent import LaurentPolynomial, addmul, combine, poly
-from coxbraid.mikado import WiringDiagram
+from coxbraid.mikado import WiringDiagram, is_mikado_A, is_mikado_B
 from coxbraid.tl import TLDiagram, TLElement
 
 
@@ -1459,6 +1466,103 @@ def pairs_all(group: CoxeterGroup, ok, rows=None):
         if rows is None or i in rows
         for y, wy in zip(elements, words)
     ]
+
+
+# ---------------------------------------------------------------------------
+# pair verdicts on letter words: the reference for verify's, which compose
+# each pair braid's normal form from the ids
+
+
+def pair_braid(x: CoxeterElement, y: CoxeterElement) -> BraidWord:
+    """The letter word b(x)^-1 b(y)."""
+    return positive_lift(x).inverse() * positive_lift(y)
+
+
+def rational_fraction_by_letters(x: CoxeterElement, y: CoxeterElement) -> bool:
+    """prop-4.4: b(x)^-1 b(y) and its inverse are rational and the braid
+    round trips through both fraction forms, each rebuilt as letters."""
+    b = pair_braid(x, y)
+    ok = is_rational_permutation(b) and is_rational_permutation(b.inverse())
+    if ok:
+        fx, fy = fraction_form(b)
+        ok = braid_equal(pair_braid(fx, fy), b)
+    if ok:
+        gx, gy = right_fraction_form(b)
+        ok = braid_equal(positive_lift(gx) * positive_lift(gy).inverse(), b)
+    return ok
+
+
+def square_free_by_letters(x: CoxeterElement, y: CoxeterElement) -> bool:
+    """lemma-4.5: b(x)^-1 b(y) is square free and its signed lift equals it."""
+    b = pair_braid(x, y)
+    return is_square_free(b) and braid_equal(signed_lift(b), b)
+
+
+def equivalent_by_letters(x: CoxeterElement, y: CoxeterElement) -> bool:
+    """thm-5.9 and thm-6.4: b(x)^-1 b(y) is rational, Mikado (in family B
+    on the flip symmetric picture in A_(2n-1)), round trips through its left
+    fraction and equals its signed lift."""
+    b = pair_braid(x, y)
+    ok = is_rational_permutation(b)
+    if ok:
+        family = b.group.type.family
+        ok = is_mikado_A(b) if family == "A" else is_mikado_B(embed_braid_b_to_a(b))
+    if ok:
+        fx, fy = fraction_form(b)
+        ok = braid_equal(pair_braid(fx, fy), b)
+    return ok and braid_equal(signed_lift(b), b)
+
+
+LETTER_VERDICTS = {
+    "prop-4.4": rational_fraction_by_letters,
+    "lemma-4.5": square_free_by_letters,
+    "thm-5.9": equivalent_by_letters,
+    "thm-6.4": equivalent_by_letters,
+}
+
+
+# ---------------------------------------------------------------------------
+# Artin's action of the braid group on a free group
+
+
+def _free_reduce(word) -> tuple[int, ...]:
+    out: list[int] = []
+    for g in word:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def _free_inverse(word: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-g for g in reversed(word))
+
+
+def artin_action(letters, strands: int) -> tuple[tuple[int, ...], ...]:
+    """Artin's faithful action of a braid word on the strands generators of
+    a free group: the images of the generators 1 .. strands, each a freely
+    reduced tuple with -j for the inverse of j.  sigma_i sends x_i to
+    x_i x_(i+1) x_i^-1 and x_(i+1) to x_i, and the word acts by composing
+    these, so two words give the same images exactly when they are the
+    same braid (Artin, Theorie der Zoepfe, 1925)."""
+    images = [(j,) for j in range(1, strands + 1)]
+    for l in letters:
+        i = abs(l) - 1
+        a, b = images[i], images[i + 1]
+        if l > 0:
+            images[i], images[i + 1] = _free_reduce(a + b + _free_inverse(a)), a
+        else:
+            images[i], images[i + 1] = b, _free_reduce(_free_inverse(b) + a + b)
+    return tuple(images)
+
+
+def artin_action_of(b: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """artin_action on rank + 1 strands in family A; a family B braid acts
+    through its image in A_(2n-1) (embed_braid_b_to_a)."""
+    if b.group.type.family == "B":
+        b = embed_braid_b_to_a(b)
+    return artin_action(b.letters, b.group.rank + 1)
 
 
 # ---------------------------------------------------------------------------

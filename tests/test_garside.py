@@ -467,13 +467,8 @@ def test_cached_fold_matches_a_fresh_fold(family, rank, m):
         assert not braid_equal(b * BraidWord(group, (1,)), twin)
 
 
-def test_pair_sweep_folds_each_braid_once(monkeypatch):
-    """thm-5.9 on A3 folds four braids for each of its 211 coprime pairs:
-    the pair braid, the lift that square_free_witness checks, the rebuilt
-    fraction b(x)^-1 b(y) and the signed lift that the sweep checks.  The
-    other pairs read their coprime pair's verdict and fold nothing.
-    Refolding at every entry point made 11 a pair over all 576 pairs (6336
-    calls)."""
+def _folds(monkeypatch, tid, family, rank):
+    """The number of letter folds (_nf_ids calls) of one passing run_check."""
     calls = 0
     fold = garside._nf_ids
 
@@ -483,9 +478,29 @@ def test_pair_sweep_folds_each_braid_once(monkeypatch):
         return fold(table, letters)
 
     monkeypatch.setattr(garside, "_nf_ids", counted)
-    report = run_check("thm-5.9", "A", 3)
-    assert report.passed and len(report.items) == 576
-    assert 211 <= calls <= 4 * 211
+    assert run_check(tid, family, rank).passed
+    return calls
+
+
+def test_pair_sweep_folds_each_braid_once(monkeypatch):
+    """thm-5.9 on A3 composes each pair braid's normal form from its ids
+    and folds letters only for the signed lift, once for each of its 211
+    coprime pairs.  The other pairs read their coprime pair's verdict and
+    fold nothing.  Rebuilding the pair braid, its fraction and the lift as
+    letter words made 4 folds a coprime pair (844), and refolding at every
+    entry point 11 a pair over all 576 pairs (6336)."""
+    assert _folds(monkeypatch, "thm-5.9", "A", 3) == 211
+
+
+@pytest.mark.parametrize("tid,family,rank,folds", [
+    ("prop-4.4", "A", 3, 0), ("lemma-4.5", "A", 3, 211), ("conj-8.6", "D", 4, 0),
+])
+def test_composed_sweeps_fold_only_lifts(tid, family, rank, folds, monkeypatch):
+    """lemma-4.5 folds one signed lift for each of A3's 211 coprime pairs,
+    and prop-4.4 and conj-8.6 read composed normal forms alone (conj-8.6
+    folded 808 braids on D4 when it checked b(x) b(x^-1 c) = b(c) on
+    letter words)."""
+    assert _folds(monkeypatch, tid, family, rank) == folds
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("H3", 3), ("F4", 4)])

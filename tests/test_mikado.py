@@ -23,6 +23,7 @@ from coxbraid.mikado import (
     wiring_from_square_free,
 )
 from coxbraid.render import render_svg
+from coxbraid.verify import run_check
 
 import oracles
 
@@ -255,3 +256,24 @@ def test_render_ncp_golden(tmp_path):
 def test_render_rejects_other_objects(tmp_path):
     with pytest.raises(TypeError):
         render_svg("not a diagram", str(tmp_path / "x.svg"))
+
+
+def test_pair_sweep_peels_by_remove_strand(monkeypatch):
+    """thm-5.9 on A3 removes strands only through remove_strand: 572 times
+    over the diagrams of its 211 coprime pairs.  Each removal takes the good
+    strand with the largest end position, as good_strands and end_positions
+    read it off their own replays."""
+    removed = []
+    remove = WiringDiagram.remove_strand
+
+    def recorded(d, strand):
+        removed.append((d, strand))
+        return remove(d, strand)
+
+    monkeypatch.setattr(WiringDiagram, "remove_strand", recorded)
+    assert run_check("thm-5.9", "A", 3).passed
+    assert len(removed) == 572
+    for d, strand in removed:
+        ends = d.end_positions()
+        assert strand == max(d.good_strands(), key=ends.__getitem__)
+
