@@ -264,6 +264,8 @@ def fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
 
 
 def _right_fraction_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
+    """The ids (x, y) of the right fraction b = b(x) b(y)^-1 of the rational
+    braid with normal form nf."""
     if not _rational_ids(nf):
         raise ValueError("not a rational permutation braid")
     k, F = nf
@@ -275,16 +277,6 @@ def _right_fraction_ids(table: GroupTable, nf: tuple[int, tuple[int, ...]]) -> t
         return table.e, table.w0
     y = table.mul(table.inv[F[1]], table.w0) if len(F) > 1 else table.w0
     return table.tau[F[0]], y
-
-
-def right_fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
-    """Right fraction: a pair (x, y) with b = b(x) b(y)^-1.
-
-    This is the decomposition driving the sign rule of signed_lift; the
-    denominator y is what the lift consults.
-    """
-    x, y = _right_fraction_ids(b.group.table, b.nf)
-    return CoxeterElement(b.group, x), CoxeterElement(b.group, y)
 
 
 def _signed_lift_ids(

@@ -1,23 +1,24 @@
 """The Iwahori Hecke algebra over Z[v, v^-1] and its canonical bases.
 
-Elements are stored on the standard basis {T_w} with exact Laurent
-coefficients keyed by the ids of the group's table (coxeter.GroupTable),
-normalised by T_s^2 = (v^-2 - 1) T_s + v^-2.  Products fold through the
-table's rmul and length arrays on rows of exponent -> coefficient int
-dicts, updated in place by the row kernel of laurent that the Temperley
-Lieb layer shares.  The braid group maps in through a (generators to T_s);
-its twist a', sending generators to v T_s, is a times v to the exponent
-sum.  The Kazhdan Lusztig machinery lives in KLTable, on table ids:
-polynomials P_{y,w} in q = v^-2 computed by the classical recursion with
-mu corrections over lower Bruhat intervals held as bitsets, the bases
-C'_w = v^{l(w)} sum P_{y,w}(v^-2) T_y and C_w = (-1)^{l(w)} j_H(C'_w),
-and right multiplication of C-coordinates by T_s or T_s^-1 along the
-W-graph, the one way into {C_w}: elements expand one letter of each
-support word at a time, T_x^-1 T_y one letter of x and then of y.  A
-table has no size limit of its own: the command line refuses large groups
-in verify.budget_guard, before any table is built.  P_{y,w} storage grows
-roughly with |W|^2: D5, of order 1920, has 745 377 polynomials, filled in
-1.2 s at a 68 MB peak (one run, 2 cores, Python 3.11).
+Elements are stored on the standard basis {T_w}, normalised by T_s^2 =
+(v^-2 - 1) T_s + v^-2, as rows: exponent -> coefficient int dicts keyed
+by the ids of the group's table (coxeter.GroupTable), computed by the
+row kernel of laurent that the Temperley Lieb layer shares.  Products
+fold through the table's rmul and length arrays, and LaurentPolynomial
+values are built only when coefficients are handed out.  The braid group
+maps in through a (generators to T_s); its twist a', sending generators
+to v T_s, is a times v to the exponent sum.  The Kazhdan Lusztig
+machinery lives in KLTable, on table ids: polynomials P_{y,w} in q =
+v^-2 computed by the classical recursion with mu corrections over lower
+Bruhat intervals held as bitsets, the bases C'_w = v^{l(w)} sum
+P_{y,w}(v^-2) T_y and C_w = (-1)^{l(w)} j_H(C'_w), and right
+multiplication of C-coordinates by T_s or T_s^-1 along the W-graph, the
+one way into {C_w}: elements expand one letter of each support word at a
+time, T_x^-1 T_y one letter of x and then of y.  A table has no size
+limit of its own: the command line refuses large groups in
+verify.budget_guard, before any table is built.  P_{y,w} storage grows
+roughly with |W|^2: D5, of order 1920, has 745 377 polynomials, filled
+in 1.2 s at a 68 MB peak (one run, 2 cores, Python 3.11).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .coxeter import CoxeterElement, CoxeterGroup, IntegrityError, bit_ids
 from .garside import BraidWord, _left_fraction_ids, _letters_of_nf_ids, _rational_ids
 from .laurent import LaurentPolynomial, Rows, addmul, combine, poly
 
-_ZERO = LaurentPolynomial.zero()
 _ONE = LaurentPolynomial.one()
 
 # Coefficients of (T_ws, T_w) in T_w T_s^-1 for ws > w, and in T_w T_s
@@ -80,7 +80,7 @@ def _nonneg(rows: Rows) -> bool:
 
 class HeckeElement:
     """A finitely supported Z[v, v^-1] combination of standard basis terms,
-    stored by GroupTable id in rows and keyed by element in coeffs.  Its
+    stored by GroupTable id in int rows and keyed by element in coeffs.  Its
     methods take arguments of its group only (CoxeterGroup.member)."""
 
     __slots__ = ("group", "rows")
@@ -91,18 +91,15 @@ class HeckeElement:
         coeffs: Mapping[CoxeterElement, LaurentPolynomial] | None = None,
     ) -> None:
         self.group = group
-        self.rows: dict[int, LaurentPolynomial] = {
-            group.member(w).id: c for w, c in (coeffs or {}).items() if c
+        self.rows: Rows = {
+            group.member(w).id: dict(c.terms) for w, c in (coeffs or {}).items() if c
         }
 
     @staticmethod
-    def _wrap(group: CoxeterGroup, rows: Mapping[int, LaurentPolynomial]) -> "HeckeElement":
+    def _wrap(group: CoxeterGroup, rows: Rows) -> "HeckeElement":
         h = HeckeElement(group)
-        h.rows = {x: c for x, c in rows.items() if c}
+        h.rows = rows
         return h
-
-    def _int_rows(self) -> Rows:
-        return {x: dict(c.terms) for x, c in self.rows.items()}
 
     @staticmethod
     def unit(group: CoxeterGroup) -> "HeckeElement":
@@ -112,10 +109,10 @@ class HeckeElement:
     def coeffs(self) -> Mapping[CoxeterElement, LaurentPolynomial]:
         """The coefficients keyed by group element, read only."""
         group = self.group
-        return MappingProxyType({CoxeterElement(group, x): c for x, c in self.rows.items()})
+        return MappingProxyType({CoxeterElement(group, x): poly(p) for x, p in self.rows.items()})
 
     def coeff(self, w: CoxeterElement) -> LaurentPolynomial:
-        return self.rows.get(self.group.member(w).id, _ZERO)
+        return poly(self.rows.get(self.group.member(w).id, {}))
 
     def support(self) -> frozenset[CoxeterElement]:
         return frozenset(CoxeterElement(self.group, x) for x in self.rows)
@@ -124,10 +121,8 @@ class HeckeElement:
         return not self.rows
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        acc = dict(self.rows)
-        for x, c in self.group.member(other).rows.items():
-            acc[x] = acc.get(x, _ZERO) + c
-        return HeckeElement._wrap(self.group, acc)
+        pair = (self.rows, self.group.member(other).rows)
+        return HeckeElement._wrap(self.group, combine((rows, _UNIT) for rows in pair))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + other.scale(-1)
@@ -138,7 +133,7 @@ class HeckeElement:
     def scale(self, factor: Union[LaurentPolynomial, int]) -> "HeckeElement":
         if isinstance(factor, int):
             factor = LaurentPolynomial.constant(factor)
-        return HeckeElement._wrap(self.group, {x: c * factor for x, c in self.rows.items()})
+        return HeckeElement._wrap(self.group, combine(((self.rows, factor.terms),)))
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         return hecke_mul(self, other)
@@ -156,33 +151,30 @@ class HeckeElement:
         bits = []
         for x in sorted(self.rows):
             word = ",".join(map(str, self.group.table.word(x))) or "e"
-            bits.append(f"({self.rows[x]})T[{word}]")
+            bits.append(f"({poly(self.rows[x])})T[{word}]")
         return "HeckeElement(" + " + ".join(bits) + ")"
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    table, start, rows = a.group.table, a._int_rows(), a.group.member(b).rows
-    total = combine((_fold(table, start, table.word(y)), c.terms) for y, c in rows.items())
-    return HeckeElement._wrap(a.group, {x: poly(p) for x, p in total.items()})
+    table, rows = a.group.table, a.group.member(b).rows
+    return HeckeElement._wrap(
+        a.group, combine((_fold(table, a.rows, table.word(y)), p.items()) for y, p in rows.items())
+    )
 
 
 def braid_image_a(b: BraidWord) -> HeckeElement:
     """The group morphism into units sending each generator to T_s."""
     table = b.group.table
-    rows = _fold(table, {table.e: {0: 1}}, b.letters)
-    return HeckeElement._wrap(b.group, {x: poly(p) for x, p in rows.items()})
+    return HeckeElement._wrap(b.group, _fold(table, {table.e: {0: 1}}, b.letters))
 
 
 def j_h(h: HeckeElement) -> HeckeElement:
     """The semilinear involution with T_s mapped to -v^2 T_s."""
     length = h.group.table.length
-    return HeckeElement._wrap(
-        h.group,
-        {
-            x: c.bar().shifted(2 * length[x]) * ((-1) ** length[x])
-            for x, c in h.rows.items()
-        },
-    )
+    return HeckeElement._wrap(h.group, {
+        x: {2 * length[x] - e: c * (-1) ** length[x] for e, c in p.items()}
+        for x, p in h.rows.items()
+    })
 
 
 class KLTable:
@@ -275,8 +267,7 @@ class KLTable:
         x = self.group.member(w).id
         lw = self.table.length[x]
         return HeckeElement._wrap(self.group, {
-            y: LaurentPolynomial.of({lw - 2 * k: c for k, c in enumerate(p)})
-            for y, p in self._row(x).items()
+            y: {lw - 2 * k: c for k, c in enumerate(p) if c} for y, p in self._row(x).items()
         })
 
     def c_basis(self, w: CoxeterElement) -> HeckeElement:
@@ -285,9 +276,8 @@ class KLTable:
         x = self.group.member(w).id
         length, lw = self.table.length, self.table.length[x]
         return HeckeElement._wrap(self.group, {
-            y: LaurentPolynomial.of({
-                2 * (k + length[y]) - lw: c * (-1) ** (lw - length[y]) for k, c in enumerate(p)
-            })
+            y: {2 * (k + length[y]) - lw: (-1) ** (lw - length[y]) * c
+                for k, c in enumerate(p) if c}
             for y, p in self._row(x).items()
         })
 
@@ -343,7 +333,7 @@ class KLTable:
         rows, e = self.group.member(h).rows, self.table.e
         self._fill(max(rows, default=e))
         done = {e: {e: {0: 1}}}
-        total = combine((self._walk(done, y), c.terms) for y, c in rows.items())
+        total = combine((self._walk(done, y), p.items()) for y, p in rows.items())
         elements = self.group.elements()  # in id order
         return {elements[x]: poly(total[x]) for x in sorted(total)}
 

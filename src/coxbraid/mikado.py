@@ -64,17 +64,6 @@ class WiringDiagram(Record):
             occ[pos - 1], occ[pos] = b, a
         return tuple(out)
 
-    def end_positions(self) -> dict[int, int]:
-        occ = list(range(1, self.strand_count + 1))
-        for pos, _ in self.crossings:
-            occ[pos - 1], occ[pos] = occ[pos], occ[pos - 1]
-        return {strand: slot + 1 for slot, strand in enumerate(occ)}
-
-    def good_strands(self) -> frozenset[int]:
-        """Strands over in every crossing they take part in."""
-        bad = {under for _, _, _, under in self.crossing_details()}
-        return frozenset(range(1, self.strand_count + 1)) - bad
-
     def remove_strand(self, strand: int) -> "WiringDiagram":
         """Delete one strand; crossings it carried vanish, others reindex.
 

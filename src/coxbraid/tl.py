@@ -14,9 +14,9 @@ of T_s and of the braid generators are scalar plus scalar times b_s, so
 tl_mul, theta, theta_prime and omega fold along words through that one
 action, on rows keyed by diagram id through the row kernel of laurent;
 LaurentPolynomial values are built only when coefficients are handed
-out.  The products b_w over reduced words of fully commutative elements
-are single diagrams and exhaust the matchings, which is how elements are
-expanded on the {b_w} basis.
+out.  The same walk numbers the {b_w} basis: the fully commutative
+element of a diagram is the group image of its shortest word, and b_w,
+the product over any reduced word of w, is that diagram with no loop.
 
 Two quotient maps from the Hecke algebra are provided, theta and
 theta_prime, together with the braid group map omega = theta_prime
@@ -44,7 +44,6 @@ from .coxeter import (
     Record,
     bruhat_leq,
     coxeter_group,
-    reduced_words,
     standard_ordering,
 )
 from .dual import dual_monoid
@@ -271,72 +270,55 @@ def tl_mul(a: TLElement, b: TLElement) -> TLElement:
 # fully commutative elements and the b_w basis
 
 
-def _avoids_321(payload: tuple[int, ...]) -> bool:
-    best_drop = 0
-    max_before = 0
-    for value in payload:
-        if max_before > value:
-            if best_drop > value:
-                return False
-            best_drop = max(best_drop, value)
-        max_before = max(max_before, value)
-    return True
+@cache
+def _fc_ids(table: _DiagramTable) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The fully commutative element of each diagram, as the table id of
+    W(A_{m-1}) by diagram id, and the diagram id by table id.
+
+    The element of diagram d is the image of words[d], a shortest loop free
+    word for d, with three checks: distinct diagrams give distinct
+    elements, the word is reduced, and the shortlex word of the element
+    folds back to d with no loop, so a second reduced word gives the same
+    bare diagram.  Fully commutative elements and diagrams are in bijection
+    (Fan-Green 1997), so these are all of them.
+    """
+    group_table = coxeter_group("A", table.m - 1).table
+    fc = tuple(map(group_table.image_id, table.words))
+    diagram_of = {x: d for d, x in enumerate(fc)}
+    if len(diagram_of) != len(fc):
+        raise IntegrityError("distinct diagrams share an element")
+    for d, (x, word) in enumerate(zip(fc, table.words)):
+        if group_table.length[x] != len(word):
+            raise IntegrityError("a diagram's shortest word is not reduced")
+        if table.fold(table.identity, group_table.word(x)) != (d, 0):
+            raise IntegrityError("b_w depends on the chosen reduced word")
+    return fc, diagram_of
 
 
 def fully_commutative(n: int) -> tuple[CoxeterElement, ...]:
-    """All 321 avoiding elements of the symmetric group on n+1 points, in
-    id order."""
-    return tuple(w for w in coxeter_group("A", n).elements() if _avoids_321(w.payload))
-
-
-@cache
-def _b_w_table(n: int) -> dict[CoxeterElement, int]:
-    """The diagram id of b_w for every fully commutative w, with three checks.
-
-    The product over a reduced word must come out as a single diagram
-    with no loop, a second reduced word, when the element has one, must
-    reproduce it, and distinct elements must give distinct diagrams.
-    """
-    table = _diagram_table(n + 1)
-    out: dict[CoxeterElement, int] = {}
-    for w in fully_commutative(n):
-        diagrams = set()
-        for word in reduced_words(w)[:2]:
-            d, loops = table.fold(table.identity, word)
-            if loops:
-                raise IntegrityError("b_w is not a single bare diagram")
-            diagrams.add(d)
-        if len(diagrams) != 1:
-            raise IntegrityError("b_w depends on the chosen reduced word")
-        out[w] = diagrams.pop()
-    if len(set(out.values())) != len(out):
-        raise IntegrityError("distinct elements share a diagram")
-    return out
+    """The fully commutative (321 avoiding) elements of the symmetric group
+    on n+1 points, one per diagram, in id order."""
+    elements = coxeter_group("A", n).elements()
+    return tuple(elements[x] for x in sorted(_fc_ids(_diagram_table(n + 1))[1]))
 
 
 def b_w(w: CoxeterElement) -> TLElement:
     """The basis element of a fully commutative w."""
     if w.group.type.family != "A":
         raise ValueError("expected a type A element")
-    ids = _b_w_table(w.group.rank)
-    if coxeter_group("A", w.group.rank).member(w) not in ids:
+    m = w.group.rank + 1
+    x = coxeter_group("A", w.group.rank).member(w).id
+    d = _fc_ids(_diagram_table(m))[1].get(x)
+    if d is None:
         raise ValueError("element is not fully commutative")
-    return TLElement._wrap(2 * (w.group.rank + 1), {ids[w]: {0: 1}})
-
-
-@cache
-def _fc_of_diagram(n: int) -> tuple[CoxeterElement, ...]:
-    """The fully commutative element of each diagram id."""
-    by_id = {d: w for w, d in _b_w_table(n).items()}
-    if len(by_id) != len(_diagram_table(n + 1).diagrams):
-        raise IntegrityError("diagram outside the b_w basis")
-    return tuple(by_id[d] for d in range(len(by_id)))
+    return TLElement._wrap(2 * m, {d: {0: 1}})
 
 
 def expand_in_b(x: TLElement) -> dict[CoxeterElement, LaurentPolynomial]:
     """Coordinates of a TL element on the {b_w} basis."""
-    fc = _fc_of_diagram(x.table.m - 1)
-    return {fc[d]: poly(p) for d, p in x.rows.items()}
+    fc = _fc_ids(x.table)[0]
+    elements = coxeter_group("A", x.table.m - 1).elements()
+    return {elements[fc[d]]: poly(p) for d, p in x.rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +370,7 @@ def _quotient_t(group: CoxeterGroup, x: int, image: tuple) -> Rows:
 def _quotient(h: HeckeElement, image: tuple) -> TLElement:
     if h.group.type.family != "A":
         raise ValueError("expected a type A element")
-    images = ((_quotient_t(h.group, x, image), c.terms) for x, c in h.rows.items())
+    images = ((_quotient_t(h.group, x, image), p.items()) for x, p in h.rows.items())
     return TLElement._wrap(2 * (h.group.rank + 1), combine(images))
 
 
@@ -586,7 +568,7 @@ def sign_alternating(
 ) -> tuple[bool, ...]:
     """Per Zinno row of c, whether the coefficient of each b_w in the image
     of its simple dual braid lies in (-1)^{l(w)} N[v, v^-1]."""
-    odd = {w for w in _fc_of_diagram(c.group.rank) if w.length() % 2}
+    odd = {w for w in fully_commutative(c.group.rank) if w.length() % 2}
     return tuple(
         all((k < 0) == (w in odd) for w, p in coeffs.items() for _, k in p.terms)
         for _, coeffs in _zinno_rows(c, standard_ordering(c, ordering))

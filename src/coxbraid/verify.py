@@ -123,13 +123,10 @@ def normalize_family(family: str) -> str:
 
 
 class Report(Record):
-    """Outcome of one verification sweep; unlike other records, mutable."""
+    """Outcome of one verification sweep."""
 
     __slots__ = ("command", "group", "passed", "items", "counts", "elapsed",
                  "coxeter_element", "evidence_only", "notes")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self, command: str, group: dict, passed: bool, items: tuple[dict, ...], counts: dict,

@@ -20,6 +20,7 @@ from coxbraid.coxeter import (
     IntegrityError,
     bit_ids,
     coxeter_group,
+    reduced_words,
     standard_coxeter_elements,
     standard_ordering,
     type_b_embedding_words,
@@ -31,20 +32,20 @@ from coxbraid.garside import (
     _letters_of_nf_ids,
     _nf_ids,
     _nf_mul_ids,
+    _right_fraction_ids,
     braid_equal,
     embed_braid_b_to_a,
     fraction_form,
     is_rational_permutation,
     is_square_free,
     positive_lift,
-    right_fraction_form,
     signed_lift,
     word_key,
 )
 from coxbraid.hecke import HeckeElement, _fold
 from coxbraid.laurent import LaurentPolynomial, addmul, combine, poly
 from coxbraid.mikado import WiringDiagram, is_mikado_A, is_mikado_B
-from coxbraid.tl import TLDiagram, TLElement
+from coxbraid.tl import TLDiagram, TLElement, _diagram_table
 
 
 # Every group the parametrized tests of the package cover, as
@@ -517,6 +518,13 @@ def nf_mul_ids_bubble(table: GroupTable, a, b) -> tuple[int, tuple[int, ...]]:
     return ka + kb + shift, tuple(F)
 
 
+def right_fraction_form(b: BraidWord) -> tuple[CoxeterElement, CoxeterElement]:
+    """Right fraction: a pair (x, y) with b = b(x) b(y)^-1, read off the
+    normal form as signed_lift reads its denominator y."""
+    x, y = _right_fraction_ids(b.group.table, b.nf)
+    return CoxeterElement(b.group, x), CoxeterElement(b.group, y)
+
+
 def signed_lift_payload(b: BraidWord, word=None) -> BraidWord:
     """The sign rule of signed_lift walked on payloads: letter s_i is
     positive when s_i ... s_k y is one longer than s_{i+1} ... s_k y."""
@@ -568,6 +576,17 @@ def strand_paths(d: WiringDiagram) -> dict[int, tuple[int, ...]]:
         for slot, strand in enumerate(occ):
             paths[strand].append(slot + 1)
     return {s: tuple(p) for s, p in paths.items()}
+
+
+def end_positions(d: WiringDiagram) -> dict[int, int]:
+    """The slot each strand of d ends in."""
+    return {s: p[-1] for s, p in strand_paths(d).items()}
+
+
+def good_strands(d: WiringDiagram) -> frozenset[int]:
+    """Strands over in every crossing they take part in."""
+    bad = {under for _, _, _, under in d.crossing_details()}
+    return frozenset(range(1, d.strand_count + 1)) - bad
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +868,6 @@ def commutation_class(
 
 def is_fully_commutative_oracle(w: CoxeterElement) -> bool:
     """Definition level test: one commutation class covers all words."""
-    from coxbraid.coxeter import reduced_words
-
     words = reduced_words(w)
     if not words:
         return True
@@ -910,6 +927,59 @@ def reduced_factorizations_brute(
 
     extend((), group.identity)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# the b_w basis from the group side: a 321 test and reduced word folds
+
+
+def avoids_321(payload: tuple[int, ...]) -> bool:
+    """Whether the permutation payload has no decreasing subsequence of three."""
+    best_drop = 0
+    max_before = 0
+    for value in payload:
+        if max_before > value:
+            if best_drop > value:
+                return False
+            best_drop = max(best_drop, value)
+        max_before = max(max_before, value)
+    return True
+
+
+def fully_commutative_by_321(n: int) -> tuple[CoxeterElement, ...]:
+    """The 321 avoiding elements of W(A_n), in id order."""
+    return tuple(w for w in coxeter_group("A", n).elements() if avoids_321(w.payload))
+
+
+@lru_cache(maxsize=None)
+def b_w_table(n: int) -> dict[CoxeterElement, int]:
+    """The diagram id of b_w for every 321 avoiding w of W(A_n), in id
+    order, folded along two of its reduced words, with three checks: each
+    fold is a single diagram with no loop, the two folds agree, and
+    distinct elements give distinct diagrams."""
+    table = _diagram_table(n + 1)
+    out: dict[CoxeterElement, int] = {}
+    for w in fully_commutative_by_321(n):
+        diagrams = set()
+        for word in reduced_words(w)[:2]:
+            d, loops = table.fold(table.identity, word)
+            if loops:
+                raise IntegrityError("b_w is not a single bare diagram")
+            diagrams.add(d)
+        if len(diagrams) != 1:
+            raise IntegrityError("b_w depends on the chosen reduced word")
+        out[w] = diagrams.pop()
+    if len(set(out.values())) != len(out):
+        raise IntegrityError("distinct elements share a diagram")
+    return out
+
+
+def fc_of_diagram(n: int) -> tuple[CoxeterElement, ...]:
+    """The 321 avoiding element of each diagram id, inverting b_w_table."""
+    by_id = {d: w for w, d in b_w_table(n).items()}
+    if len(by_id) != len(_diagram_table(n + 1).diagrams):
+        raise IntegrityError("diagram outside the b_w basis")
+    return tuple(by_id[d] for d in range(len(by_id)))
 
 
 # ---------------------------------------------------------------------------
@@ -1195,16 +1265,36 @@ class KLPayload:
 kl_payload = lru_cache(maxsize=None)(KLPayload)
 
 
+def c_prime_payload(w: CoxeterElement) -> dict:
+    """C'_w = v^l(w) sum_y P_{y,w}(v^-2) T_y, from the payload P_{y,w}."""
+    table = kl_payload(w.group)
+    return {
+        y: substituted_power(table.p(y, w), -2).shifted(_length(w))
+        for y in bruhat_lower_interval_payload(w)
+    }
+
+
 def c_basis_payload(w: CoxeterElement) -> dict:
     """C_w = (-1)^l(w) j_H(C'_w), from the payload P_{y,w}."""
-    table = kl_payload(w.group)
     out = {}
-    for y in bruhat_lower_interval_payload(w):
-        cprime = substituted_power(table.p(y, w), -2).shifted(_length(w))
+    for y, cprime in c_prime_payload(w).items():
         c = cprime.bar().shifted(2 * _length(y)) * (-1) ** (_length(y) + _length(w))
         if c:
             out[y] = c
     return out
+
+
+def hecke_sum_payload(a: dict, b: dict) -> dict:
+    """a + b on coefficient dicts keyed by element."""
+    total = dict(a)
+    for w, c in b.items():
+        _hecke_acc(total, w, c)
+    return total
+
+
+def hecke_scale_payload(a: dict, factor: LaurentPolynomial) -> dict:
+    """a times a Laurent polynomial, on coefficient dicts keyed by element."""
+    return {w: c * factor for w, c in a.items() if c * factor}
 
 
 def expand_in_C_payload(coeffs: dict) -> dict:
@@ -1226,7 +1316,7 @@ def expand_in_C_payload(coeffs: dict) -> dict:
 def _c_rows(table, x: int) -> tuple:
     """C_x on the standard basis as (y, terms) pairs, read off KLTable.c_basis."""
     c = table.c_basis(table.group.elements()[x])
-    return tuple((y, p.terms) for y, p in c.rows.items())
+    return tuple((y, tuple(p.items())) for y, p in c.rows.items())
 
 
 def expand_in_C_by_elimination(table, h: HeckeElement) -> dict:
@@ -1235,7 +1325,8 @@ def expand_in_C_by_elimination(table, h: HeckeElement) -> dict:
     the C_w of the table's P_{y,w}: the reference for the W-graph steps of
     KLTable.expand_in_C."""
     length = table.table.length
-    work, out = table.group.member(h)._int_rows(), {}
+    work = {x: dict(p) for x, p in table.group.member(h).rows.items()}
+    out = {}
     while work:
         x = max(work)
         gamma = out[x] = {e - length[x]: c for e, c in work[x].items()}
@@ -1446,8 +1537,8 @@ def _bar_t(group: CoxeterGroup, x: int) -> dict:
 
 def bar_involution(h: HeckeElement) -> HeckeElement:
     """The ring involution with v -> v^-1 and T_w -> T_{w^-1}^-1, on table ids."""
-    total = combine((_bar_t(h.group, x), c.bar().terms) for x, c in h.rows.items())
-    return HeckeElement._wrap(h.group, {x: poly(p) for x, p in total.items()})
+    bars = ((_bar_t(h.group, x), [(-e, c) for e, c in p.items()]) for x, p in h.rows.items())
+    return HeckeElement._wrap(h.group, combine(bars))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End to end runs of the command line entry point."""
 
+import hashlib
 import json
 
 import pytest
@@ -277,6 +278,38 @@ def test_expand_tl_basis(capsys):
     for key, text in data["coefficients"].items():
         length = 0 if key == "e" else len(key.split(","))
         assert text != "0"
+
+
+# (basis, type, rank, word) -> sha256 of the printed output, recorded
+# before Hecke elements and the b_w numbering moved onto int rows and ids.
+EXPAND_DIGESTS = {
+    ("C", "A", "3", "1,-2,3,2,-1"):
+        "164e41944ad57c4230aae1f1fe614cf255675ace70634c1e2973dc21dc012a25",
+    ("C", "B", "3", "1,2,-3,1,2"):
+        "af07aabc4748d11b76b3145ec246e6126c38140fb2cb22d77c0fdce65f6a8d2e",
+    ("C", "D", "4", "-1,2,3,4,-2,1"):
+        "1b7f4980590fd8dcfdbe9bc4c3ec156003b4d025e9fab1a583115c96f68e0089",
+    ("C", "H3", "3", "1,2,1,-3,2"):
+        "254ede3445e8497f98a5c54d21738016beeb4140492f4fc7d3b0f49bb5ce92eb",
+    ("C", "A", "2", "-1,2"):
+        "b453ae83236a00b1fddc3221c84a258556749bda5b30154f5858a67091e59056",
+    ("TL", "A", "3", "1,-2,3,2,-1"):
+        "54fe32a73a92ec2973e38058b7f382dc87c937381630489caeaf5ac26c3cfe3f",
+    ("TL", "A", "4", "1,2,-3,4,-1,2"):
+        "8e5f2cbde755dd9a720d621793e6f96549f805ebe6165ba76cfe887cd2e092cd",
+    ("TL", "A", "2", "1,2"):
+        "c53a4596fc254097926a94e5994b9e0bfc86c67ad8e7b043eba3a6d51b5f9a6d",
+}
+
+
+@pytest.mark.parametrize("case", EXPAND_DIGESTS, ids="-".join)
+def test_expand_output_is_pinned(capsys, case):
+    basis, family, rank, word = case
+    code, out, _ = run(
+        capsys, "expand", "--basis", basis, f"--word={word}", "--type", family, "--rank", rank
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_DIGESTS[case]
 
 
 def test_expand_rejects_other_families(capsys):

@@ -98,7 +98,7 @@ PROBES = {
 ONE_GROUP = {
     "bruhat_lower_interval", "standard_ordering", "reflections_from_coxeter",
     "reduced_words", "word_key", "delta_normal_form", "is_rational_permutation",
-    "fraction_form", "right_fraction_form", "signed_lift", "square_free_witness",
+    "fraction_form", "signed_lift", "square_free_witness",
     "is_square_free", "mirror_letters", "is_tau_fixed", "positive_lift",
     "embed_braid_b_to_a", "braid_image_a", "j_h", "divisors_of", "circle_sequence",
     "ncp_decode", "DualAtomTable.__init__", "DualMonoid.__init__", "dual_monoid",

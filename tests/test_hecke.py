@@ -420,6 +420,33 @@ def test_mul_and_bar_match_payload_oracles(family, rank, m):
         )
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("H3", 3)])
+def test_int_rows_match_payload_oracles(family, rank):
+    """Elements hold int rows and hand out LaurentPolynomial values:
+    braid_image_a, hecke_mul, +, -, scale, c_prime and c_basis, read
+    through coeffs and coeff, equal the payload oracles on seeded words and
+    elements."""
+    group = coxeter_group(family, rank)
+    table = kl_table(group)
+    rng = random.Random(3131)
+    braids = random_braids(group, 12, 8, seed=3131)
+    for a, b in zip(braids, braids[1:]):
+        ha, hb = braid_image_a(a), braid_image_a(b)
+        pa, pb = oracles.braid_image_a_payload(a), oracles.braid_image_a_payload(b)
+        factor = L.of({rng.randrange(-3, 4): rng.choice((-2, 1, 3))})
+        assert dict(ha.coeffs) == pa
+        assert all(ha.coeff(w) == pa.get(w, L.zero()) for w in group.elements())
+        assert dict(hecke_mul(ha, hb).coeffs) == oracles.hecke_mul_payload(pa, pb)
+        assert dict((ha + hb).coeffs) == oracles.hecke_sum_payload(pa, pb)
+        minus_b = oracles.hecke_scale_payload(pb, L.constant(-1))
+        assert dict((ha - hb).coeffs) == oracles.hecke_sum_payload(pa, minus_b)
+        assert dict(ha.scale(factor).coeffs) == oracles.hecke_scale_payload(pa, factor)
+        assert (ha - ha).is_zero() and ha.scale(0).is_zero()
+    for w in rng.sample(group.elements(), 10):
+        assert dict(table.c_prime(w).coeffs) == oracles.c_prime_payload(w)
+        assert dict(table.c_basis(w).coeffs) == oracles.c_basis_payload(w)
+
+
 # ---------------------------------------------------------------------------
 # the id KL table and its W-graph against the payload recursion and elimination
 

@@ -52,7 +52,7 @@ def test_crossing_details_over_under():
     d = WiringDiagram(3, ((1, 1), (2, -1)))
     # after the first crossing strand 1 sits in slot 2 and crosses strand 3
     assert d.crossing_details() == ((1, 1, 2, 1), (2, -1, 1, 3))
-    assert d.end_positions() == {2: 1, 3: 2, 1: 3}
+    assert oracles.end_positions(d) == {2: 1, 3: 2, 1: 3}
     assert d.letters() == (1, -2)
 
 
@@ -62,8 +62,8 @@ def test_strand_paths_and_good_strands():
     assert paths[1] == (1, 2, 3)
     assert paths[2] == (2, 1, 1)
     assert paths[3] == (3, 3, 2)
-    assert d.good_strands() == frozenset({2, 3})
-    assert WiringDiagram(3, ()).good_strands() == frozenset({1, 2, 3})
+    assert oracles.good_strands(d) == frozenset({2, 3})
+    assert oracles.good_strands(WiringDiagram(3, ())) == frozenset({1, 2, 3})
 
 
 def test_remove_strand():
@@ -261,8 +261,8 @@ def test_render_rejects_other_objects(tmp_path):
 def test_pair_sweep_peels_by_remove_strand(monkeypatch):
     """thm-5.9 on A3 removes strands only through remove_strand: 572 times
     over the diagrams of its 211 coprime pairs.  Each removal takes the good
-    strand with the largest end position, as good_strands and end_positions
-    read it off their own replays."""
+    strand with the largest end position, as oracles.good_strands and
+    oracles.end_positions read it off the crossings."""
     removed = []
     remove = WiringDiagram.remove_strand
 
@@ -274,6 +274,6 @@ def test_pair_sweep_peels_by_remove_strand(monkeypatch):
     assert run_check("thm-5.9", "A", 3).passed
     assert len(removed) == 572
     for d, strand in removed:
-        ends = d.end_positions()
-        assert strand == max(d.good_strands(), key=ends.__getitem__)
+        ends = oracles.end_positions(d)
+        assert strand == max(oracles.good_strands(d), key=ends.__getitem__)
 

@@ -8,6 +8,9 @@ left to the test oracles.  Elements are ids in the group's Cayley graph
 walk: no module but coxeter.py, which builds the groups, names a payload
 product, and coxeter.py reads one, the generator actions of
 _right_action included, only inside the walk, GroupTable.__init__.
+Payloads themselves are read only in coxeter.py: no other module reads
+.payload or .payloads, so every layer above computes on ids, and an
+element(payload) lookup passes.
 Coefficients in Z[v, v^-1] have one kernel: no module but laurent.py
 defines the row kernel or wraps terms as a LaurentPolynomial without the
 constructor's check.
@@ -62,6 +65,7 @@ BANNED = CONCURRENCY | INEXACT | SLOW_IMPORTS
 # subscript.
 PAYLOAD_FREE = {p.name for p in MODULES} - {"coxeter.py"}
 PAYLOAD_PRODUCTS = {"_mul", "_perm_mul", "_sp_mul", "_i2_mul", "_right_action"}
+PAYLOAD_READS = {"payload", "payloads"}
 WALK = ("GroupTable", "__init__")
 # Every module but laurent.py must reach the coefficient kernel through
 # laurent's addmul, combine and poly: no unchecked wrap of terms, no second
@@ -161,6 +165,8 @@ def violations(
                 name = next((a.name for a in node.names if a.name in PAYLOAD_PRODUCTS), None)
             if name in PAYLOAD_PRODUCTS:
                 found.append(f"line {node.lineno}: payload product {name}")
+            if isinstance(node, ast.Attribute) and node.attr in PAYLOAD_READS:
+                found.append(f"line {node.lineno}: payload read .{node.attr}")
         if (
             isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in walk
             and getattr(node, "attr", getattr(node, "id", None)) in PAYLOAD_PRODUCTS
@@ -222,6 +228,7 @@ def test_no_threads_and_no_environment(path):
         "class CoxeterGroup:\n    def reflections(self):\n        return self._mul(g, t)",
         "from .coxeter import _right_action",
         "acts = [_right_action(ctype, g) for g in gens]\np = acts[s](q)",
+        "fc = [w for w in group.elements() if avoids_321(w.payload)]",
         "p = LaurentPolynomial._trusted(((0, 1),))",
         "def _addmul(rows, x, p, q):\n    pass",
         "Rows = dict[int, dict[int, int]]",
@@ -275,7 +282,10 @@ def test_layer_guard_spares_lower_and_bottom_imports():
 
 
 def test_payload_guard_spares_table_products():
-    source = "x = table.mul(a, b)\ny = table.rmul[s][x]\nr = table.rlens[x]"
+    source = (
+        "x = table.mul(a, b)\ny = table.rmul[s][x]\nr = table.rlens[x]\n"
+        "payload = tuple(mapping[i] for i in points)\nz = group.element(payload)"
+    )
     assert violations(ast.parse(source), payload_free=True) == []
 
 

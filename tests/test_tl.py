@@ -13,12 +13,14 @@ from coxbraid.coxeter import (
     bruhat_leq,
     coxeter_element_orderings,
     coxeter_group,
+    reduced_words,
     standard_coxeter_elements,
 )
 from coxbraid.dual import divisors_of, dual_monoid
 from coxbraid.garside import BraidWord, positive_lift
 from coxbraid.hecke import braid_image_a, j_h, kl_table
 from coxbraid.laurent import LaurentPolynomial as L
+from coxbraid.laurent import poly
 from coxbraid.tl import (
     TLDiagram,
     TLElement,
@@ -168,6 +170,7 @@ def test_fully_commutative_matches_oracle():
         slow = {w for w in group.elements() if oracles.is_fully_commutative_oracle(w)}
         assert fast == slow
     assert [len(fully_commutative(n)) for n in (1, 2, 3, 4)] == [2, 5, 14, 42]
+    assert fully_commutative(7) == oracles.fully_commutative_by_321(7)
 
 
 def test_b_basis_is_a_bijection_onto_diagrams():
@@ -200,6 +203,66 @@ def test_expand_in_b_inverts_the_basis():
     exp = expand_in_b(mixed)
     assert exp == {s1: L.v_power(2), s2: L.constant(-3)}
     assert expand_in_b(TLElement(8, {})) == {}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_b_w_basis_matches_the_321_construction(n):
+    """fully_commutative, b_w and expand_in_b read the diagram walk's
+    numbering of the basis; they equal the 321 test and the reduced word
+    folds of oracles.b_w_table."""
+    want = oracles.b_w_table(n)
+    assert fully_commutative(n) == oracles.fully_commutative_by_321(n) == tuple(want)
+    for w, d in want.items():
+        assert b_w(w).rows == {d: {0: 1}}
+    m, fc = n + 1, oracles.fc_of_diagram(n)
+    rng = random.Random(3100 + n)
+    diagrams = _diagram_table(m).diagrams
+    x = TLElement(2 * m, {
+        diagrams[d]: L.v_power(rng.randint(-3, 3), rng.choice((-2, 1, 3)))
+        for d in rng.sample(range(len(diagrams)), min(len(diagrams), 12))
+    })
+    assert list(expand_in_b(x).items()) == [(fc[d], poly(p)) for d, p in x.rows.items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_reduced_word_folds_to_b_w(n):
+    """b_w is the product over any reduced word of w: each one folds to the
+    diagram of b_w(w) with no loop."""
+    table = _diagram_table(n + 1)
+    for w in fully_commutative(n):
+        (d,) = b_w(w).rows
+        for word in reduced_words(w):
+            assert table.fold(table.identity, word) == (d, 0)
+
+
+def _not_reduced(words, a, b):
+    words[a] += (1, 1)
+
+
+def _swapped(words, a, b):
+    words[a], words[b] = words[b], words[a]
+
+
+def _shared(words, a, b):
+    words[b] = words[a]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_shared, "share an element"),
+    (_not_reduced, "not reduced"),
+    (_swapped, "depends on the chosen reduced word"),
+])
+def test_b_w_checks_fire_on_a_corrupted_table(corrupt, message):
+    """Each check of the diagram walk's b_w numbering fires on a fresh table
+    whose shortest words were corrupted, and none fires on the cached one."""
+    fresh = tl._DiagramTable(4)
+    words = list(fresh.words)
+    a, b = [d for d, word in enumerate(words) if word][:2]
+    corrupt(words, a, b)
+    fresh.words = tuple(words)
+    with pytest.raises(IntegrityError, match=message):
+        tl._fc_ids.__wrapped__(fresh)
+    assert tl._fc_ids(_diagram_table(4)) == tl._fc_ids.__wrapped__(tl._DiagramTable(4))
 
 
 def test_theta_on_generators():
