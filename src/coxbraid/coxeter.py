@@ -477,11 +477,6 @@ class CoxeterGroup:
         """All elements, in id order: by length, then by payload."""
         return self._elements
 
-    @property
-    def longest_element(self) -> CoxeterElement:
-        """The unique element of greatest length, the last one walked."""
-        return self.elements()[-1]
-
     @cached_property
     def reflections(self) -> tuple[CoxeterElement, ...]:
         """All reflections, the conjugates of the generators, in id order

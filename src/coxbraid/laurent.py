@@ -71,10 +71,6 @@ class LaurentPolynomial:
     def constant(c: int) -> "LaurentPolynomial":
         return LaurentPolynomial.of({0: c})
 
-    @staticmethod
-    def v_power(k: int, coeff: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial.of({k: coeff})
-
     def coeff(self, exponent: int) -> int:
         for e, c in self.terms:
             if e == exponent:
@@ -92,16 +88,6 @@ class LaurentPolynomial:
 
     def is_unit_monomial(self) -> bool:
         return len(self.terms) == 1 and self.terms[0][1] in (1, -1)
-
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return self.terms[0][0]
-
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return self.terms[-1][0]
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         acc = dict(self.terms)

@@ -548,7 +548,7 @@ def signed_lift_payload(b: BraidWord, word=None) -> BraidWord:
 def braid_from_normal_form(nf: GarsideNormalForm) -> BraidWord:
     """The word Delta^inf f_1 ... f_l, from shortlex words found by search."""
     group = nf.group
-    delta = shortlex_word_by_search(group.longest_element)
+    delta = shortlex_word_by_search(longest_element(group))
     if nf.inf < 0:
         delta = tuple(-l for l in reversed(delta))
     letters = delta * abs(nf.inf)
@@ -561,7 +561,7 @@ def delta_twist(b: BraidWord) -> BraidWord:
     """Conjugation by the Garside element, Delta^-1 b Delta: each letter s
     goes to tau(s) = w0 s w0 with its sign, tau taken on payloads."""
     group = b.group
-    w0 = group.longest_element
+    w0 = longest_element(group)
     gens = [group.generator(i) for i in range(1, group.rank + 1)]
     tau = [gens.index(w0 * s * w0) + 1 for s in gens]
     return BraidWord(group, tuple((1 if l > 0 else -1) * tau[abs(l) - 1] for l in b.letters))
@@ -1088,7 +1088,7 @@ def omega_by_stacking(b: BraidWord) -> TLElement:
     minus_one = LaurentPolynomial.constant(-1)
     return _fold_by_stacking(
         m,
-        (_affine(m, abs(l), LaurentPolynomial.v_power(-1 if l > 0 else 1), minus_one)
+        (_affine(m, abs(l), v_power(-1 if l > 0 else 1), minus_one)
          for l in b.letters),
     )
 
@@ -1098,9 +1098,9 @@ def theta_by_stacking(h: HeckeElement, prime: bool = False) -> TLElement:
     term by term along reduced words."""
     m = h.group.rank + 1
     if prime:
-        scalar, coeff = LaurentPolynomial.v_power(-2), LaurentPolynomial.v_power(-1, -1)
+        scalar, coeff = v_power(-2), v_power(-1, -1)
     else:
-        scalar, coeff = LaurentPolynomial.constant(-1), LaurentPolynomial.v_power(-1)
+        scalar, coeff = LaurentPolynomial.constant(-1), v_power(-1)
     out = TLElement(2 * m)
     for w, c in h.coeffs.items():
         word = shortlex_word_by_search(w)
@@ -1134,6 +1134,29 @@ def greedy_pairing_rescan(
 
 
 # ---------------------------------------------------------------------------
+# monomials and degrees of Laurent polynomials
+
+
+def v_power(k: int, coeff: int = 1) -> LaurentPolynomial:
+    """The monomial coeff * v^k."""
+    return LaurentPolynomial.of({k: coeff})
+
+
+def min_exp(p: LaurentPolynomial) -> int:
+    """The least exponent of a nonzero p."""
+    if not p.terms:
+        raise ValueError("the zero polynomial has no degree")
+    return p.terms[0][0]
+
+
+def max_exp(p: LaurentPolynomial) -> int:
+    """The greatest exponent of a nonzero p."""
+    if not p.terms:
+        raise ValueError("the zero polynomial has no degree")
+    return p.terms[-1][0]
+
+
+# ---------------------------------------------------------------------------
 # the Hecke algebra on CoxeterElement payloads
 #
 # Coefficients are dicts CoxeterElement -> LaurentPolynomial without zero
@@ -1142,9 +1165,9 @@ def greedy_pairing_rescan(
 
 _L_ZERO = LaurentPolynomial.zero()
 _L_ONE = LaurentPolynomial.one()
-_V2 = LaurentPolynomial.v_power(2)
+_V2 = v_power(2)
 _V2_MINUS_1 = LaurentPolynomial.of({2: 1, 0: -1})
-_VM2 = LaurentPolynomial.v_power(-2)
+_VM2 = v_power(-2)
 _VM2_MINUS_1 = LaurentPolynomial.of({-2: 1, 0: -1})
 
 
@@ -1247,10 +1270,10 @@ class KLPayload:
                             gap = _length(w) - _length(z)
                             if gap % 2:
                                 raise IntegrityError("odd exponent in the mu correction")
-                            val = val - self.p(y, z) * LaurentPolynomial.v_power(gap // 2, m)
+                            val = val - self.p(y, z) * v_power(gap // 2, m)
             else:
                 val = self.p(sy, w)
-        if y != w and val and 2 * val.max_exp() > _length(w) - _length(y) - 1:
+        if y != w and val and 2 * max_exp(val) > _length(w) - _length(y) - 1:
             raise IntegrityError("degree bound violated in the recursion")
         self._p[key] = val
         return val
@@ -1349,6 +1372,11 @@ def expand_pair_in_C(table, x: CoxeterElement, y: CoxeterElement) -> dict:
 
 # ---------------------------------------------------------------------------
 # operations only the tests use, on the integer tables
+
+
+def longest_element(group: CoxeterGroup) -> CoxeterElement:
+    """The unique element of greatest length, the last one walked."""
+    return group.elements()[-1]
 
 
 def right_descents(w: CoxeterElement) -> frozenset[int]:
@@ -1488,6 +1516,95 @@ def hurwitz_orbit_braids_by_letters(
                     seen.add(cand)
                     queue.append(cand)
     return frozenset(tuple(rebuild(nf) for nf in tup) for tup in seen)
+
+
+# ---------------------------------------------------------------------------
+# the dual Garside normal form
+#
+# The dual braid monoid of a standard Coxeter element c is a Garside monoid
+# with Garside element delta = b(c) and simples [1, c]_T (Bessis, The dual
+# braid monoid, Ann. Sci. ENS 36, 2003), so its left-weighted normal form
+# solves the word problem through a lattice of its own.  It reads only the
+# table's products, inverses and words, and l_T from a search of its own
+# over the conjugates of the generators: not rlens, the lattice of
+# coxbraid.dual or its atoms.
+
+
+def _dual_mul(table: GroupTable, x: int, y: int) -> int:
+    for s in table.word(y):
+        x = table.rmul[s - 1][x]
+    return x
+
+
+@lru_cache(maxsize=None)
+def _t_lengths(group: CoxeterGroup) -> tuple[dict[int, int], tuple[int, ...]]:
+    """l_T by id, by breadth-first search over right products by the
+    reflections, the conjugates of the generators; and the generator ids."""
+    table, e = group.table, group.identity.id
+    gens = tuple(row[e] for row in table.rmul)
+    refl, new = set(gens), set(gens)
+    while new:
+        new = {_dual_mul(table, _dual_mul(table, s, t), s) for t in new for s in gens} - refl
+        refl |= new
+    lengths, level, k = {e: 0}, {e}, 0
+    while level:
+        k += 1
+        level = {_dual_mul(table, x, t) for x in level for t in refl} - lengths.keys()
+        lengths.update(dict.fromkeys(level, k))
+    return lengths, gens
+
+
+class DualNormalForm:
+    """Left-weighted normal forms delta^k s_1 ... s_r in the dual braid
+    monoid of c, as (k, simple ids): s_1 is not c, s_r is not e, and no atom
+    divides both s_i^-1 c and s_i+1.  The braid generator of s is the atom
+    s, and its inverse is delta^-1 times the simple c s; moving delta^-1 to
+    the left conjugates each simple x it passes to c x c^-1."""
+
+    def __init__(self, c: CoxeterElement) -> None:
+        table = self.table = c.group.table
+        self.c, self.e = c.id, c.group.identity.id
+        lt, self.gens = _t_lengths(c.group)
+        mul, inv = partial(_dual_mul, table), table.inv
+
+        def below(x: int, y: int) -> bool:  # x <= y in absolute order
+            return lt[x] + lt[mul(inv[x], y)] == lt[y]
+
+        self.simples = sorted((x for x in range(len(inv)) if below(x, c.id)), key=lt.__getitem__)
+        self.down = {a: sum(1 << i for i, y in enumerate(self.simples) if below(y, a))
+                     for a in self.simples}
+
+    def meet(self, a: int, b: int) -> int:
+        """The greatest common divisor of simples: simples run by l_T, so
+        the last common one is the meet."""
+        return self.simples[(self.down[a] & self.down[b]).bit_length() - 1]
+
+    def of_letters(self, letters) -> tuple[int, tuple[int, ...]]:
+        table, c, e, inv = self.table, self.c, self.e, self.table.inv
+        mul = partial(_dual_mul, table)
+        k, factors = 0, []
+        for l in letters:
+            x = self.gens[abs(l) - 1]
+            if l < 0:
+                k -= 1
+                factors = [mul(mul(c, f), inv[c]) for f in factors]
+                x = mul(c, x)
+            factors.append(x)  # then restore left-weightedness from the right
+            for i in range(len(factors) - 2, -1, -1):
+                m = self.meet(mul(inv[factors[i]], c), factors[i + 1])
+                if m == e:
+                    break
+                factors[i], factors[i + 1] = mul(factors[i], m), mul(inv[m], factors[i + 1])
+            while factors and factors[-1] == e:
+                factors.pop()
+            while factors and factors[0] == c:
+                k += 1
+                factors.pop(0)
+        return k, tuple(factors)
+
+    def of_simple(self, x: CoxeterElement) -> tuple[int, tuple[int, ...]]:
+        """The normal form of the simple dual braid of a divisor x of c."""
+        return (1, ()) if x.id == self.c else (0, () if x.id == self.e else (x.id,))
 
 
 def type_b_embedding(n: int) -> dict[int, CoxeterElement]:

@@ -31,13 +31,13 @@ from coxbraid.hecke import HeckeElement, hecke_mul, kl_table
 from coxbraid.laurent import LaurentPolynomial
 from coxbraid.tl import zinno_matrix
 
-from oracles import abs_divides
+from oracles import abs_divides, longest_element
 
 A3 = coxeter_group("A", 3)
 B2 = coxeter_group("B", 2)
 C = A3.from_word((1, 2, 3))  # a standard Coxeter element of A3
-W0 = A3.longest_element
-X = B2.longest_element  # id 7: A3's element 7 divides C and lies below W0
+W0 = longest_element(A3)
+X = longest_element(B2)  # id 7: A3's element 7 divides C and lies below W0
 T = B2.generator(1)  # id 1, the reflection s1 in A3 as well
 
 

@@ -30,7 +30,7 @@ from coxbraid.dual import (
     ncp_encode,
     verify_dual_relations,
 )
-from coxbraid.garside import BraidWord, braid_equal, is_rational_permutation
+from coxbraid.garside import BraidWord, braid_equal, fraction_form, is_rational_permutation
 
 import oracles
 
@@ -420,6 +420,23 @@ def test_dual_relations_hold(family, rank, m):
         expected = [(t1, t2, t2 * t1 * t2, True) for t1 in T for t2 in T
                     if t1 != t2 and oracles.abs_divides(t1 * t2, c)]
         assert (rows or rank == 1) and list(rows) == expected
+
+
+@pytest.mark.parametrize("family,rank,m", [*oracles.COVERED_GROUPS, ("D", 5, None)])
+def test_simple_dual_braids_have_their_dual_normal_form(family, rank, m):
+    """Every simple dual braid of every ordering, certified by the dual
+    normal form of its Coxeter element (oracles.DualNormalForm): the letters
+    of embed(x), and of b(u)^-1 b(v) for (u, v) its fraction form, both
+    have the normal form of the simple x."""
+    group = coxeter_group(family, rank, m=m)
+    for c, ordering in coxeter_element_orderings(group).items():
+        dnf = oracles.DualNormalForm(c)
+        dm = dual_monoid(c, ordering)
+        for x in dm.divisors():
+            b = dm.embed(x)
+            u, v = fraction_form(b)
+            fraction = (*(-l for l in reversed(u.reduced_word())), *v.reduced_word())
+            assert dnf.of_letters(b.letters) == dnf.of_letters(fraction) == dnf.of_simple(x)
 
 
 def test_linear_coxeter_bruhat():

@@ -76,7 +76,7 @@ def test_normal_form_round_trip(family, rank, m):
 
 def test_normal_form_shape():
     group = coxeter_group("A", 3)
-    w0 = group.longest_element
+    w0 = oracles.longest_element(group)
     for word in random_words(group, 120, 10, seed=3):
         nf = delta_normal_form(BraidWord(group, word))
         for f in nf.factors:
@@ -113,7 +113,7 @@ def test_positive_word_problem_is_tits_closure():
 
 def test_delta_squared_is_central():
     for group in (coxeter_group("A", 3), coxeter_group("B", 2)):
-        delta = positive_lift(group.longest_element)
+        delta = positive_lift(oracles.longest_element(group))
         d2 = delta * delta
         for word in random_words(group, 15, 6, seed=2):
             b = BraidWord(group, word)
@@ -122,7 +122,7 @@ def test_delta_squared_is_central():
 
 def test_delta_twist_matches_conjugation():
     for group in (coxeter_group("A", 3), coxeter_group("B", 2), coxeter_group("I2", 2, 5)):
-        delta = positive_lift(group.longest_element)
+        delta = positive_lift(oracles.longest_element(group))
         for word in random_words(group, 15, 6, seed=4):
             b = BraidWord(group, word)
             assert braid_equal(oracles.delta_twist(b), delta.inverse() * b * delta)
@@ -278,7 +278,7 @@ def test_table_matches_payload_arithmetic(family, rank, m):
     P = table.payloads
     mul = partial(oracles.payload_mul, group)
     ident = group.identity.payload
-    w0 = group.longest_element.payload
+    w0 = oracles.longest_element(group).payload
     for x, p in enumerate(P):
         for s, g in enumerate(group._gen_payloads):
             assert P[table.lmul[s][x]] == mul(g, p)
@@ -447,6 +447,29 @@ def test_inverse_normal_form_matches_the_inverse_word(family, rank, m):
         inverse = _nf_inv_ids(table, b.nf)
         assert inverse == b.inverse().nf
         assert _nf_mul_ids(table, b.nf, inverse) == (0, ())
+
+
+@pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)
+def test_braid_equal_matches_the_dual_normal_form(family, rank, m):
+    """braid_equal decides as the dual normal form (oracles.DualNormalForm)
+    does, with both outcomes: on independent words, on sound rewrites of one
+    word, and on rewrites with s^2 t^-2 let in, which keep the image and
+    the exponent sum and change the braid unless s = t."""
+    group = coxeter_group(family, rank, m=m)
+    dnf = oracles.DualNormalForm(coxeter.standard_coxeter_elements(group)[-1])
+    rng = random.Random(rank * 37 + (m or 0))
+    outcomes = set()
+    for i, u in enumerate(random_words(group, 240, 10, seed=rank * 41 + (m or 0))):
+        v = random_words(group, 1, 10, seed=i)[0] if i % 3 == 0 else oracles.scrambled(u, group, rng)
+        if i % 3 == 2:
+            s, t, k = rng.randint(1, rank), rng.randint(1, rank), rng.randint(0, len(v))
+            v = (*v[:k], s, s, -t, -t, *v[k:])
+        equal = braid_equal(BraidWord(group, u), BraidWord(group, v))
+        assert equal == (dnf.of_letters(u) == dnf.of_letters(v))
+        if i % 3:
+            assert equal == (i % 3 == 1 or s == t)
+        outcomes.add(equal)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("family,rank,m", oracles.COVERED_GROUPS)

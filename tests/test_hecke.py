@@ -55,7 +55,7 @@ def test_quadratic_relation():
         for i in range(1, group.rank + 1):
             t = oracles.t_basis(group.generator(i))
             # (T_s - v^-2)(T_s + 1) = 0
-            prod = (t - HeckeElement.unit(group).scale(L.v_power(-2))) * (
+            prod = (t - HeckeElement.unit(group).scale(oracles.v_power(-2))) * (
                 t + HeckeElement.unit(group)
             )
             assert prod.is_zero()
@@ -81,7 +81,7 @@ def test_braid_image_of_positive_lift_is_t_basis():
 
 def test_delta_squared_is_central_in_the_algebra():
     group = coxeter_group("A", 2)
-    d = braid_image_a(positive_lift(group.longest_element))
+    d = braid_image_a(positive_lift(oracles.longest_element(group)))
     d2 = d * d
     for b in random_braids(group, 10, 5, seed=7):
         h = braid_image_a(b)
@@ -106,7 +106,7 @@ def test_j_is_an_involution_and_signs_t():
     group = coxeter_group("A", 2)
     for w in group.elements():
         t = oracles.t_basis(w)
-        expected = t.scale(L.v_power(2 * w.length(), (-1) ** w.length()))
+        expected = t.scale(oracles.v_power(2 * w.length(), (-1) ** w.length()))
         assert j_h(t) == expected
         assert j_h(j_h(t)) == t
     x = braid_image_a(BraidWord(group, (1, -2)))
@@ -120,12 +120,12 @@ def test_c_prime_basis_characterization():
         for w in group.elements():
             cp = table.c_prime(w)
             assert oracles.bar_involution(cp) == cp
-            assert cp.coeff(w) == L.v_power(w.length())
+            assert cp.coeff(w) == oracles.v_power(w.length())
             for y in cp.support():
                 if y == w:
                     continue
                 assert bruhat_leq(y, w) and y != w
-                assert cp.coeff(y).min_exp() >= y.length() + 1
+                assert oracles.min_exp(cp.coeff(y)) >= y.length() + 1
 
 
 def test_c_prime_small_pins():
@@ -133,12 +133,13 @@ def test_c_prime_small_pins():
     table = kl_table(group)
     s = group.generator(1)
     cp = table.c_prime(s)
-    assert cp == HeckeElement(group, {group.identity: L.v_power(1), s: L.v_power(1)})
+    assert cp == HeckeElement(group, {group.identity: oracles.v_power(1), s: oracles.v_power(1)})
     c = table.c_basis(s)
-    assert c == HeckeElement(group, {group.identity: L.v_power(-1, -1), s: L.v_power(1)})
-    w0 = group.longest_element
+    want = {group.identity: oracles.v_power(-1, -1), s: oracles.v_power(1)}
+    assert c == HeckeElement(group, want)
+    w0 = oracles.longest_element(group)
     cpw0 = table.c_prime(w0)
-    assert all(cpw0.coeff(w) == L.v_power(3) for w in group.elements())
+    assert all(cpw0.coeff(w) == oracles.v_power(3) for w in group.elements())
 
 
 def test_kl_polynomials_dihedral_are_trivial():
@@ -163,7 +164,7 @@ def test_kl_polynomials_are_nonnegative(family, rank):
             assert p.is_nonneg()
             if not p.is_zero():
                 assert p.coeff(0) == 1
-                assert p.min_exp() == 0
+                assert oracles.min_exp(p) == 0
 
 
 def test_first_nontrivial_kl_polynomial():
@@ -184,7 +185,7 @@ def test_mu_values():
     e = group.identity
     s = group.generator(1)
     assert table.mu(e, s) == 1
-    assert table.mu(s, group.longest_element) == 0
+    assert table.mu(s, oracles.longest_element(group)) == 0
     assert table.mu(e, group.from_word((1, 2))) == 0
 
 
@@ -194,12 +195,12 @@ def test_expand_in_C_is_an_indicator_on_the_basis():
     for w in group.elements():
         exp = table.expand_in_C(table.c_basis(w))
         assert exp == {w: L.one()}
-    combined = table.c_basis(group.generator(1)).scale(L.v_power(2)) + table.c_basis(
-        group.longest_element
+    combined = table.c_basis(group.generator(1)).scale(oracles.v_power(2)) + table.c_basis(
+        oracles.longest_element(group)
     ).scale(3)
     exp = table.expand_in_C(combined)
-    assert exp[group.generator(1)] == L.v_power(2)
-    assert exp[group.longest_element] == L.constant(3)
+    assert exp[group.generator(1)] == oracles.v_power(2)
+    assert exp[oracles.longest_element(group)] == L.constant(3)
 
 
 def test_expand_in_C_worked_example():

@@ -6,7 +6,7 @@ import pytest
 
 from coxbraid.laurent import LaurentPolynomial as L
 from coxbraid.laurent import addmul, combine, poly
-from oracles import substituted_power
+from oracles import max_exp, min_exp, substituted_power, v_power
 
 
 def rand_poly(rng):
@@ -24,8 +24,8 @@ def test_construction_and_coeffs():
     assert L.one().coeff(0) == 1
     assert L.constant(-2).coeff(0) == -2
     assert L.constant(0).is_zero()
-    assert L.v_power(3).coeff(3) == 1
-    assert L.v_power(-2, 5).coeff(-2) == 5
+    assert v_power(3).coeff(3) == 1
+    assert v_power(-2, 5).coeff(-2) == 5
 
 
 def test_ring_laws():
@@ -49,21 +49,21 @@ def test_positivity_and_units():
     assert L.of({0: 1, 2: 3}).is_nonneg()
     assert L.zero().is_nonneg()
     assert not L.of({0: 1, 2: -3}).is_nonneg()
-    assert L.v_power(4).is_unit_monomial()
-    assert L.v_power(-4, -1).is_unit_monomial()
-    assert not L.v_power(0, 2).is_unit_monomial()
+    assert v_power(4).is_unit_monomial()
+    assert v_power(-4, -1).is_unit_monomial()
+    assert not v_power(0, 2).is_unit_monomial()
     assert not L.of({0: 1, 1: 1}).is_unit_monomial()
     assert not L.zero().is_unit_monomial()
 
 
 def test_exponent_range():
     p = L.of({-3: 2, 5: -1})
-    assert p.min_exp() == -3
-    assert p.max_exp() == 5
+    assert min_exp(p) == -3
+    assert max_exp(p) == 5
     with pytest.raises(ValueError):
-        L.zero().min_exp()
+        min_exp(L.zero())
     with pytest.raises(ValueError):
-        L.zero().max_exp()
+        max_exp(L.zero())
 
 
 def test_shift_bar_substitute():
@@ -73,8 +73,8 @@ def test_shift_bar_substitute():
         assert p.shifted(3).shifted(-3) == p
         assert p.bar().bar() == p
         assert substituted_power(p, 1) == p
-    assert L.v_power(2).bar() == L.v_power(-2)
-    assert L.v_power(1).shifted(2) == L.v_power(3)
+    assert v_power(2).bar() == v_power(-2)
+    assert v_power(1).shifted(2) == v_power(3)
     assert substituted_power(L.of({1: 1, -2: 4}), -2) == L.of({-2: 1, 4: 4})
     q = L.of({0: 1, 1: 1})
     assert (q * q.bar()).coeff(0) == 2
@@ -85,8 +85,8 @@ def test_text_and_str():
     assert L.of({-2: 3, 0: 1, 4: 1}).text("q") == "3q^-2 + 1 + q^4"
     assert str(L.zero()) == "0"
     assert str(L.one()) == "1"
-    assert str(L.v_power(1)) == "v"
-    assert str(L.v_power(-1)) == "v^-1"
+    assert str(v_power(1)) == "v"
+    assert str(v_power(-1)) == "v^-1"
     assert str(L.of({1: -1})) == "-v"
     assert str(L.of({0: 1, 1: -2})) == "1 - 2v"
 

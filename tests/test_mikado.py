@@ -169,7 +169,7 @@ def test_square_free_witness_is_computed_once_per_braid(monkeypatch):
     for b in (
         BraidWord(a2, (-1, 2)),
         BraidWord(a2, (1, 1)),
-        positive_lift(a2.longest_element),
+        positive_lift(oracles.longest_element(a2)),
     ):
         calls.clear()
         is_mikado_A(b)
