@@ -5,11 +5,13 @@ m = n+1 top and m bottom points.  Multiplication stacks diagrams and each
 closed loop contributes a factor v + v^-1.
 
 All products run on a diagram table per m, built on first use and never
-at import: the Catalan(m) noncrossing matchings, validated once and
-numbered, and the right action of every generator diagram b_s on them as
-(diagram id, closed loops).  The table also keeps, for every diagram, a
-shortest word in the generators whose product is that diagram with no
-loop, so stacking d on any diagram folds d along that word.  The images
+at import by one breadth-first walk from the identity: each diagram met
+is stacked over every generator diagram b_s, which fills the right
+action as (diagram id, closed loops), and a matching met for the first
+time gets the next id and its parent's word plus s, a shortest word in
+the generators whose product is that diagram with no loop.  Stacking d
+on any diagram folds d along that word.  The walk must meet exactly the
+Catalan(m) noncrossing matchings, each validated once.  The images
 of T_s and of the braid generators are scalar plus scalar times b_s, so
 tl_mul, theta, theta_prime and omega fold along words through that one
 action, on rows keyed by diagram id through the row kernel of laurent;
@@ -23,8 +25,9 @@ theta_prime, together with the braid group map omega = theta_prime
 after a'.  The images of the simple dual braids of a standard Coxeter
 element assemble into the Zinno matrix, which answers for its triangular
 pairing, unit diagonal and Bruhat refinement; sign_alternating reads the
-signs of its rows.  Its rows are computed once per Coxeter element and
-ordering, along c's divisor lattice: each simple dual braid is its
+signs of its rows.  Its rows are kept for the last Coxeter element and
+ordering asked for, which thm-8.13 and thm-8.17 then share, and are
+computed along c's divisor lattice: each simple dual braid is its
 lattice parent's times one atom, so its rows are the parent's folded
 along the atom's signed lift.  The public omega folds a braid word on its
 own and is the reference for it.
@@ -33,7 +36,8 @@ own and is the reference for it.
 from __future__ import annotations
 
 from bisect import insort
-from functools import cache
+from functools import cache, lru_cache
+from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -100,18 +104,6 @@ def identity_diagram(m: int) -> TLDiagram:
 # the diagram table
 
 
-def _noncrossing(lo: int, hi: int) -> list[list[tuple[int, int]]]:
-    """Every noncrossing perfect matching of the points lo..hi-1, as chords."""
-    if lo == hi:
-        return [[]]
-    out = []
-    for j in range(lo + 1, hi, 2):
-        for inner in _noncrossing(lo + 1, j):
-            for outer in _noncrossing(j + 1, hi):
-                out.append([(lo, j), *inner, *outer])
-    return out
-
-
 class _DiagramTable:
     """The diagrams on 2m points, numbered, with the generator actions.
 
@@ -119,55 +111,46 @@ class _DiagramTable:
     generator diagram at i gives d' and ``loops`` closed loops.
     ``words[d]`` is a shortest word whose generator diagrams multiply to
     d with no loop.
+
+    One breadth-first walk from the identity (id 0) fills all three and
+    validates each diagram as it meets it.  A closed loop leaves the
+    diagram as it was, so each new diagram is met on a loop free edge from
+    its parent, and breadth-first order keeps the words shortest.  The
+    walk must meet all Catalan(m) matchings.
     """
 
     def __init__(self, m: int) -> None:
         points = 2 * m
-        diagrams = []
-        for chords in _noncrossing(0, points):
-            pairing = [0] * points
-            for a, b in chords:
-                pairing[a], pairing[b] = b, a
-            diagrams.append(TLDiagram(points, tuple(pairing)))
         self.m = m
+        self.identity = 0
+        diagrams = [identity_diagram(m)]
+        words: list[tuple[int, ...]] = [()]
+        self._ids = {diagrams[0].pairing: 0}
+        right: list[list[tuple[int, int]]] = [[] for _ in range(1, m)]
+        for d, diagram in enumerate(diagrams):  # the walk appends to diagrams as it goes
+            for i, act in enumerate(right, 1):
+                q, loops = self._stack_generator(diagram.pairing, i)
+                e = self._ids.setdefault(q, len(diagrams))
+                if e == len(diagrams):
+                    diagrams.append(TLDiagram(points, q))
+                    words.append(words[d] + (i,))
+                act.append((e, loops))
+        if len(diagrams) != comb(points, m) // (m + 1):
+            raise IntegrityError("the diagram walk did not meet Catalan(m) diagrams")
         self.diagrams = tuple(diagrams)
-        self._ids = {d.pairing: k for k, d in enumerate(diagrams)}
-        self.identity = self._ids[tuple(points - 1 - j for j in range(points))]
-        self.right = tuple(
-            tuple(self._stack_generator(d.pairing, i) for d in diagrams)
-            for i in range(1, m)
-        )
-        self.words = self._shortest_words()
+        self.right = tuple(map(tuple, right))
+        self.words = tuple(words)
 
-    def _stack_generator(self, p: tuple[int, ...], i: int) -> tuple[int, int]:
+    def _stack_generator(self, p: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
         # the generator's top cup joins the bottom points of p at positions
         # i-1 and i, and its bottom cap becomes the new chord between them
         a, b = 2 * self.m - i, 2 * self.m - 1 - i
         x, y = p[a], p[b]
         if x == b:
-            return self._ids[p], 1
+            return p, 1
         q = list(p)
         q[x], q[y], q[a], q[b] = y, x, b, a
-        got = self._ids.get(tuple(q))
-        if got is None:
-            raise IntegrityError("a generator action left the diagram table")
-        return got, 0
-
-    def _shortest_words(self) -> tuple[tuple[int, ...], ...]:
-        words = {self.identity: ()}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for d in frontier:
-                for i, act in enumerate(self.right, 1):
-                    e, loops = act[d]
-                    if not loops and e not in words:
-                        words[e] = words[d] + (i,)
-                        nxt.append(e)
-            frontier = nxt
-        if len(words) != len(self.diagrams):
-            raise IntegrityError("the generators do not reach every diagram")
-        return tuple(words[d] for d in range(len(self.diagrams)))
+        return tuple(q), 0
 
     def id_of(self, d: TLDiagram) -> int:
         if d.points != 2 * self.m:
@@ -496,14 +479,14 @@ def _greedy_pairing(
     return tuple(order) if len(order) == len(entries) else None
 
 
-@cache
+@lru_cache(maxsize=1)
 def _zinno_rows(
     c: CoxeterElement, ordering: tuple[int, ...]
 ) -> tuple[tuple[CoxeterElement, dict[CoxeterElement, LaurentPolynomial]], ...]:
     """Each divisor x of c with the {b_w} coordinates of omega of its dual
-    braid, ordered by reflection length; shared by every Zinno check.
-    Callers resolve the ordering (standard_ordering), so that each c has
-    one entry per ordering.
+    braid, ordered by reflection length; shared by every Zinno check on
+    the ordering being checked, the one entry kept.  Callers resolve the
+    ordering (standard_ordering), so that each c has one key per ordering.
 
     The walk follows c's lattice as DualMonoid does: the dual braid of
     x = y t, y its parent there, is y's times the atom of t, so x's rows

@@ -6,7 +6,9 @@ names the shape of the items and how its ``verdict`` is called (see
 CheckSpec): an ordering sweep calls verdict(c, ordering) for each standard
 Coxeter element c, or only the one given as ``coxeter``; a pair sweep has
 one item per pair (x, y), |W|^2 in all, and calls verdict(x, y) once per
-distinct braid b(x)^-1 b(y), on its coprime pair; a whole-group check
+distinct braid b(x)^-1 b(y), on its coprime pair, while every other pair
+reads the verdict of its one-step parent (sx, sy), met earlier, from a
+bytearray whose unfilled entries raise when read; a whole-group check
 takes all its items from verdict(group).  ``run_check`` enforces the
 registry's families, ``coxeter`` and the one size guard ``budget_guard``
 before any table is built, and builds the report.  The checks hold no
@@ -184,50 +186,48 @@ def _orderings(
     return [{"item": ",".join(map(str, ordering)), **verdict(c, ordering)} for c, ordering in sweep]
 
 
-def _coprime_pair(table: GroupTable, x: int, y: int) -> tuple[int, int]:
-    """The coprime pair of ids with the braid b(x)^-1 b(y).
-
-    For s in D_L(x) & D_L(y), b(x) = s b(sx) and b(y) = s b(sy), so
-    b(x)^-1 b(y) = b(sx)^-1 b(sy); common left descents are stripped until
-    none is left.  Left fractions with coprime terms are unique (Dehornoy
-    et al., Foundations of Garside Theory, 2015), so this is the pair that
-    fraction_form returns.
-    """
-    ldesc, lmul = table.ldesc, table.lmul
-    common = ldesc[x] & ldesc[y]
-    while common:
-        row = lmul[(common & -common).bit_length() - 1]
-        x, y = row[x], row[y]
-        common = ldesc[x] & ldesc[y]
-    return x, y
-
-
 def _pairs(
     group: CoxeterGroup, verdict: Callable[[CoxeterElement, CoxeterElement], bool]
 ) -> list[dict]:
     """One item per pair (x, y), keyed "wx|wy" by shortlex words ("e" if
     empty), in x-major id order, with the verdict of its braid.
 
-    A verdict depends only on the braid b(x)^-1 b(y), so verdict is called
-    once per distinct braid: on the coprime pairs (no common left descent),
-    in x-major id order, which keeps KLTable._pair_rows at one T_x^-1 per
-    x.  Every other pair reads the verdict of its _coprime_pair, whose
-    x is shorter and so was checked earlier.  Their number must be
-    coprime_pair_count.
+    A verdict depends only on the braid b(x)^-1 b(y).  For s in
+    D_L(x) & D_L(y), b(x) = s b(sx) and b(y) = s b(sy), so b(x)^-1 b(y) =
+    b(sx)^-1 b(sy): a pair with a common left descent has the verdict of
+    its parent (sx, sy), s the lowest common one.  l(sx) < l(x) and ids run
+    by length, so x-major order met the parent first.  Following parents
+    ends at the pair with no common left descent, the coprime pair; left
+    fractions with coprime terms are unique (Dehornoy et al., Foundations
+    of Garside Theory, 2015), so it is the pair that fraction_form returns.
+    verdict is therefore called once per distinct braid, on the coprime
+    pairs in x-major id order, which keeps KLTable._pair_rows at one
+    T_x^-1 per x, and their number must be coprime_pair_count.  The
+    verdicts sit in one bytearray that starts unfilled; a parent read
+    unfilled, as a corrupted descent mask would give, raises.
     """
-    table = group.table
+    ldesc, lmul = group.table.ldesc, group.table.lmul
     elements = group.elements()  # in id order
     words = [word_key(w) for w in elements]
-    verdicts: dict[tuple[int, int], bool] = {}
+    n, unfilled = len(elements), 2
+    verdicts = bytearray([unfilled]) * (n * n)
+    coprime = 0
     items = []
     for x, (ex, wx) in enumerate(zip(elements, words)):
         for y, (ey, wy) in enumerate(zip(elements, words)):
-            key = _coprime_pair(table, x, y)
-            if key == (x, y):
-                verdicts[key] = verdict(ex, ey)
-            items.append({"item": f"{wx}|{wy}", "ok": verdicts[key]})
-    if len(verdicts) != (want := coprime_pair_count(group.type)):
-        raise IntegrityError(f"{group!r}: {len(verdicts)} coprime pairs met, expected {want}")
+            common = ldesc[x] & ldesc[y]
+            if common:
+                row = lmul[(common & -common).bit_length() - 1]
+                ok = verdicts[row[x] * n + row[y]]
+                if ok == unfilled:
+                    raise IntegrityError(f"{group!r}: the parent of pair ({x}, {y}) is unfilled")
+            else:
+                ok = verdict(ex, ey)
+                coprime += 1
+            verdicts[x * n + y] = ok
+            items.append({"item": f"{wx}|{wy}", "ok": bool(ok)})
+    if coprime != (want := coprime_pair_count(group.type)):
+        raise IntegrityError(f"{group!r}: {coprime} coprime pairs met, expected {want}")
     return items
 
 

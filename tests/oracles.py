@@ -1662,6 +1662,25 @@ def bar_involution(h: HeckeElement) -> HeckeElement:
 # pair sweeps over all |W|^2 pairs
 
 
+def coprime_pair(table: GroupTable, x: int, y: int) -> tuple[int, int]:
+    """The coprime pair of ids with the braid b(x)^-1 b(y), by stripping
+    common left descents until none is left: the reference for the parent
+    verdicts of verify._pairs.
+
+    For s in D_L(x) & D_L(y), b(x) = s b(sx) and b(y) = s b(sy), so
+    b(x)^-1 b(y) = b(sx)^-1 b(sy).  Left fractions with coprime terms are
+    unique (Dehornoy et al., Foundations of Garside Theory, 2015), so this
+    is the pair that fraction_form returns.
+    """
+    ldesc, lmul = table.ldesc, table.lmul
+    common = ldesc[x] & ldesc[y]
+    while common:
+        row = lmul[(common & -common).bit_length() - 1]
+        x, y = row[x], row[y]
+        common = ldesc[x] & ldesc[y]
+    return x, y
+
+
 def pairs_all(group: CoxeterGroup, ok, rows=None):
     """The items of verify._pairs with ok called on every pair (x, y),
     one item per pair keyed "wx|wy", in x-major id order.  rows, a set of

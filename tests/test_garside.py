@@ -48,7 +48,6 @@ def random_words(group, count, max_len, seed):
     return out
 
 
-@pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 2, None), ("I2", 2, 5)])
 def fraction_words(group, count, max_len, seed):
     """Words x^-1 y and x y^-1 for random positive words x and y, the shape
     of a fraction: runs of one sign, so that the fold's twist frame flips at

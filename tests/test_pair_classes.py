@@ -28,7 +28,7 @@ from coxbraid.coxeter import (
 from coxbraid.garside import braid_equal, fraction_form
 from coxbraid.hecke import KLTable
 from coxbraid.mikado import count_mikado_A, count_mikado_B
-from coxbraid.verify import CHECKS, CheckSpec, _coprime_pair, run_check
+from coxbraid.verify import CHECKS, CheckSpec, run_check
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
@@ -42,7 +42,7 @@ def test_coprime_pair_is_the_left_fraction(family, rank):
     coprime, braids = set(), set()
     for x, ex in enumerate(els):
         for y, ey in enumerate(els):
-            cx, cy = _coprime_pair(table, x, y)
+            cx, cy = oracles.coprime_pair(table, x, y)
             b = oracles.pair_braid(ex, ey)
             assert fraction_form(b) == (els[cx], els[cy])
             assert braid_equal(oracles.pair_braid(ex, ey), oracles.pair_braid(els[cx], els[cy]))
@@ -60,7 +60,7 @@ def test_pair_classes_are_counted_independently(family, rank, classes):
     descent, as many as count_mikado_A and count_mikado_B count."""
     table = coxeter_group(family, rank).table
     ids = range(len(table.length))
-    reduced = {_coprime_pair(table, x, y) for x in ids for y in ids}
+    reduced = {oracles.coprime_pair(table, x, y) for x in ids for y in ids}
     assert reduced == {(x, y) for x in ids for y in ids if not table.ldesc[x] & table.ldesc[y]}
     assert len(reduced) == classes
     if family == "A":
@@ -96,6 +96,18 @@ def test_pair_sweep_checks_its_coprime_pair_count():
     w0 = group.table.w0
     ldesc[w0] &= ldesc[w0] - 1
     with pytest.raises(IntegrityError, match="coprime pairs"):
+        verify._pairs(group, lambda x, y: True)
+
+
+def test_pair_sweep_raises_on_an_unfilled_parent():
+    """A spurious left descent s on the identity sends the pair (e, e) to
+    the parent (s, s), whose x has a larger id and is not yet filled."""
+    group = CoxeterGroup(CoxeterType("A", 3))
+    table = group.table
+    e = group.identity.id
+    table.ldesc[e] |= 1
+    assert table.lmul[0][e] > e
+    with pytest.raises(IntegrityError, match="unfilled"):
         verify._pairs(group, lambda x, y: True)
 
 
