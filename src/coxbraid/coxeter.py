@@ -591,10 +591,14 @@ class GroupTable:
 
     @cached_property
     def rdesc(self) -> list[int]:
-        """Right descent masks: bit s is set when l(x s) < l(x)."""
-        length, rmul = self.length, self.rmul
-        return [sum(1 << s for s, r in enumerate(rmul) if length[r[x]] < lx)
-                for x, lx in enumerate(length)]
+        """Right descent masks: bit s is set when l(x s) < l(x), one
+        generator column at a time."""
+        length = self.length
+        rdesc = [0] * len(length)
+        for s, row in enumerate(self.rmul):
+            bit = 1 << s
+            rdesc = [d | bit if length[r] < l else d for d, r, l in zip(rdesc, row, length)]
+        return rdesc
 
     @cached_property
     def ldesc(self) -> list[int]:

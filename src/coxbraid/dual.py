@@ -8,8 +8,9 @@ conjugated generators.  This module computes all of these exactly: the
 divisor lattice [1, c]_T by one breadth first pass per c, which alone
 decides whether an element divides c; Hurwitz orbits of reflections and
 of braids by one closure under the elementary moves; atom braids of the
-rotation formula by conjugation; and each simple dual braid as its
-lattice parent's times one atom normal form.
+rotation formula from c's simple prefixes and one conjugation by b(c)
+each; and each simple dual braid as its lattice parent's times one atom
+normal form.
 
 The noncrossing partition model is combinatorial for types A and B: the
 circle carries the orbit of the point 1 under c, blocks are the cycles
@@ -33,11 +34,13 @@ from .coxeter import (
 )
 from .garside import (
     BraidWord,
+    _image_ids,
     _left_fraction_ids,
     _letters_of_nf_ids,
     _nf_inv_ids,
     _nf_mul_ids,
     _rational_ids,
+    _simple_nf_ids,
 )
 
 
@@ -267,8 +270,10 @@ class DualAtomTable:
     The word at rotation index i is a_1 ... a_i a_{i+1} a_i^-1 ... a_1^-1
     with a_j running cyclically through the ordering.  Indices 0 to
     2|T| - 1 hit every reflection exactly twice; the two words for the
-    same reflection must be equal as braids, which is checked here.  Each
-    braid is a_1 times the one at i - 1 of the rotated ordering times a_1^-1.
+    same reflection must be equal as braids, which is checked here.  For
+    i < n the braid is b(p_{i+1}) b(p_i)^-1, p_i = a_1 ... a_i a simple
+    prefix of c; as a_{j+n} = a_j, the one at i + n is the one at i
+    conjugated by delta = b(c) (Bessis, The dual braid monoid, 2003).
     Lookups take reflections of c's group only (CoxeterGroup.member).
     """
 
@@ -276,21 +281,18 @@ class DualAtomTable:
         self.group = group = c.group
         self.c = c
         self.ordering = order = standard_ordering(c, ordering)
-        table = group.table
-        gens = [table.gen_ids[a - 1] for a in order]
-        row = [((1, ()) if g == table.w0 else (0, (g,)), g) for g in gens]  # A1's generator is w0
-        signed = [(pos, _nf_inv_ids(table, pos)) for pos, _ in row]
+        table, n = group.table, len(order)
+        simple = [_simple_nf_ids(table, table.image_id(order[:i])) for i in range(n + 1)]  # b(p_i)
+        delta, delta_inv = simple[-1], _nf_inv_ids(table, simple[-1])
+        atoms = [_nf_mul_ids(table, q, _nf_inv_ids(table, p)) for p, q in zip(simple, simple[1:])]
         words: dict[int, BraidWord] = {}  # keyed by table id
         nfs: dict[int, tuple] = {}  # keyed by table id
         hits: dict[int, int] = {}
         for i in range(2 * len(group.reflections)):
-            if i:  # row[r] is index i of the ordering rotated by r: a_r row[r + 1] a_r^-1
-                row = [
-                    (_nf_mul_ids(table, _nf_mul_ids(table, pos, nf), neg),
-                     table.lmul[a - 1][table.rmul[a - 1][tid]])
-                    for a, (pos, neg), (nf, tid) in zip(order, signed, row[1:] + row[:1])
-                ]
-            nf, tid = row[0]
+            if i >= n:  # a_{i+1} = a_{i+1-n}: index i is index i - n conjugated by b(c)
+                atoms.append(_nf_mul_ids(table, _nf_mul_ids(table, delta, atoms[i - n]), delta_inv))
+            nf = atoms[i]
+            tid = _image_ids(table, nf)
             hits[tid] = hits.get(tid, 0) + 1
             if nfs.setdefault(tid, nf) != nf:
                 raise IntegrityError("rotation formula produced unequal braids for one reflection")

@@ -1386,6 +1386,15 @@ def right_descents(w: CoxeterElement) -> frozenset[int]:
     return frozenset(s + 1 for s in bit_ids(table.rdesc[w.id]))
 
 
+def rdesc_by_elements(table: GroupTable) -> list[int]:
+    """Right descent masks with one generator expression per element: the
+    reference for GroupTable.rdesc, which builds them a generator column at
+    a time."""
+    length, rmul = table.length, table.rmul
+    return [sum(1 << s for s, r in enumerate(rmul) if length[r[x]] < lx)
+            for x, lx in enumerate(length)]
+
+
 def t_reduced_factorization(x: CoxeterElement) -> tuple[CoxeterElement, ...]:
     """Greedy minimal reflection factorisation of x on table ids: the first
     reflection of T that divides the remainder, at each step."""

@@ -120,6 +120,17 @@ def test_coxeter_matrix_and_parabolic_subgroups(family, rank, m):
         assert _parabolic(labels, mask) == want
 
 
+@pytest.mark.parametrize(
+    "family,rank,m", [*oracles.COVERED_GROUPS, ("D", 5, None), ("B", 5, None), ("A", 6, None)]
+)
+def test_right_descent_masks_match_one_expression_per_element(family, rank, m):
+    """rdesc, built a generator column at a time, equals the masks built
+    with one generator expression per element, on every covered group and
+    on D5, B5 and A6, which the table digests do not pin."""
+    table = coxeter_group(family, rank, m=m).table
+    assert table.rdesc == oracles.rdesc_by_elements(table)
+
+
 def test_word_stops_when_descents_miss_the_identity():
     """Right descent masks in place of left ones send the word astray:
     word raises after length[x] steps instead of walking on."""

@@ -287,12 +287,13 @@ def test_hurwitz_braid_orbit_projects_bijectively():
 
 
 def test_f4_atom_table_renorm_count(monkeypatch):
-    """Building the F4 atom table by conjugation makes at most 1000 renorm
-    calls (716 on ordering (1, 2, 3, 4); folding the 48 rotation words
-    made 4426, and a bubble over the whole factor list after every word
-    77 780).  Embedding its 105 divisors, one product each from the
-    lattice parent, makes at most 300 (259; a product of l_T(x) atoms per
-    divisor made 340)."""
+    """Building the F4 atom table from c's simple prefixes and one
+    conjugation by b(c) per index makes at most 250 renorm calls (180 on
+    ordering (1, 2, 3, 4); conjugating whole rows of rotated orderings by
+    a_1 made 716, folding the 48 rotation words 4426, and a bubble over
+    the whole factor list after every word 77 780).  Embedding its 105
+    divisors, one product each from the lattice parent, makes at most 300
+    (259; a product of l_T(x) atoms per divisor made 340)."""
     group = coxeter_group("F4")
     group.table
     calls = 0
@@ -306,7 +307,7 @@ def test_f4_atom_table_renorm_count(monkeypatch):
     monkeypatch.setattr(GroupTable, "renorm", counted)
     c = group.from_word((1, 2, 3, 4))
     monoid = dual.DualMonoid(c, (1, 2, 3, 4))
-    assert 0 < calls <= 1000
+    assert 0 < calls <= 250
     calls = 0
     for x in monoid.divisors():
         monoid.embed_nf_ids(x)

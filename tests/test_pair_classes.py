@@ -155,6 +155,23 @@ def test_a_failed_class_fails_every_pair_with_its_braid(family, rank, monkeypatc
         assert report.counts["failures"] == len(failed) >= 1
 
 
+@pytest.mark.parametrize("family,rank,m", [("A", 4, None), ("B", 3, None), ("D", 4, None),
+                                           ("H3", 3, None), ("I2", 2, 5)])
+def test_pair_driver_reads_each_pair_at_its_coprime_pair(family, rank, m):
+    """With a verdict that is False on a seeded tenth of the coprime pairs,
+    every item of _pairs is the verdict of its pair's coprime pair, found by
+    stripping common left descents (oracles.coprime_pair), item by item."""
+    group = coxeter_group(family, rank, m=m)
+    table = group.table
+    ids = range(len(group.elements()))
+    coprime = [(x, y) for x in ids for y in ids if not table.ldesc[x] & table.ldesc[y]]
+    bad = set(random.Random(len(coprime)).sample(coprime, len(coprime) // 10))
+    items = verify._pairs(group, lambda x, y: (x.id, y.id) not in bad)
+    want = oracles.pairs_all(group, lambda x, y: oracles.coprime_pair(table, x.id, y.id) not in bad)
+    assert items == want
+    assert sum(not it["ok"] for it in items) > len(bad) >= 1
+
+
 # ---------------------------------------------------------------------------
 # the class driver against the driver over all |W|^2 pairs
 

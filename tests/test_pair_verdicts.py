@@ -6,7 +6,8 @@ signed lift.  These tests compare them with the letter-level verdicts of
 oracles.LETTER_VERDICTS, which rebuild and fold letter words, on every pair
 (not only the coprime ones the sweeps call), and certify the composed
 normal forms and the lifts by Artin's action on a free group, which knows
-nothing of normal forms.
+nothing of normal forms, and the composed forms of D4 and H3 by the dual
+normal form, which reads another Garside structure.
 """
 
 import random
@@ -14,7 +15,7 @@ import random
 import pytest
 
 import oracles
-from coxbraid.coxeter import coxeter_group, coxeter_type
+from coxbraid.coxeter import coxeter_group, coxeter_type, standard_coxeter_elements
 from coxbraid.garside import (
     BraidWord,
     _image_ids,
@@ -89,6 +90,40 @@ def test_composed_forms_and_lifts_act_as_the_pair_braid(family, rank):
             lift = _signed_lift_ids(table, nf, table.word(_image_ids(table, nf)))
             assert oracles.artin_action_of(BraidWord(group, _letters_of_nf_ids(table, nf))) == want
             assert oracles.artin_action_of(BraidWord(group, lift)) == want
+
+
+@pytest.mark.parametrize("family,rank", [("D", 4), ("H3", 3)])
+def test_composed_pair_normal_forms_match_the_dual_normal_form(family, rank):
+    """On a seeded sample of pairs, the letters of _pair_nf_ids(x, y) have
+    the dual normal form (oracles.DualNormalForm) of the word b(x)^-1 b(y).
+    Two composed forms are equal exactly when the dual normal forms of the
+    two pair braids are, with both outcomes: each sampled pair is compared
+    with the sample's previous pair and with (sx, sy), s a left descent of
+    neither x nor y, whose braid is the same."""
+    group = coxeter_group(family, rank)
+    table = group.table
+    els = group.elements()
+    dnf = oracles.DualNormalForm(standard_coxeter_elements(group)[-1])
+
+    def dual(x, y):
+        return dnf.of_letters(oracles.pair_braid(els[x], els[y]).letters)
+
+    rng = random.Random(101 * rank)
+    sample = [(rng.randrange(len(els)), rng.randrange(len(els))) for _ in range(200)]
+    outcomes = set()
+    for i, (x, y) in enumerate(sample):
+        nf = _pair_nf_ids(table, x, y)
+        assert dnf.of_letters(_letters_of_nf_ids(table, nf)) == dual(x, y), (x, y)
+        partners = [sample[i - 1]]
+        free = [s for s in range(rank) if not (table.ldesc[x] | table.ldesc[y]) >> s & 1]
+        if free:
+            s = rng.choice(free)
+            partners.append((table.lmul[s][x], table.lmul[s][y]))
+        for u, v in partners:
+            equal = _pair_nf_ids(table, u, v) == nf
+            assert equal == (dual(u, v) == dual(x, y)), (x, y, u, v)
+            outcomes.add(equal)
+    assert outcomes == {True, False}
 
 
 def test_artin_action_tells_braids_apart():
